@@ -73,8 +73,7 @@ def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair,
 
 def _norm_triplet(vals: np.ndarray, basis) -> tuple:
     modal = sp.to_modal_values(vals, basis)
-    return tuple(float(np.sqrt(sp.modal_sobolev_sq(modal, basis, k)))
-                 for k in (0, 1, 2))
+    return tuple(float(np.sqrt(x)) for x in sp.modal_sobolev_sqs(modal, basis))
 
 
 def negativity_monitor(state: State, factors: dict, bases: sp.BasisPair) -> tuple:
@@ -169,9 +168,10 @@ def _combined_l2(a: State, b: State, bases: sp.BasisPair) -> tuple:
                           (a.frak_q_v, b.frak_q_v, neu),
                           (a.frak_q_c, b.frak_q_c, neu),
                           (a.frak_q_r, b.frak_q_r, neu)):
-        modal = sp.to_modal_values(fa.values - fb.values, basis)
-        l2 += sp.modal_sobolev_sq(modal, basis, 0)
-        h1 += sp.modal_sobolev_sq(modal, basis, 1)
+        l2s, h1s = sp.modal_sobolev_sqs(
+            sp.to_modal_values(fa.values - fb.values, basis), basis, 1)
+        l2 += l2s
+        h1 += h1s
     return np.sqrt(l2), h1
 
 

@@ -27,8 +27,8 @@ from .microphysics import SaturationClosure
 
 
 class StepRejected(RuntimeError):
-    """Raised when a step fails (Picard non-convergence or non-finite
-    output); the caller may retry with a smaller dt."""
+    """Raised when a step fails (Picard non-convergence, a non-finite
+    right-hand side or state); the caller may retry with a smaller dt."""
 
 
 V_R_PROFILES = {
@@ -61,6 +61,10 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
+        n_steps = round(self.t_end / self.dt)
+        if abs(n_steps * self.dt - self.t_end) > 1.0e-9 * self.t_end:
+            raise ValueError(f"t_end {self.t_end!r} is not a whole number of "
+                             f"steps of dt {self.dt!r}")
         if self.mode not in ("picard", "direct"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.picard_tol <= 0.0:
@@ -180,18 +184,23 @@ class Simulation:
             return self._static_factors
         return build_factors(self.bspec, self.grid, t, dt)
 
-    def _deriv_fields(self, vals: np.ndarray, basis, order: int = 1,
-                      dealias: bool = False) -> dict:
-        """Spectral derivatives of a field, as physical arrays."""
-        modal = sp.to_modal_values(vals, basis)
-        if dealias:
-            modal = sp.dealias_modal(modal, basis)
+    def _velocity_modal(self, u: VectorField) -> list:
+        """Undealiased modal coefficients [v1, v2, w] of a velocity field."""
+        neu, diri = self.bases.neumann, self.bases.dirichlet
+        return [sp.to_modal_values(u.v1.values, neu),
+                sp.to_modal_values(u.v2.values, neu),
+                sp.to_modal_values(u.w.values, diri)]
+
+    @staticmethod
+    def _derivs(modal: np.ndarray, basis, order: int = 1) -> dict:
+        """Spectral derivatives, as physical arrays, of the field with modal
+        coefficients ``modal`` in ``basis``."""
+        mz = sp.dz_modal(modal, basis)
         out = {
             "x": sp.to_phys_values(sp.dx_modal(modal, basis), basis),
             "y": sp.to_phys_values(sp.dy_modal(modal, basis), basis),
+            "z": sp.to_phys_values(mz, basis.other),
         }
-        mz = sp.dz_modal(modal, basis)
-        out["z"] = sp.to_phys_values(mz, basis.other)
         if order >= 2:
             out["xx"] = sp.to_phys_values(sp.dx_modal(sp.dx_modal(modal, basis), basis), basis)
             out["yy"] = sp.to_phys_values(sp.dy_modal(sp.dy_modal(modal, basis), basis), basis)
@@ -216,11 +225,17 @@ class Simulation:
 
     # -- density transport --------------------------------------------------
 
-    def density_step(self, state: State, u_frozen: VectorField, dt: float) -> ScalarField:
+    def density_step(self, state: State, u_frozen: VectorField, dt: float,
+                     u_modal: list | None = None,
+                     step_cache: dict | None = None) -> ScalarField:
         """Advance log rho_d along backtracked characteristics of the frozen
         velocity: RK2 midpoint foot, second-order Taylor interpolation at the
         foot, and a midpoint-rule quadrature of the divergence integral.
-        Positivity of rho_d is automatic in the log form."""
+        Positivity of rho_d is automatic in the log form.
+
+        ``u_modal`` is ``_velocity_modal(u_frozen)`` when the caller already
+        has it.  ``step_cache`` keeps the derivatives of ``state.log_rho_d``,
+        which do not depend on the velocity, across the iterates of a step."""
         g = self.grid
         neu, diri = self.bases.neumann, self.bases.dirichlet
         u1, u2, w = (c.values for c in u_frozen.components())
@@ -231,9 +246,12 @@ class Simulation:
         if not (np.any(u1) or np.any(u2) or np.any(w)):
             return state.log_rho_d.copy()
 
-        du1 = self._deriv_fields(u1, neu, order=1)
-        du2 = self._deriv_fields(u2, neu, order=1)
-        dw = self._deriv_fields(w, diri, order=1)
+        if u_modal is None:
+            u_modal = self._velocity_modal(u_frozen)
+        m1, m2, mw = u_modal
+        du1 = self._derivs(m1, neu)
+        du2 = self._derivs(m2, neu)
+        dw = self._derivs(mw, diri)
         hx, hy = -0.5 * dt * u1, -0.5 * dt * u2
         hz = -0.5 * dt * w
         um1 = self._taylor_eval(u1, du1, hx, hy, hz, order=1)
@@ -248,12 +266,18 @@ class Simulation:
                           f"(overshoot {overshoot:.3e})")
         dz_f = foot_z - g.z[None, None, :]
 
-        dlog = self._deriv_fields(state.log_rho_d.values, neu, order=2)
+        dlog = step_cache.get("log_rho_d") if step_cache is not None else None
+        if dlog is None:
+            dlog = self._derivs(sp.to_modal_values(state.log_rho_d.values, neu),
+                                neu, order=2)
+            if step_cache is not None:
+                step_cache["log_rho_d"] = dlog
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
                                         dx_f, dy_f, dz_f, order=2)
 
-        divu = sp.div(u_frozen, self.bases).values
-        ddiv = self._deriv_fields(divu, neu, order=1)
+        divu = sp.to_phys_values(sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu)
+                                 + sp.dz_modal(mw, diri), neu)
+        ddiv = self._derivs(sp.to_modal_values(divu, neu), neu)
         div_mid = self._taylor_eval(divu, ddiv, 0.5 * dx_f, 0.5 * dy_f,
                                     0.5 * dz_f, order=1)
         return ScalarField(g, log_at_foot - dt * div_mid)
@@ -261,10 +285,14 @@ class Simulation:
     # -- explicit right-hand sides ------------------------------------------
 
     def assemble_rhs(self, frozen: State, rho_vals: np.ndarray, factors: dict,
-                     t_new: float | None = None) -> RhsBundle:
+                     t_new: float | None = None,
+                     u_modal: list | None = None) -> RhsBundle:
         """Evaluate the frozen-state right-hand sides of the homogenized
         system: advection, sedimentation, pressure gradient, gravity, the
-        B/psi lifting corrections, and the clipped phase-change sources."""
+        B/psi lifting corrections, and the clipped phase-change sources.
+
+        ``u_modal`` is ``_velocity_modal(frozen.u)`` when the caller already
+        has it; its arrays are dealiased in place."""
         c = self.constants
         g = self.grid
         neu, diri = self.bases.neumann, self.bases.dirichlet
@@ -275,23 +303,18 @@ class Simulation:
 
         # frozen-velocity derivatives, divergence, and the second-order
         # pieces the mean-coefficient splitting lags into the explicit side
-        m_u1 = sp.to_modal_values(u1, neu)
-        m_u2 = sp.to_modal_values(u2, neu)
-        m_w = sp.to_modal_values(w, diri)
+        if u_modal is None:
+            u_modal = self._velocity_modal(frozen.u)
+        m_u1, m_u2, m_w = u_modal
         if dealias:
-            m_u1 = sp.dealias_modal(m_u1, neu)
-            m_u2 = sp.dealias_modal(m_u2, neu)
-            m_w = sp.dealias_modal(m_w, diri)
+            # in place, so that no undealiased copy outlives this point
+            m_u1 *= neu.dealias_mask
+            m_u2 *= neu.dealias_mask
+            m_w *= diri.dealias_mask
 
-        def deriv_from_modal(modal, basis):
-            mz = sp.dz_modal(modal, basis)
-            return {"x": sp.to_phys_values(sp.dx_modal(modal, basis), basis),
-                    "y": sp.to_phys_values(sp.dy_modal(modal, basis), basis),
-                    "z": sp.to_phys_values(mz, basis.other)}
-
-        du1 = deriv_from_modal(m_u1, neu)
-        du2 = deriv_from_modal(m_u2, neu)
-        dw = deriv_from_modal(m_w, diri)
+        du1 = self._derivs(m_u1, neu)
+        du2 = self._derivs(m_u2, neu)
+        dw = self._derivs(m_w, diri)
         div_modal = (sp.dx_modal(m_u1, neu) + sp.dy_modal(m_u2, neu)
                      + sp.dz_modal(m_w, diri))
         div_u = sp.to_phys_values(div_modal, neu)
@@ -312,7 +335,7 @@ class Simulation:
             modal = sp.to_modal_values(field_.values, neu)
             if dealias:
                 modal = sp.dealias_modal(modal, neu)
-            d = deriv_from_modal(modal, neu)
+            d = self._derivs(modal, neu)
             if name == "T":
                 lap_T = sp.to_phys_values(-neu.eigenvalues * modal, neu)
             psi = fac.psi
@@ -358,7 +381,7 @@ class Simulation:
             forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
 
         # momentum ----------------------------------------------------------
-        dp = self._deriv_fields(p, neu)
+        dp = self._derivs(sp.to_modal_values(p, neu), neu)
         rQm = rho_vals * Q_m
         drag = rho_vals * q_o["r"] * self.v_r
         momentum = {
@@ -425,11 +448,11 @@ class Simulation:
                           ("cloud", cloud), ("rain", rain)):
             for tname, arr in terms.items():
                 if not np.all(np.isfinite(arr)):
-                    raise FloatingPointError(f"non-finite RHS term {eq}.{tname}")
+                    raise StepRejected(f"non-finite RHS term {eq}.{tname}")
         for tname, arrs in momentum.items():
             for arr in arrs:
                 if not np.all(np.isfinite(arr)):
-                    raise FloatingPointError(f"non-finite RHS term momentum.{tname}")
+                    raise StepRejected(f"non-finite RHS term momentum.{tname}")
 
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
                          {"S_ev": S_ev, "S_cd": S_cd, "S_ac": S_ac, "S_cr": S_cr,
@@ -463,17 +486,24 @@ class Simulation:
                 sp.to_phys_values(u3, diri))
 
     def linear_step(self, frozen: State, current: State, dt: float,
-                    factors: dict | None = None) -> State:
+                    factors: dict | None = None,
+                    u_modal: list | None = None) -> State:
         """Backward-Euler update of the associated linear system: implicit
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
-        frozen iterate.  ``frozen`` must already carry the advanced density."""
+        frozen iterate.  ``frozen`` must already carry the advanced density.
+
+        ``u_modal`` (see assemble_rhs) is emptied once the right-hand sides
+        are built, so that the solves run without it in memory."""
         c = self.constants
         g = self.grid
         if factors is None:
             factors = self.factors_at(current.time, dt)
         rho_vals = np.exp(frozen.log_rho_d.values)
-        rhs = self.assemble_rhs(frozen, rho_vals, factors, t_new=current.time + dt)
+        rhs = self.assemble_rhs(frozen, rho_vals, factors, t_new=current.time + dt,
+                                u_modal=u_modal)
+        if u_modal is not None:
+            u_modal.clear()
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
@@ -528,9 +558,7 @@ class Simulation:
 
         def add(name, da, basis):
             nonlocal tot_l2, tot_h1
-            modal = sp.to_modal_values(da, basis)
-            l2s = sp.modal_sobolev_sq(modal, basis, 0)
-            h1s = sp.modal_sobolev_sq(modal, basis, 1)
+            l2s, h1s = sp.modal_sobolev_sqs(sp.to_modal_values(da, basis), basis, 1)
             entries[name] = np.sqrt(l2s) + np.sqrt(dt * h1s)
             tot_l2 += l2s
             tot_h1 += h1s
@@ -564,32 +592,42 @@ class Simulation:
         assembly, linear solves) to its fixed point.  Stops when the metric
         increment drops below picard_tol relative to the first increment;
         raises StepRejected on non-convergence.  With max_iters == 1 this is
-        by definition the direct mode and no convergence test is applied."""
+        by definition the direct mode: no convergence test is applied and
+        the report records no increments."""
         cfg = self.config
         iters = cfg.picard_max_iters if max_iters is None else max_iters
         factors = self.factors_at(state.time, dt)
         report = PicardReport()
-        floor = 1.0e-14 * (1.0 + self._state_scale(state))
+        # derivatives of the step's initial log rho_d, shared by all iterates
+        step_cache = {} if iters > 1 else None
 
         x_prev = state
         first = None
         for m in range(1, iters + 1):
-            log_rho_new = self.density_step(state, x_prev.u, dt)
-            frozen = replace(x_prev, log_rho_d=log_rho_new)
-            x_new = self.linear_step(frozen, state, dt, factors)
+            # one transform of the iterate's velocity serves the density step
+            # and the right-hand sides; linear_step frees it before its solves
+            u_modal = self._velocity_modal(x_prev.u)
+            log_rho_new = self.density_step(state, x_prev.u, dt, u_modal, step_cache)
+            try:
+                frozen = replace(x_prev, log_rho_d=log_rho_new)
+            except FloatingPointError as exc:
+                raise StepRejected(f"density step at dt={dt:g}: {exc}") from exc
+            x_new = self.linear_step(frozen, state, dt, factors, u_modal)
+            report.iterations = m
+            if iters == 1:
+                # the direct mode: no convergence test, so no increment either
+                report.converged = True
+                return x_new, report
             parts = self._m_norm_parts(x_new, x_prev, dt)
             inc = parts["total"]
             report.increments.append(parts)
-            report.iterations = m
             if m >= 2:
                 prev_inc = report.increments[-2]["total"]
                 if prev_inc > 0.0:
                     report.ratios.append(inc / prev_inc)
             if first is None:
                 first = inc
-            if iters == 1:
-                report.converged = True
-                return x_new, report
+                floor = 1.0e-14 * (1.0 + self._state_scale(state))
             if inc <= max(cfg.picard_tol * first, floor):
                 report.converged = True
                 return x_new, report

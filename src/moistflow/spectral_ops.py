@@ -215,16 +215,17 @@ def advect(u: VectorField, f: ScalarField, bases: BasisPair,
     return ScalarField(f.grid, prod)
 
 
-def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
-    """Squared Sobolev norm of order <= 2 from modal coefficients (Parseval,
-    one term per distinct multi-index).
+def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
+    """Squared Sobolev norms of orders 0..max_order (max_order <= 2) from
+    modal coefficients, in one pass (Parseval, one term per distinct
+    multi-index).
 
     Horizontal modes integrate to 4 |a|^2 each over the doubly periodic
     cross-section; vertical cosine modes carry weight 1 (mean) or 1/2, sine
     modes 1/2.  z-differentiation swaps the parity weight, and the sine
     Nyquist row is invisible on the grid so it carries weight zero.
     """
-    if order not in (0, 1, 2):
+    if max_order not in (0, 1, 2):
         raise ValueError("sobolev order must be 0, 1, or 2")
     nz = basis.grid.nz
     cw = np.full(nz, 0.5)
@@ -237,18 +238,29 @@ def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
     else:
         w_even, w_odd = sw, cw
     a2 = np.abs(modal) ** 2 * basis.ky_multiplicity
+    even = a2 * w_even
     kx2 = basis.kappa_x ** 2
     ky2 = basis.kappa_y ** 2
     kz2 = basis.kappa_z ** 2
-    total = 4.0 * np.sum(a2 * w_even)
-    if order >= 1:
-        total += 4.0 * np.sum(a2 * w_even * (kx2 + ky2))
-        total += 4.0 * np.sum(a2 * w_odd * kz2)
-    if order >= 2:
-        total += 4.0 * np.sum(a2 * w_even * (kx2**2 + ky2**2 + kx2 * ky2))
-        total += 4.0 * np.sum(a2 * w_odd * kz2 * (kx2 + ky2))
-        total += 4.0 * np.sum(a2 * w_even * kz2 ** 2)
-    return float(total)
+    total = 4.0 * np.sum(even)
+    out = [float(total)]
+    if max_order >= 1:
+        odd_kz2 = a2 * w_odd * kz2
+        total += 4.0 * np.sum(even * (kx2 + ky2))
+        total += 4.0 * np.sum(odd_kz2)
+        out.append(float(total))
+    if max_order >= 2:
+        total += 4.0 * np.sum(even * (kx2**2 + ky2**2 + kx2 * ky2))
+        total += 4.0 * np.sum(odd_kz2 * (kx2 + ky2))
+        total += 4.0 * np.sum(even * kz2 ** 2)
+        out.append(float(total))
+    return tuple(out)
+
+
+def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
+    """Squared Sobolev norm of order <= 2 from modal coefficients (see
+    modal_sobolev_sqs)."""
+    return modal_sobolev_sqs(modal, basis, order)[order]
 
 
 def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:

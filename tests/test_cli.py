@@ -169,6 +169,24 @@ class TestMain:
         b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
         assert a == b
 
+    def test_csv_independent_of_threads(self, tmp_path):
+        cfg = (BASE.replace("grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n",
+                            "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n")
+               .replace("solver.t_end = 3e-3\n", "solver.t_end = 5e-3\n"))
+        csv = {}
+        try:
+            for threads in (1, 2):
+                path = write_config(tmp_path / f"t{threads}.cfg",
+                                    cfg + f"run.threads = {threads}\n")
+                out = str(tmp_path / f"t{threads}")
+                assert main(["run", path, "--out", out]) == 0
+                with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
+                    csv[threads] = fh.read()
+        finally:
+            mf.spectral_ops.set_workers(1)
+        assert csv[1].count(b"\n") == 7     # header, initial row, 5 steps
+        assert csv[1] == csv[2]
+
     def test_run_then_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = BASE + "solver.t_end = 6e-3\nsolver.checkpoint_every = 3\n"
         full_cfg = full_cfg.replace("solver.t_end = 3e-3\n", "")

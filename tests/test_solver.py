@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,42 @@ class TestDirectStep:
             except mf.StepRejected:
                 pass
 
+    def test_transform_budget(self, grid8, nondim, monkeypatch):
+        """Exact transform counts of one direct step from a moving state and
+        of each Picard iteration after the first, so that a repeated
+        transform shows."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
+        state = sim.direct_step(state, 1e-3)
+        assert np.any(state.u.w.values)
+        count = {"fwd": 0, "inv": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                count[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mf.spectral_ops, "to_modal_values",
+                            counted("fwd", mf.spectral_ops.to_modal_values))
+        monkeypatch.setattr(mf.spectral_ops, "to_phys_values",
+                            counted("inv", mf.spectral_ops.to_phys_values))
+        sim.direct_step(state, 1e-3)
+        assert count == {"fwd": 18, "inv": 62}
+
+        ends = []
+        linear_step = sim.linear_step
+
+        def marked(*args, **kwargs):
+            out = linear_step(*args, **kwargs)
+            ends.append((count["fwd"], count["inv"]))
+            return out
+
+        monkeypatch.setattr(sim, "linear_step", marked)
+        _, rep = sim.picard_solve(state, 1e-3)
+        assert rep.iterations >= 3
+        per_iteration = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(ends, ends[1:])}
+        assert per_iteration == {(24, 53)}
+
     def test_step_halving_richardson_first_order(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble", mode="direct")
 
@@ -282,7 +320,30 @@ class TestSedimentationForm:
         assert g33 < g17 / 4.0
 
 
+class TestSolverConfig:
+    def test_t_end_must_be_whole_number_of_steps(self):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            mf.SolverConfig(dt=0.003, t_end=0.01)
+
+    @pytest.mark.parametrize("t_end,dt", [(0.15, 1e-3), (0.02, 4e-3), (0.0, 1e-3)])
+    def test_whole_step_horizons_accepted(self, t_end, dt):
+        mf.SolverConfig(dt=dt, t_end=t_end)
+
+
 class TestRun:
+    def test_non_finite_rhs_goes_through_retry_ladder(self, grid8, nondim):
+        """At dt = 0.5 the tenth step of the saturated layer produces a
+        non-finite right-hand side; it must be retried at half dt before
+        the run gives up, and the cause must survive in the message."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=0.5, t_end=5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError, match="non-finite RHS term") as info:
+                sim.run(state)
+        assert isinstance(info.value.__cause__, mf.StepRejected)
+        assert sim._rejections >= 1
+
     def test_zero_horizon_echoes_initial_state(self, grid8, nondim):
         state, bspec = mf.preset_initial("equilibrium", grid8, nondim)
         sim = mf.Simulation(grid8, nondim, bspec,

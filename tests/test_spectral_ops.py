@@ -209,6 +209,55 @@ class TestAdjointness:
         assert abs(lhs - rhs) / scale < 1e-11
 
 
+class TestDenseReference:
+    """Both transforms against explicit Fourier x cosine and Fourier x sine
+    series sums: a field is sum_{k1,k2,m} a exp(i pi (k1 x + k2 y)) Z_m(z)
+    with Z_m = cos(m pi z) or sin(m pi z), over the rfft half-plane in k2."""
+
+    @staticmethod
+    def series(grid, kind):
+        nx, ny, nz = grid.nx, grid.ny, grid.nz
+        ex = np.exp(1j * np.pi * np.outer(np.fft.fftfreq(nx, 1.0 / nx), grid.x))
+        k2 = np.fft.rfftfreq(ny, 1.0 / ny)
+        ey = np.exp(1j * np.pi * np.outer(k2, grid.y))
+        mult = np.where((k2 == 0) | (k2 == ny // 2), 1.0, 2.0)
+        phase = np.pi * np.outer(np.arange(nz), grid.z)
+        ends = np.ones(nz)
+        ends[[0, -1]] = 2.0
+        if kind == NEUMANN:
+            synth = np.cos(phase)
+            # DCT-I inverse: trapezoid weights in z, halved end modes
+            anal = np.cos(phase) * (2.0 / ends)[None, :] / ((nz - 1) * ends[:, None])
+        else:
+            synth = np.sin(phase)
+            synth[[0, -1], :] = 0.0          # the sine wall modes are not stored
+            anal = 2.0 * synth / (nz - 1)
+            anal[:, [0, -1]] = 0.0
+        return ex, ey, mult, synth, anal
+
+    @pytest.mark.parametrize("shape", [(8, 8, 9), (6, 10, 7)])
+    @pytest.mark.parametrize("kind", [NEUMANN, DIRICHLET])
+    def test_transforms_match_series(self, shape, kind):
+        grid = mf.make_grid(*shape)
+        bases = mf.make_bases(grid)
+        basis = bases.neumann if kind == NEUMANN else bases.dirichlet
+        ex, ey, mult, synth, anal = self.series(grid, kind)
+        rng = np.random.default_rng(7)
+
+        vals = rng.standard_normal(grid.shape)
+        want = np.einsum("ijk,pi,qj,mk->pqm", vals, ex.conj(), ey.conj(), anal,
+                         optimize=True) / (grid.nx * grid.ny)
+        assert np.max(np.abs(to_modal_values(vals, basis) - want)) < 1e-13
+
+        modal = (rng.standard_normal(want.shape)
+                 + 1j * rng.standard_normal(want.shape))
+        if kind == DIRICHLET:
+            modal[..., [0, -1]] = 0.0
+        want = np.einsum("pqm,q,pi,qj,mk->ijk", modal, mult, ex, ey, synth,
+                         optimize=True).real
+        assert np.max(np.abs(to_phys_values(modal, basis) - want)) < 1e-13
+
+
 class TestParsevalNorms:
     def test_constant_l2(self, grid8, bases8):
         modal = to_modal_values(np.ones(grid8.shape), bases8.neumann)
