@@ -64,6 +64,18 @@ class Basis:
         if grid.ny % 2 == 0:
             wy[-1] = 1.0
         self.ky_multiplicity = wy[None, :, None]
+        # z normalisation of the DCT-I / DST-I, applied to the real array:
+        # z_scale maps the forward transform to modal coefficients and
+        # z_unscale maps modal coefficients to the inverse transform's input
+        # (the sine wall rows are not transformed and stay zero)
+        self.z_scale = np.full(grid.nz, 1.0 / (grid.nz - 1))
+        self.z_unscale = np.full(grid.nz, 0.5)
+        if kind == NEUMANN:
+            self.z_scale[[0, -1]] = 0.5 / (grid.nz - 1)
+            self.z_unscale[[0, -1]] = 1.0
+        else:
+            self.z_scale[[0, -1]] = 0.0
+            self.z_unscale[[0, -1]] = 0.0
         self.other: "Basis" = None  # filled by make_bases
 
 
@@ -86,31 +98,33 @@ def make_bases(grid: Grid) -> BasisPair:
 # ---------------------------------------------------------------------------
 
 def to_modal_values(values: np.ndarray, basis: Basis) -> np.ndarray:
+    """The z-transform runs first, on the real array, so that scipy need not
+    split a complex one into two real transforms; rfft2 comes last."""
     nz = basis.grid.nz
-    hat = rfft2(values, axes=(0, 1), norm="forward", workers=_WORKERS)
     if basis.kind == NEUMANN:
-        c = dct(hat, type=1, axis=2, workers=_WORKERS)
-        out = np.empty_like(c)
-        out[..., 0] = c[..., 0] / (2 * (nz - 1))
-        out[..., 1:nz - 1] = c[..., 1:nz - 1] / (nz - 1)
-        out[..., nz - 1] = c[..., nz - 1] / (2 * (nz - 1))
-        return out
-    out = np.zeros(hat.shape, dtype=complex)
-    out[..., 1:nz - 1] = dst(hat[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS) / (nz - 1)
-    return out
+        zt = dct(values, type=1, axis=2, workers=_WORKERS)
+        zt *= basis.z_scale
+    else:
+        zt = np.zeros(values.shape)
+        zt[..., 1:nz - 1] = (dst(values[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS)
+                             * basis.z_scale[1:nz - 1])
+    return rfft2(zt, axes=(0, 1), norm="forward", overwrite_x=True, workers=_WORKERS)
 
 
 def to_phys_values(modal: np.ndarray, basis: Basis) -> np.ndarray:
+    """Inverse of to_modal_values: irfft2 first, then the real z-transform."""
     nz = basis.grid.nz
+    xy = (basis.grid.nx, basis.grid.ny)
     if basis.kind == NEUMANN:
-        y = modal.copy()
-        y[..., 1:nz - 1] *= 0.5
-        vals = dct(y, type=1, axis=2, workers=_WORKERS)
-    else:
-        vals = np.zeros(modal.shape, dtype=complex)
-        vals[..., 1:nz - 1] = dst(modal[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS) / 2.0
-    return irfft2(vals, s=(basis.grid.nx, basis.grid.ny), axes=(0, 1),
-                  norm="forward", workers=_WORKERS)
+        vals = irfft2(modal, s=xy, axes=(0, 1), norm="forward", workers=_WORKERS)
+        vals *= basis.z_unscale
+        return dct(vals, type=1, axis=2, overwrite_x=True, workers=_WORKERS)
+    vals = irfft2(modal[..., 1:nz - 1], s=xy, axes=(0, 1), norm="forward",
+                  workers=_WORKERS)
+    vals *= basis.z_unscale[1:nz - 1]
+    out = np.zeros(vals.shape[:2] + (nz,))
+    out[..., 1:nz - 1] = dst(vals, type=1, axis=2, overwrite_x=True, workers=_WORKERS)
+    return out
 
 
 def dx_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
