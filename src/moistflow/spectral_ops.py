@@ -36,7 +36,8 @@ class Basis:
 
     Eigenvalues are pi^2 (k1^2 + k2^2 + m^2) laid out on the modal grid;
     they are nonnegative and nondecreasing in each mode index.  Instances
-    are immutable after construction and safe to share across threads.
+    are immutable after construction, apart from the complement that
+    ``other`` builds once, and safe to share across threads.
     """
 
     def __init__(self, grid: Grid, kind: str):
@@ -76,7 +77,17 @@ class Basis:
         else:
             self.z_scale[[0, -1]] = 0.0
             self.z_unscale[[0, -1]] = 0.0
-        self.other: "Basis" = None  # filled by make_bases
+        self._other = None
+
+    @property
+    def other(self) -> "Basis":
+        """The complementary basis, in which z-derivatives live.  Built on
+        first use and holding no reference back, so that bases form no
+        reference cycle: a cycle would keep a dropped simulation's arrays
+        alive until the next full garbage collection."""
+        if self._other is None:
+            self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN)
+        return self._other
 
 
 @dataclass(frozen=True)
@@ -87,10 +98,7 @@ class BasisPair:
 
 def make_bases(grid: Grid) -> BasisPair:
     neu = Basis(grid, NEUMANN)
-    diri = Basis(grid, DIRICHLET)
-    neu.other = diri
-    diri.other = neu
-    return BasisPair(neu, diri)
+    return BasisPair(neu, neu.other)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +111,10 @@ def to_modal_values(values: np.ndarray, basis: Basis) -> np.ndarray:
     nz = basis.grid.nz
     if basis.kind == NEUMANN:
         zt = dct(values, type=1, axis=2, workers=_WORKERS)
-        zt *= basis.z_scale
     else:
         zt = np.zeros(values.shape)
-        zt[..., 1:nz - 1] = (dst(values[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS)
-                             * basis.z_scale[1:nz - 1])
+        zt[..., 1:nz - 1] = dst(values[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS)
+    zt *= basis.z_scale
     return rfft2(zt, axes=(0, 1), norm="forward", overwrite_x=True, workers=_WORKERS)
 
 

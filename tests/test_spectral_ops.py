@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ class TestBasis:
         assert abs(modal[0, 0, 0] - 1.0) < 1e-14
         lap = -bases8.neumann.eigenvalues * modal
         assert np.max(np.abs(lap)) == 0.0
+
+
+    def test_bases_free_without_garbage_collector(self, grid8):
+        """No reference cycle: dropping the pair frees the arrays at once."""
+        bases = mf.make_bases(grid8)
+        assert bases.neumann.other is bases.dirichlet
+        assert bases.dirichlet.other.kind == NEUMANN
+        refs = [weakref.ref(b) for b in (bases.neumann, bases.dirichlet,
+                                         bases.dirichlet.other)]
+        del bases
+        assert all(r() is None for r in refs)
 
 
 class TestDerivatives:
