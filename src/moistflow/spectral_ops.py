@@ -129,7 +129,7 @@ def to_phys_values(modal: np.ndarray, basis: Basis) -> np.ndarray:
     vals = irfft2(modal[..., 1:nz - 1], s=xy, axes=(0, 1), norm="forward",
                   workers=_WORKERS)
     vals *= basis.z_unscale[1:nz - 1]
-    out = np.zeros(vals.shape[:2] + (nz,))
+    out = np.zeros(basis.grid.shape)
     out[..., 1:nz - 1] = dst(vals, type=1, axis=2, overwrite_x=True, workers=_WORKERS)
     return out
 
