@@ -15,7 +15,7 @@ from .boundary import (BoundarySpec, BoundaryExtension, HomogenizationFactors,
                        VariableBoundary, build_extension, build_factors,
                        cutoff_chi0, dehomogenize, extend, homogenize,
                        robin_profile, trace_norm_check)
-from .spectral_ops import (Basis, BasisPair, advect, div, dz, grad,
+from .spectral_ops import (Basis, BasisPair, div, dz, grad,
                            helmholtz_solve, laplacian, make_bases,
                            vector_helmholtz_solve)
 from .solver import (PicardReport, Simulation, SolverConfig, StepRejected,

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .fields import Grid, ScalarField, check_physical, check_same_grid
+from .fields import Grid, ScalarField
 
 BOUNDARY_VARS = ("T", "v", "c", "r")
 
@@ -432,7 +432,6 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
 
 def homogenize(F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
     """frak_F = B F - psi."""
-    check_physical(F)
     if F.grid != factors.grid:
         raise ValueError("field grid does not match homogenization factors")
     return ScalarField(F.grid, factors.b_profile * F.values - factors.psi_values)
@@ -440,7 +439,6 @@ def homogenize(F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
 
 def dehomogenize(frak_F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
     """Exact inverse F = B^-1 (frak_F + psi)."""
-    check_physical(frak_F)
     if frak_F.grid != factors.grid:
         raise ValueError("field grid does not match homogenization factors")
     return ScalarField(frak_F.grid,

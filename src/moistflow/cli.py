@@ -328,22 +328,32 @@ def _resolve_out(rc: RunConfig, cli_out: str | None) -> str:
     return cli_out or env or rc["output.dir"]
 
 
-def _cmd_run(args) -> int:
-    rc = parse_config(args.config)
-    out = _resolve_out(rc, args.out)
+def _run_to_final_state(rc: RunConfig, out: str, checkpoint: str | None = None):
+    """Write the config echo, run the configured simulation (from the
+    checkpoint's state when one is given), and write ``final_state/`` with
+    the echo and a ``meta.txt``."""
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as fh:
+    echo_path = os.path.join(out, "config.echo")
+    with open(echo_path, "w", encoding="utf-8") as fh:
         fh.write(rc.echo_text())
     sim, state = build_simulation(rc)
+    if checkpoint is not None:
+        state = load_state(checkpoint)
     sp.set_workers(rc["run.threads"])
     traj = sim.run(state, out_dir=out)
     final_dir = os.path.join(out, "final_state")
     save_state(final_dir, traj.final_state)
-    shutil.copy(os.path.join(out, "config.echo"),
-                os.path.join(final_dir, "config.echo"))
+    shutil.copy(echo_path, os.path.join(final_dir, "config.echo"))
     with open(os.path.join(final_dir, "meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"time={traj.final_state.time!r}\nstep={traj.steps}\n"
                  f"config_hash={sim.config_hash}\n")
+    return traj
+
+
+def _cmd_run(args) -> int:
+    rc = parse_config(args.config)
+    out = _resolve_out(rc, args.out)
+    traj = _run_to_final_state(rc, out)
     print(f"run complete: {traj.steps} steps to t={traj.final_state.time:g}, "
           f"outputs in {out}")
     return 0
@@ -366,20 +376,7 @@ def _cmd_resume(args) -> int:
                           f"checkpoint directory")
     rc = parse_config(echo_path)
     out = _resolve_out(rc, args.out)
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as fh:
-        fh.write(rc.echo_text())
-    sim, _ = build_simulation(rc)
-    state = load_state(ckpt)
-    sp.set_workers(rc["run.threads"])
-    traj = sim.run(state, out_dir=out)
-    final_dir = os.path.join(out, "final_state")
-    save_state(final_dir, traj.final_state)
-    shutil.copy(os.path.join(out, "config.echo"),
-                os.path.join(final_dir, "config.echo"))
-    with open(os.path.join(final_dir, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"time={traj.final_state.time!r}\nstep={traj.steps}\n"
-                 f"config_hash={sim.config_hash}\n")
+    traj = _run_to_final_state(rc, out, checkpoint=ckpt)
     print(f"resumed to t={traj.final_state.time:g}, outputs in {out}")
     return 0
 

@@ -76,17 +76,19 @@ def _norm_triplet(vals: np.ndarray, basis) -> tuple:
     return tuple(float(np.sqrt(x)) for x in sp.modal_sobolev_sqs(modal, basis))
 
 
+def _negative_l2(vals: np.ndarray, w: np.ndarray) -> float:
+    """L2 norm of the negative part (|f| - f)/2 under quadrature weights w."""
+    neg = (np.abs(vals) - vals) * 0.5
+    return float(np.sqrt(np.sum(neg * neg * w)))
+
+
 def negativity_monitor(state: State, factors: dict, bases: sp.BasisPair) -> tuple:
     """L2 norms of the negative parts of the physical T, q_v, q_c, q_r
     (the sign statements concern the dehomogenized variables)."""
     w = state.grid.quad_weights()
-    out = []
-    for attr, var in (("frak_T", "T"), ("frak_q_v", "v"),
-                      ("frak_q_c", "c"), ("frak_q_r", "r")):
-        phys = dehomogenize(getattr(state, attr), factors[var]).values
-        neg = (np.abs(phys) - phys) * 0.5
-        out.append(float(np.sqrt(np.sum(neg * neg * w))))
-    return tuple(out)
+    return tuple(_negative_l2(dehomogenize(getattr(state, attr), factors[var]).values, w)
+                 for attr, var in (("frak_T", "T"), ("frak_q_v", "v"),
+                                   ("frak_q_c", "c"), ("frak_q_r", "r")))
 
 
 def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
@@ -115,10 +117,7 @@ def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
 
     minima = {name: float(np.min(phys[name])) for name in ("T", "qv", "qc", "qr")}
     minima["rho"] = float(np.min(rho))
-    neg = {}
-    for name in ("T", "qv", "qc", "qr"):
-        nvals = (np.abs(phys[name]) - phys[name]) * 0.5
-        neg[name] = float(np.sqrt(np.sum(nvals * nvals * w)))
+    neg = {name: _negative_l2(phys[name], w) for name in ("T", "qv", "qc", "qr")}
 
     iters = picard_report.iterations if picard_report is not None else 0
     ratio = picard_report.final_ratio if picard_report is not None else 0.0
@@ -160,19 +159,19 @@ class StabilityReport:
     initial_delta: float
 
 
-def _combined_l2(a: State, b: State, bases: sp.BasisPair) -> tuple:
+def difference_sqs(a: State, b: State, bases: sp.BasisPair) -> dict:
+    """Squared L2 and H1 norms of a - b for each iterated variable, keyed
+    u1, u2, w, T, qv, qc, qr in that order."""
     neu, diri = bases.neumann, bases.dirichlet
-    l2 = h1 = 0.0
-    for fa, fb, basis in ((a.u.v1, b.u.v1, neu), (a.u.v2, b.u.v2, neu),
-                          (a.u.w, b.u.w, diri), (a.frak_T, b.frak_T, neu),
-                          (a.frak_q_v, b.frak_q_v, neu),
-                          (a.frak_q_c, b.frak_q_c, neu),
-                          (a.frak_q_r, b.frak_q_r, neu)):
-        l2s, h1s = sp.modal_sobolev_sqs(
+    out = {}
+    for name, fa, fb, basis in (("u1", a.u.v1, b.u.v1, neu), ("u2", a.u.v2, b.u.v2, neu),
+                                ("w", a.u.w, b.u.w, diri), ("T", a.frak_T, b.frak_T, neu),
+                                ("qv", a.frak_q_v, b.frak_q_v, neu),
+                                ("qc", a.frak_q_c, b.frak_q_c, neu),
+                                ("qr", a.frak_q_r, b.frak_q_r, neu)):
+        out[name] = sp.modal_sobolev_sqs(
             sp.to_modal_values(fa.values - fb.values, basis), basis, 1)
-        l2 += l2s
-        h1 += h1s
-    return np.sqrt(l2), h1
+    return out
 
 
 def stability_probe(run_a, run_b, bases: sp.BasisPair) -> StabilityReport:
@@ -195,9 +194,9 @@ def stability_probe(run_a, run_b, bases: sp.BasisPair) -> StabilityReport:
         times.append(a.time)
         dr = np.exp(a.log_rho_d.values) - np.exp(b.log_rho_d.values)
         drho.append(float(np.sqrt(np.sum(dr * dr * w))))
-        l2, h1sq = _combined_l2(a, b, bases)
-        dfields.append(float(l2))
-        running += dt * h1sq
+        sqs = difference_sqs(a, b, bases).values()
+        dfields.append(float(np.sqrt(sum(l2 for l2, _ in sqs))))
+        running += dt * sum(h1 for _, h1 in sqs)
         cum.append(running)
 
     times = np.asarray(times)

@@ -11,7 +11,8 @@ cosine/sine series used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+import os
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -165,38 +166,18 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values * grid.quad_weights()))
 
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
 @dataclass
 class ScalarField:
-    """A scalar field on one grid, in physical or spectral space.
-
-    Spectral values are complex ``(nx, ny//2 + 1, nz)`` arrays of Fourier x
-    cosine (``neumann_z``) or Fourier x sine (``dirichlet_z``) coefficients;
-    the y axis is halved by the real transform, so horizontal Hermitian
-    symmetry holds by construction.  The sine array keeps m = 0 and the
-    Nyquist row identically zero so both bases share one shape.
-    """
+    """A scalar field on one grid: a real ``(nx, ny, nz)`` array of values
+    at the collocation points."""
 
     grid: Grid
     values: np.ndarray
-    space: str = PHYSICAL
-    basis: str | None = None
 
     def __post_init__(self):
-        if self.space not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown space tag {self.space!r}")
-        if self.space == SPECTRAL and self.basis not in ("neumann_z", "dirichlet_z"):
-            raise ValueError("spectral fields must carry a basis tag")
-        expected = (self.grid.shape if self.space == PHYSICAL
-                    else self.grid.spectral_shape)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.space} expects {expected})"
-            )
+        if self.values.shape != self.grid.shape:
+            raise ValueError(f"field shape {self.values.shape} does not match "
+                             f"grid shape {self.grid.shape}")
 
     @classmethod
     def physical(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
@@ -210,12 +191,8 @@ class ScalarField:
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid=grid, values=np.zeros(grid.shape))
 
-    @property
-    def is_physical(self) -> bool:
-        return self.space == PHYSICAL
-
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.space, self.basis)
+        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -254,21 +231,18 @@ def check_same_grid(*fields) -> Grid:
     return grid
 
 
-def check_physical(*fields):
-    for f in fields:
-        if not f.is_physical:
-            raise ValueError("operation requires physical-space fields")
+def positive_values(a: np.ndarray) -> np.ndarray:
+    """Pointwise a+ = (|a| + a)/2; exact in floating point."""
+    return (np.abs(a) + a) * 0.5
 
 
 def positive_part(f: ScalarField) -> ScalarField:
-    """Pointwise f+ = (|f| + f)/2; exact in floating point."""
-    check_physical(f)
-    return ScalarField(f.grid, (np.abs(f.values) + f.values) * 0.5)
+    """Pointwise f+ (see positive_values)."""
+    return ScalarField(f.grid, positive_values(f.values))
 
 
 def negative_part(f: ScalarField) -> ScalarField:
     """Pointwise f- = (|f| - f)/2, so f+ - f- = f and f+ * f- = 0."""
-    check_physical(f)
     return ScalarField(f.grid, (np.abs(f.values) - f.values) * 0.5)
 
 
@@ -310,9 +284,6 @@ class State:
                      self.frak_q_v.copy(), self.frak_q_c.copy(),
                      self.frak_q_r.copy(), self.time)
 
-    def replace_time(self, time: float) -> "State":
-        return replace(self, time=time)
-
 
 def rho_d(state: State) -> ScalarField:
     """Dry-air density exp(log rho_d); strictly positive by construction."""
@@ -333,7 +304,6 @@ STATE_FIELD_NAMES = ("log_rho_d", "u_x", "u_y", "u_z",
 def save_field(path, f: ScalarField, name: str, time: float) -> None:
     """Write a physical field: header 'MOISTFLOW1 nx ny nz time name' then
     little-endian float64 values, z-fastest."""
-    check_physical(f)
     if " " in name or "\n" in name:
         raise ValueError("field name must be a single token")
     g = f.grid
@@ -366,7 +336,6 @@ def load_field(path, grid: Grid | None = None):
 
 def save_state(dirpath, state: State) -> None:
     """Write all prognostic fields of a state into a directory."""
-    import os
     os.makedirs(dirpath, exist_ok=True)
     fields = (state.log_rho_d, state.u.v1, state.u.v2, state.u.w,
               state.frak_T, state.frak_q_v, state.frak_q_c, state.frak_q_r)
@@ -375,7 +344,6 @@ def save_state(dirpath, state: State) -> None:
 
 
 def load_state(dirpath, grid: Grid | None = None) -> State:
-    import os
     loaded = {}
     time = None
     for name in STATE_FIELD_NAMES:

@@ -10,18 +10,13 @@ nonnegative the two forms coincide.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
-from .fields import (PhysConstants, ScalarField, check_physical,
-                     check_same_grid, negative_part, positive_part)
-
-
-def _pos(a: np.ndarray) -> np.ndarray:
-    return (np.abs(a) + a) * 0.5
+from .fields import PhysConstants, ScalarField, check_same_grid
+from .fields import positive_values as _pos
 
 
 @dataclass
@@ -44,8 +39,10 @@ class SaturationClosure:
     func: Callable = dc_field(default=None, repr=False)
 
     def __post_init__(self):
+        # the default closure keeps func None: a stored bound method would
+        # make a reference cycle through the instance
         if self.kind == "default":
-            self.func = self._default
+            self.func = None
         elif self.func is None:
             raise ValueError("user-plugged closure requires a callable")
         else:
@@ -80,12 +77,13 @@ class SaturationClosure:
             raise ValueError("saturation closure must vanish for T <= 0")
 
     def __call__(self, p: np.ndarray, T: np.ndarray) -> np.ndarray:
+        if self.func is None:
+            return self._default(p, T)
         return self.func(p, T)
 
 
 def saturation_q_vs(p: ScalarField, T: ScalarField,
                     closure: SaturationClosure) -> ScalarField:
-    check_physical(p, T)
     grid = check_same_grid(p, T)
     if np.any(p.values <= 0.0):
         raise ValueError("saturation closure requires positive pressure")
@@ -108,42 +106,46 @@ class SourceBundle:
     q_vs_used: ScalarField
 
 
-def sources(T: ScalarField, q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-            q_vs: ScalarField, constants: PhysConstants,
-            clipped: bool = True) -> SourceBundle:
-    """Evaluate the four phase-change rates.
+def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
+                  q_r: np.ndarray, q_vs: np.ndarray, constants: PhysConstants,
+                  clipped: bool = True) -> dict:
+    """The four phase-change rates on plain arrays, keyed S_ev, S_cd, S_ac,
+    S_cr.
 
     Raw form:
         S_ev = c_ev T (R_d + R_v q_v)/(1 + q_v + q_c + q_r) (q_vs - q_v)+ q_r
         S_cd = c_cd (q_v - q_vs) q_c + c_cn (q_v - q_vs)+ q_cn
         S_ac = c_ac (q_c - q_ac)+
         S_cr = c_cr q_c q_r
-    Clipped form uses T+, q_j+ exactly where the approximation system puts
-    them; the nucleation term and S_ac keep unclipped arguments.
+    The clipped form is the same formula with T+, q_j+ in place of T, q_j,
+    exactly where the approximation system puts them; the nucleation term
+    and S_ac keep unclipped arguments.
     """
-    check_physical(T, q_v, q_c, q_r, q_vs)
-    grid = check_same_grid(T, q_v, q_c, q_r, q_vs)
     c = constants
-    Tv, qv, qc, qr, qs = T.values, q_v.values, q_c.values, q_r.values, q_vs.values
-
+    Tc, qvc, qcc, qrc = T, q_v, q_c, q_r
     if clipped:
-        Tp, qvp, qcp, qrp = _pos(Tv), _pos(qv), _pos(qc), _pos(qr)
-        denom = 1.0 + qvp + qcp + qrp  # >= 1 always
-        S_ev = c.c_ev * Tp * (c.R_d + c.R_v * qvp) / denom * _pos(qs - qvp) * qrp
-        S_cd = c.c_cd * (qvp - qs) * qcp + c.c_cn * _pos(qv - qs) * c.q_cn
-        S_ac = c.c_ac * _pos(qc - c.q_ac)
-        S_cr = c.c_cr * qcp * qrp
-    else:
-        denom = 1.0 + qv + qc + qr
-        if np.any(denom <= 0.0):
-            raise ValueError("raw sources: moisture denominator 1 + q_v + q_c + q_r <= 0")
-        S_ev = c.c_ev * Tv * (c.R_d + c.R_v * qv) / denom * _pos(qs - qv) * qr
-        S_cd = c.c_cd * (qv - qs) * qc + c.c_cn * _pos(qv - qs) * c.q_cn
-        S_ac = c.c_ac * _pos(qc - c.q_ac)
-        S_cr = c.c_cr * qc * qr
+        Tc, qvc, qcc, qrc = _pos(T), _pos(q_v), _pos(q_c), _pos(q_r)
+    denom = 1.0 + qvc + qcc + qrc
+    return {
+        "S_ev": c.c_ev * Tc * (c.R_d + c.R_v * qvc) / denom * _pos(q_vs - qvc) * qrc,
+        "S_cd": c.c_cd * (qvc - q_vs) * qcc + c.c_cn * _pos(q_v - q_vs) * c.q_cn,
+        "S_ac": c.c_ac * _pos(q_c - c.q_ac),
+        "S_cr": c.c_cr * qcc * qrc,
+    }
 
-    return SourceBundle(ScalarField(grid, S_ev), ScalarField(grid, S_cd),
-                        ScalarField(grid, S_ac), ScalarField(grid, S_cr),
+
+def sources(T: ScalarField, q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
+            q_vs: ScalarField, constants: PhysConstants,
+            clipped: bool = True) -> SourceBundle:
+    """Evaluate the four phase-change rates (see source_values); the raw
+    form requires a positive moisture denominator."""
+    grid = check_same_grid(T, q_v, q_c, q_r, q_vs)
+    if not clipped and np.any(1.0 + q_v.values + q_c.values + q_r.values <= 0.0):
+        raise ValueError("raw sources: moisture denominator 1 + q_v + q_c + q_r <= 0")
+    rates = source_values(T.values, q_v.values, q_c.values, q_r.values,
+                          q_vs.values, constants, clipped)
+    return SourceBundle(*(ScalarField(grid, rates[k])
+                          for k in ("S_ev", "S_cd", "S_ac", "S_cr")),
                         clipped, q_vs)
 
 

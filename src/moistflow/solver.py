@@ -12,6 +12,8 @@ so the converged fixed point satisfies the full variable-mass update.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import time as _time
 import warnings
@@ -19,11 +21,13 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from . import diagnostics as dg
 from . import spectral_ops as sp
-from .boundary import BoundarySpec, build_factors
+from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
 from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
                      save_state)
-from .microphysics import SaturationClosure
+from .microphysics import SaturationClosure, source_values
+from .thermo import pressure_values, q_factor_values
 
 
 class StepRejected(RuntimeError):
@@ -114,18 +118,11 @@ class RhsBundle:
     lap_T: np.ndarray = None  # frozen Laplacian of frak_T
 
     def total(self, which: str) -> np.ndarray:
-        terms = getattr(self, which)
-        out = None
-        for v in terms.values():
-            out = v.copy() if out is None else out + v
-        return out
+        return functools.reduce(operator.add, getattr(self, which).values())
 
     def momentum_total(self):
-        out = [None, None, None]
-        for v in self.momentum.values():
-            for i in range(3):
-                out[i] = v[i].copy() if out[i] is None else out[i] + v[i]
-        return tuple(out)
+        return tuple(functools.reduce(operator.add, comps)
+                     for comps in zip(*self.momentum.values()))
 
 
 @dataclass
@@ -192,25 +189,6 @@ class Simulation:
                 sp.to_modal_values(u.w.values, diri)]
 
     @staticmethod
-    def _derivs(modal: np.ndarray, basis, order: int = 1) -> dict:
-        """Spectral derivatives, as physical arrays, of the field with modal
-        coefficients ``modal`` in ``basis``."""
-        mz = sp.dz_modal(modal, basis)
-        out = {
-            "x": sp.to_phys_values(sp.dx_modal(modal, basis), basis),
-            "y": sp.to_phys_values(sp.dy_modal(modal, basis), basis),
-            "z": sp.to_phys_values(mz, basis.other),
-        }
-        if order >= 2:
-            out["xx"] = sp.to_phys_values(sp.dx_modal(sp.dx_modal(modal, basis), basis), basis)
-            out["yy"] = sp.to_phys_values(sp.dy_modal(sp.dy_modal(modal, basis), basis), basis)
-            out["zz"] = sp.to_phys_values(sp.dz_modal(mz, basis.other), basis)
-            out["xy"] = sp.to_phys_values(sp.dy_modal(sp.dx_modal(modal, basis), basis), basis)
-            out["xz"] = sp.to_phys_values(sp.dx_modal(mz, basis.other), basis.other)
-            out["yz"] = sp.to_phys_values(sp.dy_modal(mz, basis.other), basis.other)
-        return out
-
-    @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
         """Evaluate a field at displaced points via its Taylor series; the
         departure-point evaluator of the semi-Lagrangian step (displacements
@@ -249,9 +227,9 @@ class Simulation:
         if u_modal is None:
             u_modal = self._velocity_modal(u_frozen)
         m1, m2, mw = u_modal
-        du1 = self._derivs(m1, neu)
-        du2 = self._derivs(m2, neu)
-        dw = self._derivs(mw, diri)
+        du1 = sp.derivs(m1, neu)
+        du2 = sp.derivs(m2, neu)
+        dw = sp.derivs(mw, diri)
         hx, hy = -0.5 * dt * u1, -0.5 * dt * u2
         hz = -0.5 * dt * w
         um1 = self._taylor_eval(u1, du1, hx, hy, hz, order=1)
@@ -268,8 +246,8 @@ class Simulation:
 
         dlog = step_cache.get("log_rho_d") if step_cache is not None else None
         if dlog is None:
-            dlog = self._derivs(sp.to_modal_values(state.log_rho_d.values, neu),
-                                neu, order=2)
+            dlog = sp.derivs(sp.to_modal_values(state.log_rho_d.values, neu),
+                             neu, order=2)
             if step_cache is not None:
                 step_cache["log_rho_d"] = dlog
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
@@ -277,7 +255,7 @@ class Simulation:
 
         divu = sp.to_phys_values(sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu)
                                  + sp.dz_modal(mw, diri), neu)
-        ddiv = self._derivs(sp.to_modal_values(divu, neu), neu)
+        ddiv = sp.derivs(sp.to_modal_values(divu, neu), neu)
         div_mid = self._taylor_eval(divu, ddiv, 0.5 * dx_f, 0.5 * dy_f,
                                     0.5 * dz_f, order=1)
         return ScalarField(g, log_at_foot - dt * div_mid)
@@ -312,9 +290,9 @@ class Simulation:
             m_u2 *= neu.dealias_mask
             m_w *= diri.dealias_mask
 
-        du1 = self._derivs(m_u1, neu)
-        du2 = self._derivs(m_u2, neu)
-        dw = self._derivs(m_w, diri)
+        du1 = sp.derivs(m_u1, neu)
+        du2 = sp.derivs(m_u2, neu)
+        dw = sp.derivs(m_w, diri)
         div_modal = (sp.dx_modal(m_u1, neu) + sp.dy_modal(m_u2, neu)
                      + sp.dz_modal(m_w, diri))
         div_u = sp.to_phys_values(div_modal, neu)
@@ -335,7 +313,7 @@ class Simulation:
             modal = sp.to_modal_values(field_.values, neu)
             if dealias:
                 modal = sp.dealias_modal(modal, neu)
-            d = self._derivs(modal, neu)
+            d = sp.derivs(modal, neu)
             if name == "T":
                 lap_T = sp.to_phys_values(-neu.eigenvalues * modal, neu)
             psi = fac.psi
@@ -346,42 +324,23 @@ class Simulation:
                 G = field_.values + fac.psi_values
                 Gx, Gy = d["x"] + psi.dx_values(), d["y"] + psi.dy_values()
                 Gz = d["z"] + fac.psi_dz
-            lifted[name] = {"G": G, "x": Gx, "y": Gy, "z": Gz, "frak": field_.values}
+            lifted[name] = {"G": G, "x": Gx, "y": Gy, "z": Gz}
 
         # dehomogenized physical variables from the frozen state
         T_o = fT.binv_profile * lifted["T"]["G"]
         q_o = {n: factors[n].binv_profile * lifted[n]["G"] for n in ("v", "c", "r")}
 
-        qv_p = np.maximum(q_o["v"], 0.0)
-        qc_p = np.maximum(q_o["c"], 0.0)
-        qr_p = np.maximum(q_o["r"], 0.0)
-        T_p = np.maximum(T_o, 0.0)
-
-        Q_m = 1.0 + qv_p + qc_p + qr_p
-        gam = c.gamma
-        Q_th = (c.c_pd / gam
-                + (c.c_pv / gam + c.c_pv / c.c_pd * c.R_d - c.R_v) * qv_p
-                + (c.c_l / gam + c.c_l / c.c_pd * c.R_d) * (qc_p + qr_p))
-        Q_cp = -c.R_d - c.R_v * q_o["v"]
-        Q_1 = c.c_pv - c.c_l - c.R_v
-        Q_2 = c.L_ref - (c.c_pv - c.c_l) * c.T_ref
-
-        p = rho_vals * (c.R_d + c.R_v * q_o["v"]) * T_o
+        Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(q_o["v"], q_o["c"], q_o["r"], c)
+        p = pressure_values(rho_vals, q_o["v"], T_o, c)
         q_vs = self.closure(p, T_o)
-
-        denom = 1.0 + qv_p + qc_p + qr_p
-        pos = lambda a: (np.abs(a) + a) * 0.5
-        S_ev = c.c_ev * T_p * (c.R_d + c.R_v * qv_p) / denom * pos(q_vs - qv_p) * qr_p
-        S_cd = c.c_cd * (qv_p - q_vs) * qc_p + c.c_cn * pos(q_o["v"] - q_vs) * c.q_cn
-        S_ac = c.c_ac * pos(q_o["c"] - c.q_ac)
-        S_cr = c.c_cr * qc_p * qr_p
+        S = source_values(T_o, q_o["v"], q_o["c"], q_o["r"], q_vs, c)
 
         forcing = {}
         if self.forcing and t_new is not None:
             forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
 
         # momentum ----------------------------------------------------------
-        dp = self._derivs(sp.to_modal_values(p, neu), neu)
+        dp = sp.derivs(sp.to_modal_values(p, neu), neu)
         rQm = rho_vals * Q_m
         drag = rho_vals * q_o["r"] * self.v_r
         momentum = {
@@ -409,7 +368,7 @@ class Simulation:
                                               + fT.dzz_binv_b * G_T
                                               + fT.psi_laplacian)),
             "compression": Q_cp * G_T * div_u,
-            "phase_heat": -(Q_1 * G_T + Q_2 * fT.b_profile) * (S_ev - S_cd),
+            "phase_heat": -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]),
         }
         if not fT.psi.is_zero or fT.psi_rate is not None:
             temperature["psi_tendency"] = -Q_th * fT.psi_dt
@@ -432,9 +391,9 @@ class Simulation:
                 terms["forcing"] = forcing[fkey]
             return terms
 
-        vapor = moisture_terms("v", fv, S_ev - S_cd, "qv")
-        cloud = moisture_terms("c", fc, S_cd - S_ac - S_cr, "qc")
-        rain = moisture_terms("r", fr, S_ac + S_cr - S_ev, "qr")
+        vapor = moisture_terms("v", fv, S["S_ev"] - S["S_cd"], "qv")
+        cloud = moisture_terms("c", fc, S["S_cd"] - S["S_ac"] - S["S_cr"], "qc")
+        rain = moisture_terms("r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")
 
         lr = lifted["r"]
         dz_log_rho = sp.to_phys_values(
@@ -445,45 +404,16 @@ class Simulation:
                                               - self.v_r * fr.dz_log_b))
 
         for eq, terms in (("temperature", temperature), ("vapor", vapor),
-                          ("cloud", cloud), ("rain", rain)):
+                          ("cloud", cloud), ("rain", rain), ("momentum", momentum)):
             for tname, arr in terms.items():
                 if not np.all(np.isfinite(arr)):
                     raise StepRejected(f"non-finite RHS term {eq}.{tname}")
-        for tname, arrs in momentum.items():
-            for arr in arrs:
-                if not np.all(np.isfinite(arr)):
-                    raise StepRejected(f"non-finite RHS term momentum.{tname}")
 
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
-                         {"S_ev": S_ev, "S_cd": S_cd, "S_ac": S_ac, "S_cr": S_cr,
-                          "q_vs": q_vs},
+                         {**S, "q_vs": q_vs},
                          lap_u=lap_u, grad_div=grad_div, lap_T=lap_T)
 
     # -- one frozen-coefficient update ---------------------------------------
-
-    def _scalar_solve(self, g_vals: np.ndarray, a: float, basis) -> np.ndarray:
-        modal = sp.to_modal_values(g_vals, basis)
-        if self.config.dealias:
-            modal = sp.dealias_modal(modal, basis)
-        return sp.to_phys_values(modal / (1.0 + a * basis.eigenvalues), basis)
-
-    def _vector_solve(self, g1, g2, g3, a_mu, a_mulam):
-        neu, diri = self.bases.neumann, self.bases.dirichlet
-        m1 = sp.to_modal_values(g1, neu)
-        m2 = sp.to_modal_values(g2, neu)
-        m3 = sp.to_modal_values(g3, diri)
-        if self.config.dealias:
-            m1 = sp.dealias_modal(m1, neu)
-            m2 = sp.dealias_modal(m2, neu)
-            m3 = sp.dealias_modal(m3, diri)
-        gdiv = sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu) + sp.dz_modal(m3, diri)
-        d = gdiv / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
-        den_n = 1.0 + a_mu * neu.eigenvalues
-        u1 = (m1 + a_mulam * sp.dx_modal(d, neu)) / den_n
-        u2 = (m2 + a_mulam * sp.dy_modal(d, neu)) / den_n
-        u3 = (m3 + a_mulam * sp.dz_modal(d, neu)) / (1.0 + a_mu * diri.eigenvalues)
-        return (sp.to_phys_values(u1, neu), sp.to_phys_values(u2, neu),
-                sp.to_phys_values(u3, diri))
 
     def linear_step(self, frozen: State, current: State, dt: float,
                     factors: dict | None = None,
@@ -497,6 +427,7 @@ class Simulation:
         are built, so that the solves run without it in memory."""
         c = self.constants
         g = self.grid
+        dealias = self.config.dealias
         if factors is None:
             factors = self.factors_at(current.time, dt)
         rho_vals = np.exp(frozen.log_rho_d.values)
@@ -512,7 +443,7 @@ class Simulation:
                                ("cloud", current.frak_q_c, frozen.frak_q_c),
                                ("rain", current.frak_q_r, frozen.frak_q_r)):
             gv = cur.values + dt * rhs.total(name)
-            new_q[name] = self._scalar_solve(gv, dt, self.bases.neumann)
+            new_q[name] = sp.helmholtz_values(gv, dt, self.bases.neumann, dealias)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
@@ -521,7 +452,7 @@ class Simulation:
         nu_T_bar = float(np.mean(nu_T))
         gT = current.frak_T.values + dt * (rhs.total("temperature") / Q_th
                                            + (nu_T - nu_T_bar) * rhs.lap_T)
-        new_T = self._scalar_solve(gT, nu_T_bar * dt, self.bases.neumann)
+        new_T = sp.helmholtz_values(gT, nu_T_bar * dt, self.bases.neumann, dealias)
 
         # momentum: same mean-coefficient splitting for both viscous operators
         M = rho_vals * rhs.Q_m
@@ -535,8 +466,8 @@ class Simulation:
                                + (nu - nu_bar) * rhs.lap_u[i]
                                + (nul - nul_bar) * rhs.grad_div[i])
               for i in range(3)]
-        u1, u2, u3 = self._vector_solve(gu[0], gu[1], gu[2],
-                                        nu_bar * dt, nul_bar * dt)
+        u1, u2, u3 = sp.vector_helmholtz_values(gu[0], gu[1], gu[2], nu_bar * dt,
+                                                nul_bar * dt, self.bases, dealias)
 
         for arr in (u1, u2, u3, new_T, new_q["vapor"], new_q["cloud"], new_q["rain"]):
             if not np.all(np.isfinite(arr)):
@@ -552,24 +483,12 @@ class Simulation:
     def _m_norm_parts(self, a: State, b: State, dt: float) -> dict:
         """Increment size per variable in the sup-L2 + dt-weighted H1 metric
         (the one-step discretization of L-inf(L2) intersect L2(H1))."""
-        neu, diri = self.bases.neumann, self.bases.dirichlet
         entries = {}
         tot_l2 = tot_h1 = 0.0
-
-        def add(name, da, basis):
-            nonlocal tot_l2, tot_h1
-            l2s, h1s = sp.modal_sobolev_sqs(sp.to_modal_values(da, basis), basis, 1)
+        for name, (l2s, h1s) in dg.difference_sqs(a, b, self.bases).items():
             entries[name] = np.sqrt(l2s) + np.sqrt(dt * h1s)
             tot_l2 += l2s
             tot_h1 += h1s
-
-        add("u1", a.u.v1.values - b.u.v1.values, neu)
-        add("u2", a.u.v2.values - b.u.v2.values, neu)
-        add("w", a.u.w.values - b.u.w.values, diri)
-        add("T", a.frak_T.values - b.frak_T.values, neu)
-        add("qv", a.frak_q_v.values - b.frak_q_v.values, neu)
-        add("qc", a.frak_q_c.values - b.frak_q_c.values, neu)
-        add("qr", a.frak_q_r.values - b.frak_q_r.values, neu)
         entries["u"] = entries["u1"] + entries["u2"] + entries["w"]
         entries["total"] = float(np.sqrt(tot_l2) + np.sqrt(dt * tot_h1))
         return entries
@@ -652,7 +571,6 @@ class Simulation:
     # -- positivity fixer (off by default) ------------------------------------
 
     def _apply_positivity_fix(self, state: State, factors: dict) -> State:
-        from .boundary import dehomogenize, homogenize
         w = self.grid.quad_weights()
         rho = np.exp(state.log_rho_d.values)
         out = {}
@@ -690,8 +608,6 @@ class Simulation:
         """Advance to t_end, emitting one diagnostics row per step (plus the
         initial row), with snapshots and checkpoints on the configured
         cadence.  Rejected steps are retried at half the step size."""
-        from . import diagnostics as dg
-
         cfg = self.config
         writer = timings = None
         if out_dir is not None:
@@ -734,11 +650,10 @@ class Simulation:
             except StepRejected as exc:
                 raise RuntimeError(f"unrecoverable step rejection at "
                                    f"t={state.time:g}: {exc}") from exc
-            if self.config.strict_positivity:
-                factors = self.factors_at(state.time, cfg.dt)
+            factors = self.factors_at(state.time, cfg.dt)
+            if cfg.strict_positivity:
                 state = self._apply_positivity_fix(state, factors)
             step += 1
-            factors = self.factors_at(state.time, cfg.dt)
             record(report, _time.perf_counter() - tic)
 
         if cfg.checkpoint_every and out_dir:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import rfft2, irfft2, dct, dst
 
-from .fields import Grid, ScalarField, VectorField, SPECTRAL, check_same_grid, check_physical
+from .fields import Grid, ScalarField, VectorField
 
 NEUMANN = "neumann_z"
 DIRICHLET = "dirichlet_z"
@@ -156,46 +156,45 @@ def dealias_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     return modal * basis.dealias_mask
 
 
+def derivs(modal: np.ndarray, basis: Basis, order: int = 1) -> dict:
+    """Spectral derivatives, as physical arrays keyed x, y, z (and xx, yy,
+    zz, xy, xz, yz for order 2), of the field with modal coefficients
+    ``modal`` in ``basis``.  z-derivatives of odd order live in the
+    complementary basis."""
+    mz = dz_modal(modal, basis)
+    out = {
+        "x": to_phys_values(dx_modal(modal, basis), basis),
+        "y": to_phys_values(dy_modal(modal, basis), basis),
+        "z": to_phys_values(mz, basis.other),
+    }
+    if order >= 2:
+        out["xx"] = to_phys_values(dx_modal(dx_modal(modal, basis), basis), basis)
+        out["yy"] = to_phys_values(dy_modal(dy_modal(modal, basis), basis), basis)
+        out["zz"] = to_phys_values(dz_modal(mz, basis.other), basis)
+        out["xy"] = to_phys_values(dy_modal(dx_modal(modal, basis), basis), basis)
+        out["xz"] = to_phys_values(dx_modal(mz, basis.other), basis.other)
+        out["yz"] = to_phys_values(dy_modal(mz, basis.other), basis.other)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Field-level operators (physical in, physical out).
 # ---------------------------------------------------------------------------
 
-def _basis_for(f: ScalarField, bases: BasisPair, kind: str) -> Basis:
-    return bases.neumann if kind == NEUMANN else bases.dirichlet
-
-
-def to_spectral(f: ScalarField, basis: Basis) -> ScalarField:
-    check_physical(f)
-    return ScalarField(f.grid, to_modal_values(f.values, basis),
-                       space=SPECTRAL, basis=basis.kind)
-
-
-def to_physical(f: ScalarField, basis: Basis) -> ScalarField:
-    if f.is_physical:
-        return f
-    if f.basis != basis.kind:
-        raise ValueError(f"basis mismatch: field is {f.basis}, requested {basis.kind}")
-    return ScalarField(f.grid, to_phys_values(f.values, basis))
-
-
 def grad(f: ScalarField, bases: BasisPair, kind: str = NEUMANN) -> VectorField:
     """Spectral gradient.  For a Neumann-basis scalar the vertical component
     is a sine series, matching the VectorField wall convention."""
-    check_physical(f)
-    basis = _basis_for(f, bases, kind)
-    modal = to_modal_values(f.values, basis)
-    gx = to_phys_values(dx_modal(modal, basis), basis)
-    gy = to_phys_values(dy_modal(modal, basis), basis)
-    gz = to_phys_values(dz_modal(modal, basis), basis.other)
+    basis = bases.neumann if kind == NEUMANN else bases.dirichlet
+    d = derivs(to_modal_values(f.values, basis), basis)
     g = f.grid
-    return VectorField(ScalarField(g, gx), ScalarField(g, gy), ScalarField(g, gz))
+    return VectorField(ScalarField(g, d["x"]), ScalarField(g, d["y"]),
+                       ScalarField(g, d["z"]))
 
 
 def div(u: VectorField, bases: BasisPair) -> ScalarField:
     """Divergence of a (Neumann, Neumann, Dirichlet) vector field; the result
     is a cosine series whose (0,0,0) mode is exactly zero, so its volume
     integral vanishes identically."""
-    check_physical(u.v1, u.v2, u.w)
     neu, diri = bases.neumann, bases.dirichlet
     m1 = to_modal_values(u.v1.values, neu)
     m2 = to_modal_values(u.v2.values, neu)
@@ -205,35 +204,13 @@ def div(u: VectorField, bases: BasisPair) -> ScalarField:
 
 
 def dz(f: ScalarField, basis: Basis) -> ScalarField:
-    check_physical(f)
     modal = to_modal_values(f.values, basis)
     return ScalarField(f.grid, to_phys_values(dz_modal(modal, basis), basis.other))
 
 
 def laplacian(f: ScalarField, basis: Basis) -> ScalarField:
-    check_physical(f)
     modal = to_modal_values(f.values, basis)
     return ScalarField(f.grid, to_phys_values(-basis.eigenvalues * modal, basis))
-
-
-def advect(u: VectorField, f: ScalarField, bases: BasisPair,
-           kind: str = NEUMANN, dealias: bool = True) -> ScalarField:
-    """Pointwise u . grad f with spectral gradients; the product is 2/3-rule
-    dealiased (and f is truncated before differentiation)."""
-    check_physical(u.v1, f)
-    check_same_grid(u.v1, f)
-    basis = _basis_for(f, bases, kind)
-    modal = to_modal_values(f.values, basis)
-    if dealias:
-        modal = dealias_modal(modal, basis)
-    gx = to_phys_values(dx_modal(modal, basis), basis)
-    gy = to_phys_values(dy_modal(modal, basis), basis)
-    gz = to_phys_values(dz_modal(modal, basis), basis.other)
-    prod = u.v1.values * gx + u.v2.values * gy + u.w.values * gz
-    if dealias:
-        pm = dealias_modal(to_modal_values(prod, basis), basis)
-        prod = to_phys_values(pm, basis)
-    return ScalarField(f.grid, prod)
 
 
 def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
@@ -284,19 +261,23 @@ def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
     return modal_sobolev_sqs(modal, basis, order)[order]
 
 
-def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:
-    """Solve (I - a * Laplacian) f = g by modal division; exact inverse of
-    the forward operator on resolved modes, uniformly invertible for a >= 0."""
+def helmholtz_values(g: np.ndarray, a: float, basis: Basis,
+                     dealias: bool = False) -> np.ndarray:
+    """Solve (I - a * Laplacian) f = g by modal division, on plain arrays;
+    with ``dealias`` the 2/3 rule truncates g first."""
     if a < 0.0:
         raise ValueError("helmholtz coefficient a must be nonnegative")
-    check_physical(g)
-    modal = to_modal_values(g.values, basis) / (1.0 + a * basis.eigenvalues)
-    return ScalarField(g.grid, to_phys_values(modal, basis))
+    modal = to_modal_values(g, basis)
+    if dealias:
+        modal = dealias_modal(modal, basis)
+    return to_phys_values(modal / (1.0 + a * basis.eigenvalues), basis)
 
 
-def vector_helmholtz_solve(G: VectorField, a_mu: float, a_mulam: float,
-                           bases: BasisPair) -> VectorField:
-    """Solve (I - a_mu * Lap - a_mulam * grad div) u = G.
+def vector_helmholtz_values(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
+                            a_mu: float, a_mulam: float, bases: BasisPair,
+                            dealias: bool = False) -> tuple:
+    """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) on plain
+    arrays; with ``dealias`` the 2/3 rule truncates the data first.
 
     Uses the divergence/solenoidal modal split: the divergence coefficient
     solves a scalar Helmholtz problem with coefficient a_mu + a_mulam, after
@@ -305,21 +286,35 @@ def vector_helmholtz_solve(G: VectorField, a_mu: float, a_mulam: float,
     """
     if a_mu < 0.0 or a_mu + a_mulam < 0.0:
         raise ValueError("ill-posed coefficient combination in vector Helmholtz solve")
-    check_physical(G.v1, G.v2, G.w)
     neu, diri = bases.neumann, bases.dirichlet
-    g1 = to_modal_values(G.v1.values, neu)
-    g2 = to_modal_values(G.v2.values, neu)
-    g3 = to_modal_values(G.w.values, diri)
+    m1 = to_modal_values(g1, neu)
+    m2 = to_modal_values(g2, neu)
+    m3 = to_modal_values(g3, diri)
+    if dealias:
+        m1 = dealias_modal(m1, neu)
+        m2 = dealias_modal(m2, neu)
+        m3 = dealias_modal(m3, diri)
 
-    gdiv = dx_modal(g1, neu) + dy_modal(g2, neu) + dz_modal(g3, diri)
+    gdiv = dx_modal(m1, neu) + dy_modal(m2, neu) + dz_modal(m3, diri)
     d = gdiv / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
 
     denom_n = 1.0 + a_mu * neu.eigenvalues
-    u1 = (g1 + a_mulam * dx_modal(d, neu)) / denom_n
-    u2 = (g2 + a_mulam * dy_modal(d, neu)) / denom_n
-    u3 = (g3 + a_mulam * dz_modal(d, neu)) / (1.0 + a_mu * diri.eigenvalues)
+    u1 = (m1 + a_mulam * dx_modal(d, neu)) / denom_n
+    u2 = (m2 + a_mulam * dy_modal(d, neu)) / denom_n
+    u3 = (m3 + a_mulam * dz_modal(d, neu)) / (1.0 + a_mu * diri.eigenvalues)
+    return to_phys_values(u1, neu), to_phys_values(u2, neu), to_phys_values(u3, diri)
 
-    g = G.grid
-    return VectorField(ScalarField(g, to_phys_values(u1, neu)),
-                       ScalarField(g, to_phys_values(u2, neu)),
-                       ScalarField(g, to_phys_values(u3, diri)))
+
+def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:
+    """Solve (I - a * Laplacian) f = g by modal division; exact inverse of
+    the forward operator on resolved modes, uniformly invertible for a >= 0."""
+    return ScalarField(g.grid, helmholtz_values(g.values, a, basis))
+
+
+def vector_helmholtz_solve(G: VectorField, a_mu: float, a_mulam: float,
+                           bases: BasisPair) -> VectorField:
+    """Solve (I - a_mu * Lap - a_mulam * grad div) u = G (see
+    vector_helmholtz_values)."""
+    u = vector_helmholtz_values(G.v1.values, G.v2.values, G.w.values,
+                                a_mu, a_mulam, bases)
+    return VectorField(*(ScalarField(G.grid, c) for c in u))

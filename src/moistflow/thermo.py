@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PhysConstants, ScalarField, check_physical,
-                     check_same_grid, positive_part)
+from .fields import PhysConstants, ScalarField, check_same_grid
+from .fields import positive_values as _pos
 
 
 @dataclass
@@ -34,7 +34,6 @@ class QFactors:
 def mixed_heat_capacity(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
                         constants: PhysConstants) -> ScalarField:
     """c_nu = c_pd + c_pv q_v + c_l (q_c + q_r)."""
-    check_physical(q_v, q_c, q_r)
     grid = check_same_grid(q_v, q_c, q_r)
     vals = (constants.c_pd + constants.c_pv * q_v.values
             + constants.c_l * (q_c.values + q_r.values))
@@ -44,7 +43,6 @@ def mixed_heat_capacity(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
 def mixed_gas_constant(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
                        constants: PhysConstants) -> ScalarField:
     """sigma = ((c_pv/c_pd) R_d - R_v) q_v + (c_l/c_pd) R_d (q_c + q_r)."""
-    check_physical(q_v, q_c, q_r)
     grid = check_same_grid(q_v, q_c, q_r)
     c = constants
     vals = ((c.c_pv / c.c_pd * c.R_d - c.R_v) * q_v.values
@@ -54,26 +52,29 @@ def mixed_gas_constant(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
 
 def latent_heat(T: ScalarField, constants: PhysConstants) -> ScalarField:
     """L(T) = L_ref + (c_pv - c_l)(T - T_ref)."""
-    check_physical(T)
     c = constants
     return ScalarField(T.grid, c.L_ref + (c.c_pv - c.c_l) * (T.values - c.T_ref))
+
+
+def pressure_values(rho_d: np.ndarray, q_v: np.ndarray, T: np.ndarray,
+                    constants: PhysConstants) -> np.ndarray:
+    """p = rho_d (R_d + R_v q_v) T on plain arrays."""
+    return rho_d * (constants.R_d + constants.R_v * q_v) * T
 
 
 def pressure(rho_d: ScalarField, q_v: ScalarField, T: ScalarField,
              constants: PhysConstants) -> ScalarField:
     """p = rho_d (R_d + R_v q_v) T."""
-    check_physical(rho_d, q_v, T)
     grid = check_same_grid(rho_d, q_v, T)
     if np.any(rho_d.values <= 0.0):
         raise ValueError("pressure requires strictly positive dry-air density")
-    vals = rho_d.values * (constants.R_d + constants.R_v * q_v.values) * T.values
-    return ScalarField(grid, vals)
+    return ScalarField(grid, pressure_values(rho_d.values, q_v.values, T.values,
+                                             constants))
 
 
 def potential_temperature(T: ScalarField, p: ScalarField,
                           constants: PhysConstants) -> ScalarField:
     """theta = T (p_ref / p)^((gamma-1)/gamma)."""
-    check_physical(T, p)
     grid = check_same_grid(T, p)
     if np.any(p.values <= 0.0):
         raise ValueError("potential temperature requires positive pressure")
@@ -84,33 +85,38 @@ def potential_temperature(T: ScalarField, p: ScalarField,
 def moist_density(rho_d: ScalarField, q_v: ScalarField, q_c: ScalarField,
                   q_r: ScalarField) -> ScalarField:
     """rho = rho_d (1 + q_v + q_c + q_r)."""
-    check_physical(rho_d, q_v, q_c, q_r)
     grid = check_same_grid(rho_d, q_v, q_c, q_r)
     return ScalarField(grid, rho_d.values * (1.0 + q_v.values + q_c.values + q_r.values))
 
 
-def q_factors(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-              constants: PhysConstants, clipped: bool) -> QFactors:
-    """Evaluate the Q coefficient fields.
+def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
+                    constants: PhysConstants, clipped: bool = True) -> tuple:
+    """(Q_m, Q_th, Q_cp, Q_1, Q_2) on plain arrays.
 
     In clipped mode the mixing ratios are replaced by their nonnegative
     parts before the affine formulas, so Q_m >= 1 holds for arbitrary
     inputs.  Q_th always uses the c_l/c_pd coefficient form.
     """
-    check_physical(q_v, q_c, q_r)
-    grid = check_same_grid(q_v, q_c, q_r)
     c = constants
     if clipped:
-        q_v, q_c, q_r = positive_part(q_v), positive_part(q_c), positive_part(q_r)
-    qv, qc, qr = q_v.values, q_c.values, q_r.values
+        q_v, q_c, q_r = _pos(q_v), _pos(q_c), _pos(q_r)
     gamma = c.gamma
 
-    Q_m = 1.0 + qv + qc + qr
+    Q_m = 1.0 + q_v + q_c + q_r
     Q_th = (c.c_pd / gamma
-            + (c.c_pv / gamma + c.c_pv / c.c_pd * c.R_d - c.R_v) * qv
-            + (c.c_l / gamma + c.c_l / c.c_pd * c.R_d) * (qc + qr))
-    Q_cp = -c.R_d - c.R_v * qv
+            + (c.c_pv / gamma + c.c_pv / c.c_pd * c.R_d - c.R_v) * q_v
+            + (c.c_l / gamma + c.c_l / c.c_pd * c.R_d) * (q_c + q_r))
+    Q_cp = -c.R_d - c.R_v * q_v
     Q_1 = c.c_pv - c.c_l - c.R_v
     Q_2 = c.L_ref - (c.c_pv - c.c_l) * c.T_ref
+    return Q_m, Q_th, Q_cp, Q_1, Q_2
+
+
+def q_factors(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
+              constants: PhysConstants, clipped: bool) -> QFactors:
+    """Evaluate the Q coefficient fields (see q_factor_values)."""
+    grid = check_same_grid(q_v, q_c, q_r)
+    Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(q_v.values, q_c.values, q_r.values,
+                                                constants, clipped)
     return QFactors(ScalarField(grid, Q_m), ScalarField(grid, Q_th),
                     ScalarField(grid, Q_cp), Q_1, Q_2, clipped)

@@ -61,12 +61,6 @@ class TestSignParts:
         recomposed = mf.positive_part(f).values - mf.negative_part(f).values
         assert np.array_equal(recomposed, vals)
 
-    def test_spectral_input_rejected(self, grid8, bases8):
-        f = ScalarField(grid8, to_modal_values(np.zeros(grid8.shape), bases8.neumann),
-                        space="spectral", basis="neumann_z")
-        with pytest.raises(ValueError, match="physical"):
-            mf.positive_part(f)
-
 
 def _state_with_log_rho(grid, vals):
     return State(ScalarField(grid, vals), VectorField.zeros(grid),

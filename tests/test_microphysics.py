@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,20 @@ class TestSaturationClosure:
         dq_dT = np.abs(np.diff(q, axis=1)) / np.diff(T)[None, :]
         assert dq_dp.max() <= L_p * (1.0 + 1e-9)
         assert dq_dT.max() <= L_T * (1.0 + 1e-9)
+
+    def test_default_closure_free_without_garbage_collector(self):
+        """No reference cycle: dropping a default closure frees it at once."""
+        closure = mf.SaturationClosure(C)
+        assert closure(np.array([1.0]), np.array([-1.0]))[0] == 0.0
+        ref = weakref.ref(closure)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del closure
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_user_closure_audit_rejects_bound_violation(self):
         with pytest.raises(ValueError, match="q_vs"):

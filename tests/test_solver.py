@@ -121,6 +121,34 @@ class TestAssembleRhs:
             assert np.array_equal(acc[i], tot[i])
 
 
+    def test_solver_runs_the_library_kernels(self, grid8, nondim):
+        """The rates, q_vs, Q-factors and pressure that assemble_rhs builds
+        are bitwise those of the library functions on the dehomogenized
+        fields, so the tests of thermo and microphysics check what runs."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
+        state = sim.direct_step(state, 1e-3)
+        factors = sim.factors_at(state.time, 1e-3)
+        rho = mf.rho_d(state)
+        rhs = sim.assemble_rhs(state, rho.values, factors)
+
+        T, qv, qc, qr = (mf.dehomogenize(f, factors[var]) for f, var in (
+            (state.frak_T, "T"), (state.frak_q_v, "v"),
+            (state.frak_q_c, "c"), (state.frak_q_r, "r")))
+        p = mf.pressure(rho, qv, T, nondim)
+        q_vs = mf.saturation_q_vs(p, T, sim.closure)
+        qf = mf.q_factors(qv, qc, qr, nondim, clipped=True)
+        rates = mf.sources(T, qv, qc, qr, q_vs, nondim, clipped=True)
+
+        assert np.array_equal(rhs.p, p.values)
+        assert np.array_equal(rhs.Q_m, qf.Q_m.values)
+        assert np.array_equal(rhs.Q_th, qf.Q_th.values)
+        assert np.array_equal(rhs.source_arrays["q_vs"], q_vs.values)
+        for name in ("S_ev", "S_cd", "S_ac", "S_cr"):
+            assert np.array_equal(rhs.source_arrays[name],
+                                  getattr(rates, name).values), name
+        assert np.any(rates.S_cd.values) and np.any(rates.S_cr.values)
+
+
 class TestLinearStep:
     def test_zero_in_zero_out(self, grid8):
         const = mf.PhysConstants.nondimensional(g=0.0)

@@ -108,29 +108,6 @@ class TestDerivatives:
         assert np.all(out.values[:, :, 0] == 0.0)
 
 
-class TestAdvect:
-    def test_zero_velocity(self, grid8, bases8):
-        f, vals = trig_field(grid8)
-        out = mf.advect(VectorField.zeros(grid8), field(grid8, vals), bases8)
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_constant_scalar(self, grid8, bases8):
-        u = VectorField(ScalarField.full(grid8, 1.0), ScalarField.full(grid8, 2.0),
-                        ScalarField.zeros(grid8))
-        out = mf.advect(u, ScalarField.full(grid8, 5.0), bases8)
-        assert np.max(np.abs(out.values)) < 1e-13
-
-    def test_single_mode_transport(self, grid8, bases8):
-        u = VectorField(ScalarField.full(grid8, 1.0), ScalarField.zeros(grid8),
-                        ScalarField.zeros(grid8))
-        vals = np.broadcast_to(np.sin(np.pi * grid8.x)[:, None, None],
-                               grid8.shape).copy()
-        out = mf.advect(u, field(grid8, vals), bases8)
-        expected = np.pi * np.cos(np.pi * grid8.x)[:, None, None]
-        assert np.allclose(out.values, np.broadcast_to(expected, grid8.shape),
-                           atol=1e-12)
-
-
 class TestHelmholtz:
     def test_identity_at_zero_coefficient(self, grid8, bases8):
         vals = random_band_limited(grid8, bases8, seed=1)

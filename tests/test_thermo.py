@@ -165,6 +165,12 @@ class TestQFactors:
         qf = mf.q_factors(qv, z, z, TEST_CONSTANTS, clipped=True)
         assert np.all(qf.Q_m.values == 1.0)
 
+    def test_clipped_q_cp_uses_clipped_vapor(self, grid8):
+        qv = const_field(grid8, -0.5)
+        z = const_field(grid8, 0.0)
+        qf = mf.q_factors(qv, z, z, TEST_CONSTANTS, clipped=True)
+        assert np.all(qf.Q_cp.values == -TEST_CONSTANTS.R_d)
+
     def test_raw_keeps_negative_input(self, grid8):
         qv = const_field(grid8, -0.5)
         z = const_field(grid8, 0.0)
