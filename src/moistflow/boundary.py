@@ -384,11 +384,6 @@ class HomogenizationFactors:
             return np.zeros(self.grid.shape)
         return self.psi_rate.values()
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.profile.alpha_bottom == 0.0 and self.profile.alpha_top == 0.0
-                and self.psi.is_zero)
-
 
 def _eval_data(data, t: float):
     return data(t) if callable(data) else data

@@ -159,19 +159,36 @@ class StabilityReport:
     initial_delta: float
 
 
+ITERATED = ("u1", "u2", "w", "T", "qv", "qc", "qr")
+
+
+def iterated_values(s: State) -> dict:
+    """Values of the variables the Picard map iterates, keyed as ITERATED."""
+    return dict(zip(ITERATED, (s.u.v1.values, s.u.v2.values, s.u.w.values,
+                               s.frak_T.values, s.frak_q_v.values,
+                               s.frak_q_c.values, s.frak_q_r.values)))
+
+
+def iterated_basis(name: str, bases: sp.BasisPair) -> sp.Basis:
+    """The vertical velocity is a sine series, every other iterated
+    variable a cosine series."""
+    return bases.dirichlet if name == "w" else bases.neumann
+
+
+def modal_sqs(modal: dict, bases: sp.BasisPair) -> dict:
+    """Squared L2 and H1 norms of each iterated variable from its modal
+    coefficients (a dict keyed as ITERATED, in that order)."""
+    return {name: sp.modal_sobolev_sqs(m, iterated_basis(name, bases), 1)
+            for name, m in modal.items()}
+
+
 def difference_sqs(a: State, b: State, bases: sp.BasisPair) -> dict:
     """Squared L2 and H1 norms of a - b for each iterated variable, keyed
     u1, u2, w, T, qv, qc, qr in that order."""
-    neu, diri = bases.neumann, bases.dirichlet
-    out = {}
-    for name, fa, fb, basis in (("u1", a.u.v1, b.u.v1, neu), ("u2", a.u.v2, b.u.v2, neu),
-                                ("w", a.u.w, b.u.w, diri), ("T", a.frak_T, b.frak_T, neu),
-                                ("qv", a.frak_q_v, b.frak_q_v, neu),
-                                ("qc", a.frak_q_c, b.frak_q_c, neu),
-                                ("qr", a.frak_q_r, b.frak_q_r, neu)):
-        out[name] = sp.modal_sobolev_sqs(
-            sp.to_modal_values(fa.values - fb.values, basis), basis, 1)
-    return out
+    va, vb = iterated_values(a), iterated_values(b)
+    return modal_sqs({name: sp.to_modal_values(va[name] - vb[name],
+                                               iterated_basis(name, bases))
+                      for name in ITERATED}, bases)
 
 
 def stability_probe(run_a, run_b, bases: sp.BasisPair) -> StabilityReport:

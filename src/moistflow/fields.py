@@ -180,10 +180,6 @@ class ScalarField:
                              f"grid shape {self.grid.shape}")
 
     @classmethod
-    def physical(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
-        return cls(grid=grid, values=np.asarray(values, dtype=np.float64))
-
-    @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid=grid, values=np.full(grid.shape, float(value)))
 

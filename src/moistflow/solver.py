@@ -93,9 +93,16 @@ class PicardReport:
     def final_ratio(self) -> float:
         return self.ratios[-1] if self.ratios else 0.0
 
-    @property
-    def mean_ratio(self) -> float:
-        return float(np.mean(self.ratios)) if self.ratios else 0.0
+
+@dataclass
+class FrozenVelocity:
+    """Spectral derivatives of the (dealiased) frozen velocity of one
+    iterate, shared by the density step and the right-hand sides."""
+
+    d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
+    div: np.ndarray   # div u
+    grad_div: tuple   # grad(div u)
+    lap: tuple        # Laplacians of v1, v2, w
 
 
 @dataclass
@@ -132,7 +139,7 @@ class Trajectory:
     final_state: State
     rows: list
     states: list                  # [(step, State)] when recording is on
-    steps: int
+    steps: int                    # number of the last step (from initial.time)
     rejections: int
     config: SolverConfig
     wall_time: float
@@ -181,12 +188,31 @@ class Simulation:
             return self._static_factors
         return build_factors(self.bspec, self.grid, t, dt)
 
-    def _velocity_modal(self, u: VectorField) -> list:
-        """Undealiased modal coefficients [v1, v2, w] of a velocity field."""
+    def _state_modal(self, s: State) -> dict:
+        """Modal coefficients of the iterated variables, keyed as
+        ``diagnostics.ITERATED``."""
+        return {name: sp.to_modal_values(vals, dg.iterated_basis(name, self.bases))
+                for name, vals in dg.iterated_values(s).items()}
+
+    def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
+        """Derivatives, div u, grad div u and Laplacians of the velocity with
+        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``, taken
+        after the 2/3 rule when the configuration dealiases."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
-        return [sp.to_modal_values(u.v1.values, neu),
-                sp.to_modal_values(u.v2.values, neu),
-                sp.to_modal_values(u.w.values, diri)]
+        m1, m2, mw = modal["u1"], modal["u2"], modal["w"]
+        if self.config.dealias:
+            m1, m2 = sp.dealias_modal(m1, neu), sp.dealias_modal(m2, neu)
+            mw = sp.dealias_modal(mw, diri)
+        div_modal = sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu) + sp.dz_modal(mw, diri)
+        return FrozenVelocity(
+            d=(sp.derivs(m1, neu), sp.derivs(m2, neu), sp.derivs(mw, diri)),
+            div=sp.to_phys_values(div_modal, neu),
+            grad_div=(sp.to_phys_values(sp.dx_modal(div_modal, neu), neu),
+                      sp.to_phys_values(sp.dy_modal(div_modal, neu), neu),
+                      sp.to_phys_values(sp.dz_modal(div_modal, neu), diri)),
+            lap=(sp.to_phys_values(-neu.eigenvalues * m1, neu),
+                 sp.to_phys_values(-neu.eigenvalues * m2, neu),
+                 sp.to_phys_values(-diri.eigenvalues * mw, diri)))
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -204,16 +230,18 @@ class Simulation:
     # -- density transport --------------------------------------------------
 
     def density_step(self, state: State, u_frozen: VectorField, dt: float,
-                     u_modal: list | None = None,
+                     velocity: FrozenVelocity | None = None,
                      step_cache: dict | None = None) -> ScalarField:
         """Advance log rho_d along backtracked characteristics of the frozen
         velocity: RK2 midpoint foot, second-order Taylor interpolation at the
         foot, and a midpoint-rule quadrature of the divergence integral.
         Positivity of rho_d is automatic in the log form.
 
-        ``u_modal`` is ``_velocity_modal(u_frozen)`` when the caller already
-        has it.  ``step_cache`` keeps the derivatives of ``state.log_rho_d``,
-        which do not depend on the velocity, across the iterates of a step."""
+        ``velocity`` is ``_frozen_velocity`` of ``u_frozen``'s coefficients
+        when the caller already has it; the velocity derivatives are those of
+        the dealiased velocity, the one the right-hand sides advect with.
+        ``step_cache`` keeps the derivatives of ``state.log_rho_d``, which do
+        not depend on the velocity, across the iterates of a step."""
         g = self.grid
         neu, diri = self.bases.neumann, self.bases.dirichlet
         u1, u2, w = (c.values for c in u_frozen.components())
@@ -224,12 +252,11 @@ class Simulation:
         if not (np.any(u1) or np.any(u2) or np.any(w)):
             return state.log_rho_d.copy()
 
-        if u_modal is None:
-            u_modal = self._velocity_modal(u_frozen)
-        m1, m2, mw = u_modal
-        du1 = sp.derivs(m1, neu)
-        du2 = sp.derivs(m2, neu)
-        dw = sp.derivs(mw, diri)
+        if velocity is None:
+            velocity = self._frozen_velocity({"u1": sp.to_modal_values(u1, neu),
+                                              "u2": sp.to_modal_values(u2, neu),
+                                              "w": sp.to_modal_values(w, diri)})
+        du1, du2, dw = velocity.d
         hx, hy = -0.5 * dt * u1, -0.5 * dt * u2
         hz = -0.5 * dt * w
         um1 = self._taylor_eval(u1, du1, hx, hy, hz, order=1)
@@ -253,24 +280,22 @@ class Simulation:
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
                                         dx_f, dy_f, dz_f, order=2)
 
-        divu = sp.to_phys_values(sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu)
-                                 + sp.dz_modal(mw, diri), neu)
-        ddiv = sp.derivs(sp.to_modal_values(divu, neu), neu)
-        div_mid = self._taylor_eval(divu, ddiv, 0.5 * dx_f, 0.5 * dy_f,
+        ddiv = dict(zip("xyz", velocity.grad_div))
+        div_mid = self._taylor_eval(velocity.div, ddiv, 0.5 * dx_f, 0.5 * dy_f,
                                     0.5 * dz_f, order=1)
         return ScalarField(g, log_at_foot - dt * div_mid)
 
     # -- explicit right-hand sides ------------------------------------------
 
     def assemble_rhs(self, frozen: State, rho_vals: np.ndarray, factors: dict,
-                     t_new: float | None = None,
-                     u_modal: list | None = None) -> RhsBundle:
+                     t_new: float | None = None, modal: dict | None = None,
+                     velocity: FrozenVelocity | None = None) -> RhsBundle:
         """Evaluate the frozen-state right-hand sides of the homogenized
         system: advection, sedimentation, pressure gradient, gravity, the
         B/psi lifting corrections, and the clipped phase-change sources.
 
-        ``u_modal`` is ``_velocity_modal(frozen.u)`` when the caller already
-        has it; its arrays are dealiased in place."""
+        ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
+        ``_frozen_velocity(modal)`` when the caller already has them."""
         c = self.constants
         g = self.grid
         neu, diri = self.bases.neumann, self.bases.dirichlet
@@ -281,41 +306,25 @@ class Simulation:
 
         # frozen-velocity derivatives, divergence, and the second-order
         # pieces the mean-coefficient splitting lags into the explicit side
-        if u_modal is None:
-            u_modal = self._velocity_modal(frozen.u)
-        m_u1, m_u2, m_w = u_modal
-        if dealias:
-            # in place, so that no undealiased copy outlives this point
-            m_u1 *= neu.dealias_mask
-            m_u2 *= neu.dealias_mask
-            m_w *= diri.dealias_mask
-
-        du1 = sp.derivs(m_u1, neu)
-        du2 = sp.derivs(m_u2, neu)
-        dw = sp.derivs(m_w, diri)
-        div_modal = (sp.dx_modal(m_u1, neu) + sp.dy_modal(m_u2, neu)
-                     + sp.dz_modal(m_w, diri))
-        div_u = sp.to_phys_values(div_modal, neu)
-        lap_u = (sp.to_phys_values(-neu.eigenvalues * m_u1, neu),
-                 sp.to_phys_values(-neu.eigenvalues * m_u2, neu),
-                 sp.to_phys_values(-diri.eigenvalues * m_w, diri))
-        grad_div = (sp.to_phys_values(sp.dx_modal(div_modal, neu), neu),
-                    sp.to_phys_values(sp.dy_modal(div_modal, neu), neu),
-                    sp.to_phys_values(sp.dz_modal(div_modal, neu), diri))
+        if modal is None:
+            modal = self._state_modal(frozen)
+        if velocity is None:
+            velocity = self._frozen_velocity(modal)
+        du1, du2, dw = velocity.d
 
         # homogenized scalars: lifted field G = frak + psi and derivatives
         lifted = {}
         lap_T = None
-        for name, field_, fac in (("T", frozen.frak_T, fT),
-                                  ("v", frozen.frak_q_v, fv),
-                                  ("c", frozen.frak_q_c, fc),
-                                  ("r", frozen.frak_q_r, fr)):
-            modal = sp.to_modal_values(field_.values, neu)
+        for name, key, field_, fac in (("T", "T", frozen.frak_T, fT),
+                                       ("v", "qv", frozen.frak_q_v, fv),
+                                       ("c", "qc", frozen.frak_q_c, fc),
+                                       ("r", "qr", frozen.frak_q_r, fr)):
+            m = modal[key]
             if dealias:
-                modal = sp.dealias_modal(modal, neu)
-            d = sp.derivs(modal, neu)
+                m = sp.dealias_modal(m, neu)
+            d = sp.derivs(m, neu)
             if name == "T":
-                lap_T = sp.to_phys_values(-neu.eigenvalues * modal, neu)
+                lap_T = sp.to_phys_values(-neu.eigenvalues * m, neu)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -325,6 +334,9 @@ class Simulation:
                 Gx, Gy = d["x"] + psi.dx_values(), d["y"] + psi.dy_values()
                 Gz = d["z"] + fac.psi_dz
             lifted[name] = {"G": G, "x": Gx, "y": Gy, "z": Gz}
+        # in the direct mode this is the last reference to the step's input
+        # coefficients: drop them before the terms are built
+        del modal
 
         # dehomogenized physical variables from the frozen state
         T_o = fT.binv_profile * lifted["T"]["G"]
@@ -367,7 +379,7 @@ class Simulation:
                                  + c.kappa * (-2.0 * ap_T * lT["z"]
                                               + fT.dzz_binv_b * G_T
                                               + fT.psi_laplacian)),
-            "compression": Q_cp * G_T * div_u,
+            "compression": Q_cp * G_T * velocity.div,
             "phase_heat": -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]),
         }
         if not fT.psi.is_zero or fT.psi_rate is not None:
@@ -397,7 +409,7 @@ class Simulation:
 
         lr = lifted["r"]
         dz_log_rho = sp.to_phys_values(
-            sp.dz_modal(sp.to_modal_values(np.log(rho_vals), neu), neu), diri)
+            sp.dz_modal(sp.to_modal_values(frozen.log_rho_d.values, neu), neu), diri)
         rain["sedimentation"] = (self.v_r * lr["z"]
                                  + lr["G"] * (self.dz_v_r
                                               + self.v_r * dz_log_rho
@@ -411,39 +423,46 @@ class Simulation:
 
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
                          {**S, "q_vs": q_vs},
-                         lap_u=lap_u, grad_div=grad_div, lap_T=lap_T)
+                         lap_u=velocity.lap, grad_div=velocity.grad_div, lap_T=lap_T)
 
     # -- one frozen-coefficient update ---------------------------------------
 
     def linear_step(self, frozen: State, current: State, dt: float,
                     factors: dict | None = None,
-                    u_modal: list | None = None) -> State:
+                    carry: dict | None = None) -> State:
         """Backward-Euler update of the associated linear system: implicit
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
         frozen iterate.  ``frozen`` must already carry the advanced density.
 
-        ``u_modal`` (see assemble_rhs) is emptied once the right-hand sides
-        are built, so that the solves run without it in memory."""
+        ``carry`` passes modal coefficients in and out.  On entry it may
+        hold ``"modal"`` (``_state_modal(frozen)``) and ``"velocity"``
+        (``_frozen_velocity`` of it); both are taken out and handed to
+        assemble_rhs, so that the solves run without them in memory unless
+        the caller keeps a reference.  On return ``carry["modal"]`` holds the
+        coefficients of the new state, equal to ``_state_modal`` of the
+        returned state up to rounding."""
         c = self.constants
         g = self.grid
+        neu = self.bases.neumann
         dealias = self.config.dealias
         if factors is None:
             factors = self.factors_at(current.time, dt)
+        if carry is None:
+            carry = {}
         rho_vals = np.exp(frozen.log_rho_d.values)
         rhs = self.assemble_rhs(frozen, rho_vals, factors, t_new=current.time + dt,
-                                u_modal=u_modal)
-        if u_modal is not None:
-            u_modal.clear()
+                                modal=carry.pop("modal", None),
+                                velocity=carry.pop("velocity", None))
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
-        new_q = {}
-        for name, cur, fro in (("vapor", current.frak_q_v, frozen.frak_q_v),
-                               ("cloud", current.frak_q_c, frozen.frak_q_c),
-                               ("rain", current.frak_q_r, frozen.frak_q_r)):
-            gv = cur.values + dt * rhs.total(name)
-            new_q[name] = sp.helmholtz_values(gv, dt, self.bases.neumann, dealias)
+        modal = {}
+        for key, eq, cur in (("qv", "vapor", current.frak_q_v),
+                             ("qc", "cloud", current.frak_q_c),
+                             ("qr", "rain", current.frak_q_r)):
+            modal[key] = sp.helmholtz_modal(cur.values + dt * rhs.total(eq), dt,
+                                            neu, dealias)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
@@ -452,7 +471,7 @@ class Simulation:
         nu_T_bar = float(np.mean(nu_T))
         gT = current.frak_T.values + dt * (rhs.total("temperature") / Q_th
                                            + (nu_T - nu_T_bar) * rhs.lap_T)
-        new_T = sp.helmholtz_values(gT, nu_T_bar * dt, self.bases.neumann, dealias)
+        modal["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
 
         # momentum: same mean-coefficient splitting for both viscous operators
         M = rho_vals * rhs.Q_m
@@ -466,32 +485,43 @@ class Simulation:
                                + (nu - nu_bar) * rhs.lap_u[i]
                                + (nul - nul_bar) * rhs.grad_div[i])
               for i in range(3)]
-        u1, u2, u3 = sp.vector_helmholtz_values(gu[0], gu[1], gu[2], nu_bar * dt,
-                                                nul_bar * dt, self.bases, dealias)
+        modal["u1"], modal["u2"], modal["w"] = sp.vector_helmholtz_modal(
+            gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, dealias)
 
-        for arr in (u1, u2, u3, new_T, new_q["vapor"], new_q["cloud"], new_q["rain"]):
+        modal = {name: modal[name] for name in dg.ITERATED}
+        vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases))
+                for name, m in modal.items()}
+        for arr in vals.values():
             if not np.all(np.isfinite(arr)):
                 raise StepRejected("non-finite fields after linear step")
+        carry["modal"] = modal
 
-        u_new = VectorField(ScalarField(g, u1), ScalarField(g, u2), ScalarField(g, u3))
-        return State(frozen.log_rho_d, u_new, ScalarField(g, new_T),
-                     ScalarField(g, new_q["vapor"]), ScalarField(g, new_q["cloud"]),
-                     ScalarField(g, new_q["rain"]), current.time + dt)
+        u_new = VectorField(ScalarField(g, vals["u1"]), ScalarField(g, vals["u2"]),
+                            ScalarField(g, vals["w"]))
+        return State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
+                     ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
+                     ScalarField(g, vals["qr"]), current.time + dt)
 
     # -- metric for increments ------------------------------------------------
 
-    def _m_norm_parts(self, a: State, b: State, dt: float) -> dict:
+    @staticmethod
+    def _increment_parts(sqs: dict, dt: float) -> dict:
         """Increment size per variable in the sup-L2 + dt-weighted H1 metric
-        (the one-step discretization of L-inf(L2) intersect L2(H1))."""
+        (the one-step discretization of L-inf(L2) intersect L2(H1)), from the
+        squared norms of ``diagnostics.modal_sqs``."""
         entries = {}
         tot_l2 = tot_h1 = 0.0
-        for name, (l2s, h1s) in dg.difference_sqs(a, b, self.bases).items():
+        for name, (l2s, h1s) in sqs.items():
             entries[name] = np.sqrt(l2s) + np.sqrt(dt * h1s)
             tot_l2 += l2s
             tot_h1 += h1s
         entries["u"] = entries["u1"] + entries["u2"] + entries["w"]
         entries["total"] = float(np.sqrt(tot_l2) + np.sqrt(dt * tot_h1))
         return entries
+
+    def _m_norm_parts(self, a: State, b: State, dt: float) -> dict:
+        """``_increment_parts`` of the difference of two states."""
+        return self._increment_parts(dg.difference_sqs(a, b, self.bases), dt)
 
     def _state_scale(self, s: State) -> float:
         """Cheap size estimate of the iterated fields (floor for the
@@ -520,24 +550,33 @@ class Simulation:
         # derivatives of the step's initial log rho_d, shared by all iterates
         step_cache = {} if iters > 1 else None
 
+        # the step's fields are transformed once; after that each iterate
+        # gets the coefficients of its fields from the previous solves
+        carry = {"modal": self._state_modal(state)}
         x_prev = state
         first = None
         for m in range(1, iters + 1):
-            # one transform of the iterate's velocity serves the density step
+            # kept for the increment; the direct mode takes none, so that
+            # linear_step can free the coefficients before its solves
+            prev_modal = carry["modal"] if iters > 1 else None
+            # one set of frozen-velocity derivatives serves the density step
             # and the right-hand sides; linear_step frees it before its solves
-            u_modal = self._velocity_modal(x_prev.u)
-            log_rho_new = self.density_step(state, x_prev.u, dt, u_modal, step_cache)
+            carry["velocity"] = self._frozen_velocity(carry["modal"])
+            log_rho_new = self.density_step(state, x_prev.u, dt, carry["velocity"],
+                                            step_cache)
             try:
                 frozen = replace(x_prev, log_rho_d=log_rho_new)
             except FloatingPointError as exc:
                 raise StepRejected(f"density step at dt={dt:g}: {exc}") from exc
-            x_new = self.linear_step(frozen, state, dt, factors, u_modal)
+            x_new = self.linear_step(frozen, state, dt, factors, carry)
             report.iterations = m
             if iters == 1:
                 # the direct mode: no convergence test, so no increment either
                 report.converged = True
                 return x_new, report
-            parts = self._m_norm_parts(x_new, x_prev, dt)
+            parts = self._increment_parts(dg.modal_sqs(
+                {name: carry["modal"][name] - prev_modal[name] for name in dg.ITERATED},
+                self.bases), dt)
             inc = parts["total"]
             report.increments.append(parts)
             if m >= 2:
@@ -622,7 +661,9 @@ class Simulation:
         rows = []
         states = []
         self._rejections = 0
-        step = 0
+        # a run resumed from a checkpoint keeps the step numbers of the
+        # uninterrupted run (SolverConfig guarantees whole steps)
+        step = round(initial.time / cfg.dt)
 
         def record(report, wall):
             row = dg.compute_row(state, factors, self.bases, step=step,

@@ -261,23 +261,48 @@ def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
     return modal_sobolev_sqs(modal, basis, order)[order]
 
 
-def helmholtz_values(g: np.ndarray, a: float, basis: Basis,
-                     dealias: bool = False) -> np.ndarray:
-    """Solve (I - a * Laplacian) f = g by modal division, on plain arrays;
-    with ``dealias`` the 2/3 rule truncates g first."""
+def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:
+    """The part of ``modal`` that survives ``to_phys_values``: the ky = 0
+    plane (and the ky Nyquist plane, for even ny) is made Hermitian in kx,
+    since irfft2 keeps only the real part of those columns, and the sine
+    wall rows are zeroed.  Then ``to_modal_values(to_phys_values(M))``
+    equals ``representable(M)`` up to rounding.  Odd derivatives of the kx
+    or ky Nyquist modes are what break the symmetry."""
+    out = modal.copy()
+    ny = basis.grid.ny
+    flip = (-np.arange(basis.grid.nx)) % basis.grid.nx
+    for j in ((0, ny // 2) if ny % 2 == 0 else (0,)):
+        out[:, j] = 0.5 * (modal[:, j] + np.conj(modal[flip, j]))
+    if basis.kind == DIRICHLET:
+        out[..., [0, -1]] = 0.0
+    return out
+
+
+def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
+                    dealias: bool = False) -> np.ndarray:
+    """Solve (I - a * Laplacian) f = g by modal division and return the
+    representable modal coefficients of f; with ``dealias`` the 2/3 rule
+    truncates g first."""
     if a < 0.0:
         raise ValueError("helmholtz coefficient a must be nonnegative")
     modal = to_modal_values(g, basis)
     if dealias:
         modal = dealias_modal(modal, basis)
-    return to_phys_values(modal / (1.0 + a * basis.eigenvalues), basis)
+    return representable(modal / (1.0 + a * basis.eigenvalues), basis)
 
 
-def vector_helmholtz_values(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
-                            a_mu: float, a_mulam: float, bases: BasisPair,
-                            dealias: bool = False) -> tuple:
-    """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) on plain
-    arrays; with ``dealias`` the 2/3 rule truncates the data first.
+def helmholtz_values(g: np.ndarray, a: float, basis: Basis,
+                     dealias: bool = False) -> np.ndarray:
+    """helmholtz_modal on plain arrays, physical in and out."""
+    return to_phys_values(helmholtz_modal(g, a, basis, dealias), basis)
+
+
+def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
+                           a_mu: float, a_mulam: float, bases: BasisPair,
+                           dealias: bool = False) -> tuple:
+    """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) and
+    return the representable modal coefficients of u; with ``dealias`` the
+    2/3 rule truncates the data first.
 
     Uses the divergence/solenoidal modal split: the divergence coefficient
     solves a scalar Helmholtz problem with coefficient a_mu + a_mulam, after
@@ -302,7 +327,16 @@ def vector_helmholtz_values(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     u1 = (m1 + a_mulam * dx_modal(d, neu)) / denom_n
     u2 = (m2 + a_mulam * dy_modal(d, neu)) / denom_n
     u3 = (m3 + a_mulam * dz_modal(d, neu)) / (1.0 + a_mu * diri.eigenvalues)
-    return to_phys_values(u1, neu), to_phys_values(u2, neu), to_phys_values(u3, diri)
+    return representable(u1, neu), representable(u2, neu), representable(u3, diri)
+
+
+def vector_helmholtz_values(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
+                            a_mu: float, a_mulam: float, bases: BasisPair,
+                            dealias: bool = False) -> tuple:
+    """vector_helmholtz_modal on plain arrays, physical in and out."""
+    u1, u2, u3 = vector_helmholtz_modal(g1, g2, g3, a_mu, a_mulam, bases, dealias)
+    return (to_phys_values(u1, bases.neumann), to_phys_values(u2, bases.neumann),
+            to_phys_values(u3, bases.dirichlet))
 
 
 def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:

@@ -208,6 +208,42 @@ class TestMain:
                        (ref.frak_T, got.frak_T), (ref.frak_q_r, got.frak_q_r)):
             assert np.array_equal(fa.values, fb.values)
 
+    def test_resume_keeps_step_numbers(self, tmp_path):
+        """The sample config at 8x8x9, resumed from its step-4 checkpoint:
+        the diagnostics rows, checkpoint names and final meta.txt carry the
+        step numbers of the uninterrupted run, and the rows are bitwise the
+        same from the resume point on."""
+        sample = os.path.join(os.path.dirname(__file__), "..", "demos",
+                              "sample_config.cfg")
+        with open(sample, encoding="utf-8") as fh:
+            cfg = (fh.read()
+                   .replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n",
+                            "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n")
+                   .replace("solver.t_end = 0.1\n", "solver.t_end = 0.01\n")
+                   .replace("solver.checkpoint_every = 50\n",
+                            "solver.checkpoint_every = 4\n"))
+        assert "grid.nz = 9" in cfg and "checkpoint_every = 4" in cfg
+        path = write_config(tmp_path / "c.cfg", cfg)
+        out_full, out_res = str(tmp_path / "full"), str(tmp_path / "resumed")
+        assert main(["run", path, "--out", out_full]) == 0
+        ckpt = os.path.join(out_full, "checkpoints", "step_000004")
+        assert main(["resume", ckpt, "--out", out_res]) == 0
+
+        def read(out, *parts):
+            with open(os.path.join(out, *parts), encoding="utf-8") as fh:
+                return fh.read().splitlines()
+
+        full_rows = read(out_full, "diagnostics.csv")
+        res_rows = read(out_res, "diagnostics.csv")
+        assert [r.split(",")[0] for r in res_rows[1:]] == [str(k) for k in range(4, 11)]
+        assert res_rows[1:] == full_rows[5:]
+        assert (sorted(os.listdir(os.path.join(out_res, "checkpoints")))
+                == sorted(os.listdir(os.path.join(out_full, "checkpoints")))
+                == ["step_000004", "step_000008", "step_000010"])
+        assert read(out_res, "final_state", "meta.txt") == \
+            read(out_full, "final_state", "meta.txt")
+        assert "step=10" in read(out_full, "final_state", "meta.txt")
+
     def test_export_plot(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", BASE)
         out = str(tmp_path / "out")

@@ -1,19 +1,23 @@
-"""Property tests of the pointwise physics kernels over generated inputs:
-sign and bound statements of the clipped forms, the water-exchange
-telescoping bound of acceptance criterion 03, and raw/clipped agreement on
-nonnegative inputs."""
+"""Property tests over generated inputs: sign and bound statements of the
+clipped physics kernels, the water-exchange telescoping bound of acceptance
+criterion 03, raw/clipped agreement on nonnegative inputs, and the spectral
+transform round trip."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moistflow as mf
+from moistflow import spectral_ops as sp
 from moistflow.microphysics import source_values
 from moistflow.thermo import q_factor_values
 
 C = mf.PhysConstants.nondimensional()
 GRID = mf.make_grid(4, 4, 4)
 RATES = ("S_ev", "S_cd", "S_ac", "S_cr")
+# both bases on an even-nz and an odd-nz grid (nx/2 and ny/2 odd on the second)
+BASES = [basis for g in (mf.make_grid(4, 6, 4), mf.make_grid(6, 10, 7))
+         for basis in (sp.make_bases(g).neumann, sp.make_bases(g).dirichlet)]
 
 # derandomized, so every run draws the same examples; no example database
 kernel_settings = settings(derandomize=True, database=None, deadline=None,
@@ -64,3 +68,13 @@ def test_raw_equals_clipped_on_nonnegative_inputs(T, qv, qc, qr, qvs):
     for a, b in zip(q_factor_values(qv, qc, qr, C, clipped=False),
                     q_factor_values(qv, qc, qr, C, clipped=True)):
         assert np.array_equal(a, b)
+
+
+@kernel_settings
+@given(basis=st.sampled_from(BASES), data=st.data())
+def test_transform_round_trip_is_representable_projection(basis, data):
+    g = basis.grid
+    shape = (g.nx, g.ny // 2 + 1, g.nz)
+    M = data.draw(values(-1.0, 1.0, shape)) + 1j * data.draw(values(-1.0, 1.0, shape))
+    back = sp.to_modal_values(sp.to_phys_values(M, basis), basis)
+    assert np.max(np.abs(back - sp.representable(M, basis))) <= 1e-13
