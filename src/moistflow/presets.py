@@ -10,7 +10,6 @@ machine-precision fixed point of the time stepper.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct, dst
 
 from .boundary import BoundarySpec, VariableBoundary, build_factors, homogenize
 from .fields import Grid, PhysConstants, ScalarField, State, VectorField
@@ -18,26 +17,6 @@ from .microphysics import SaturationClosure
 from . import spectral_ops as sp
 
 PRESET_NAMES = ("equilibrium", "thermal_bubble", "saturated_layer", "manufactured")
-
-
-def _dz_cos_1d(vals: np.ndarray) -> np.ndarray:
-    """1-D mirror of the solver's cosine-series z-derivative (sine values,
-    zero at the walls)."""
-    nz = vals.shape[0]
-    c = dct(vals, type=1)
-    a = np.empty(nz)
-    a[0] = c[0] / (2 * (nz - 1))
-    a[1:nz - 1] = c[1:nz - 1] / (nz - 1)
-    a[-1] = c[-1] / (2 * (nz - 1))
-    b = -(np.pi * np.arange(nz)) * a
-    out = np.zeros(nz)
-    out[1:nz - 1] = dst(b[1:nz - 1], type=1) / 2.0
-    return out
-
-
-def _sine_project(vals: np.ndarray) -> np.ndarray:
-    nz = vals.shape[0]
-    return dst(vals[1:nz - 1], type=1) / (nz - 1)
 
 
 def discrete_hydrostatic_rho(grid: Grid, constants: PhysConstants, T0: float,
@@ -50,13 +29,15 @@ def discrete_hydrostatic_rho(grid: Grid, constants: PhysConstants, T0: float,
     coefficient (the one direction the sine projection cannot see).
     """
     nz = grid.nz
+    neu = sp.Basis(grid, sp.NEUMANN)
+    diri = neu.other
+    # row j: the solver's z-derivative of the unit sample e_j, then the sine
+    # coefficients of the hydrostatic residual R_d T0 dz(e_j) + g e_j
+    dz = (neu.z_fwd * -(np.pi * np.arange(nz))) @ diri.z_inv
+    balance = (constants.R_d * T0 * dz + constants.g * np.eye(nz)) @ diri.z_fwd
     A = np.zeros((nz, nz))
-    for j in range(nz):
-        e = np.zeros(nz)
-        e[j] = 1.0
-        A[:nz - 2, j] = _sine_project(constants.R_d * T0 * _dz_cos_1d(e) + constants.g * e)
-        c = dct(e, type=1)
-        A[nz - 1, j] = c[-1] / (2 * (nz - 1))   # cosine Nyquist coefficient
+    A[:nz - 2] = balance[:, 1:nz - 1].T
+    A[nz - 1] = neu.z_fwd[:, -1]                 # cosine Nyquist coefficient
     A[nz - 2, 0] = 1.0                           # rho at z = 0
     rhs = np.zeros(nz)
     rhs[nz - 2] = rho0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft2, irfft2, dct, dst
+from scipy.fft import rfft2, irfft2
 
 from .fields import Grid, ScalarField, VectorField
 
@@ -25,8 +25,9 @@ _WORKERS = 1
 
 
 def set_workers(n: int) -> None:
-    """Number of worker threads handed to scipy.fft (1 keeps runs bitwise
-    reproducible by construction; pocketfft results do not depend on it)."""
+    """Number of worker threads handed to scipy.fft's rfft2/irfft2 (1 keeps
+    runs bitwise reproducible by construction; pocketfft results do not
+    depend on it).  The z-transform is a BLAS product and ignores it."""
     global _WORKERS
     _WORKERS = max(1, int(n))
 
@@ -65,18 +66,17 @@ class Basis:
         if grid.ny % 2 == 0:
             wy[-1] = 1.0
         self.ky_multiplicity = wy[None, :, None]
-        # z normalisation of the DCT-I / DST-I, applied to the real array:
-        # z_scale maps the forward transform to modal coefficients and
-        # z_unscale maps modal coefficients to the inverse transform's input
-        # (the sine wall rows are not transformed and stay zero)
-        self.z_scale = np.full(grid.nz, 1.0 / (grid.nz - 1))
-        self.z_unscale = np.full(grid.nz, 0.5)
-        if kind == NEUMANN:
-            self.z_scale[[0, -1]] = 0.5 / (grid.nz - 1)
-            self.z_unscale[[0, -1]] = 1.0
-        else:
-            self.z_scale[[0, -1]] = 0.0
-            self.z_unscale[[0, -1]] = 0.0
+        # z-transform matrices, applied on the right of a (-1, nz) array:
+        # z_fwd holds the DCT-I / DST-I with its normalisation folded in,
+        # z_inv the cosine / sine series (zero sine wall rows and columns).
+        # m k is reduced mod 2(nz-1), so each entry is of an exact angle.
+        n = grid.nz - 1
+        phase = (np.pi / n) * (np.outer(mz, mz) % (2 * n))
+        w = np.ones(grid.nz)
+        w[[0, -1]] = 0.5 if kind == NEUMANN else 0.0
+        ww = np.outer(w, w)
+        self.z_inv = np.cos(phase) if kind == NEUMANN else np.sin(phase) * ww
+        self.z_fwd = self.z_inv * ww * (2.0 / n)
         self._other = None
 
     @property
@@ -105,33 +105,31 @@ def make_bases(grid: Grid) -> BasisPair:
 # Array-level transforms.  values: real (nx, ny, nz); modal: complex same shape.
 # ---------------------------------------------------------------------------
 
+def _z_product(values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """values @ z along the last axis, as one 2-D gemm on a C-ordered copy,
+    so that the bits do not depend on the memory layout of ``values``."""
+    flat = np.ascontiguousarray(values).reshape(-1, z.shape[0])
+    return (flat @ z).reshape(values.shape)
+
+
 def to_modal_values(values: np.ndarray, basis: Basis) -> np.ndarray:
-    """The z-transform runs first, on the real array, so that scipy need not
-    split a complex one into two real transforms; rfft2 comes last."""
-    nz = basis.grid.nz
+    """The z-transform runs first, on the real array; rfft2 comes last.  A
+    cosine transform takes out each column's first sample and puts it back
+    into mode 0, so that a column constant in z maps to exactly (c, 0, ...)."""
     if basis.kind == NEUMANN:
-        zt = dct(values, type=1, axis=2, workers=_WORKERS)
+        first = values[..., :1]
+        zt = _z_product(values - first, basis.z_fwd)
+        zt[..., :1] += first
     else:
-        zt = np.zeros(values.shape)
-        zt[..., 1:nz - 1] = dst(values[..., 1:nz - 1], type=1, axis=2, workers=_WORKERS)
-    zt *= basis.z_scale
+        zt = _z_product(values, basis.z_fwd)
     return rfft2(zt, axes=(0, 1), norm="forward", overwrite_x=True, workers=_WORKERS)
 
 
 def to_phys_values(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """Inverse of to_modal_values: irfft2 first, then the real z-transform."""
-    nz = basis.grid.nz
     xy = (basis.grid.nx, basis.grid.ny)
-    if basis.kind == NEUMANN:
-        vals = irfft2(modal, s=xy, axes=(0, 1), norm="forward", workers=_WORKERS)
-        vals *= basis.z_unscale
-        return dct(vals, type=1, axis=2, overwrite_x=True, workers=_WORKERS)
-    vals = irfft2(modal[..., 1:nz - 1], s=xy, axes=(0, 1), norm="forward",
-                  workers=_WORKERS)
-    vals *= basis.z_unscale[1:nz - 1]
-    out = np.zeros(basis.grid.shape)
-    out[..., 1:nz - 1] = dst(vals, type=1, axis=2, overwrite_x=True, workers=_WORKERS)
-    return out
+    vals = irfft2(modal, s=xy, axes=(0, 1), norm="forward", workers=_WORKERS)
+    return _z_product(vals, basis.z_inv)
 
 
 def dx_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:

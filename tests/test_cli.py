@@ -5,6 +5,8 @@ import pytest
 
 import moistflow as mf
 from moistflow.cli import SCHEMA, build_simulation, main, parse_config
+from moistflow.presets import discrete_hydrostatic_rho
+from moistflow.spectral_ops import to_modal_values
 
 
 def write_config(path, text):
@@ -88,6 +90,19 @@ class TestPresets:
                             mf.SolverConfig(dt=1e-3, t_end=1e-3, mode="picard"))
         _, rep = sim.picard_solve(state, 1e-3)
         assert rep.iterations == 1 and rep.converged
+
+    @pytest.mark.parametrize("nz", [9, 17, 33])
+    def test_hydrostatic_column_balances_solver_gradient(self, nz, nondim):
+        """Through the solver's own transforms, the sine coefficients of
+        R_d T0 dz(rho) + g rho vanish on every resolved mode."""
+        grid = mf.make_grid(4, 4, nz)
+        bases = mf.make_bases(grid)
+        T0 = nondim.T_ref
+        rho = discrete_hydrostatic_rho(grid, nondim, T0, nondim.p_ref / (nondim.R_d * T0))
+        p = np.broadcast_to(nondim.R_d * T0 * rho, grid.shape).copy()
+        dz_p = mf.dz(mf.ScalarField(grid, p), bases.neumann).values
+        coeffs = to_modal_values(dz_p + nondim.g * rho, bases.dirichlet)
+        assert np.max(np.abs(coeffs)) <= 1e-13 * nondim.g * np.max(rho)
 
     def test_zero_amplitude_bubble_equals_equilibrium(self, grid16, nondim):
         eq, _ = mf.preset_initial("equilibrium", grid16, nondim)

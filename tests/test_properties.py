@@ -1,7 +1,8 @@
 """Property tests over generated inputs: sign and bound statements of the
 clipped physics kernels, the water-exchange telescoping bound of acceptance
 criterion 03, raw/clipped agreement on nonnegative inputs, and the spectral
-transform round trip."""
+transform round trip, the homogenize/dehomogenize round trip, and the
+water-exchange bound on the rates the solver builds."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,14 @@ RATES = ("S_ev", "S_cd", "S_ac", "S_cr")
 # both bases on an even-nz and an odd-nz grid (nx/2 and ny/2 odd on the second)
 BASES = [basis for g in (mf.make_grid(4, 6, 4), mf.make_grid(6, 10, 7))
          for basis in (sp.make_bases(g).neumann, sp.make_bases(g).dirichlet)]
+
+# Robin walls (alpha = -1, 1 on every variable) of the saturated layer
+ROBIN_GRID = mf.make_grid(8, 8, 9)
+LAYER, _LAYER_SPEC = mf.preset_initial("saturated_layer", ROBIN_GRID, C)
+ROBIN_FACTORS = mf.build_factors(_LAYER_SPEC, ROBIN_GRID)
+LAYER_SIM = mf.Simulation(ROBIN_GRID, C, _LAYER_SPEC,
+                          mf.SolverConfig(dt=1e-3, t_end=1e-2, mode="direct"))
+EPS = np.finfo(float).eps
 
 # derandomized, so every run draws the same examples; no example database
 kernel_settings = settings(derandomize=True, database=None, deadline=None,
@@ -78,3 +87,45 @@ def test_transform_round_trip_is_representable_projection(basis, data):
     M = data.draw(values(-1.0, 1.0, shape)) + 1j * data.draw(values(-1.0, 1.0, shape))
     back = sp.to_modal_values(sp.to_phys_values(M, basis), basis)
     assert np.max(np.abs(back - sp.representable(M, basis))) <= 1e-13
+
+
+@kernel_settings
+@given(var=st.sampled_from(sorted(ROBIN_FACTORS)), data=st.data())
+def test_homogenize_round_trip(var, data):
+    """dehomogenize(homogenize(F)) = F and the reverse, to within the
+    rounding of the B multiply, the psi shift and the B^-1 multiply (an
+    absolute few subnormal spacings where F is subnormal)."""
+    fac = ROBIN_FACTORS[var]
+    F = data.draw(values(-10.0, 10.0, ROBIN_GRID.shape))
+    floor = 8.0 * np.finfo(float).smallest_subnormal
+    back = mf.dehomogenize(mf.homogenize(mf.ScalarField(ROBIN_GRID, F), fac), fac)
+    scale = np.abs(F) + np.abs(fac.binv_profile * fac.psi_values)
+    assert np.all(np.abs(back.values - F) <= 8.0 * EPS * scale + floor)
+    frak = mf.homogenize(mf.dehomogenize(mf.ScalarField(ROBIN_GRID, F), fac), fac)
+    scale = np.abs(F) + np.abs(fac.psi_values)
+    assert np.all(np.abs(frak.values - F) <= 8.0 * EPS * scale + floor)
+
+
+@settings(kernel_settings, max_examples=25)
+@given(name=st.sampled_from(("frak_T", "frak_q_v", "frak_q_c", "frak_q_r")),
+       amplitude=st.floats(0.0, 1e-2), seed=st.integers(0, 2**16))
+def test_solver_water_exchange_within_four_ulp(name, amplitude, seed):
+    """Criterion 03's bound on the phase-change rates assemble_rhs builds
+    (RhsBundle.source_arrays) from a perturbed saturated layer; the moisture
+    right-hand sides carry exactly these exchange terms."""
+    state = mf.perturb_state(LAYER, LAYER_SIM.bases, field=name,
+                             amplitude=amplitude, seed=seed)
+    factors = LAYER_SIM.factors_at(state.time, LAYER_SIM.config.dt)
+    rhs = LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors)
+    S = rhs.source_arrays
+    exchange = {"vapor": S["S_ev"] - S["S_cd"],
+                "cloud": S["S_cd"] - S["S_ac"] - S["S_cr"],
+                "rain": S["S_ac"] + S["S_cr"] - S["S_ev"]}
+    for eq, var in (("vapor", "v"), ("cloud", "c"), ("rain", "r")):
+        assert np.array_equal(getattr(rhs, eq)["sources"],
+                              factors[var].b_profile * exchange[eq]), eq
+    res = np.abs(exchange["vapor"] + exchange["cloud"] + exchange["rain"])
+    scale = np.maximum.reduce([np.abs(S[n]) for n in RATES]
+                              + [np.full(ROBIN_GRID.shape, 1e-300)])
+    assert np.all(res <= 4.0 * EPS * scale)
+    assert np.any(S["S_cd"] != 0.0) and np.any(S["S_cr"] != 0.0)

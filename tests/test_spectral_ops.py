@@ -44,6 +44,38 @@ class TestBasis:
         lap = -bases8.neumann.eigenvalues * modal
         assert np.max(np.abs(lap)) == 0.0
 
+    def test_z_constant_neumann_field_has_only_mode_zero(self, grid8, bases8):
+        """A field constant in z but not in x and y has rows m >= 1 exactly
+        zero, whatever the rounding of the z-transform matrix."""
+        xy = np.cos(np.pi * grid8.x)[:, None] + 0.3 * np.sin(2 * np.pi * grid8.y)[None, :]
+        vals = np.broadcast_to(xy[:, :, None], grid8.shape).copy()
+        modal = to_modal_values(vals, bases8.neumann)
+        assert np.all(modal[..., 1:] == 0.0)
+        assert np.any(modal[..., 0] != 0.0)
+
+    def test_dirichlet_forward_ignores_wall_samples(self, grid8, bases8):
+        """Sine coefficients have exactly zero wall rows and do not depend
+        on the values at the walls."""
+        basis = bases8.dirichlet
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(grid8.shape)
+        modal = to_modal_values(vals, basis)
+        assert np.all(modal[..., [0, -1]] == 0.0)
+        vals[..., [0, -1]] += rng.standard_normal((grid8.nx, grid8.ny, 2))
+        assert np.array_equal(to_modal_values(vals, basis), modal)
+
+    @pytest.mark.parametrize("kind", [NEUMANN, DIRICHLET])
+    def test_transforms_independent_of_memory_layout(self, grid16, bases16, kind):
+        """A Fortran-ordered copy transforms to the same bits, so restarts
+        stay bitwise whatever layout a field arrives in.  (At 8x8x9 a bare
+        3-D product happens to give equal bits; at 16x16x17 it does not.)"""
+        basis = bases16.neumann if kind == NEUMANN else bases16.dirichlet
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal(grid16.shape)
+        modal = to_modal_values(vals, basis)
+        assert np.array_equal(to_modal_values(np.asfortranarray(vals), basis), modal)
+        assert np.array_equal(to_phys_values(np.asfortranarray(modal), basis),
+                              to_phys_values(modal, basis))
 
     def test_bases_free_without_garbage_collector(self, grid8):
         """No reference cycle: dropping the pair frees the arrays at once."""
