@@ -3,9 +3,8 @@ flow with warm-rain microphysics, Robin-wall homogenization, and a
 contraction-mapping (Picard) time stepper."""
 
 from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
-                     integrate, load_field, load_state, make_grid,
-                     negative_part, positive_part, rho_d, save_field,
-                     save_state)
+                     load_field, load_state, make_grid, negative_part,
+                     positive_part, rho_d, save_field, save_state)
 from .thermo import (QFactors, latent_heat, mixed_gas_constant,
                      mixed_heat_capacity, moist_density, potential_temperature,
                      pressure, q_factors)

@@ -2,7 +2,8 @@
 points: ``run``, ``check``, ``resume``, and ``export-plot``.
 
 Config files are plain UTF-8 ``key = value`` lines with dotted keys and
-``#`` comments.  Unknown keys are errors (no silent typos), every key has a
+``#`` comments.  Unknown keys are errors (no silent typos), keys retired
+from earlier versions are read with a warning, every key has a
 documented default, and each run writes an echo file listing every consumed
 key so runs are reproducible from their outputs alone.  Exit codes: 0 on
 success, 1 on runtime failure, 2 on usage or configuration errors.  The
@@ -17,6 +18,7 @@ import hashlib
 import os
 import shutil
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -68,7 +70,6 @@ def _schema() -> dict:
         "solver.snapshot_every": ("int", 0),
         "solver.record_states_every": ("int", 0),
         "solver.max_dt_halvings": ("int", 2),
-        "solver.psi_dt_mode": ("str", "fd"),
         "ic.preset": ("str", "equilibrium"),
         "ic.T0": ("float", 0.0),          # 0 -> use constants.T_ref
         "ic.rho0": ("float", 0.0),        # 0 -> p_ref / (R_d T0)
@@ -76,7 +77,6 @@ def _schema() -> dict:
         "ic.sat_ratio": ("float", 1.1),
         "ic.qc_seed": ("float", 1.0e-3),
         "ic.qr_seed": ("float", 5.0e-4),
-        "run.seed": ("int", 0),
         "run.threads": ("int", 1),
         "diagnostics.strict_positivity": ("bool", False),
         "output.dir": ("str", "out"),
@@ -85,6 +85,10 @@ def _schema() -> dict:
 
 
 SCHEMA = _schema()
+
+# keys of earlier versions that no longer do anything; config.echo files
+# written by those versions list them, so they are read with a warning
+_RETIRED_KEYS = ("solver.psi_dt_mode", "run.seed")
 
 
 def _parse_modes(text: str, where: str) -> dict:
@@ -212,7 +216,6 @@ class RunConfig:
                 record_states_every=self["solver.record_states_every"],
                 max_dt_halvings=self["solver.max_dt_halvings"],
                 strict_positivity=self["diagnostics.strict_positivity"],
-                psi_dt_mode=self["solver.psi_dt_mode"],
             )
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
@@ -258,6 +261,9 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, text = (part.strip() for part in line.split("=", 1))
         where = f"{path}:{lineno}"
+        if key in _RETIRED_KEYS:
+            warnings.warn(f"{where}: {key} is retired and ignored")
+            continue
         if key not in SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in explicit:
@@ -306,7 +312,7 @@ def build_simulation(rc: RunConfig):
                     rc[f"boundary.{var}.alpha_top"]) for var in ("T", "v", "c", "r")}
     params = {"T0": rc["ic.T0"], "rho0": rc["ic.rho0"],
               "sat_ratio": rc["ic.sat_ratio"], "qc_seed": rc["ic.qc_seed"],
-              "qr_seed": rc["ic.qr_seed"], "seed": rc["run.seed"]}
+              "qr_seed": rc["ic.qr_seed"]}
     if rc["ic.amplitude"] > 0.0:
         params["amplitude"] = rc["ic.amplitude"]
     state, bspec = preset_initial(rc["ic.preset"], grid, constants,

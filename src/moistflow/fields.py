@@ -127,12 +127,6 @@ class Grid:
         return (self.nx, self.ny, self.nz)
 
     @property
-    def spectral_shape(self) -> tuple:
-        """Modal array shape: the horizontal y axis is halved by the real
-        Fourier transform."""
-        return (self.nx, self.ny // 2 + 1, self.nz)
-
-    @property
     def volume(self) -> float:
         return self.PERIOD * self.PERIOD * 1.0
 
@@ -159,11 +153,6 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     y = np.arange(ny) * (2.0 / ny)
     z = np.arange(nz) / (nz - 1)
     return Grid(nx=nx, ny=ny, nz=nz, x=x, y=y, z=z)
-
-
-def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Volume integral over the channel (trapezoidal in z)."""
-    return float(np.sum(values * grid.quad_weights()))
 
 
 @dataclass
@@ -272,9 +261,6 @@ class State:
     def grid(self) -> Grid:
         return self.log_rho_d.grid
 
-    def moisture(self):
-        return (self.frak_q_v, self.frak_q_c, self.frak_q_r)
-
     def copy(self) -> "State":
         return State(self.log_rho_d.copy(), self.u.copy(), self.frak_T.copy(),
                      self.frak_q_v.copy(), self.frak_q_c.copy(),
@@ -340,15 +326,21 @@ def save_state(dirpath, state: State) -> None:
 
 
 def load_state(dirpath, grid: Grid | None = None) -> State:
+    """Read the fields that save_state wrote; all eight must carry the same
+    time, so that a directory mixing two states is rejected."""
     loaded = {}
     time = None
     for name in STATE_FIELD_NAMES:
         f, fname, t = load_field(os.path.join(dirpath, name + ".dat"), grid)
         if fname != name:
             raise ValueError(f"checkpoint field name mismatch: {fname} != {name}")
+        if time is None:
+            time = t
+        elif t != time:
+            raise ValueError(f"{dirpath}: field {name} has time {t!r}, but "
+                             f"{STATE_FIELD_NAMES[0]} has time {time!r}")
         grid = f.grid
         loaded[name] = f
-        time = t
     u = VectorField(loaded["u_x"], loaded["u_y"], loaded["u_z"])
     return State(loaded["log_rho_d"], u, loaded["frak_T"],
                  loaded["frak_q_v"], loaded["frak_q_c"], loaded["frak_q_r"], time)

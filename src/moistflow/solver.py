@@ -58,7 +58,6 @@ class SolverConfig:
     record_states_every: int = 0
     max_dt_halvings: int = 2
     strict_positivity: bool = False
-    psi_dt_mode: str = "fd"         # "fd" | "analytic" (needs registered rates)
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -101,7 +100,7 @@ class FrozenVelocity:
 
     d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
     div: np.ndarray   # div u
-    grad_div: tuple   # grad(div u)
+    grad_div: dict    # grad(div u), keyed x, y, z
     lap: tuple        # Laplacians of v1, v2, w
 
 
@@ -168,12 +167,6 @@ class Simulation:
         vr_fn, dvr_fn = V_R_PROFILES[config.v_r_profile]
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
         self.dz_v_r = (config.v_r_scale * dvr_fn(grid.z))[None, None, :]
-        if config.psi_dt_mode == "analytic":
-            for var, vb in boundary_spec.variables.items():
-                if vb.time_dependent and vb.rate_bottom is None and vb.rate_top is None:
-                    raise ValueError(
-                        f"psi_dt_mode='analytic' requires registered rate "
-                        f"callables for time-dependent boundary data ({var!r})")
         self._static_factors = None
         if not boundary_spec.time_dependent:
             self._static_factors = build_factors(boundary_spec, grid, 0.0)
@@ -203,16 +196,14 @@ class Simulation:
         if self.config.dealias:
             m1, m2 = sp.dealias_modal(m1, neu), sp.dealias_modal(m2, neu)
             mw = sp.dealias_modal(mw, diri)
-        div_modal = sp.dx_modal(m1, neu) + sp.dy_modal(m2, neu) + sp.dz_modal(mw, diri)
+        div_m = sp.div_modal(m1, m2, mw, self.bases)
         return FrozenVelocity(
             d=(sp.derivs(m1, neu), sp.derivs(m2, neu), sp.derivs(mw, diri)),
-            div=sp.to_phys_values(div_modal, neu),
-            grad_div=(sp.to_phys_values(sp.dx_modal(div_modal, neu), neu),
-                      sp.to_phys_values(sp.dy_modal(div_modal, neu), neu),
-                      sp.to_phys_values(sp.dz_modal(div_modal, neu), diri)),
-            lap=(sp.to_phys_values(-neu.eigenvalues * m1, neu),
-                 sp.to_phys_values(-neu.eigenvalues * m2, neu),
-                 sp.to_phys_values(-diri.eigenvalues * mw, diri)))
+            div=sp.to_phys_values(div_m, neu),
+            grad_div=sp.derivs(div_m, neu),
+            lap=(sp.to_phys_values(sp.laplacian_modal(m1, neu), neu),
+                 sp.to_phys_values(sp.laplacian_modal(m2, neu), neu),
+                 sp.to_phys_values(sp.laplacian_modal(mw, diri), diri)))
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -280,9 +271,8 @@ class Simulation:
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
                                         dx_f, dy_f, dz_f, order=2)
 
-        ddiv = dict(zip("xyz", velocity.grad_div))
-        div_mid = self._taylor_eval(velocity.div, ddiv, 0.5 * dx_f, 0.5 * dy_f,
-                                    0.5 * dz_f, order=1)
+        div_mid = self._taylor_eval(velocity.div, velocity.grad_div,
+                                    0.5 * dx_f, 0.5 * dy_f, 0.5 * dz_f, order=1)
         return ScalarField(g, log_at_foot - dt * div_mid)
 
     # -- explicit right-hand sides ------------------------------------------
@@ -298,7 +288,7 @@ class Simulation:
         ``_frozen_velocity(modal)`` when the caller already has them."""
         c = self.constants
         g = self.grid
-        neu, diri = self.bases.neumann, self.bases.dirichlet
+        neu = self.bases.neumann
         dealias = self.config.dealias
 
         fT, fv, fc, fr = factors["T"], factors["v"], factors["c"], factors["r"]
@@ -324,7 +314,7 @@ class Simulation:
                 m = sp.dealias_modal(m, neu)
             d = sp.derivs(m, neu)
             if name == "T":
-                lap_T = sp.to_phys_values(-neu.eigenvalues * m, neu)
+                lap_T = sp.to_phys_values(sp.laplacian_modal(m, neu), neu)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -408,8 +398,7 @@ class Simulation:
         rain = moisture_terms("r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")
 
         lr = lifted["r"]
-        dz_log_rho = sp.to_phys_values(
-            sp.dz_modal(sp.to_modal_values(frozen.log_rho_d.values, neu), neu), diri)
+        dz_log_rho = sp.dz(frozen.log_rho_d, neu).values
         rain["sedimentation"] = (self.v_r * lr["z"]
                                  + lr["G"] * (self.dz_v_r
                                               + self.v_r * dz_log_rho
@@ -423,7 +412,8 @@ class Simulation:
 
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
                          {**S, "q_vs": q_vs},
-                         lap_u=velocity.lap, grad_div=velocity.grad_div, lap_T=lap_T)
+                         lap_u=velocity.lap, lap_T=lap_T,
+                         grad_div=tuple(velocity.grad_div[k] for k in "xyz"))
 
     # -- one frozen-coefficient update ---------------------------------------
 
@@ -542,8 +532,13 @@ class Simulation:
         increment drops below picard_tol relative to the first increment;
         raises StepRejected on non-convergence.  With max_iters == 1 this is
         by definition the direct mode: no convergence test is applied and
-        the report records no increments."""
+        the report records no increments.  Warns when the step's advective
+        CFL number exceeds 1."""
         cfg = self.config
+        umax = max(float(np.max(np.abs(c.values))) for c in state.u.components())
+        h = min(self.grid.dx, self.grid.dy, self.grid.dz_spacing)
+        if umax * dt / h > 1.0:
+            warnings.warn(f"advective CFL {umax * dt / h:.2f} exceeds 1")
         iters = cfg.picard_max_iters if max_iters is None else max_iters
         factors = self.factors_at(state.time, dt)
         report = PicardReport()
@@ -600,12 +595,7 @@ class Simulation:
     def direct_step(self, state: State, dt: float) -> State:
         """Single IMEX update: one application of the frozen-coefficient map
         (identical, bit for bit, to picard_solve with one iteration)."""
-        umax = max(float(np.max(np.abs(c.values))) for c in state.u.components())
-        h = min(self.grid.dx, self.grid.dy, self.grid.dz_spacing)
-        if umax * dt / h > 1.0:
-            warnings.warn(f"advective CFL {umax * dt / h:.2f} exceeds 1")
-        new_state, _ = self.picard_solve(state, dt, max_iters=1)
-        return new_state
+        return self.picard_solve(state, dt, max_iters=1)[0]
 
     # -- positivity fixer (off by default) ------------------------------------
 

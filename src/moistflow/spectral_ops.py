@@ -175,14 +175,27 @@ def derivs(modal: np.ndarray, basis: Basis, order: int = 1) -> dict:
     return out
 
 
+def div_modal(m1: np.ndarray, m2: np.ndarray, mw: np.ndarray,
+              bases: BasisPair) -> np.ndarray:
+    """Divergence of the (Neumann, Neumann, Dirichlet) vector field with
+    modal coefficients (m1, m2, mw); a cosine series."""
+    neu, diri = bases.neumann, bases.dirichlet
+    return dx_modal(m1, neu) + dy_modal(m2, neu) + dz_modal(mw, diri)
+
+
+def laplacian_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
+    """Laplacian by modal multiplication; the result stays in ``basis``."""
+    return -basis.eigenvalues * modal
+
+
 # ---------------------------------------------------------------------------
 # Field-level operators (physical in, physical out).
 # ---------------------------------------------------------------------------
 
-def grad(f: ScalarField, bases: BasisPair, kind: str = NEUMANN) -> VectorField:
-    """Spectral gradient.  For a Neumann-basis scalar the vertical component
+def grad(f: ScalarField, bases: BasisPair) -> VectorField:
+    """Spectral gradient of a Neumann-basis scalar; the vertical component
     is a sine series, matching the VectorField wall convention."""
-    basis = bases.neumann if kind == NEUMANN else bases.dirichlet
+    basis = bases.neumann
     d = derivs(to_modal_values(f.values, basis), basis)
     g = f.grid
     return VectorField(ScalarField(g, d["x"]), ScalarField(g, d["y"]),
@@ -197,8 +210,7 @@ def div(u: VectorField, bases: BasisPair) -> ScalarField:
     m1 = to_modal_values(u.v1.values, neu)
     m2 = to_modal_values(u.v2.values, neu)
     mw = to_modal_values(u.w.values, diri)
-    d = dx_modal(m1, neu) + dy_modal(m2, neu) + dz_modal(mw, diri)
-    return ScalarField(u.grid, to_phys_values(d, neu))
+    return ScalarField(u.grid, to_phys_values(div_modal(m1, m2, mw, bases), neu))
 
 
 def dz(f: ScalarField, basis: Basis) -> ScalarField:
@@ -208,7 +220,7 @@ def dz(f: ScalarField, basis: Basis) -> ScalarField:
 
 def laplacian(f: ScalarField, basis: Basis) -> ScalarField:
     modal = to_modal_values(f.values, basis)
-    return ScalarField(f.grid, to_phys_values(-basis.eigenvalues * modal, basis))
+    return ScalarField(f.grid, to_phys_values(laplacian_modal(modal, basis), basis))
 
 
 def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
@@ -289,12 +301,6 @@ def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
     return representable(modal / (1.0 + a * basis.eigenvalues), basis)
 
 
-def helmholtz_values(g: np.ndarray, a: float, basis: Basis,
-                     dealias: bool = False) -> np.ndarray:
-    """helmholtz_modal on plain arrays, physical in and out."""
-    return to_phys_values(helmholtz_modal(g, a, basis, dealias), basis)
-
-
 def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
                            a_mu: float, a_mulam: float, bases: BasisPair,
                            dealias: bool = False) -> tuple:
@@ -318,8 +324,7 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
         m2 = dealias_modal(m2, neu)
         m3 = dealias_modal(m3, diri)
 
-    gdiv = dx_modal(m1, neu) + dy_modal(m2, neu) + dz_modal(m3, diri)
-    d = gdiv / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
+    d = div_modal(m1, m2, m3, bases) / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
 
     denom_n = 1.0 + a_mu * neu.eigenvalues
     u1 = (m1 + a_mulam * dx_modal(d, neu)) / denom_n
@@ -328,25 +333,18 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     return representable(u1, neu), representable(u2, neu), representable(u3, diri)
 
 
-def vector_helmholtz_values(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
-                            a_mu: float, a_mulam: float, bases: BasisPair,
-                            dealias: bool = False) -> tuple:
-    """vector_helmholtz_modal on plain arrays, physical in and out."""
-    u1, u2, u3 = vector_helmholtz_modal(g1, g2, g3, a_mu, a_mulam, bases, dealias)
-    return (to_phys_values(u1, bases.neumann), to_phys_values(u2, bases.neumann),
-            to_phys_values(u3, bases.dirichlet))
-
-
 def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:
     """Solve (I - a * Laplacian) f = g by modal division; exact inverse of
     the forward operator on resolved modes, uniformly invertible for a >= 0."""
-    return ScalarField(g.grid, helmholtz_values(g.values, a, basis))
+    return ScalarField(g.grid, to_phys_values(helmholtz_modal(g.values, a, basis), basis))
 
 
 def vector_helmholtz_solve(G: VectorField, a_mu: float, a_mulam: float,
                            bases: BasisPair) -> VectorField:
     """Solve (I - a_mu * Lap - a_mulam * grad div) u = G (see
-    vector_helmholtz_values)."""
-    u = vector_helmholtz_values(G.v1.values, G.v2.values, G.w.values,
-                                a_mu, a_mulam, bases)
-    return VectorField(*(ScalarField(G.grid, c) for c in u))
+    vector_helmholtz_modal)."""
+    u = vector_helmholtz_modal(G.v1.values, G.v2.values, G.w.values,
+                               a_mu, a_mulam, bases)
+    neu, diri = bases.neumann, bases.dirichlet
+    return VectorField(*(ScalarField(G.grid, to_phys_values(m, b))
+                         for m, b in zip(u, (neu, neu, diri))))

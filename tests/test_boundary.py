@@ -240,14 +240,6 @@ class TestFactors:
         with pytest.raises(ValueError, match="'c'"):
             spec.validate()
 
-    def test_analytic_psi_rate_mode_requires_rates(self, grid8):
-        import moistflow as mf
-        spec = BoundarySpec()
-        spec.variables["T"] = VariableBoundary(-1.0, 1.0, lambda t: t, 0.0)
-        cfg = mf.SolverConfig(dt=1e-3, t_end=1e-3, psi_dt_mode="analytic")
-        with pytest.raises(ValueError, match="analytic"):
-            mf.Simulation(grid8, mf.PhysConstants.nondimensional(), spec, cfg)
-
 
 class TestTraceNorm:
     def test_zero_data(self, grid8):

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestParseConfig:
         rc2 = parse_config(write_config(tmp_path / "b.cfg", echo1))
         assert rc2 == rc
         assert rc2.echo_text() == echo1
+
+    def test_retired_keys_of_old_echo_warn_and_are_ignored(self, tmp_path):
+        """Echo files of earlier versions list solver.psi_dt_mode and
+        run.seed; they still parse, so their checkpoints still resume."""
+        old_echo = BASE + "solver.psi_dt_mode = fd\nrun.seed = 0\n"
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            rc = parse_config(write_config(tmp_path / "config.echo", old_echo))
+        messages = [str(w.message) for w in rec]
+        for key in ("solver.psi_dt_mode", "run.seed"):
+            assert any(f"{key} is retired" in m for m in messages)
+        assert rc == parse_config(write_config(tmp_path / "c.cfg", BASE))
+        assert "psi_dt_mode" not in rc.echo_text()
+        assert "run.seed" not in rc.echo_text()
 
     def test_mode_table_parsing(self, tmp_path):
         cfg = "boundary.v.value_bottom = modes: 2,1,0.5,0.25\n"

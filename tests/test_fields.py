@@ -140,3 +140,13 @@ class TestSnapshotIO:
         assert np.array_equal(loaded.log_rho_d.values, state.log_rho_d.values)
         assert np.array_equal(loaded.u.w.values, state.u.w.values)
         assert np.array_equal(loaded.frak_q_r.values, state.frak_q_r.values)
+
+    def test_mixed_state_times_rejected(self, tmp_path, grid8, nondim):
+        """A checkpoint directory holding fields of two different states
+        (say, a crash while overwriting it) must not load silently."""
+        state, _ = mf.preset_initial("manufactured", grid8, nondim)
+        mf.save_state(tmp_path / "ckpt", state)
+        mf.save_field(tmp_path / "ckpt" / "frak_T.dat", state.frak_T, "frak_T",
+                      state.time + 1e-3)
+        with pytest.raises(ValueError, match="frak_T"):
+            mf.load_state(tmp_path / "ckpt")
