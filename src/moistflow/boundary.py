@@ -12,6 +12,7 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping
@@ -27,30 +28,18 @@ BOUNDARY_VARS = ("T", "v", "c", "r")
 # Smooth cutoff: 1 on (0, 1/4], 0 on [3/4, 1), C-infinity transition between.
 # ---------------------------------------------------------------------------
 
-def _phi(s):
-    out = np.zeros_like(s, dtype=float)
-    pos = s > 0.0
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
-def _phi_d1(s):
-    out = np.zeros_like(s, dtype=float)
+def _phi_all(s):
+    """phi(s) = exp(-1/s) for s > 0 (0 otherwise) and its first two
+    derivatives."""
+    phi, d1, d2 = (np.zeros_like(s, dtype=float) for _ in range(3))
     pos = s > 0.0
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         sp = s[pos]
-        out[pos] = np.exp(-1.0 / sp) / sp**2
-    return out
-
-
-def _phi_d2(s):
-    out = np.zeros_like(s, dtype=float)
-    pos = s > 0.0
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        sp = s[pos]
-        out[pos] = np.exp(-1.0 / sp) * (1.0 / sp**4 - 2.0 / sp**3)
-    return out
+        e = np.exp(-1.0 / sp)
+        phi[pos] = e
+        d1[pos] = e / sp**2
+        d2[pos] = e * (1.0 / sp**4 - 2.0 / sp**3)
+    return phi, d1, d2
 
 
 def _chi0_all(z: np.ndarray):
@@ -59,9 +48,9 @@ def _chi0_all(z: np.ndarray):
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise ValueError("cutoff argument z must lie in [0, 1]")
     b = (0.75 - z) / 0.5
-    p, q = _phi(b), _phi(1.0 - b)
-    p1, q1 = _phi_d1(b), -_phi_d1(1.0 - b)
-    p2, q2 = _phi_d2(b), _phi_d2(1.0 - b)
+    p, p1, p2 = _phi_all(b)
+    q, q1, q2 = _phi_all(1.0 - b)
+    q1 = -q1
     den = p + q
 
     chi = np.ones_like(z)
@@ -169,53 +158,42 @@ class BoundaryExtension:
         self.is_zero = (not np.any(self.beta_bottom)) and (not np.any(self.beta_top))
         self._cache: dict = {}
 
-    # profiles per mode: value / first / second z-derivative
-    def _phi0(self, z, deriv):
+    def _wall_profile(self, z, deriv, top):
+        """One wall's modal profile, or its deriv-th z-derivative:
+        -e^(-|k|z)/|k| at the bottom, e^(-|k|(1-z))/|k| at the top, and the
+        ramp z for the mean mode of both, times the wall's coefficients."""
         km = self.kmag[:, :, None]
+        signed_km = km if top else -km
         zz = z[None, None, :]
         with np.errstate(under="ignore"):
-            decay = np.exp(-km * zz)
-        b = self.beta_bottom[:, :, None]
+            decay = np.exp(-km * ((1.0 - zz) if top else zz))
         if deriv == 0:
-            prof = np.where(km == 0.0, zz + 0j, -decay / np.where(km == 0.0, 1.0, km))
+            prof = np.where(km == 0.0, zz + 0j,
+                            decay / np.where(km == 0.0, 1.0, signed_km))
         elif deriv == 1:
             prof = np.where(km == 0.0, 1.0 + 0j, decay)
         else:
-            prof = np.where(km == 0.0, 0.0 + 0j, -km * decay)
-        return b * prof
-
-    def _phi1(self, z, deriv):
-        km = self.kmag[:, :, None]
-        zz = z[None, None, :]
-        with np.errstate(under="ignore"):
-            decay = np.exp(-km * (1.0 - zz))
-        b = self.beta_top[:, :, None]
-        if deriv == 0:
-            prof = np.where(km == 0.0, zz + 0j, decay / np.where(km == 0.0, 1.0, km))
-        elif deriv == 1:
-            prof = np.where(km == 0.0, 1.0 + 0j, decay)
-        else:
-            prof = np.where(km == 0.0, 0.0 + 0j, km * decay)
-        return b * prof
+            prof = np.where(km == 0.0, 0.0 + 0j, signed_km * decay)
+        beta = self.beta_top if top else self.beta_bottom
+        return beta[:, :, None] * prof
 
     def mode_profiles(self, z: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Complex modal profiles of the blended extension (or its z
         derivatives) on an arbitrary node set z."""
         z = np.asarray(z, dtype=float)
-        chi, chi1, chi2 = _chi0_all(z)
-        chi = chi[None, None, :]
-        chi1 = chi1[None, None, :]
-        chi2 = chi2[None, None, :]
+        if deriv not in (0, 1, 2):
+            raise ValueError("deriv must be 0, 1, or 2")
+        chi, chi1, chi2 = (c[None, None, :] for c in _chi0_all(z))
+        # each wall's profiles are built where the sum needs them, so few
+        # full-size temporaries are alive at once
+        b, t = (functools.partial(self._wall_profile, z, top=top)
+                for top in (False, True))
         if deriv == 0:
-            return chi * self._phi0(z, 0) + (1.0 - chi) * self._phi1(z, 0)
+            return chi * b(0) + (1.0 - chi) * t(0)
         if deriv == 1:
-            return (chi1 * (self._phi0(z, 0) - self._phi1(z, 0))
-                    + chi * self._phi0(z, 1) + (1.0 - chi) * self._phi1(z, 1))
-        if deriv == 2:
-            return (chi2 * (self._phi0(z, 0) - self._phi1(z, 0))
-                    + 2.0 * chi1 * (self._phi0(z, 1) - self._phi1(z, 1))
-                    + chi * self._phi0(z, 2) + (1.0 - chi) * self._phi1(z, 2))
-        raise ValueError("deriv must be 0, 1, or 2")
+            return chi1 * (b(0) - t(0)) + chi * b(1) + (1.0 - chi) * t(1)
+        return (chi2 * (b(0) - t(0)) + 2.0 * chi1 * (b(1) - t(1))
+                + chi * b(2) + (1.0 - chi) * t(2))
 
     def _assemble(self, key: str) -> np.ndarray:
         if key in self._cache:
@@ -257,17 +235,6 @@ class BoundaryExtension:
         truncation entirely."""
         return self._assemble("lap")
 
-    def field(self) -> ScalarField:
-        return ScalarField(self.grid, self.values())
-
-    def scaled(self, factor: float) -> "BoundaryExtension":
-        return BoundaryExtension(self.grid, factor * self.beta_bottom,
-                                 factor * self.beta_top)
-
-    def minus(self, other: "BoundaryExtension") -> "BoundaryExtension":
-        return BoundaryExtension(self.grid, self.beta_bottom - other.beta_bottom,
-                                 self.beta_top - other.beta_top)
-
 
 def _coefficients_from(data, grid: Grid) -> np.ndarray:
     """Normalize boundary data (scalar, coefficient array, or mode table)
@@ -304,7 +271,7 @@ def build_extension(h_bottom, h_top, grid: Grid) -> BoundaryExtension:
 def extend(h_bottom, h_top, grid: Grid) -> ScalarField:
     """The extension as a physical field on the grid; its analytic wall
     derivatives match the data exactly (see BoundaryExtension.dz_values)."""
-    return build_extension(h_bottom, h_top, grid).field()
+    return ScalarField(grid, build_extension(h_bottom, h_top, grid).values())
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +357,7 @@ def _eval_data(data, t: float):
 
 
 def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
-                  dt: float | None = None, validate: bool = True) -> dict:
+                  dt: float | None = None) -> dict:
     """Build homogenization factors for every variable at time t.
 
     psi is the extension of alpha * exp(A) * F_b per wall.  For
@@ -399,7 +366,7 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
     """
     factors = {}
     for var, vb in spec.variables.items():
-        prof = robin_profile(vb.alpha_bottom, vb.alpha_top, validate=validate, var=var)
+        prof = robin_profile(vb.alpha_bottom, vb.alpha_top, var=var)
         scale_b = vb.alpha_bottom * float(prof.B(0.0))
         scale_t = vb.alpha_top * float(prof.B(1.0))
 
@@ -420,7 +387,9 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
                                  "the finite-difference psi rate")
             psi_next = lifted(_eval_data(vb.data_bottom, t + dt),
                               _eval_data(vb.data_top, t + dt))
-            psi_rate = psi_next.minus(psi).scaled(1.0 / dt)
+            psi_rate = BoundaryExtension(
+                grid, (1.0 / dt) * (psi_next.beta_bottom - psi.beta_bottom),
+                (1.0 / dt) * (psi_next.beta_top - psi.beta_top))
         factors[var] = HomogenizationFactors(var, prof, grid, psi, psi_rate)
     return factors
 

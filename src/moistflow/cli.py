@@ -19,25 +19,38 @@ import os
 import shutil
 import sys
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
 from . import spectral_ops as sp
+from .boundary import BOUNDARY_VARS, robin_profile
 from .fields import PhysConstants, load_state, make_grid, save_state
 from .presets import PRESET_NAMES, preset_initial
-from .solver import Simulation, SolverConfig, V_R_PROFILES
+from .solver import Simulation, SolverConfig
 
 
 class ConfigError(ValueError):
     """Configuration-file problem; maps to exit code 2."""
 
 
-_CONSTANT_KEYS = ("R_d", "R_v", "c_pd", "c_pv", "c_l", "c_ev", "c_cd", "c_cn",
-                  "c_ac", "c_cr", "p_ref", "L_ref", "T_ref", "q_vs_star",
-                  "q_ac", "q_cn", "mu", "lambda", "kappa", "g")
+def _field_keys(cls, section: str, renamed: dict) -> dict:
+    """field name -> config key for each field of a config dataclass; a key
+    is ``section.name`` unless ``renamed`` names it."""
+    return {f.name: renamed.get(f.name, f"{section}.{f.name}")
+            for f in fields(cls)}
 
-_ATM = PhysConstants()
+
+_CONSTANT_FIELDS = _field_keys(PhysConstants, "constants",
+                               {"lam": "constants.lambda"})
+_SOLVER_FIELDS = _field_keys(SolverConfig, "solver",
+                             {"strict_positivity": "diagnostics.strict_positivity"})
+
+
+def _field_entries(cls, keys: dict) -> dict:
+    """Schema entries of a config dataclass: its defaults, tagged by type."""
+    return {keys[f.name]: (type(f.default).__name__, f.default)
+            for f in fields(cls)}
 
 
 def _schema() -> dict:
@@ -48,28 +61,16 @@ def _schema() -> dict:
         "grid.nz": ("int", 17),
         "constants.set": ("str", "atmospheric"),
     }
-    for key in _CONSTANT_KEYS:
-        attr = "lam" if key == "lambda" else key
-        s[f"constants.{key}"] = ("float", float(getattr(_ATM, attr)))
-    for var in ("T", "v", "c", "r"):
+    s.update(_field_entries(PhysConstants, _CONSTANT_FIELDS))
+    for var in BOUNDARY_VARS:
         s[f"boundary.{var}.alpha_bottom"] = ("float", 0.0)
         s[f"boundary.{var}.alpha_top"] = ("float", 0.0)
         s[f"boundary.{var}.value_bottom"] = ("data", "preset")
         s[f"boundary.{var}.value_top"] = ("data", "preset")
+    s["microphysics.q_vs.kind"] = ("str", "default")
+    solver = _field_entries(SolverConfig, _SOLVER_FIELDS)
+    s.update((k, v) for k, v in solver.items() if k.startswith("solver."))
     s.update({
-        "microphysics.q_vs.kind": ("str", "default"),
-        "solver.dt": ("float", 1.0e-3),
-        "solver.t_end": ("float", 1.0e-2),
-        "solver.mode": ("str", "direct"),
-        "solver.picard_tol": ("float", 1.0e-8),
-        "solver.picard_max_iters": ("int", 12),
-        "solver.dealias": ("bool", True),
-        "solver.v_r_profile": ("str", "constant"),
-        "solver.v_r_scale": ("float", 1.0),
-        "solver.checkpoint_every": ("int", 0),
-        "solver.snapshot_every": ("int", 0),
-        "solver.record_states_every": ("int", 0),
-        "solver.max_dt_halvings": ("int", 2),
         "ic.preset": ("str", "equilibrium"),
         "ic.T0": ("float", 0.0),          # 0 -> use constants.T_ref
         "ic.rho0": ("float", 0.0),        # 0 -> p_ref / (R_d T0)
@@ -78,9 +79,9 @@ def _schema() -> dict:
         "ic.qc_seed": ("float", 1.0e-3),
         "ic.qr_seed": ("float", 5.0e-4),
         "run.threads": ("int", 1),
-        "diagnostics.strict_positivity": ("bool", False),
-        "output.dir": ("str", "out"),
     })
+    s.update(solver)    # the renamed field: diagnostics.strict_positivity
+    s["output.dir"] = ("str", "out")
     return s
 
 
@@ -191,12 +192,8 @@ class RunConfig:
         else:
             raise ConfigError(f"{self.path}: unknown constants.set "
                               f"{self['constants.set']!r}")
-        kwargs = {}
-        for key in _CONSTANT_KEYS:
-            attr = "lam" if key == "lambda" else key
-            full = f"constants.{key}"
-            kwargs[attr] = (self[full] if full in self.explicit
-                            else getattr(base, attr))
+        kwargs = {name: self[key] if key in self.explicit else getattr(base, name)
+                  for name, key in _CONSTANT_FIELDS.items()}
         try:
             return PhysConstants(**kwargs)
         except ValueError as exc:
@@ -204,19 +201,8 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         try:
-            return SolverConfig(
-                dt=self["solver.dt"], t_end=self["solver.t_end"],
-                mode=self["solver.mode"], picard_tol=self["solver.picard_tol"],
-                picard_max_iters=self["solver.picard_max_iters"],
-                dealias=self["solver.dealias"],
-                v_r_profile=self["solver.v_r_profile"],
-                v_r_scale=self["solver.v_r_scale"],
-                checkpoint_every=self["solver.checkpoint_every"],
-                snapshot_every=self["solver.snapshot_every"],
-                record_states_every=self["solver.record_states_every"],
-                max_dt_halvings=self["solver.max_dt_halvings"],
-                strict_positivity=self["diagnostics.strict_positivity"],
-            )
+            return SolverConfig(**{name: self[key]
+                                   for name, key in _SOLVER_FIELDS.items()})
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
@@ -224,12 +210,11 @@ class RunConfig:
         """Every consumed key with its effective value, in a form parse_config
         accepts; reparsing an echo reproduces the configuration exactly."""
         constants = self.constants()
+        resolved = {key: getattr(constants, name)
+                    for name, key in _CONSTANT_FIELDS.items()}
         lines = ["# resolved configuration (all keys, defaults included)"]
         for key in SCHEMA:
-            v = self.values[key]
-            if key.startswith("constants.") and key != "constants.set":
-                attr = "lam" if key == "constants.lambda" else key.split(".", 1)[1]
-                v = getattr(constants, attr)
+            v = resolved.get(key, self.values[key])
             if isinstance(v, bool):
                 text = "true" if v else "false"
             elif SCHEMA[key][0] == "data":
@@ -285,23 +270,17 @@ def _validate(rc: RunConfig) -> None:
         raise ConfigError(f"{path}: {exc}") from exc
     rc.constants()
     rc.solver_config()
-    for var in ("T", "v", "c", "r"):
-        ab = rc[f"boundary.{var}.alpha_bottom"]
-        at = rc[f"boundary.{var}.alpha_top"]
-        if ab > 0.0:
-            raise ConfigError(f"{path}: boundary.{var}.alpha_bottom = {ab} "
-                              f"violates the wall sign condition (must be <= 0)")
-        if at < 0.0:
-            raise ConfigError(f"{path}: boundary.{var}.alpha_top = {at} "
-                              f"violates the wall sign condition (must be >= 0)")
+    for var in BOUNDARY_VARS:
+        try:
+            robin_profile(rc[f"boundary.{var}.alpha_bottom"],
+                          rc[f"boundary.{var}.alpha_top"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: boundary.{var}: {exc}") from exc
     if rc["ic.preset"] not in PRESET_NAMES:
         raise ConfigError(f"{path}: unknown ic.preset {rc['ic.preset']!r}")
     if rc["microphysics.q_vs.kind"] != "default":
         raise ConfigError(f"{path}: only the 'default' saturation closure is "
                           f"file-configurable; plug closures in via the API")
-    if rc["solver.v_r_profile"] not in V_R_PROFILES:
-        raise ConfigError(f"{path}: unknown solver.v_r_profile "
-                          f"{rc['solver.v_r_profile']!r}")
 
 
 def build_simulation(rc: RunConfig):
@@ -309,7 +288,7 @@ def build_simulation(rc: RunConfig):
     grid = make_grid(rc["grid.nx"], rc["grid.ny"], rc["grid.nz"])
     constants = rc.constants()
     alphas = {var: (rc[f"boundary.{var}.alpha_bottom"],
-                    rc[f"boundary.{var}.alpha_top"]) for var in ("T", "v", "c", "r")}
+                    rc[f"boundary.{var}.alpha_top"]) for var in BOUNDARY_VARS}
     params = {"T0": rc["ic.T0"], "rho0": rc["ic.rho0"],
               "sat_ratio": rc["ic.sat_ratio"], "qc_seed": rc["ic.qc_seed"],
               "qr_seed": rc["ic.qr_seed"]}
@@ -317,7 +296,7 @@ def build_simulation(rc: RunConfig):
         params["amplitude"] = rc["ic.amplitude"]
     state, bspec = preset_initial(rc["ic.preset"], grid, constants,
                                   alphas=alphas, params=params)
-    for var in ("T", "v", "c", "r"):
+    for var in BOUNDARY_VARS:
         for side, attr in (("bottom", "data_bottom"), ("top", "data_top")):
             override = rc[f"boundary.{var}.value_{side}"]
             if override != "preset":

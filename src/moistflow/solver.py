@@ -639,60 +639,62 @@ class Simulation:
         cadence.  Rejected steps are retried at half the step size."""
         cfg = self.config
         writer = timings = None
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            writer = dg.DiagnosticsWriter(os.path.join(out_dir, "diagnostics.csv"))
-            timings = open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8")
-            timings.write("step,wall_seconds\n")
+        try:
+            if out_dir is not None:
+                os.makedirs(out_dir, exist_ok=True)
+                writer = dg.DiagnosticsWriter(os.path.join(out_dir, "diagnostics.csv"))
+                timings = open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8")
+                timings.write("step,wall_seconds\n")
 
-        t0 = _time.perf_counter()
-        state = initial
-        factors = self.factors_at(state.time, cfg.dt)
-        rows = []
-        states = []
-        self._rejections = 0
-        # a run resumed from a checkpoint keeps the step numbers of the
-        # uninterrupted run (SolverConfig guarantees whole steps)
-        step = round(initial.time / cfg.dt)
-
-        def record(report, wall):
-            row = dg.compute_row(state, factors, self.bases, step=step,
-                                 picard_report=report, wall_clock=wall)
-            rows.append(row)
-            if writer is not None:
-                writer.emit(row)
-            if timings is not None:
-                timings.write(f"{step},{wall!r}\n")
-            if cfg.record_states_every and step % cfg.record_states_every == 0:
-                states.append((step, state.copy()))
-            if cfg.snapshot_every and out_dir and step % cfg.snapshot_every == 0:
-                snap = os.path.join(out_dir, f"snapshot_{step:06d}")
-                save_state(snap, state)
-            if cfg.checkpoint_every and out_dir and step > 0 \
-                    and step % cfg.checkpoint_every == 0:
-                self._write_checkpoint(out_dir, step, state)
-
-        record(None, 0.0)
-        n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
-        for _ in range(max(n_steps, 0)):
-            tic = _time.perf_counter()
-            try:
-                state, report = self._advance(state, cfg.dt)
-            except StepRejected as exc:
-                raise RuntimeError(f"unrecoverable step rejection at "
-                                   f"t={state.time:g}: {exc}") from exc
+            t0 = _time.perf_counter()
+            state = initial
             factors = self.factors_at(state.time, cfg.dt)
-            if cfg.strict_positivity:
-                state = self._apply_positivity_fix(state, factors)
-            step += 1
-            record(report, _time.perf_counter() - tic)
+            rows = []
+            states = []
+            self._rejections = 0
+            # a run resumed from a checkpoint keeps the step numbers of the
+            # uninterrupted run (SolverConfig guarantees whole steps)
+            step = round(initial.time / cfg.dt)
 
-        if cfg.checkpoint_every and out_dir:
-            self._write_checkpoint(out_dir, step, state)
-        if timings is not None:
-            timings.close()
-        if writer is not None:
-            writer.close()
+            def record(report, wall):
+                row = dg.compute_row(state, factors, self.bases, step=step,
+                                     picard_report=report, wall_clock=wall)
+                rows.append(row)
+                if writer is not None:
+                    writer.emit(row)
+                if timings is not None:
+                    timings.write(f"{step},{wall!r}\n")
+                if cfg.record_states_every and step % cfg.record_states_every == 0:
+                    states.append((step, state.copy()))
+                if cfg.snapshot_every and out_dir and step % cfg.snapshot_every == 0:
+                    snap = os.path.join(out_dir, f"snapshot_{step:06d}")
+                    save_state(snap, state)
+                if cfg.checkpoint_every and out_dir and step > 0 \
+                        and step % cfg.checkpoint_every == 0:
+                    self._write_checkpoint(out_dir, step, state)
+
+            record(None, 0.0)
+            n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
+            for _ in range(max(n_steps, 0)):
+                tic = _time.perf_counter()
+                try:
+                    state, report = self._advance(state, cfg.dt)
+                except StepRejected as exc:
+                    raise RuntimeError(f"unrecoverable step rejection at "
+                                       f"t={state.time:g}: {exc}") from exc
+                factors = self.factors_at(state.time, cfg.dt)
+                if cfg.strict_positivity:
+                    state = self._apply_positivity_fix(state, factors)
+                step += 1
+                record(report, _time.perf_counter() - tic)
+
+            if cfg.checkpoint_every and out_dir:
+                self._write_checkpoint(out_dir, step, state)
+        finally:
+            if timings is not None:
+                timings.close()
+            if writer is not None:
+                writer.close()
         if self._positivity_fixes:
             warnings.warn(f"positivity fixer active on {self._positivity_fixes} "
                           f"field updates")

@@ -137,6 +137,25 @@ class TestExtension:
         expected = np.real(np.fft.ifft2(modal_lap, axes=(0, 1), norm="forward"))
         assert np.allclose(lap[:, :, 4:-4], expected, rtol=1e-5, atol=1e-4)
 
+    def test_horizontal_derivatives_against_fft(self, grid16):
+        """dx_values / dy_values equal the FFT x/y derivative of values()
+        for wall data whose modes lie below Nyquist at both walls."""
+        X = grid16.x[:, None]
+        Y = grid16.y[None, :]
+        hb = np.cos(np.pi * (2 * X + Y)) + 0.5 * np.sin(np.pi * (3 * X - 2 * Y))
+        ht = 0.2 + 0.7 * np.cos(np.pi * (X - 3 * Y))
+        ext = build_extension(hb, ht, grid16)
+        vals = ext.values()
+        modal = np.fft.fft2(vals, axes=(0, 1))
+        for axis, got in ((0, ext.dx_values()), (1, ext.dy_values())):
+            n = vals.shape[axis]
+            shape = [1, 1, 1]
+            shape[axis] = n
+            kappa = (np.pi * np.fft.fftfreq(n, d=1.0 / n)).reshape(shape)
+            expected = np.real(np.fft.ifft2(1j * kappa * modal, axes=(0, 1)))
+            assert np.max(np.abs(expected)) > 0.1
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
 
 class TestHomogenize:
     def _factors(self, grid, ab, at, data_b, data_t, var="T"):

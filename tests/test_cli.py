@@ -52,6 +52,13 @@ class TestParseConfig:
         with pytest.raises(mf.ConfigError, match="sign condition"):
             parse_config(path)
 
+    @pytest.mark.parametrize("var,line", [("c", "boundary.c.alpha_bottom = 0.5"),
+                                          ("r", "boundary.r.alpha_top = -0.5")])
+    def test_sign_condition_names_the_variable(self, tmp_path, var, line):
+        path = write_config(tmp_path / "c.cfg", line + "\n")
+        with pytest.raises(mf.ConfigError, match=rf"boundary\.{var}\b.*sign condition"):
+            parse_config(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", "grid.nx = 8\ngrid.nx = 16\n")
         with pytest.raises(mf.ConfigError, match="duplicate"):

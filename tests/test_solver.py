@@ -396,6 +396,26 @@ class TestRun:
         assert isinstance(info.value.__cause__, mf.StepRejected)
         assert sim._rejections >= 1
 
+    def test_failed_run_leaves_both_csv_files_complete(self, tmp_path, grid8,
+                                                       nondim):
+        """The run above fails at t = 4.5; both CSV files must hold their
+        header and the ten rows before the failure while the exception is
+        still alive."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=0.5, t_end=5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError) as info:
+                sim.run(state, out_dir=str(tmp_path))
+        assert "t=4.5" in str(info.value)
+        for name, header in (("diagnostics.csv", "step,time,"),
+                             ("timings.csv", "step,wall_seconds")):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 11, name
+            assert lines[0].startswith(header)
+        steps = [line.split(",")[0] for line in lines[1:]]
+        assert steps == [str(i) for i in range(10)]
+
     def test_zero_horizon_echoes_initial_state(self, grid8, nondim):
         state, bspec = mf.preset_initial("equilibrium", grid8, nondim)
         sim = mf.Simulation(grid8, nondim, bspec,
@@ -451,3 +471,39 @@ class TestRun:
         with pytest.warns(UserWarning, match="positivity"):
             traj = sim.run(state)
         assert traj.rows[-1].minima["qr"] >= 0.0
+
+
+class TestRainFallSpeedProfile:
+    @pytest.mark.parametrize("nz", [17, 33])
+    def test_bump_derivative_matches_central_difference(self, nondim, nz):
+        """Central differences of v_r have error h^2 |v_r'''| / 6 <= 2 h^2
+        per unit scale for the bump 1 + z^2 (1 - z)^2."""
+        grid = mf.make_grid(8, 8, nz)
+        scale = 2.5
+        sim, _ = make_sim(grid, nondim, v_r_profile="bump", v_r_scale=scale)
+        v, dv = sim.v_r[0, 0], sim.dz_v_r[0, 0]
+        h = grid.z[1] - grid.z[0]
+        fd = (v[2:] - v[:-2]) / (2.0 * h)
+        err = np.max(np.abs(fd - dv[1:-1]))
+        assert 0.0 < err <= 2.0 * scale * h**2
+        assert np.ptp(v) == pytest.approx(scale / 16.0)
+
+    def test_bump_run_finite_and_nonnegative(self, grid16, nondim):
+        """20 direct steps of the saturated layer with the bump profile keep
+        every diagnostics value finite and the minima within criterion 01's
+        tolerance of -1e-8 times each field's initial maximum."""
+        sim, state = make_sim(grid16, nondim, preset="saturated_layer",
+                              mode="direct", t_end=2e-2, v_r_profile="bump")
+        factors = sim.factors_at(0.0)
+        init_max = {name: float(np.max(mf.dehomogenize(getattr(state, attr),
+                                                       factors[var]).values))
+                    for attr, var, name in (("frak_T", "T", "T"),
+                                            ("frak_q_v", "v", "qv"),
+                                            ("frak_q_c", "c", "qc"),
+                                            ("frak_q_r", "r", "qr"))}
+        traj = sim.run(state)
+        assert traj.steps == 20
+        for row in traj.rows:
+            assert np.all(np.isfinite([float(v) for v in row.csv_values()]))
+            for name, top in init_max.items():
+                assert row.minima[name] >= -1e-8 * top
