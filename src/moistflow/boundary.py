@@ -157,6 +157,7 @@ class BoundaryExtension:
         self.kmag = np.sqrt(k1[:, None] ** 2 + k2[None, :] ** 2)
         self.is_zero = (not np.any(self.beta_bottom)) and (not np.any(self.beta_top))
         self._cache: dict = {}
+        self._profile0 = None
 
     def _wall_profile(self, z, deriv, top):
         """One wall's modal profile, or its deriv-th z-derivative:
@@ -195,6 +196,9 @@ class BoundaryExtension:
         return (chi2 * (b(0) - t(0)) + 2.0 * chi1 * (b(1) - t(1))
                 + chi * b(2) + (1.0 - chi) * t(2))
 
+    # the accessors whose modal arrays are built from the deriv-0 profile
+    _PROFILE0_KEYS = ("0", "dx", "dy", "lap")
+
     def _assemble(self, key: str) -> np.ndarray:
         if key in self._cache:
             return self._cache[key]
@@ -202,19 +206,25 @@ class BoundaryExtension:
         if self.is_zero:
             out = np.zeros(g.shape)
         else:
+            if key in self._PROFILE0_KEYS and self._profile0 is None:
+                self._profile0 = self.mode_profiles(g.z, 0)
             if key == "lap":
                 modal = (self.mode_profiles(g.z, 2)
                          - (np.pi ** 2) * (self.kmag ** 2)[:, :, None]
-                         * self.mode_profiles(g.z, 0))
+                         * self._profile0)
             elif key in ("dx", "dy"):
                 n = g.nx if key == "dx" else g.ny
                 kap = np.pi * np.fft.fftfreq(n, d=1.0 / n)
                 shape = (-1, 1, 1) if key == "dx" else (1, -1, 1)
-                modal = 1j * kap.reshape(shape) * self.mode_profiles(g.z, 0)
+                modal = 1j * kap.reshape(shape) * self._profile0
+            elif key == "0":
+                modal = self._profile0
             else:
                 modal = self.mode_profiles(g.z, int(key))
             out = np.real(np.fft.ifft2(modal, axes=(0, 1), norm="forward"))
         self._cache[key] = out
+        if all(k in self._cache for k in self._PROFILE0_KEYS):
+            self._profile0 = None     # built once; no accessor needs it again
         return out
 
     def values(self) -> np.ndarray:

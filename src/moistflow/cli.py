@@ -16,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import os
-import shutil
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field, fields
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import spectral_ops as sp
 from .boundary import BOUNDARY_VARS, robin_profile
-from .fields import PhysConstants, load_state, make_grid, save_state
+from .fields import PhysConstants, load_state, make_grid
 from .presets import PRESET_NAMES, preset_initial
 from .solver import Simulation, SolverConfig
 
@@ -206,25 +205,39 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
-    def echo_text(self) -> str:
-        """Every consumed key with its effective value, in a form parse_config
-        accepts; reparsing an echo reproduces the configuration exactly."""
+    def _effective(self) -> dict:
+        """key -> effective value, in schema order (constants resolved)."""
         constants = self.constants()
         resolved = {key: getattr(constants, name)
                     for name, key in _CONSTANT_FIELDS.items()}
+        return {key: resolved.get(key, self.values[key]) for key in SCHEMA}
+
+    def echo_text(self) -> str:
+        """Every consumed key with its effective value, in a form parse_config
+        accepts; reparsing an echo reproduces the configuration exactly."""
         lines = ["# resolved configuration (all keys, defaults included)"]
-        for key in SCHEMA:
-            v = resolved.get(key, self.values[key])
-            if isinstance(v, bool):
-                text = "true" if v else "false"
-            elif SCHEMA[key][0] == "data":
-                text = _format_data(v)
-            elif isinstance(v, float):
-                text = repr(v)
-            else:
-                text = str(v)
-            lines.append(f"{key} = {text}")
+        lines += [_echo_line(key, v) for key, v in self._effective().items()]
         return "\n".join(lines) + "\n"
+
+    def config_hash(self) -> str:
+        """SHA-256 of the echo lines of the keys whose values differ from the
+        schema defaults, in schema order, so that adding or retiring a key
+        leaves the hash of an unchanged configuration alone."""
+        changed = [_echo_line(key, v) for key, v in self._effective().items()
+                   if v != SCHEMA[key][1]]
+        return hashlib.sha256("\n".join(changed).encode()).hexdigest()
+
+
+def _echo_line(key: str, v) -> str:
+    if isinstance(v, bool):
+        text = "true" if v else "false"
+    elif SCHEMA[key][0] == "data":
+        text = _format_data(v)
+    elif isinstance(v, float):
+        text = repr(v)
+    else:
+        text = str(v)
+    return f"{key} = {text}"
 
 
 def parse_config(path) -> RunConfig:
@@ -301,10 +314,9 @@ def build_simulation(rc: RunConfig):
             override = rc[f"boundary.{var}.value_{side}"]
             if override != "preset":
                 setattr(bspec[var], attr, override)
-    echo = rc.echo_text()
     sim = Simulation(grid, constants, bspec, rc.solver_config(),
-                     config_hash=hashlib.sha256(echo.encode()).hexdigest())
-    sim.config_echo = echo
+                     config_hash=rc.config_hash())
+    sim.config_echo = rc.echo_text()
     return sim, state
 
 
@@ -315,23 +327,18 @@ def _resolve_out(rc: RunConfig, cli_out: str | None) -> str:
 
 def _run_to_final_state(rc: RunConfig, out: str, checkpoint: str | None = None):
     """Write the config echo, run the configured simulation (from the
-    checkpoint's state when one is given), and write ``final_state/`` with
-    the echo and a ``meta.txt``."""
+    checkpoint's state when one is given), and write ``final_state/`` as a
+    checkpoint directory."""
     os.makedirs(out, exist_ok=True)
-    echo_path = os.path.join(out, "config.echo")
-    with open(echo_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as fh:
         fh.write(rc.echo_text())
     sim, state = build_simulation(rc)
     if checkpoint is not None:
         state = load_state(checkpoint)
     sp.set_workers(rc["run.threads"])
     traj = sim.run(state, out_dir=out)
-    final_dir = os.path.join(out, "final_state")
-    save_state(final_dir, traj.final_state)
-    shutil.copy(echo_path, os.path.join(final_dir, "config.echo"))
-    with open(os.path.join(final_dir, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"time={traj.final_state.time!r}\nstep={traj.steps}\n"
-                 f"config_hash={sim.config_hash}\n")
+    sim.write_checkpoint(os.path.join(out, "final_state"), traj.steps,
+                         traj.final_state)
     return traj
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral_ops as sp
 from .boundary import dehomogenize
-from .fields import ScalarField, State
+from .fields import MODAL_NAMES, ScalarField, State
 
 COLUMNS = (
     "step", "time", "picard_iterations", "picard_final_ratio",
@@ -71,8 +71,7 @@ def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair,
     return float(np.sqrt(sp.modal_sobolev_sq(modal, basis, order)))
 
 
-def _norm_triplet(vals: np.ndarray, basis) -> tuple:
-    modal = sp.to_modal_values(vals, basis)
+def _norm_triplet(modal: np.ndarray, basis) -> tuple:
     return tuple(float(np.sqrt(x)) for x in sp.modal_sobolev_sqs(modal, basis))
 
 
@@ -94,7 +93,7 @@ def negativity_monitor(state: State, factors: dict, bases: sp.BasisPair) -> tupl
 def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
                 picard_report=None, wall_clock: float = 0.0) -> DiagnosticsRow:
     g = state.grid
-    neu, diri = bases.neumann, bases.dirichlet
+    neu = bases.neumann
     rho = np.exp(state.log_rho_d.values)
 
     phys = {}
@@ -103,13 +102,13 @@ def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
         phys[name] = dehomogenize(getattr(state, attr), factors[var]).values
 
     tri = {}
-    comp = [_norm_triplet(c.values, b) for c, b in
-            ((state.u.v1, neu), (state.u.v2, neu), (state.u.w, diri))]
+    comp = [_norm_triplet(modal_of(state, name, bases), iterated_basis(name, bases))
+            for name in ("u1", "u2", "w")]
     tri["u"] = tuple(float(np.sqrt(sum(t[k] ** 2 for t in comp))) for k in range(3))
     for name in ("T", "qv", "qc", "qr"):
-        tri[name] = _norm_triplet(phys[name], neu)
-    tri["sqrt_rho"] = _norm_triplet(np.sqrt(rho), neu)
-    tri["log_rho"] = _norm_triplet(state.log_rho_d.values, neu)
+        tri[name] = _norm_triplet(sp.to_modal_values(phys[name], neu), neu)
+    tri["sqrt_rho"] = _norm_triplet(sp.to_modal_values(np.sqrt(rho), neu), neu)
+    tri["log_rho"] = _norm_triplet(modal_of(state, "log_rho_d", bases), neu)
 
     w = g.quad_weights()
     dry_mass = float(np.sum(rho * w))
@@ -159,7 +158,7 @@ class StabilityReport:
     initial_delta: float
 
 
-ITERATED = ("u1", "u2", "w", "T", "qv", "qc", "qr")
+ITERATED = MODAL_NAMES[:-1]    # all carried variables but log rho_d
 
 
 def iterated_values(s: State) -> dict:
@@ -170,9 +169,19 @@ def iterated_values(s: State) -> dict:
 
 
 def iterated_basis(name: str, bases: sp.BasisPair) -> sp.Basis:
-    """The vertical velocity is a sine series, every other iterated
-    variable a cosine series."""
+    """The vertical velocity is a sine series, every other variable of
+    ``State.modal`` a cosine series."""
     return bases.dirichlet if name == "w" else bases.neumann
+
+
+def modal_of(s: State, name: str, bases: sp.BasisPair) -> np.ndarray:
+    """Modal coefficients of the variable ``name`` (a key of ``State.modal``)
+    of ``s``: the ones ``s`` carries, or else the forward transform of its
+    values."""
+    if s.modal is not None:
+        return s.modal[name]
+    vals = s.log_rho_d.values if name == "log_rho_d" else iterated_values(s)[name]
+    return sp.to_modal_values(vals, iterated_basis(name, bases))
 
 
 def modal_sqs(modal: dict, bases: sp.BasisPair) -> dict:

@@ -12,6 +12,7 @@ cosine/sine series used throughout.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -239,6 +240,12 @@ class State:
     Temperature and mixing ratios are stored in homogenized form (frak_*),
     i.e. after the B*F - psi change of variables that turns the Robin wall
     conditions into homogeneous Neumann ones.
+
+    ``modal`` is None, or the modal coefficients of the fields keyed as
+    ``MODAL_NAMES``, equal to their forward transforms up to rounding.  Only
+    the solver and ``load_state`` attach them; a state built any other way
+    (``copy``, ``dataclasses.replace``) has none, and assigning a field
+    drops them.  Changing a field's values in place would leave them stale.
     """
 
     log_rho_d: ScalarField
@@ -248,6 +255,12 @@ class State:
     frak_q_c: ScalarField
     frak_q_r: ScalarField
     time: float = 0.0
+    modal: dict = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name != "modal":
+            object.__setattr__(self, "modal", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         check_same_grid(self.log_rho_d, self.u.v1, self.u.v2, self.u.w,
@@ -281,6 +294,9 @@ def rho_d(state: State) -> ScalarField:
 
 STATE_FIELD_NAMES = ("log_rho_d", "u_x", "u_y", "u_z",
                      "frak_T", "frak_q_v", "frak_q_c", "frak_q_r")
+# keys of State.modal: the variables the solver iterates, then log rho_d
+MODAL_NAMES = ("u1", "u2", "w", "T", "qv", "qc", "qr", "log_rho_d")
+MODAL_FILE = "modal.npz"
 
 
 def save_field(path, f: ScalarField, name: str, time: float) -> None:
@@ -325,9 +341,55 @@ def save_state(dirpath, state: State) -> None:
         save_field(os.path.join(dirpath, name + ".dat"), f, name, state.time)
 
 
+def save_modal(dirpath, state: State) -> None:
+    """Write the coefficients a state carries, if any, into ``modal.npz``
+    next to its fields, with the state's time and grid shape."""
+    if state.modal is None:
+        return
+    with open(os.path.join(dirpath, MODAL_FILE), "wb") as fh:
+        np.savez(fh, time=np.float64(state.time), grid=np.array(state.grid.shape),
+                 **state.modal)
+
+
+def _load_modal(path, time: float, grid: Grid) -> dict:
+    with np.load(path) as npz:
+        t, shape = float(npz["time"]), tuple(int(n) for n in npz["grid"])
+        if t != time:
+            raise ValueError(f"{path}: coefficients have time {t!r}, but the "
+                             f"fields have time {time!r}")
+        if shape != grid.shape:
+            raise ValueError(f"{path}: coefficients of grid {shape} do not "
+                             f"match the fields' grid {grid.shape}")
+        return {name: npz[name] for name in MODAL_NAMES}
+
+
+def write_dir_atomically(dirpath, write) -> None:
+    """Call ``write(tmp)`` on an empty sibling directory of ``dirpath``, then
+    swap it into place, so that ``dirpath`` holds either its old files or
+    all of the new ones.  If ``write`` raises, ``dirpath`` is untouched and
+    the sibling is removed."""
+    parent, base = os.path.split(os.path.normpath(dirpath))
+    tmp, old = (os.path.join(parent, f".{base}.{tag}") for tag in ("tmp", "old"))
+    for p in (tmp, old):
+        shutil.rmtree(p, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        write(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    # os.replace cannot replace a non-empty directory: move the old one aside
+    if os.path.exists(dirpath):
+        os.replace(dirpath, old)
+    os.replace(tmp, dirpath)
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def load_state(dirpath, grid: Grid | None = None) -> State:
     """Read the fields that save_state wrote; all eight must carry the same
-    time, so that a directory mixing two states is rejected."""
+    time, so that a directory mixing two states is rejected.  The
+    coefficients that save_modal wrote are restored when present; their
+    time and grid must be the fields'."""
     loaded = {}
     time = None
     for name in STATE_FIELD_NAMES:
@@ -342,5 +404,9 @@ def load_state(dirpath, grid: Grid | None = None) -> State:
         grid = f.grid
         loaded[name] = f
     u = VectorField(loaded["u_x"], loaded["u_y"], loaded["u_z"])
-    return State(loaded["log_rho_d"], u, loaded["frak_T"],
-                 loaded["frak_q_v"], loaded["frak_q_c"], loaded["frak_q_r"], time)
+    state = State(loaded["log_rho_d"], u, loaded["frak_T"],
+                  loaded["frak_q_v"], loaded["frak_q_c"], loaded["frak_q_r"], time)
+    path = os.path.join(dirpath, MODAL_FILE)
+    if os.path.exists(path):
+        state.modal = _load_modal(path, time, grid)
+    return state

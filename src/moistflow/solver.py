@@ -25,7 +25,7 @@ from . import diagnostics as dg
 from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
 from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
-                     save_state)
+                     save_modal, save_state, write_dir_atomically)
 from .microphysics import SaturationClosure, source_values
 from .thermo import pressure_values, q_factor_values
 
@@ -122,6 +122,7 @@ class RhsBundle:
     lap_u: tuple = None       # frozen Laplacian of (v1, v2, w)
     grad_div: tuple = None    # frozen grad(div u)
     lap_T: np.ndarray = None  # frozen Laplacian of frak_T
+    log_rho_modal: np.ndarray = None  # coefficients of the frozen log rho_d
 
     def total(self, which: str) -> np.ndarray:
         return functools.reduce(operator.add, getattr(self, which).values())
@@ -129,6 +130,22 @@ class RhsBundle:
     def momentum_total(self):
         return tuple(functools.reduce(operator.add, comps)
                      for comps in zip(*self.momentum.values()))
+
+    def finite_total(self, which: str):
+        """``total(which)`` (``momentum_total()`` for the momentum), after a
+        check that it is finite.  A non-finite term makes its total
+        non-finite, so one test per total stands in for one per term; on
+        failure, the StepRejected names the first non-finite term in the
+        order temperature, vapor, cloud, rain, momentum."""
+        total = self.momentum_total() if which == "momentum" else self.total(which)
+        if all(np.all(np.isfinite(t)) for t in
+               (total if which == "momentum" else (total,))):
+            return total
+        for eq in ("temperature", "vapor", "cloud", "rain", "momentum"):
+            for tname, arr in getattr(self, eq).items():
+                if not np.all(np.isfinite(arr)):
+                    raise StepRejected(f"non-finite RHS term {eq}.{tname}")
+        raise StepRejected(f"non-finite RHS total of {which} (finite terms overflowed)")
 
 
 @dataclass
@@ -183,9 +200,9 @@ class Simulation:
 
     def _state_modal(self, s: State) -> dict:
         """Modal coefficients of the iterated variables, keyed as
-        ``diagnostics.ITERATED``."""
-        return {name: sp.to_modal_values(vals, dg.iterated_basis(name, self.bases))
-                for name, vals in dg.iterated_values(s).items()}
+        ``diagnostics.ITERATED``: the ones ``s`` carries, or else
+        transforms."""
+        return {name: dg.modal_of(s, name, self.bases) for name in dg.ITERATED}
 
     def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
         """Derivatives, div u, grad div u and Laplacians of the velocity with
@@ -264,8 +281,7 @@ class Simulation:
 
         dlog = step_cache.get("log_rho_d") if step_cache is not None else None
         if dlog is None:
-            dlog = sp.derivs(sp.to_modal_values(state.log_rho_d.values, neu),
-                             neu, order=2)
+            dlog = sp.derivs(dg.modal_of(state, "log_rho_d", self.bases), neu, order=2)
             if step_cache is not None:
                 step_cache["log_rho_d"] = dlog
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
@@ -324,9 +340,6 @@ class Simulation:
                 Gx, Gy = d["x"] + psi.dx_values(), d["y"] + psi.dy_values()
                 Gz = d["z"] + fac.psi_dz
             lifted[name] = {"G": G, "x": Gx, "y": Gy, "z": Gz}
-        # in the direct mode this is the last reference to the step's input
-        # coefficients: drop them before the terms are built
-        del modal
 
         # dehomogenized physical variables from the frozen state
         T_o = fT.binv_profile * lifted["T"]["G"]
@@ -346,7 +359,8 @@ class Simulation:
         rQm = rho_vals * Q_m
         drag = rho_vals * q_o["r"] * self.v_r
         momentum = {
-            "pressure_gradient": (-dp["x"], -dp["y"], -dp["z"]),
+            # negated in place: the peak memory of a step falls in this function
+            "pressure_gradient": tuple(np.negative(dp[k], out=dp[k]) for k in "xyz"),
             "advection": (-rQm * (u1 * du1["x"] + u2 * du1["y"] + w * du1["z"]),
                           -rQm * (u1 * du2["x"] + u2 * du2["y"] + w * du2["z"]),
                           -rQm * (u1 * dw["x"] + u2 * dw["y"] + w * dw["z"])),
@@ -398,22 +412,18 @@ class Simulation:
         rain = moisture_terms("r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")
 
         lr = lifted["r"]
-        dz_log_rho = sp.dz(frozen.log_rho_d, neu).values
+        log_rho_modal = dg.modal_of(frozen, "log_rho_d", self.bases)
+        dz_log_rho = sp.to_phys_values(sp.dz_modal(log_rho_modal, neu), neu.other)
         rain["sedimentation"] = (self.v_r * lr["z"]
                                  + lr["G"] * (self.dz_v_r
                                               + self.v_r * dz_log_rho
                                               - self.v_r * fr.dz_log_b))
 
-        for eq, terms in (("temperature", temperature), ("vapor", vapor),
-                          ("cloud", cloud), ("rain", rain), ("momentum", momentum)):
-            for tname, arr in terms.items():
-                if not np.all(np.isfinite(arr)):
-                    raise StepRejected(f"non-finite RHS term {eq}.{tname}")
-
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
                          {**S, "q_vs": q_vs},
                          lap_u=velocity.lap, lap_T=lap_T,
-                         grad_div=tuple(velocity.grad_div[k] for k in "xyz"))
+                         grad_div=tuple(velocity.grad_div[k] for k in "xyz"),
+                         log_rho_modal=log_rho_modal)
 
     # -- one frozen-coefficient update ---------------------------------------
 
@@ -431,7 +441,10 @@ class Simulation:
         assemble_rhs, so that the solves run without them in memory unless
         the caller keeps a reference.  On return ``carry["modal"]`` holds the
         coefficients of the new state, equal to ``_state_modal`` of the
-        returned state up to rounding."""
+        returned state up to rounding; the returned state carries them, with
+        those of its log rho_d, as ``State.modal``.  Each equation's
+        right-hand-side total is checked for non-finite values before its
+        solve."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
@@ -451,16 +464,17 @@ class Simulation:
         for key, eq, cur in (("qv", "vapor", current.frak_q_v),
                              ("qc", "cloud", current.frak_q_c),
                              ("qr", "rain", current.frak_q_r)):
-            modal[key] = sp.helmholtz_modal(cur.values + dt * rhs.total(eq), dt,
-                                            neu, dealias)
+            modal[key] = sp.helmholtz_modal(
+                cur.values + dt * rhs.finite_total(eq), dt, neu, dealias)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
         Q_th = rhs.Q_th
         nu_T = c.kappa / Q_th
         nu_T_bar = float(np.mean(nu_T))
-        gT = current.frak_T.values + dt * (rhs.total("temperature") / Q_th
-                                           + (nu_T - nu_T_bar) * rhs.lap_T)
+        gT = current.frak_T.values + dt * (
+            rhs.finite_total("temperature") / Q_th
+            + (nu_T - nu_T_bar) * rhs.lap_T)
         modal["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
 
         # momentum: same mean-coefficient splitting for both viscous operators
@@ -469,7 +483,7 @@ class Simulation:
         nul = (c.mu + c.lam) / M
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
-        I = rhs.momentum_total()
+        I = rhs.finite_total("momentum")
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
         gu = [cur_u[i] + dt * (I[i] / M
                                + (nu - nu_bar) * rhs.lap_u[i]
@@ -488,9 +502,11 @@ class Simulation:
 
         u_new = VectorField(ScalarField(g, vals["u1"]), ScalarField(g, vals["u2"]),
                             ScalarField(g, vals["w"]))
-        return State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
-                     ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
-                     ScalarField(g, vals["qr"]), current.time + dt)
+        out = State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
+                    ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
+                    ScalarField(g, vals["qr"]), current.time + dt)
+        out.modal = {**modal, "log_rho_d": rhs.log_rho_modal}
+        return out
 
     # -- metric for increments ------------------------------------------------
 
@@ -545,8 +561,11 @@ class Simulation:
         # derivatives of the step's initial log rho_d, shared by all iterates
         step_cache = {} if iters > 1 else None
 
-        # the step's fields are transformed once; after that each iterate
-        # gets the coefficients of its fields from the previous solves
+        # the step starts from the coefficients the state carries (the
+        # fields are transformed once if it has none); after that each
+        # iterate gets the coefficients of its fields from the previous
+        # solves.  _state_modal copies the dict, so that linear_step's pop
+        # leaves state.modal whole for a retry at half dt.
         carry = {"modal": self._state_modal(state)}
         x_prev = state
         first = None
@@ -656,6 +675,10 @@ class Simulation:
             # uninterrupted run (SolverConfig guarantees whole steps)
             step = round(initial.time / cfg.dt)
 
+            def checkpoint():
+                path = os.path.join(out_dir, "checkpoints", f"step_{step:06d}")
+                self.write_checkpoint(path, step, state)
+
             def record(report, wall):
                 row = dg.compute_row(state, factors, self.bases, step=step,
                                      picard_report=report, wall_clock=wall)
@@ -671,7 +694,7 @@ class Simulation:
                     save_state(snap, state)
                 if cfg.checkpoint_every and out_dir and step > 0 \
                         and step % cfg.checkpoint_every == 0:
-                    self._write_checkpoint(out_dir, step, state)
+                    checkpoint()
 
             record(None, 0.0)
             n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
@@ -688,8 +711,10 @@ class Simulation:
                 step += 1
                 record(report, _time.perf_counter() - tic)
 
-            if cfg.checkpoint_every and out_dir:
-                self._write_checkpoint(out_dir, step, state)
+            # the last state, unless record() has just checkpointed it
+            if cfg.checkpoint_every and out_dir \
+                    and (step == 0 or step % cfg.checkpoint_every):
+                checkpoint()
         finally:
             if timings is not None:
                 timings.close()
@@ -701,13 +726,20 @@ class Simulation:
         return Trajectory(state, rows, states, step, self._rejections, cfg,
                           _time.perf_counter() - t0)
 
-    def _write_checkpoint(self, out_dir: str, step: int, state: State):
-        path = os.path.join(out_dir, "checkpoints", f"step_{step:06d}")
-        save_state(path, state)
-        with open(os.path.join(path, "meta.txt"), "w", encoding="utf-8") as fh:
-            fh.write(f"time={state.time!r}\nstep={step}\n"
-                     f"config_hash={self.config_hash}\n")
-        if self.config_echo:
-            with open(os.path.join(path, "config.echo"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(self.config_echo)
+    def write_checkpoint(self, path: str, step: int, state: State) -> None:
+        """Write a resumable state directory: the fields, the coefficients
+        the state carries, ``meta.txt`` and the config echo.  They land
+        together (see ``fields.write_dir_atomically``), replacing whatever
+        ``path`` held."""
+        def write(tmp):
+            save_state(tmp, state)
+            save_modal(tmp, state)
+            with open(os.path.join(tmp, "meta.txt"), "w", encoding="utf-8") as fh:
+                fh.write(f"time={state.time!r}\nstep={step}\n"
+                         f"config_hash={self.config_hash}\n")
+            if self.config_echo:
+                with open(os.path.join(tmp, "config.echo"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(self.config_echo)
+
+        write_dir_atomically(path, write)

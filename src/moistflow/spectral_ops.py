@@ -38,7 +38,8 @@ class Basis:
     Eigenvalues are pi^2 (k1^2 + k2^2 + m^2) laid out on the modal grid;
     they are nonnegative and nondecreasing in each mode index.  Instances
     are immutable after construction, apart from the complement that
-    ``other`` builds once, and safe to share across threads.
+    ``other`` and the weights that ``sobolev_weights`` build once, and safe
+    to share across threads.
     """
 
     def __init__(self, grid: Grid, kind: str):
@@ -78,6 +79,7 @@ class Basis:
         self.z_inv = np.cos(phase) if kind == NEUMANN else np.sin(phase) * ww
         self.z_fwd = self.z_inv * ww * (2.0 / n)
         self._other = None
+        self._sobolev_weights = None
 
     @property
     def other(self) -> "Basis":
@@ -88,6 +90,41 @@ class Basis:
         if self._other is None:
             self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN)
         return self._other
+
+    @property
+    def sobolev_weights(self) -> tuple:
+        """Parseval weights of the squared Sobolev norms of orders 0, 1, 2,
+        built on first use and split in x to stay small: ``P`` (3 x nx)
+        holds kx^0, kx^2, kx^4, and ``W`` (3 M x 3, M = (ny//2+1) nz) the
+        (ky, kz) weight of each of those x-moments, one column per order,
+        each column cumulative.
+
+        Horizontal modes integrate to 4 |a|^2 each over the doubly periodic
+        cross-section; vertical cosine modes carry weight 1 (mean) or 1/2,
+        sine modes 1/2.  z-differentiation swaps the parity weight, and the
+        sine Nyquist row is invisible on the grid so it carries weight zero.
+        One term per distinct multi-index of derivatives.
+        """
+        if self._sobolev_weights is None:
+            nz = self.grid.nz
+            cw = np.full(nz, 0.5)
+            cw[0] = 1.0
+            sw = np.full(nz, 0.5)
+            sw[[0, -1]] = 0.0
+            # an even number of z-derivatives keeps the basis' own weights
+            w_even, w_odd = (cw, sw) if self.kind == NEUMANN else (sw, cw)
+            even = 4.0 * self.ky_multiplicity[0] * w_even       # (nky, nz)
+            odd = 4.0 * self.ky_multiplicity[0] * w_odd
+            ky2, kz2 = self.kappa_y[0] ** 2, self.kappa_z[0] ** 2
+            h1 = even * (1.0 + ky2) + odd * kz2
+            h2 = h1 + even * (ky2 ** 2 + kz2 ** 2) + odd * ky2 * kz2
+            zero = np.zeros_like(even)
+            # rows: the x-moment kx^(2i); columns: the order
+            w = np.array([[even, h1, h2], [zero, even, h1], [zero, zero, even]])
+            kx2 = self.kappa_x[:, 0, 0] ** 2
+            self._sobolev_weights = (np.array([np.ones_like(kx2), kx2, kx2 ** 2]),
+                                     w.transpose(0, 2, 3, 1).reshape(-1, 3))
+        return self._sobolev_weights
 
 
 @dataclass(frozen=True)
@@ -225,44 +262,14 @@ def laplacian(f: ScalarField, basis: Basis) -> ScalarField:
 
 def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
     """Squared Sobolev norms of orders 0..max_order (max_order <= 2) from
-    modal coefficients, in one pass (Parseval, one term per distinct
-    multi-index).
-
-    Horizontal modes integrate to 4 |a|^2 each over the doubly periodic
-    cross-section; vertical cosine modes carry weight 1 (mean) or 1/2, sine
-    modes 1/2.  z-differentiation swaps the parity weight, and the sine
-    Nyquist row is invisible on the grid so it carries weight zero.
-    """
+    modal coefficients, in one pass over |a|^2 and two products with the
+    basis' ``sobolev_weights`` (Parseval)."""
     if max_order not in (0, 1, 2):
         raise ValueError("sobolev order must be 0, 1, or 2")
-    nz = basis.grid.nz
-    cw = np.full(nz, 0.5)
-    cw[0] = 1.0
-    sw = np.full(nz, 0.5)
-    sw[0] = 0.0
-    sw[-1] = 0.0
-    if basis.kind == NEUMANN:
-        w_even, w_odd = cw, sw   # even # of z-derivatives -> cosine weights
-    else:
-        w_even, w_odd = sw, cw
-    a2 = np.abs(modal) ** 2 * basis.ky_multiplicity
-    even = a2 * w_even
-    kx2 = basis.kappa_x ** 2
-    ky2 = basis.kappa_y ** 2
-    kz2 = basis.kappa_z ** 2
-    total = 4.0 * np.sum(even)
-    out = [float(total)]
-    if max_order >= 1:
-        odd_kz2 = a2 * w_odd * kz2
-        total += 4.0 * np.sum(even * (kx2 + ky2))
-        total += 4.0 * np.sum(odd_kz2)
-        out.append(float(total))
-    if max_order >= 2:
-        total += 4.0 * np.sum(even * (kx2**2 + ky2**2 + kx2 * ky2))
-        total += 4.0 * np.sum(odd_kz2 * (kx2 + ky2))
-        total += 4.0 * np.sum(even * kz2 ** 2)
-        out.append(float(total))
-    return tuple(out)
+    a2 = modal.real ** 2 + modal.imag ** 2
+    P, W = basis.sobolev_weights
+    moments = P @ a2.reshape(basis.grid.nx, -1)
+    return tuple(float(x) for x in moments.reshape(-1) @ W[:, :max_order + 1])
 
 
 def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:

@@ -157,6 +157,37 @@ class TestExtension:
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+    def test_accessors_build_the_deriv0_profile_once(self, grid16, nondim,
+                                                     monkeypatch):
+        """On a saturated_layer with wall modes, the five accessors are
+        bitwise the inverse transforms of freshly built modal profiles, and
+        the deriv-0 profile is built once for the four that use it."""
+        _, bspec = mf.preset_initial("saturated_layer", grid16, nondim)
+        bspec["T"].data_bottom = {(0, 0): 0.3, (1, 2): 0.1 - 0.05j,
+                                  (-1, -2): 0.1 + 0.05j}
+        bspec["T"].data_top = {(2, 1): 0.2, (-2, -1): 0.2}
+        psi = build_factors(bspec, grid16)["T"].psi
+        assert not psi.is_zero
+        g = grid16
+        kx = (np.pi * np.fft.fftfreq(g.nx, d=1.0 / g.nx))[:, None, None]
+        ky = (np.pi * np.fft.fftfreq(g.ny, d=1.0 / g.ny))[None, :, None]
+        p0, p1, p2 = (psi.mode_profiles(g.z, d) for d in (0, 1, 2))
+        expected = {
+            "values": p0, "dz_values": p1, "dx_values": 1j * kx * p0,
+            "dy_values": 1j * ky * p0,
+            "laplacian_values": p2 - (np.pi ** 2) * (psi.kmag ** 2)[:, :, None] * p0,
+        }
+        built = []
+        mode_profiles = psi.mode_profiles
+        monkeypatch.setattr(psi, "mode_profiles",
+                            lambda z, deriv=0: built.append(deriv)
+                            or mode_profiles(z, deriv))
+        for name, modal in expected.items():
+            want = np.real(np.fft.ifft2(modal, axes=(0, 1), norm="forward"))
+            assert np.array_equal(getattr(psi, name)(), want), name
+        assert sorted(built) == [0, 1, 2]
+
+
 class TestHomogenize:
     def _factors(self, grid, ab, at, data_b, data_t, var="T"):
         spec = BoundarySpec({v: VariableBoundary() for v in ("T", "v", "c", "r")})

@@ -97,6 +97,26 @@ class TestParseConfig:
         assert "psi_dt_mode" not in rc.echo_text()
         assert "run.seed" not in rc.echo_text()
 
+    def test_config_hash_ignores_retired_and_default_keys(self, tmp_path,
+                                                           monkeypatch):
+        """The hash covers the keys whose values differ from the defaults,
+        so an old echo carrying retired keys, or a schema that gains a key
+        at its default, leaves the hash of the same settings unchanged."""
+        old_echo = BASE + "solver.psi_dt_mode = fd\nrun.seed = 0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            old = parse_config(write_config(tmp_path / "old.echo", old_echo))
+        rc = parse_config(write_config(tmp_path / "c.cfg", BASE))
+        digest = rc.config_hash()
+        assert old.config_hash() == digest
+        assert digest != parse_config(write_config(
+            tmp_path / "d.cfg", BASE + "ic.amplitude = 0.5\n")).config_hash()
+
+        monkeypatch.setitem(SCHEMA, "run.new_knob", ("int", 3))
+        grown = parse_config(write_config(tmp_path / "e.cfg", BASE))
+        assert "run.new_knob = 3" in grown.echo_text()
+        assert grown.config_hash() == digest
+
     def test_mode_table_parsing(self, tmp_path):
         cfg = "boundary.v.value_bottom = modes: 2,1,0.5,0.25\n"
         rc = parse_config(write_config(tmp_path / "c.cfg", cfg))
@@ -280,6 +300,39 @@ class TestMain:
         assert read(out_res, "final_state", "meta.txt") == \
             read(out_full, "final_state", "meta.txt")
         assert "step=10" in read(out_full, "final_state", "meta.txt")
+
+    def test_resume_from_checkpoint_without_coefficients(self, tmp_path):
+        """A checkpoint written before coefficient files existed resumes by
+        transforming its fields; the result agrees with the uninterrupted
+        run to rounding."""
+        cfg = BASE.replace("solver.t_end = 3e-3\n", "solver.t_end = 6e-3\n")
+        path = write_config(tmp_path / "c.cfg", cfg + "solver.checkpoint_every = 3\n")
+        out_full, out_res = str(tmp_path / "full"), str(tmp_path / "resumed")
+        assert main(["run", path, "--out", out_full]) == 0
+        ckpt = os.path.join(out_full, "checkpoints", "step_000003")
+        os.remove(os.path.join(ckpt, "modal.npz"))
+        assert main(["resume", ckpt, "--out", out_res]) == 0
+        ref = mf.load_state(os.path.join(out_full, "final_state"))
+        got = mf.load_state(os.path.join(out_res, "final_state"))
+        assert got.time == ref.time
+        for fa, fb in ((ref.u.v1, got.u.v1), (ref.frak_T, got.frak_T)):
+            assert np.max(np.abs(fa.values - fb.values)) <= 1e-12 * np.max(np.abs(fa.values))
+
+    def test_rerun_replaces_state_directories_whole(self, tmp_path):
+        """Files an earlier run left in a checkpoint or final_state/ are
+        gone once a new run writes that directory, and no temporary
+        sibling is left behind."""
+        path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        for d in (out / "checkpoints" / "step_000002", out / "final_state"):
+            (d / "u_x.dat.old").write_text("from an earlier run")
+        assert main(["run", path, "--out", str(out)]) == 0
+        for d in (out / "checkpoints" / "step_000002", out / "final_state"):
+            assert not (d / "u_x.dat.old").exists()
+            assert (d / "modal.npz").exists() and (d / "meta.txt").exists()
+        assert sorted(os.listdir(out / "checkpoints")) == ["step_000002", "step_000003"]
+        assert not [n for n in os.listdir(out) if n.startswith(".")]
 
     def test_export_plot(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", BASE)

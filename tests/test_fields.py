@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import moistflow as mf
-from moistflow.fields import ScalarField, VectorField, State
+from moistflow.fields import (MODAL_FILE, MODAL_NAMES, ScalarField, State,
+                              VectorField, save_field)
 from moistflow.spectral_ops import to_modal_values, to_phys_values
 
 from conftest import random_band_limited
@@ -150,3 +152,70 @@ class TestSnapshotIO:
                       state.time + 1e-3)
         with pytest.raises(ValueError, match="frak_T"):
             mf.load_state(tmp_path / "ckpt")
+
+
+class TestCoefficientFile:
+    @pytest.fixture
+    def ckpt(self, tmp_path, grid8, nondim):
+        """A checkpoint of a solver-built state, holding its coefficients."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=1e-3, t_end=1e-3))
+        state = sim.direct_step(state, 1e-3)
+        path = tmp_path / "ckpt"
+        sim.write_checkpoint(str(path), 1, state)
+        return path, state
+
+    def test_coefficients_restored_bitwise(self, ckpt):
+        path, state = ckpt
+        loaded = mf.load_state(path)
+        assert list(loaded.modal) == list(MODAL_NAMES)
+        for name in MODAL_NAMES:
+            assert np.array_equal(loaded.modal[name], state.modal[name])
+
+    def test_checkpoint_without_coefficient_file_loads(self, ckpt):
+        path, state = ckpt
+        os.remove(path / MODAL_FILE)
+        loaded = mf.load_state(path)
+        assert loaded.modal is None
+        assert np.array_equal(loaded.frak_T.values, state.frak_T.values)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("time", 0.5, "time 0.5"), ("grid", np.array([8, 8, 17]), "grid")])
+    def test_mismatched_coefficient_file_rejected(self, ckpt, key, value, match):
+        path, state = ckpt
+        with np.load(path / MODAL_FILE) as npz:
+            arrays = dict(npz)
+        arrays[key] = value
+        with open(path / MODAL_FILE, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=match):
+            mf.load_state(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_old_directory(self, tmp_path, grid8, nondim,
+                                               monkeypatch):
+        """A checkpoint write that fails part-way leaves the directory it
+        would have replaced as it was, and no half-written sibling."""
+        state, bspec = mf.preset_initial("thermal_bubble", grid8, nondim)
+        cfg = mf.SolverConfig(dt=1e-3, t_end=4e-3, mode="direct", checkpoint_every=2)
+        mf.Simulation(grid8, nondim, bspec, cfg).run(state, out_dir=str(tmp_path))
+        ckpts = tmp_path / "checkpoints"
+        before = {p.name: p.read_bytes() for p in (ckpts / "step_000002").iterdir()}
+
+        calls = []
+
+        def failing(path, *args):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return save_field(path, *args)
+
+        monkeypatch.setattr(mf.fields, "save_field", failing)
+        other = mf.perturb_state(state, mf.make_bases(grid8), amplitude=1e-3)
+        with pytest.raises(OSError, match="disk full"):
+            mf.Simulation(grid8, nondim, bspec, cfg).run(other, out_dir=str(tmp_path))
+        assert len(calls) == 3
+        assert sorted(os.listdir(ckpts)) == ["step_000002", "step_000004"]
+        after = {p.name: p.read_bytes() for p in (ckpts / "step_000002").iterdir()}
+        assert after == before

@@ -1,11 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import moistflow as mf
 from moistflow import diagnostics as dg
-from moistflow.fields import ScalarField, VectorField, State
+from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
 from moistflow.spectral_ops import to_modal_values, to_phys_values, dz_modal
 
 from conftest import random_band_limited
@@ -17,6 +18,24 @@ def make_sim(grid, constants, preset="equilibrium", mode="picard", dt=1e-3,
     state, bspec = mf.preset_initial(preset, grid, constants)
     cfg = mf.SolverConfig(dt=dt, t_end=t_end, mode=mode, **cfg_kw)
     return mf.Simulation(grid, constants, bspec, cfg), state
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Counts of the forward ("fwd") and inverse ("inv") transform calls
+    made from here on."""
+    count = {"fwd": 0, "inv": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            count[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mf.spectral_ops, "to_modal_values",
+                        counted("fwd", mf.spectral_ops.to_modal_values))
+    monkeypatch.setattr(mf.spectral_ops, "to_phys_values",
+                        counted("inv", mf.spectral_ops.to_phys_values))
+    return count
 
 
 class TestDensityStep:
@@ -290,26 +309,15 @@ class TestDirectStep:
                 pass
 
     def test_transform_budget(self, grid8, nondim, monkeypatch):
-        """Exact transform counts of one direct step from a moving state and
-        of each Picard iteration after the first, so that a repeated
-        transform shows."""
+        """Exact transform counts of one direct step from a moving state that
+        carries its coefficients and of each Picard iteration after the
+        first, so that a repeated transform shows."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
         state = sim.direct_step(state, 1e-3)
         assert np.any(state.u.w.values)
-        count = {"fwd": 0, "inv": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                count[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(mf.spectral_ops, "to_modal_values",
-                            counted("fwd", mf.spectral_ops.to_modal_values))
-        monkeypatch.setattr(mf.spectral_ops, "to_phys_values",
-                            counted("inv", mf.spectral_ops.to_phys_values))
+        count = count_transforms(monkeypatch)
         sim.direct_step(state, 1e-3)
-        assert count == {"fwd": 17, "inv": 49}
+        assert count == {"fwd": 9, "inv": 49}
 
         ends = []
         linear_step = sim.linear_step
@@ -325,6 +333,19 @@ class TestDirectStep:
         per_iteration = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(ends, ends[1:])}
         assert per_iteration == {(9, 40)}
 
+    def test_compute_row_transform_budget(self, grid8, nondim, monkeypatch):
+        """The diagnostics row reads the velocity and log rho_d coefficients
+        a state carries, and transforms only the four dehomogenized scalars
+        and sqrt(rho); on a state without coefficients it makes all nine."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
+        carried = sim.direct_step(state, 1e-3)
+        factors = sim.factors_at(carried.time, 1e-3)
+        count = count_transforms(monkeypatch)
+        for s, fwd in ((carried, 5), (carried.copy(), 9)):
+            count.update(fwd=0, inv=0)
+            dg.compute_row(s, factors, sim.bases, step=1)
+            assert count == {"fwd": fwd, "inv": 0}
+
     def test_step_halving_richardson_first_order(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble", mode="direct")
 
@@ -337,6 +358,95 @@ class TestDirectStep:
         # over one interval the full-vs-two-halves gap scales like the local
         # truncation error O(dt^2) of a first-order method: factor ~ 4
         assert 3.0 <= g1 / g2 <= 6.0
+
+
+def assert_carries_own_coefficients(state, bases):
+    """state.modal holds the forward transforms of its fields, to rounding."""
+    assert state.modal is not None and list(state.modal) == list(MODAL_NAMES)
+    values = dict(dg.iterated_values(state), log_rho_d=state.log_rho_d.values)
+    for name in MODAL_NAMES:
+        ref = to_modal_values(values[name], dg.iterated_basis(name, bases))
+        gap = np.max(np.abs(state.modal[name] - ref))
+        assert gap <= 1e-13 * np.max(np.abs(ref)), name
+
+
+class TestCarriedCoefficients:
+    """``State.modal`` holds the coefficients of the state's own fields on
+    every state the solver builds, and on no other state."""
+
+    @pytest.fixture
+    def moving(self, grid8, nondim):
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer",
+                              mode="direct", t_end=3e-3)
+        return sim, sim.direct_step(state, 1e-3)
+
+    def test_direct_and_picard_states(self, moving):
+        sim, state = moving
+        assert_carries_own_coefficients(state, sim.bases)
+        before = dict(state.modal)
+        assert_carries_own_coefficients(sim.direct_step(state, 1e-3), sim.bases)
+        out, rep = sim.picard_solve(state, 1e-3)
+        assert rep.iterations >= 3
+        assert_carries_own_coefficients(out, sim.bases)
+        # a retry at half dt must still find the input state's coefficients
+        assert all(state.modal[k] is before[k] for k in MODAL_NAMES)
+
+    def test_state_after_a_halved_step(self, moving, monkeypatch):
+        sim, state = moving
+        picard_solve = sim.picard_solve
+
+        def reject_full_dt(s, dt, max_iters=None):
+            if dt == 1e-3:
+                raise mf.StepRejected("forced")
+            return picard_solve(s, dt, max_iters)
+
+        monkeypatch.setattr(sim, "picard_solve", reject_full_dt)
+        out, _ = sim._advance(state, 1e-3)
+        assert sim._rejections == 1
+        assert out.time == pytest.approx(state.time + 1e-3)
+        assert_carries_own_coefficients(out, sim.bases)
+
+    def test_run_final_state_and_checkpoint(self, tmp_path, grid8, nondim,
+                                            monkeypatch):
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer",
+                              mode="direct", t_end=3e-3, checkpoint_every=3)
+        written = []
+        write_checkpoint = sim.write_checkpoint
+        monkeypatch.setattr(sim, "write_checkpoint", lambda path, step, s:
+                            written.append(step) or write_checkpoint(path, step, s))
+        traj = sim.run(state, out_dir=str(tmp_path))
+        assert written == [3]     # the last step is checkpointed once
+        assert_carries_own_coefficients(traj.final_state, sim.bases)
+        loaded = mf.load_state(tmp_path / "checkpoints" / "step_000003")
+        for name in MODAL_NAMES:
+            assert np.array_equal(loaded.modal[name], traj.final_state.modal[name])
+        assert_carries_own_coefficients(loaded, sim.bases)
+
+    def test_states_built_otherwise_carry_none(self, moving, grid8, nondim):
+        sim, state = moving
+        assert replace(state, time=state.time).modal is None
+        assert state.copy().modal is None
+        assert mf.perturb_state(state, sim.bases, amplitude=1e-6).modal is None
+        fixed = sim._apply_positivity_fix(state, sim.factors_at(state.time))
+        assert fixed.modal is None
+        reassigned = sim.direct_step(state, 1e-3)
+        reassigned.frak_T = reassigned.frak_T.copy()
+        assert reassigned.modal is None
+
+    def test_nonfinite_total_names_first_term_in_order(self, moving):
+        """A non-finite total is traced to the first non-finite term, in
+        the order temperature, vapor, cloud, rain, momentum."""
+        sim, state = moving
+        rhs = sim.assemble_rhs(state, np.exp(state.log_rho_d.values),
+                               sim.factors_at(state.time))
+        assert np.array_equal(rhs.finite_total("vapor"), rhs.total("vapor"))
+        rhs.vapor["sources"][0, 0, 1] = np.nan
+        rhs.rain["advection"][1, 0, 1] = np.inf
+        with pytest.raises(mf.StepRejected, match=r"term vapor\.sources$"):
+            rhs.finite_total("rain")
+        rhs.momentum["gravity"][2][0, 0, 0] = -np.inf
+        with pytest.raises(mf.StepRejected, match=r"term vapor\.sources$"):
+            rhs.finite_total("momentum")
 
 
 class TestSedimentationForm:

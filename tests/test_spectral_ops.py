@@ -292,6 +292,31 @@ class TestParsevalNorms:
         l2_quad = np.sqrt(np.sum(vals**2 * grid16.quad_weights()))
         assert l2_parseval == pytest.approx(l2_quad, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 17), (6, 10, 7)])
+    @pytest.mark.parametrize("kind", [NEUMANN, DIRICHLET])
+    def test_weights_match_the_per_multi_index_sums(self, shape, kind):
+        """The weight-matrix product equals the Parseval sum written out
+        one multi-index at a time, to rounding."""
+        grid = mf.make_grid(*shape)
+        basis = mf.make_bases(grid).neumann
+        basis = basis if kind == NEUMANN else basis.other
+        rng = np.random.default_rng(3)
+        modal = to_modal_values(rng.standard_normal(grid.shape), basis)
+        cw = np.where(np.arange(grid.nz) == 0, 1.0, 0.5)
+        sw = np.where(np.isin(np.arange(grid.nz), (0, grid.nz - 1)), 0.0, 0.5)
+        w_even, w_odd = (cw, sw) if kind == NEUMANN else (sw, cw)
+        a2 = np.abs(modal) ** 2 * basis.ky_multiplicity
+        kx2, ky2, kz2 = basis.kappa_x ** 2, basis.kappa_y ** 2, basis.kappa_z ** 2
+        terms = [(w_even, 1.0), (w_even, kx2), (w_even, ky2), (w_odd, kz2),
+                 (w_even, kx2 * kx2), (w_even, ky2 * ky2), (w_even, kz2 * kz2),
+                 (w_even, kx2 * ky2), (w_odd, kx2 * kz2), (w_odd, ky2 * kz2)]
+        sums = [4.0 * np.sum(a2 * w * f) for w, f in terms]
+        want = (sums[0], sum(sums[:4]), sum(sums))
+        got = mf.spectral_ops.modal_sobolev_sqs(modal, basis)
+        assert got == pytest.approx(want, rel=1e-13)
+        assert mf.spectral_ops.modal_sobolev_sqs(modal, basis, 1) == \
+            pytest.approx(want[:2], rel=1e-13)
+
 
 class TestDealias:
     def test_mask_removes_high_modes(self, grid8, bases8):
