@@ -206,21 +206,22 @@ class Simulation:
 
     def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
         """Derivatives, div u, grad div u and Laplacians of the velocity with
-        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``, taken
-        after the 2/3 rule when the configuration dealiases."""
+        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``.  When
+        the configuration dealiases, the 2/3 rule acts in the inverse
+        transforms: the modal multipliers are diagonal, so truncating their
+        products truncates the velocity."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
+        dealias = self.config.dealias
         m1, m2, mw = modal["u1"], modal["u2"], modal["w"]
-        if self.config.dealias:
-            m1, m2 = sp.dealias_modal(m1, neu), sp.dealias_modal(m2, neu)
-            mw = sp.dealias_modal(mw, diri)
         div_m = sp.div_modal(m1, m2, mw, self.bases)
         return FrozenVelocity(
-            d=(sp.derivs(m1, neu), sp.derivs(m2, neu), sp.derivs(mw, diri)),
-            div=sp.to_phys_values(div_m, neu),
-            grad_div=sp.derivs(div_m, neu),
-            lap=(sp.to_phys_values(sp.laplacian_modal(m1, neu), neu),
-                 sp.to_phys_values(sp.laplacian_modal(m2, neu), neu),
-                 sp.to_phys_values(sp.laplacian_modal(mw, diri), diri)))
+            d=(sp.derivs(m1, neu, dealias=dealias), sp.derivs(m2, neu, dealias=dealias),
+               sp.derivs(mw, diri, dealias=dealias)),
+            div=sp.to_phys_values(div_m, neu, dealias),
+            grad_div=sp.derivs(div_m, neu, dealias=dealias),
+            lap=(sp.to_phys_values(sp.laplacian_modal(m1, neu), neu, dealias),
+                 sp.to_phys_values(sp.laplacian_modal(m2, neu), neu, dealias),
+                 sp.to_phys_values(sp.laplacian_modal(mw, diri), diri, dealias)))
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -300,6 +301,11 @@ class Simulation:
         system: advection, sedimentation, pressure gradient, gravity, the
         B/psi lifting corrections, and the clipped phase-change sources.
 
+        When the configuration dealiases, the velocity and the lifted
+        scalars are differentiated under the 2/3 rule, which acts in their
+        inverse transforms; the pressure gradient and the log rho_d
+        derivative are not truncated.
+
         ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
         ``_frozen_velocity(modal)`` when the caller already has them."""
         c = self.constants
@@ -326,11 +332,9 @@ class Simulation:
                                        ("c", "qc", frozen.frak_q_c, fc),
                                        ("r", "qr", frozen.frak_q_r, fr)):
             m = modal[key]
-            if dealias:
-                m = sp.dealias_modal(m, neu)
-            d = sp.derivs(m, neu)
+            d = sp.derivs(m, neu, dealias=dealias)
             if name == "T":
-                lap_T = sp.to_phys_values(sp.laplacian_modal(m, neu), neu)
+                lap_T = sp.to_phys_values(sp.laplacian_modal(m, neu), neu, dealias)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -434,6 +438,9 @@ class Simulation:
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
         frozen iterate.  ``frozen`` must already carry the advanced density.
+        When the configuration dealiases, the solves' forward transforms
+        apply the 2/3 rule, so the new coefficients are 0 outside the kept
+        block, and the inverse transforms run on that block alone.
 
         ``carry`` passes modal coefficients in and out.  On entry it may
         hold ``"modal"`` (``_state_modal(frozen)``) and ``"velocity"``
@@ -493,7 +500,7 @@ class Simulation:
             gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, dealias)
 
         modal = {name: modal[name] for name in dg.ITERATED}
-        vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases))
+        vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases), dealias)
                 for name, m in modal.items()}
         for arr in vals.values():
             if not np.all(np.isfinite(arr)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft2, irfft2
+from scipy.fft import fft, ifft, irfft, rfft
 
 from .fields import Grid, ScalarField, VectorField
 
@@ -25,9 +25,10 @@ _WORKERS = 1
 
 
 def set_workers(n: int) -> None:
-    """Number of worker threads handed to scipy.fft's rfft2/irfft2 (1 keeps
-    runs bitwise reproducible by construction; pocketfft results do not
-    depend on it).  The z-transform is a BLAS product and ignores it."""
+    """Number of worker threads handed to each one-axis FFT pass of the
+    transforms (rfft/irfft over y, fft/ifft over x).  1 keeps runs bitwise
+    reproducible by construction; pocketfft results do not depend on it.
+    The z-transform is a BLAS product and ignores it."""
     global _WORKERS
     _WORKERS = max(1, int(n))
 
@@ -54,12 +55,15 @@ class Basis:
         self.kappa_y = (np.pi * ky_int)[None, :, None]
         self.kappa_z = (np.pi * mz)[None, None, :]
         self.eigenvalues = self.kappa_x**2 + self.kappa_y**2 + self.kappa_z**2
-        kx_cut = grid.nx // 3
-        ky_cut = grid.ny // 3
-        mz_cut = (2 * (grid.nz - 1)) // 3
-        self.dealias_mask = ((np.abs(kx_int)[:, None, None] <= kx_cut)
-                             & (np.abs(ky_int)[None, :, None] <= ky_cut)
-                             & (mz[None, None, :] <= mz_cut))
+        # the 2/3 rule keeps |kx| <= nx//3, ky <= ny//3, m <= 2(nz-1)//3:
+        # the kx rows in kx_keep, and the leading ky_keep columns and
+        # mz_keep rows, the block a dealiased transform runs over
+        self.kx_keep = np.abs(kx_int) <= grid.nx // 3
+        self.ky_keep = grid.ny // 3 + 1
+        self.mz_keep = (2 * (grid.nz - 1)) // 3 + 1
+        self.dealias_mask = (self.kx_keep[:, None, None]
+                             & (np.arange(ky_int.size) < self.ky_keep)[None, :, None]
+                             & (mz < self.mz_keep)[None, None, :])
         # Parseval multiplicity of each retained ky column (conjugate pairs
         # are folded by the real transform except ky = 0 and the Nyquist)
         wy = np.full(ky_int.shape, 2.0)
@@ -146,27 +150,63 @@ def _z_product(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """values @ z along the last axis, as one 2-D gemm on a C-ordered copy,
     so that the bits do not depend on the memory layout of ``values``."""
     flat = np.ascontiguousarray(values).reshape(-1, z.shape[0])
-    return (flat @ z).reshape(values.shape)
+    return (flat @ z).reshape(values.shape[:-1] + z.shape[1:])
 
 
-def to_modal_values(values: np.ndarray, basis: Basis) -> np.ndarray:
-    """The z-transform runs first, on the real array; rfft2 comes last.  A
-    cosine transform takes out each column's first sample and puts it back
-    into mode 0, so that a column constant in z maps to exactly (c, 0, ...)."""
+def _extents(basis: Basis, dealias: bool) -> tuple:
+    """The ky columns and z rows a transform runs over: the 2/3 block with
+    ``dealias``, else all of them."""
+    if dealias:
+        return basis.ky_keep, basis.mz_keep
+    return basis.grid.ny // 2 + 1, basis.grid.nz
+
+
+def to_modal_values(values: np.ndarray, basis: Basis,
+                    dealias: bool = False) -> np.ndarray:
+    """The z-transform runs first, on the real array; the FFTs over y and
+    then x come last.  A cosine transform takes out each column's first
+    sample and puts it back into mode 0, so that a column constant in z maps
+    to exactly (c, 0, ...).
+
+    With ``dealias`` the result is truncated by the 2/3 rule, and the passes
+    run only on what it keeps: the kept z columns of the product, the kept
+    ky columns of the x-FFT.  Everything outside the block is exactly 0.
+    The 1/(nx ny) scaling falls between the two FFT passes, where rfft2
+    (norm "forward") applies it, so that without ``dealias`` the result has
+    rfft2's bits."""
+    nx, ny, nz = basis.grid.shape
+    nky, nmz = _extents(basis, dealias)
+    z = basis.z_fwd[:, :nmz]
     if basis.kind == NEUMANN:
         first = values[..., :1]
-        zt = _z_product(values - first, basis.z_fwd)
+        zt = _z_product(values - first, z)
         zt[..., :1] += first
     else:
-        zt = _z_product(values, basis.z_fwd)
-    return rfft2(zt, axes=(0, 1), norm="forward", overwrite_x=True, workers=_WORKERS)
+        zt = _z_product(values, z)
+    block = rfft(zt, axis=1, workers=_WORKERS)[:, :nky]
+    block *= 1.0 / (nx * ny)
+    block = fft(block, axis=0, overwrite_x=True, workers=_WORKERS)
+    if not dealias:
+        return block
+    block[~basis.kx_keep] = 0.0
+    out = np.zeros((nx, ny // 2 + 1, nz), dtype=block.dtype)
+    out[:, :nky, :nmz] = block
+    return out
 
 
-def to_phys_values(modal: np.ndarray, basis: Basis) -> np.ndarray:
-    """Inverse of to_modal_values: irfft2 first, then the real z-transform."""
-    xy = (basis.grid.nx, basis.grid.ny)
-    vals = irfft2(modal, s=xy, axes=(0, 1), norm="forward", workers=_WORKERS)
-    return _z_product(vals, basis.z_inv)
+def to_phys_values(modal: np.ndarray, basis: Basis,
+                   dealias: bool = False) -> np.ndarray:
+    """Inverse of to_modal_values: the unscaled inverse FFTs over x and then
+    y (the bits of irfft2), then the real z-transform.  With ``dealias`` it
+    transforms ``modal`` truncated by the 2/3 rule, and the passes read only
+    the kept block; what ``modal`` holds outside it is ignored."""
+    nky, nmz = _extents(basis, dealias)
+    block = modal[:, :nky, :nmz]
+    if dealias:
+        block = block * basis.kx_keep[:, None, None]
+    xy = ifft(block, axis=0, norm="forward", overwrite_x=dealias, workers=_WORKERS)
+    vals = irfft(xy, n=basis.grid.ny, axis=1, norm="forward", workers=_WORKERS)
+    return _z_product(vals, basis.z_inv[:nmz])
 
 
 def dx_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
@@ -187,28 +227,29 @@ def dz_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     return basis.kappa_z * modal
 
 
-def dealias_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
-    return modal * basis.dealias_mask
-
-
-def derivs(modal: np.ndarray, basis: Basis, order: int = 1) -> dict:
+def derivs(modal: np.ndarray, basis: Basis, order: int = 1,
+           dealias: bool = False) -> dict:
     """Spectral derivatives, as physical arrays keyed x, y, z (and xx, yy,
     zz, xy, xz, yz for order 2), of the field with modal coefficients
-    ``modal`` in ``basis``.  z-derivatives of odd order live in the
-    complementary basis."""
+    ``modal`` in ``basis``, truncated by the 2/3 rule with ``dealias`` (the
+    multipliers are diagonal, so the rule commutes with them).
+    z-derivatives of odd order live in the complementary basis."""
+    def phys(m, b):
+        return to_phys_values(m, b, dealias)
+
     mz = dz_modal(modal, basis)
     out = {
-        "x": to_phys_values(dx_modal(modal, basis), basis),
-        "y": to_phys_values(dy_modal(modal, basis), basis),
-        "z": to_phys_values(mz, basis.other),
+        "x": phys(dx_modal(modal, basis), basis),
+        "y": phys(dy_modal(modal, basis), basis),
+        "z": phys(mz, basis.other),
     }
     if order >= 2:
-        out["xx"] = to_phys_values(dx_modal(dx_modal(modal, basis), basis), basis)
-        out["yy"] = to_phys_values(dy_modal(dy_modal(modal, basis), basis), basis)
-        out["zz"] = to_phys_values(dz_modal(mz, basis.other), basis)
-        out["xy"] = to_phys_values(dy_modal(dx_modal(modal, basis), basis), basis)
-        out["xz"] = to_phys_values(dx_modal(mz, basis.other), basis.other)
-        out["yz"] = to_phys_values(dy_modal(mz, basis.other), basis.other)
+        out["xx"] = phys(dx_modal(dx_modal(modal, basis), basis), basis)
+        out["yy"] = phys(dy_modal(dy_modal(modal, basis), basis), basis)
+        out["zz"] = phys(dz_modal(mz, basis.other), basis)
+        out["xy"] = phys(dy_modal(dx_modal(modal, basis), basis), basis)
+        out["xz"] = phys(dx_modal(mz, basis.other), basis.other)
+        out["yz"] = phys(dy_modal(mz, basis.other), basis.other)
     return out
 
 
@@ -281,7 +322,7 @@ def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
 def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """The part of ``modal`` that survives ``to_phys_values``: the ky = 0
     plane (and the ky Nyquist plane, for even ny) is made Hermitian in kx,
-    since irfft2 keeps only the real part of those columns, and the sine
+    since the inverse y-pass (irfft) keeps only the real part of those columns, and the sine
     wall rows are zeroed.  Then ``to_modal_values(to_phys_values(M))``
     equals ``representable(M)`` up to rounding.  Odd derivatives of the kx
     or ky Nyquist modes are what break the symmetry."""
@@ -298,13 +339,12 @@ def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:
 def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
                     dealias: bool = False) -> np.ndarray:
     """Solve (I - a * Laplacian) f = g by modal division and return the
-    representable modal coefficients of f; with ``dealias`` the 2/3 rule
-    truncates g first."""
+    representable modal coefficients of f; with ``dealias`` the forward
+    transform of g truncates it by the 2/3 rule, so f is 0 outside the
+    kept block."""
     if a < 0.0:
         raise ValueError("helmholtz coefficient a must be nonnegative")
-    modal = to_modal_values(g, basis)
-    if dealias:
-        modal = dealias_modal(modal, basis)
+    modal = to_modal_values(g, basis, dealias)
     return representable(modal / (1.0 + a * basis.eigenvalues), basis)
 
 
@@ -313,7 +353,8 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
                            dealias: bool = False) -> tuple:
     """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) and
     return the representable modal coefficients of u; with ``dealias`` the
-    2/3 rule truncates the data first.
+    forward transforms of the data truncate it by the 2/3 rule, so u is 0
+    outside the kept block.
 
     Uses the divergence/solenoidal modal split: the divergence coefficient
     solves a scalar Helmholtz problem with coefficient a_mu + a_mulam, after
@@ -323,13 +364,9 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     if a_mu < 0.0 or a_mu + a_mulam < 0.0:
         raise ValueError("ill-posed coefficient combination in vector Helmholtz solve")
     neu, diri = bases.neumann, bases.dirichlet
-    m1 = to_modal_values(g1, neu)
-    m2 = to_modal_values(g2, neu)
-    m3 = to_modal_values(g3, diri)
-    if dealias:
-        m1 = dealias_modal(m1, neu)
-        m2 = dealias_modal(m2, neu)
-        m3 = dealias_modal(m3, diri)
+    m1 = to_modal_values(g1, neu, dealias)
+    m2 = to_modal_values(g2, neu, dealias)
+    m3 = to_modal_values(g3, diri, dealias)
 
     d = div_modal(m1, m2, m3, bases) / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
 

@@ -391,6 +391,21 @@ class TestCarriedCoefficients:
         # a retry at half dt must still find the input state's coefficients
         assert all(state.modal[k] is before[k] for k in MODAL_NAMES)
 
+    def test_carried_coefficients_vanish_outside_the_kept_block(self, moving):
+        """After a dealiased direct step and a Picard step, every iterated
+        coefficient array is exactly 0 outside the 2/3 block.  The block
+        inverse ignores what lies there, so the fields would not show a
+        solve that leaked into it."""
+        sim, state = moving
+        assert sim.config.dealias
+        out, rep = sim.picard_solve(state, 1e-3)
+        assert rep.iterations >= 3
+        dropped = ~sim.bases.neumann.dealias_mask
+        for s in (state, sim.direct_step(state, 1e-3), out):
+            for name in dg.ITERATED:
+                assert np.all(s.modal[name][dropped] == 0.0), name
+                assert np.any(s.modal[name][~dropped] != 0.0), name
+
     def test_state_after_a_halved_step(self, moving, monkeypatch):
         sim, state = moving
         picard_solve = sim.picard_solve

@@ -2,10 +2,11 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.fft import irfft2, rfft2
 
 import moistflow as mf
-from moistflow.fields import ScalarField, VectorField
-from moistflow.spectral_ops import (NEUMANN, DIRICHLET, dealias_modal,
+from moistflow.fields import Grid, ScalarField, VectorField
+from moistflow.spectral_ops import (NEUMANN, DIRICHLET, _z_product,
                                     modal_sobolev_sq, to_modal_values,
                                     to_phys_values)
 
@@ -321,9 +322,105 @@ class TestParsevalNorms:
 class TestDealias:
     def test_mask_removes_high_modes(self, grid8, bases8):
         basis = bases8.neumann
-        modal = np.ones((grid8.nx, grid8.ny // 2 + 1, grid8.nz), dtype=complex)
-        out = dealias_modal(modal, basis)
+        vals = np.random.default_rng(5).standard_normal(grid8.shape)
+        full = to_modal_values(vals, basis)
+        out = to_modal_values(vals, basis, dealias=True)
+        assert full[grid8.nx // 2, 0, 0] != 0.0 and full[0, 0, grid8.nz - 1] != 0.0
         assert out[grid8.nx // 2, 0, 0] == 0.0        # x Nyquist
         assert out[0, 0, grid8.nz - 1] == 0.0          # z Nyquist
-        assert out[0, 0, 0] == 1.0
-        assert out[1, 1, 1] == 1.0
+        assert out[0, 0, 0] == pytest.approx(full[0, 0, 0], abs=1e-15)
+        assert out[1, 1, 1] == pytest.approx(full[1, 1, 1], abs=1e-15)
+
+
+# the last: nx and ny not multiples of 3, and ny odd, so that no ky Nyquist
+# column exists; make_grid refuses odd sizes, the transforms do not
+GRIDS = [(8, 8, 9), (16, 16, 17), (10, 7, 9)]
+
+
+def transform_grid(nx, ny, nz):
+    return Grid(nx, ny, nz, x=np.arange(nx) * (2.0 / nx),
+                y=np.arange(ny) * (2.0 / ny), z=np.arange(nz) / (nz - 1))
+
+
+@pytest.fixture(params=[(shape, kind) for shape in GRIDS for kind in (NEUMANN, DIRICHLET)],
+                ids=lambda p: f"{'x'.join(map(str, p[0]))}-{p[1]}")
+def basis_data(request):
+    """A basis, random values and random coefficients, the sine wall rows
+    zero, with every mode in play."""
+    shape, kind = request.param
+    basis = mf.make_bases(transform_grid(*shape)).neumann
+    basis = basis if kind == NEUMANN else basis.other
+    rng = np.random.default_rng(17)
+    vals = rng.standard_normal(shape)
+    mshape = (shape[0], shape[1] // 2 + 1, shape[2])
+    modal = rng.standard_normal(mshape) + 1j * rng.standard_normal(mshape)
+    if kind == DIRICHLET:
+        modal[..., [0, -1]] = 0.0
+    return basis, vals, modal
+
+
+class TestBlockTransforms:
+    """The 2/3 rule acts inside the transforms: a dealiased transform runs
+    its passes on the kept block only, and equals the whole-array
+    transform composed with ``dealias_mask`` to rounding."""
+
+    def test_mask_is_the_two_thirds_cut(self, basis_data):
+        """|kx| <= nx//3, ky <= ny//3, m <= 2(nz-1)//3, and the block is
+        the mask's extent in ky and z."""
+        basis = basis_data[0]
+        nx, ny, nz = basis.grid.shape
+        kx = np.abs(np.fft.fftfreq(nx, 1.0 / nx))[:, None, None]
+        ky = np.fft.rfftfreq(ny, 1.0 / ny)[None, :, None]
+        m = np.arange(nz)[None, None, :]
+        want = (kx <= nx // 3) & (ky <= ny // 3) & (m <= 2 * (nz - 1) // 3)
+        assert np.array_equal(basis.dealias_mask, want)
+        assert not np.any(want[:, basis.ky_keep:]) and np.all(want[0, :basis.ky_keep, 0])
+        assert not np.any(want[..., basis.mz_keep:]) and np.all(want[0, 0, :basis.mz_keep])
+
+    def test_inverse_matches_masked_inverse(self, basis_data):
+        basis, _, modal = basis_data
+        want = to_phys_values(modal * basis.dealias_mask, basis)
+        got = to_phys_values(modal, basis, dealias=True)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_forward_matches_masked_forward(self, basis_data):
+        basis, vals, _ = basis_data
+        full = to_modal_values(vals, basis)
+        got = to_modal_values(vals, basis, dealias=True)
+        assert got.shape == full.shape
+        assert np.all(got[~basis.dealias_mask] == 0.0)
+        want = full * basis.dealias_mask
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_z_constant_neumann_column_is_mode_zero(self, shape):
+        g = transform_grid(*shape)
+        basis = mf.make_bases(g).neumann
+        xy = np.cos(np.pi * g.x)[:, None] + 0.3 * np.sin(2 * np.pi * g.y)[None, :]
+        vals = np.broadcast_to(xy[:, :, None], g.shape).copy()
+        modal = to_modal_values(vals, basis, dealias=True)
+        assert np.all(modal[..., 1:] == 0.0)
+        assert np.any(modal[..., 0] != 0.0)
+
+    def test_bits_independent_of_input_order(self, basis_data):
+        """As test_transforms_independent_of_memory_layout, for the block."""
+        basis, vals, modal = basis_data
+        assert np.array_equal(to_modal_values(np.asfortranarray(vals), basis, True),
+                              to_modal_values(vals, basis, True))
+        assert np.array_equal(to_phys_values(np.asfortranarray(modal), basis, True),
+                              to_phys_values(modal, basis, True))
+
+    def test_whole_array_path_has_the_bits_of_rfft2(self, basis_data):
+        """The separate passes over y and x keep the bits of rfft2/irfft2,
+        so runs without dealiasing keep theirs."""
+        basis, vals, modal = basis_data
+        g = basis.grid
+        if basis.kind == NEUMANN:
+            zt = _z_product(vals - vals[..., :1], basis.z_fwd)
+            zt[..., :1] += vals[..., :1]
+        else:
+            zt = _z_product(vals, basis.z_fwd)
+        assert np.array_equal(to_modal_values(vals, basis),
+                              rfft2(zt, axes=(0, 1), norm="forward"))
+        xy = irfft2(modal, s=(g.nx, g.ny), axes=(0, 1), norm="forward")
+        assert np.array_equal(to_phys_values(modal, basis), _z_product(xy, basis.z_inv))
