@@ -98,7 +98,9 @@ def _parse_modes(text: str, where: str) -> dict:
     to the boundary field; the Hermitian pair of coefficients is added
     automatically so the field is real.
     """
-    body = text.split(":", 1)[1]
+    head, colon, body = text.partition(":")
+    if not colon or head.strip() != "modes":
+        raise ConfigError(f"{where}: mode table must start with 'modes:': {text!r}")
     beta: dict = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -145,6 +147,8 @@ def _format_data(value) -> str:
 def _coerce(key: str, text: str, where: str):
     kind = SCHEMA[key][0]
     text = text.strip()
+    if kind == "data" and text.startswith("modes"):
+        return _parse_modes(text, where)    # its errors name the line already
     try:
         if kind == "int":
             return int(text)
@@ -160,8 +164,6 @@ def _coerce(key: str, text: str, where: str):
         if kind == "data":
             if text == "preset":
                 return "preset"
-            if text.startswith("modes"):
-                return _parse_modes(text, where)
             return float(text)
         return text
     except ValueError as exc:

@@ -360,7 +360,16 @@ def _load_modal(path, time: float, grid: Grid) -> dict:
         if shape != grid.shape:
             raise ValueError(f"{path}: coefficients of grid {shape} do not "
                              f"match the fields' grid {grid.shape}")
-        return {name: npz[name] for name in MODAL_NAMES}
+        want = (grid.nx, grid.ny // 2 + 1, grid.nz)
+        modal = {}
+        for name in MODAL_NAMES:
+            if name not in npz.files:
+                raise ValueError(f"{path}: no coefficients {name!r}")
+            a = modal[name] = npz[name]
+            if a.shape != want or not np.iscomplexobj(a):
+                raise ValueError(f"{path}: coefficients {name!r} are {a.dtype} of "
+                                 f"shape {a.shape}, not complex of shape {want}")
+        return modal
 
 
 def write_dir_atomically(dirpath, write) -> None:

@@ -101,7 +101,6 @@ class FrozenVelocity:
     d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
     div: np.ndarray   # div u
     grad_div: dict    # grad(div u), keyed x, y, z
-    lap: tuple        # Laplacians of v1, v2, w
 
 
 @dataclass
@@ -119,9 +118,6 @@ class RhsBundle:
     Q_m: np.ndarray
     Q_th: np.ndarray
     source_arrays: dict
-    lap_u: tuple = None       # frozen Laplacian of (v1, v2, w)
-    grad_div: tuple = None    # frozen grad(div u)
-    lap_T: np.ndarray = None  # frozen Laplacian of frak_T
     log_rho_modal: np.ndarray = None  # coefficients of the frozen log rho_d
 
     def total(self, which: str) -> np.ndarray:
@@ -165,7 +161,9 @@ class Simulation:
     """One integration context: grid, constants, boundary data, closure.
 
     A simulation instance is single-writer (run() owns the state); separate
-    instances may run concurrently.
+    instances may run concurrently, but share one FFT thread count: the
+    CLI hands ``run.threads`` to ``spectral_ops.set_workers``, which sets it
+    for every transform in the process.
     """
 
     def __init__(self, grid: Grid, constants: PhysConstants,
@@ -205,7 +203,7 @@ class Simulation:
         return {name: dg.modal_of(s, name, self.bases) for name in dg.ITERATED}
 
     def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
-        """Derivatives, div u, grad div u and Laplacians of the velocity with
+        """Derivatives, div u and grad div u of the velocity with
         coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``.  When
         the configuration dealiases, the 2/3 rule acts in the inverse
         transforms: the modal multipliers are diagonal, so truncating their
@@ -218,10 +216,7 @@ class Simulation:
             d=(sp.derivs(m1, neu, dealias=dealias), sp.derivs(m2, neu, dealias=dealias),
                sp.derivs(mw, diri, dealias=dealias)),
             div=sp.to_phys_values(div_m, neu, dealias),
-            grad_div=sp.derivs(div_m, neu, dealias=dealias),
-            lap=(sp.to_phys_values(sp.laplacian_modal(m1, neu), neu, dealias),
-                 sp.to_phys_values(sp.laplacian_modal(m2, neu), neu, dealias),
-                 sp.to_phys_values(sp.laplacian_modal(mw, diri), diri, dealias)))
+            grad_div=sp.derivs(div_m, neu, dealias=dealias))
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -316,8 +311,7 @@ class Simulation:
         fT, fv, fc, fr = factors["T"], factors["v"], factors["c"], factors["r"]
         u1, u2, w = (comp.values for comp in frozen.u.components())
 
-        # frozen-velocity derivatives, divergence, and the second-order
-        # pieces the mean-coefficient splitting lags into the explicit side
+        # frozen-velocity derivatives and divergence
         if modal is None:
             modal = self._state_modal(frozen)
         if velocity is None:
@@ -326,15 +320,12 @@ class Simulation:
 
         # homogenized scalars: lifted field G = frak + psi and derivatives
         lifted = {}
-        lap_T = None
         for name, key, field_, fac in (("T", "T", frozen.frak_T, fT),
                                        ("v", "qv", frozen.frak_q_v, fv),
                                        ("c", "qc", frozen.frak_q_c, fc),
                                        ("r", "qr", frozen.frak_q_r, fr)):
             m = modal[key]
             d = sp.derivs(m, neu, dealias=dealias)
-            if name == "T":
-                lap_T = sp.to_phys_values(sp.laplacian_modal(m, neu), neu, dealias)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -424,54 +415,53 @@ class Simulation:
                                               - self.v_r * fr.dz_log_b))
 
         return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
-                         {**S, "q_vs": q_vs},
-                         lap_u=velocity.lap, lap_T=lap_T,
-                         grad_div=tuple(velocity.grad_div[k] for k in "xyz"),
-                         log_rho_modal=log_rho_modal)
+                         {**S, "q_vs": q_vs}, log_rho_modal=log_rho_modal)
 
     # -- one frozen-coefficient update ---------------------------------------
 
     def linear_step(self, frozen: State, current: State, dt: float,
-                    factors: dict | None = None,
-                    carry: dict | None = None) -> State:
+                    factors: dict | None = None, modal: dict | None = None,
+                    velocity: FrozenVelocity | None = None) -> State:
         """Backward-Euler update of the associated linear system: implicit
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
-        frozen iterate.  ``frozen`` must already carry the advanced density.
+        frozen iterate.  ``frozen`` must already hold the advanced density.
         When the configuration dealiases, the solves' forward transforms
         apply the 2/3 rule, so the new coefficients are 0 outside the kept
         block, and the inverse transforms run on that block alone.
 
-        ``carry`` passes modal coefficients in and out.  On entry it may
-        hold ``"modal"`` (``_state_modal(frozen)``) and ``"velocity"``
-        (``_frozen_velocity`` of it); both are taken out and handed to
-        assemble_rhs, so that the solves run without them in memory unless
-        the caller keeps a reference.  On return ``carry["modal"]`` holds the
-        coefficients of the new state, equal to ``_state_modal`` of the
-        returned state up to rounding; the returned state carries them, with
-        those of its log rho_d, as ``State.modal``.  Each equation's
-        right-hand-side total is checked for non-finite values before its
-        solve."""
+        ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
+        ``_frozen_velocity(modal)`` when the caller already has them.  The
+        returned state carries the coefficients of its fields, with those of
+        its log rho_d, as ``State.modal``.  Each equation's right-hand-side
+        total is checked for non-finite values before its solve."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
         dealias = self.config.dealias
         if factors is None:
             factors = self.factors_at(current.time, dt)
-        if carry is None:
-            carry = {}
+        if modal is None:
+            modal = self._state_modal(frozen)
+        if velocity is None:
+            velocity = self._frozen_velocity(modal)
         rho_vals = np.exp(frozen.log_rho_d.values)
         rhs = self.assemble_rhs(frozen, rho_vals, factors, t_new=current.time + dt,
-                                modal=carry.pop("modal", None),
-                                velocity=carry.pop("velocity", None))
+                                modal=modal, velocity=velocity)
+
+        def lagged_laplacian(name):
+            # formed where its solve uses it, so that at most one is in memory
+            basis = dg.iterated_basis(name, self.bases)
+            return sp.to_phys_values(sp.laplacian_modal(modal[name], basis), basis,
+                                     dealias)
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
-        modal = {}
+        new = {}
         for key, eq, cur in (("qv", "vapor", current.frak_q_v),
                              ("qc", "cloud", current.frak_q_c),
                              ("qr", "rain", current.frak_q_r)):
-            modal[key] = sp.helmholtz_modal(
+            new[key] = sp.helmholtz_modal(
                 cur.values + dt * rhs.finite_total(eq), dt, neu, dealias)
 
         # temperature: divide by the mass factor, solve with the domain-mean
@@ -481,8 +471,8 @@ class Simulation:
         nu_T_bar = float(np.mean(nu_T))
         gT = current.frak_T.values + dt * (
             rhs.finite_total("temperature") / Q_th
-            + (nu_T - nu_T_bar) * rhs.lap_T)
-        modal["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
+            + (nu_T - nu_T_bar) * lagged_laplacian("T"))
+        new["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
 
         # momentum: same mean-coefficient splitting for both viscous operators
         M = rho_vals * rhs.Q_m
@@ -491,28 +481,30 @@ class Simulation:
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
         I = rhs.finite_total("momentum")
+        # every term is summed: free them before the largest solve
+        log_rho_modal = rhs.log_rho_modal
+        del rhs
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
         gu = [cur_u[i] + dt * (I[i] / M
-                               + (nu - nu_bar) * rhs.lap_u[i]
-                               + (nul - nul_bar) * rhs.grad_div[i])
-              for i in range(3)]
-        modal["u1"], modal["u2"], modal["w"] = sp.vector_helmholtz_modal(
+                               + (nu - nu_bar) * lagged_laplacian(name)
+                               + (nul - nul_bar) * velocity.grad_div[k])
+              for i, (name, k) in enumerate(zip(("u1", "u2", "w"), "xyz"))]
+        new["u1"], new["u2"], new["w"] = sp.vector_helmholtz_modal(
             gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, dealias)
 
-        modal = {name: modal[name] for name in dg.ITERATED}
+        new = {name: new[name] for name in dg.ITERATED}
         vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases), dealias)
-                for name, m in modal.items()}
+                for name, m in new.items()}
         for arr in vals.values():
             if not np.all(np.isfinite(arr)):
                 raise StepRejected("non-finite fields after linear step")
-        carry["modal"] = modal
 
         u_new = VectorField(ScalarField(g, vals["u1"]), ScalarField(g, vals["u2"]),
                             ScalarField(g, vals["w"]))
         out = State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
                     ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
                     ScalarField(g, vals["qr"]), current.time + dt)
-        out.modal = {**modal, "log_rho_d": rhs.log_rho_modal}
+        out.modal = {**new, "log_rho_d": log_rho_modal}
         return out
 
     # -- metric for increments ------------------------------------------------
@@ -571,32 +563,27 @@ class Simulation:
         # the step starts from the coefficients the state carries (the
         # fields are transformed once if it has none); after that each
         # iterate gets the coefficients of its fields from the previous
-        # solves.  _state_modal copies the dict, so that linear_step's pop
-        # leaves state.modal whole for a retry at half dt.
-        carry = {"modal": self._state_modal(state)}
+        # solves
+        modal = self._state_modal(state)
         x_prev = state
         first = None
         for m in range(1, iters + 1):
-            # kept for the increment; the direct mode takes none, so that
-            # linear_step can free the coefficients before its solves
-            prev_modal = carry["modal"] if iters > 1 else None
-            # one set of frozen-velocity derivatives serves the density step
-            # and the right-hand sides; linear_step frees it before its solves
-            carry["velocity"] = self._frozen_velocity(carry["modal"])
-            log_rho_new = self.density_step(state, x_prev.u, dt, carry["velocity"],
-                                            step_cache)
+            # one set of frozen-velocity derivatives serves the density step,
+            # the right-hand sides and the lagged grad div u
+            velocity = self._frozen_velocity(modal)
+            log_rho_new = self.density_step(state, x_prev.u, dt, velocity, step_cache)
             try:
                 frozen = replace(x_prev, log_rho_d=log_rho_new)
             except FloatingPointError as exc:
                 raise StepRejected(f"density step at dt={dt:g}: {exc}") from exc
-            x_new = self.linear_step(frozen, state, dt, factors, carry)
+            x_new = self.linear_step(frozen, state, dt, factors, modal, velocity)
             report.iterations = m
             if iters == 1:
                 # the direct mode: no convergence test, so no increment either
                 report.converged = True
                 return x_new, report
             parts = self._increment_parts(dg.modal_sqs(
-                {name: carry["modal"][name] - prev_modal[name] for name in dg.ITERATED},
+                {name: x_new.modal[name] - modal[name] for name in dg.ITERATED},
                 self.bases), dt)
             inc = parts["total"]
             report.increments.append(parts)
@@ -614,7 +601,7 @@ class Simulation:
                 raise StepRejected(
                     f"Picard iteration diverging at dt={dt:g} "
                     f"(increment {inc:.3e} after {m} iterations)")
-            x_prev = x_new
+            x_prev, modal = x_new, x_new.modal
         raise StepRejected(
             f"Picard iteration did not converge in {iters} iterations at dt={dt:g}")
 

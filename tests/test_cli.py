@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -198,6 +199,12 @@ class TestMain:
         path = write_config(tmp_path / "c.cfg", "boundary.c.alpha_top = -2\n")
         assert main(["check", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_mode_table_without_colon_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.cfg",
+                            "grid.nx = 8\nboundary.T.value_bottom = modes 1,0,1.0,0\n")
+        assert main(["check", path]) == 2
+        assert re.search(r"config error: .*c\.cfg:2: .*modes:", capsys.readouterr().err)
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,25 @@ class TestCoefficientFile:
         with open(path / MODAL_FILE, "wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=match):
+            mf.load_state(path)
+
+    @pytest.mark.parametrize("key, change, match", [
+        ("u1", lambda a: a[:, :, :5], r"'u1' are complex128 of shape \(8, 5, 5\)"),
+        ("w", lambda a: a.real.copy(), "'w' are float64"),
+        ("T", None, "no coefficients 'T'")], ids=["shape", "real", "missing"])
+    def test_malformed_coefficient_array_rejected(self, ckpt, key, change, match):
+        """Each coefficient array must be present, complex and of the shape
+        the grid's transforms give, (nx, ny//2+1, nz)."""
+        path, state = ckpt
+        with np.load(path / MODAL_FILE) as npz:
+            arrays = dict(npz)
+        if change is None:
+            del arrays[key]
+        else:
+            arrays[key] = change(arrays[key])
+        with open(path / MODAL_FILE, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=re.escape(str(path / MODAL_FILE)) + ".*" + match):
             mf.load_state(path)
 
 

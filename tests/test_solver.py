@@ -206,20 +206,39 @@ class TestLinearStep:
     @pytest.mark.parametrize("dealias", [True, False])
     def test_carried_coefficients_are_those_of_the_fields(self, shape, dealias,
                                                           nondim):
-        """The coefficients linear_step hands to the next iterate are the
-        modal coefficients of the fields it returns.  Without dealiasing the
-        raw solve output also holds odd-derivative Nyquist content that the
-        inverse transform drops; it must not be carried."""
+        """The coefficients linear_step attaches to its state, and hands to
+        the next iterate, are the modal coefficients of the fields it
+        returns.  Without dealiasing the raw solve output also holds
+        odd-derivative Nyquist content that the inverse transform drops; it
+        must not be carried."""
         grid = mf.make_grid(*shape)
         sim, state = make_sim(grid, nondim, preset="saturated_layer",
                               mode="direct", dealias=dealias)
         state = sim.direct_step(state, 1e-3)
-        carry = {}
-        out = sim.linear_step(state, state, 1e-3, None, carry)
-        assert list(carry["modal"]) == list(dg.ITERATED)
-        for name, vals in dg.iterated_values(out).items():
-            ref = to_modal_values(vals, dg.iterated_basis(name, sim.bases))
-            gap = np.max(np.abs(carry["modal"][name] - ref))
+        assert_carries_own_coefficients(sim.linear_step(state, state, 1e-3), sim.bases)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_coefficients_computed_when_not_given(self, grid8, nondim, dealias):
+        """linear_step without the frozen iterate's coefficients and
+        velocity derivatives transforms the frozen fields itself, and
+        matches, to rounding, the call the solver makes with the carried
+        ones, which is the direct step bit for bit."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer",
+                              mode="direct", dealias=dealias)
+        state, dt = sim.direct_step(state, 1e-3), 1e-3
+        modal = sim._state_modal(state)
+        velocity = sim._frozen_velocity(modal)
+        frozen = replace(state, log_rho_d=sim.density_step(state, state.u, dt, velocity))
+        given = sim.linear_step(frozen, state, dt, None, modal, velocity)
+        computed = sim.linear_step(frozen, state, dt)
+        direct = sim.direct_step(state, dt)
+        for name, ref in dg.iterated_values(given).items():
+            assert np.array_equal(ref, dg.iterated_values(direct)[name]), name
+            gap = np.max(np.abs(dg.iterated_values(computed)[name] - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref)), name
+        for name in MODAL_NAMES:
+            ref = given.modal[name]
+            gap = np.max(np.abs(computed.modal[name] - ref))
             assert gap <= 1e-13 * np.max(np.abs(ref)), name
 
 
