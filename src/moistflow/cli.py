@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from . import spectral_ops as sp
 from .boundary import BOUNDARY_VARS, robin_profile
 from .fields import PhysConstants, load_state, make_grid
 from .presets import PRESET_NAMES, preset_initial
@@ -317,7 +316,7 @@ def build_simulation(rc: RunConfig):
             if override != "preset":
                 setattr(bspec[var], attr, override)
     sim = Simulation(grid, constants, bspec, rc.solver_config(),
-                     config_hash=rc.config_hash())
+                     config_hash=rc.config_hash(), threads=rc["run.threads"])
     sim.config_echo = rc.echo_text()
     return sim, state
 
@@ -337,7 +336,6 @@ def _run_to_final_state(rc: RunConfig, out: str, checkpoint: str | None = None):
     sim, state = build_simulation(rc)
     if checkpoint is not None:
         state = load_state(checkpoint)
-    sp.set_workers(rc["run.threads"])
     traj = sim.run(state, out_dir=out)
     sim.write_checkpoint(os.path.join(out, "final_state"), traj.steps,
                          traj.final_state)

@@ -161,15 +161,16 @@ class Simulation:
     """One integration context: grid, constants, boundary data, closure.
 
     A simulation instance is single-writer (run() owns the state); separate
-    instances may run concurrently, but share one FFT thread count: the
-    CLI hands ``run.threads`` to ``spectral_ops.set_workers``, which sets it
-    for every transform in the process.
+    instances may run concurrently.  ``threads`` (the CLI's ``run.threads``)
+    is the FFT worker count of this simulation's bases alone; None takes
+    the default of ``spectral_ops.set_workers``.
     """
 
     def __init__(self, grid: Grid, constants: PhysConstants,
                  boundary_spec: BoundarySpec, config: SolverConfig,
                  closure: SaturationClosure | None = None,
-                 forcing: dict | None = None, config_hash: str = ""):
+                 forcing: dict | None = None, config_hash: str = "",
+                 threads: int | None = None):
         boundary_spec.validate()
         self.grid = grid
         self.constants = constants
@@ -178,7 +179,7 @@ class Simulation:
         self.closure = closure or SaturationClosure(constants)
         self.forcing = forcing or {}
         self.config_hash = config_hash
-        self.bases = sp.make_bases(grid)
+        self.bases = sp.make_bases(grid, threads)
         vr_fn, dvr_fn = V_R_PROFILES[config.v_r_profile]
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
         self.dz_v_r = (config.v_r_scale * dvr_fn(grid.z))[None, None, :]

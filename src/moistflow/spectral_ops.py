@@ -25,12 +25,17 @@ _WORKERS = 1
 
 
 def set_workers(n: int) -> None:
-    """Number of worker threads handed to each one-axis FFT pass of the
-    transforms (rfft/irfft over y, fft/ifft over x).  1 keeps runs bitwise
-    reproducible by construction; pocketfft results do not depend on it.
-    The z-transform is a BLAS product and ignores it."""
+    """The default worker count of bases built after this call (see
+    ``Basis.workers``); a basis keeps the count it was built with."""
     global _WORKERS
     _WORKERS = max(1, int(n))
+
+
+# (x, y, z) derivative orders of each key ``derivs`` returns
+_DERIV_ORDERS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1),
+                 "xx": (2, 0, 0), "yy": (0, 2, 0), "zz": (0, 0, 2),
+                 "xy": (1, 1, 0), "xz": (1, 0, 1), "yz": (0, 1, 1)}
+_DERIV_KEYS = {1: ("x", "y", "z"), 2: tuple(_DERIV_ORDERS)}
 
 
 class Basis:
@@ -39,15 +44,21 @@ class Basis:
     Eigenvalues are pi^2 (k1^2 + k2^2 + m^2) laid out on the modal grid;
     they are nonnegative and nondecreasing in each mode index.  Instances
     are immutable after construction, apart from the complement that
-    ``other`` and the weights that ``sobolev_weights`` build once, and safe
-    to share across threads.
+    ``other``, the weights that ``sobolev_weights`` and the matrices that
+    ``inverse_matrices`` build once, and safe to share across threads.
+
+    ``workers`` is the number of worker threads handed to each FFT pass of
+    the transforms (rfft/irfft over y, fft/ifft over x); by default the
+    count last given to ``set_workers``.  pocketfft results do not depend on
+    it.  The matrix products run on BLAS and ignore it.
     """
 
-    def __init__(self, grid: Grid, kind: str):
+    def __init__(self, grid: Grid, kind: str, workers: int | None = None):
         if kind not in (NEUMANN, DIRICHLET):
             raise ValueError(f"unknown basis kind {kind!r}")
         self.grid = grid
         self.kind = kind
+        self.workers = _WORKERS if workers is None else max(1, int(workers))
         kx_int = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)  # integers
         ky_int = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)  # real-transform half
         mz = np.arange(grid.nz)
@@ -84,6 +95,7 @@ class Basis:
         self.z_fwd = self.z_inv * ww * (2.0 / n)
         self._other = None
         self._sobolev_weights = None
+        self._inverse_matrices = {}
 
     @property
     def other(self) -> "Basis":
@@ -92,7 +104,8 @@ class Basis:
         reference cycle: a cycle would keep a dropped simulation's arrays
         alive until the next full garbage collection."""
         if self._other is None:
-            self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN)
+            self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN,
+                                self.workers)
         return self._other
 
     @property
@@ -130,6 +143,46 @@ class Basis:
                                      w.transpose(0, 2, 3, 1).reshape(-1, 3))
         return self._sobolev_weights
 
+    def inverse_matrices(self, dealias: bool) -> tuple:
+        """The factors of an inverse transform of derivatives over the
+        extent ``_extents(self, dealias)`` (nky columns, nmz rows), built on
+        first use; row r of each holds derivative order r = 0, 1, 2:
+
+        - ``x`` (3, nx): the multipliers (i kx)^r, 0 on the kx rows the
+          2/3 rule drops when ``dealias``;
+        - ``y`` (3, ny, 2 nky): the real y-pass, applied on the left of the
+          stacked (Re, Im) of the x-pass.  Row j holds w cos and -w sin of
+          the angle pi ky y_j, times (i ky)^r, with irfft's weights w (1 for
+          ky = 0, else 2).  An even ny's Nyquist column, in the whole
+          extent, has w = 1 and a sine of exactly 0: irfft uses only its
+          real part;
+        - ``z`` (3, nmz, nz): the z_inv rows of the basis each derivative
+          lives in, times the factors of ``dz_modal`` (so the Neumann
+          sine-Nyquist row is 0 for r >= 1).
+        """
+        if dealias not in self._inverse_matrices:
+            nx, ny, nz = self.grid.shape
+            nky, nmz = _extents(self, dealias)
+            keep = (self.kx_keep if dealias else np.ones(nx, bool))[:, None, None]
+            x1 = dx_modal(keep.astype(complex), self)
+            x = np.array([keep, x1, dx_modal(x1, self)])[:, :, 0, 0]
+            # the angle pi ky y_j = 2 pi ky j / ny, reduced mod 2 pi so that
+            # each entry is of an exact angle
+            angle = (2.0 * np.pi / ny) * (np.outer(np.arange(ny), np.arange(nky)) % ny)
+            sin = np.sin(angle)
+            if 2 * (nky - 1) == ny:
+                sin[:, -1] = 0.0
+            e = self.ky_multiplicity[0, :nky, 0] * (np.cos(angle) + 1j * sin)
+            iky = 1j * self.kappa_y[0, :nky, 0]       # the multiplier of dy_modal
+            # Re(c e) = Re c Re e - Im c Im e, for c e, c (iky e), c (iky^2 e)
+            y = np.array([np.hstack([f.real, -f.imag]) for f in (e, iky * e, iky * (iky * e))])
+            dz1 = dz_modal(np.ones(nz), self)[0, 0]
+            dz2 = dz_modal(dz1, self.other)[0, 0]
+            z = np.array([self.z_inv[:nmz], dz1[:nmz, None] * self.other.z_inv[:nmz],
+                          dz2[:nmz, None] * self.z_inv[:nmz]])
+            self._inverse_matrices[dealias] = (x, y, z)
+        return self._inverse_matrices[dealias]
+
 
 @dataclass(frozen=True)
 class BasisPair:
@@ -137,8 +190,10 @@ class BasisPair:
     dirichlet: Basis
 
 
-def make_bases(grid: Grid) -> BasisPair:
-    neu = Basis(grid, NEUMANN)
+def make_bases(grid: Grid, workers: int | None = None) -> BasisPair:
+    """The Neumann basis and its complement, with FFT ``workers`` (see
+    ``Basis``)."""
+    neu = Basis(grid, NEUMANN, workers)
     return BasisPair(neu, neu.other)
 
 
@@ -183,9 +238,9 @@ def to_modal_values(values: np.ndarray, basis: Basis,
         zt[..., :1] += first
     else:
         zt = _z_product(values, z)
-    block = rfft(zt, axis=1, workers=_WORKERS)[:, :nky]
+    block = rfft(zt, axis=1, workers=basis.workers)[:, :nky]
     block *= 1.0 / (nx * ny)
-    block = fft(block, axis=0, overwrite_x=True, workers=_WORKERS)
+    block = fft(block, axis=0, overwrite_x=True, workers=basis.workers)
     if not dealias:
         return block
     block[~basis.kx_keep] = 0.0
@@ -196,17 +251,50 @@ def to_modal_values(values: np.ndarray, basis: Basis,
 
 def to_phys_values(modal: np.ndarray, basis: Basis,
                    dealias: bool = False) -> np.ndarray:
-    """Inverse of to_modal_values: the unscaled inverse FFTs over x and then
-    y (the bits of irfft2), then the real z-transform.  With ``dealias`` it
-    transforms ``modal`` truncated by the 2/3 rule, and the passes read only
-    the kept block; what ``modal`` holds outside it is ignored."""
-    nky, nmz = _extents(basis, dealias)
-    block = modal[:, :nky, :nmz]
+    """Inverse of to_modal_values.  Without ``dealias``: the unscaled
+    inverse FFTs over x and then y (the bits of irfft2), then the real
+    z-transform.  With ``dealias`` it transforms ``modal`` truncated by the
+    2/3 rule, as the value output of the pass that ``derivs`` runs, which
+    reads only the kept block; what ``modal`` holds outside it is ignored."""
     if dealias:
-        block = block * basis.kx_keep[:, None, None]
-    xy = ifft(block, axis=0, norm="forward", overwrite_x=dealias, workers=_WORKERS)
-    vals = irfft(xy, n=basis.grid.ny, axis=1, norm="forward", workers=_WORKERS)
-    return _z_product(vals, basis.z_inv[:nmz])
+        return _inverse_set(modal, basis, [(0, 0, 0)], True)[0]
+    xy = ifft(modal, axis=0, norm="forward", workers=basis.workers)
+    vals = irfft(xy, n=basis.grid.ny, axis=1, norm="forward", workers=basis.workers)
+    return _z_product(vals, basis.z_inv)
+
+
+def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
+                 dealias: bool) -> list:
+    """Physical arrays of the derivatives of the (x, y, z) ``orders`` of the
+    field with coefficients ``modal``, over the extent of ``dealias``, with
+    every pass the set can share shared (see ``Basis.inverse_matrices``):
+
+    - the block is read once, and its x-multiplied copies for x-orders
+      0..max go through one ifft over x, ky ahead of x in memory;
+    - their (Re, Im) is split once, into one stacked real array;
+    - each distinct (x, y) order pair is one real y-gemm on that array;
+    - each output is one product with its z-matrix, written through the
+      (y, x, z) view of the C-ordered result."""
+    x, y, z = basis.inverse_matrices(dealias)
+    nx, ny, nz = basis.grid.shape
+    nky, nmz = _extents(basis, dealias)
+    nxm = max(o[0] for o in orders) + 1
+    block = modal[:, :nky, :nmz].transpose(1, 0, 2)
+    xs = np.empty((nxm, nky, nx, nmz), dtype=complex)
+    for a in range(nxm):
+        np.multiply(block, x[a, :, None], out=xs[a])
+    xs = ifft(xs, axis=2, norm="forward", overwrite_x=True, workers=basis.workers)
+    re_im = np.concatenate((xs.real, xs.imag), axis=1).reshape(nxm, 2 * nky, nx * nmz)
+    del xs          # freed before the outputs are allocated
+    ys = {}
+    out = []
+    for a, b, c in orders:
+        if (a, b) not in ys:
+            ys[a, b] = (y[b] @ re_im[a]).reshape(ny, nx, nmz)
+        vals = np.empty((nx, ny, nz))
+        np.matmul(ys[a, b], z[c], out=vals.transpose(1, 0, 2))
+        out.append(vals)
+    return out
 
 
 def dx_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
@@ -233,24 +321,15 @@ def derivs(modal: np.ndarray, basis: Basis, order: int = 1,
     zz, xy, xz, yz for order 2), of the field with modal coefficients
     ``modal`` in ``basis``, truncated by the 2/3 rule with ``dealias`` (the
     multipliers are diagonal, so the rule commutes with them).
-    z-derivatives of odd order live in the complementary basis."""
-    def phys(m, b):
-        return to_phys_values(m, b, dealias)
+    z-derivatives of odd order live in the complementary basis.
 
-    mz = dz_modal(modal, basis)
-    out = {
-        "x": phys(dx_modal(modal, basis), basis),
-        "y": phys(dy_modal(modal, basis), basis),
-        "z": phys(mz, basis.other),
-    }
-    if order >= 2:
-        out["xx"] = phys(dx_modal(dx_modal(modal, basis), basis), basis)
-        out["yy"] = phys(dy_modal(dy_modal(modal, basis), basis), basis)
-        out["zz"] = phys(dz_modal(mz, basis.other), basis)
-        out["xy"] = phys(dy_modal(dx_modal(modal, basis), basis), basis)
-        out["xz"] = phys(dx_modal(mz, basis.other), basis.other)
-        out["yz"] = phys(dy_modal(mz, basis.other), basis.other)
-    return out
+    The set is one pass (``_inverse_set``): 2 x-FFTs for order 1, 3 for
+    order 2, and no multiplier product on the whole array.  The results
+    equal each multiplier (dx_modal, dy_modal, dz_modal) followed by
+    ``to_phys_values`` to rounding, not bitwise."""
+    keys = _DERIV_KEYS[order]
+    return dict(zip(keys, _inverse_set(modal, basis, [_DERIV_ORDERS[k] for k in keys],
+                                       dealias)))
 
 
 def div_modal(m1: np.ndarray, m2: np.ndarray, mw: np.ndarray,

@@ -251,6 +251,40 @@ class TestMain:
         assert csv[1].count(b"\n") == 7     # header, initial row, 5 steps
         assert csv[1] == csv[2]
 
+    def test_threads_belong_to_each_simulation(self, tmp_path, monkeypatch):
+        """Two simulations built with run.threads 1 and 2 in one process
+        each hand their own count to every FFT pass, stepped in turn, and
+        each gives the bits of a lone run."""
+        def built(threads):
+            path = write_config(tmp_path / f"t{threads}.cfg",
+                                BASE + f"run.threads = {threads}\n")
+            return build_simulation(parse_config(path))
+
+        def fields(state):
+            return [state.log_rho_d.values,
+                    *mf.diagnostics.iterated_values(state).values()]
+
+        lone = {}
+        for threads in (1, 2):
+            sim, state = built(threads)
+            lone[threads] = fields(sim.direct_step(sim.direct_step(state, 1e-3), 1e-3))
+
+        seen = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def recorder(*args, _fn=getattr(mf.spectral_ops, name), **kwargs):
+                seen.append(kwargs["workers"])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mf.spectral_ops, name, recorder)
+        runs = {threads: built(threads) for threads in (1, 2)}
+        for _ in range(2):
+            for threads, (sim, state) in runs.items():
+                seen.clear()
+                runs[threads] = (sim, sim.direct_step(state, 1e-3))
+                assert seen and set(seen) == {threads}
+        for threads, (_, state) in runs.items():
+            for got, want in zip(fields(state), lone[threads]):
+                assert np.array_equal(got, want)
+
     def test_run_then_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = BASE + "solver.t_end = 6e-3\nsolver.checkpoint_every = 3\n"
         full_cfg = full_cfg.replace("solver.t_end = 3e-3\n", "")

@@ -20,9 +20,11 @@ def make_sim(grid, constants, preset="equilibrium", mode="picard", dt=1e-3,
     return mf.Simulation(grid, constants, bspec, cfg), state
 
 
-def count_transforms(monkeypatch) -> dict:
-    """Counts of the forward ("fwd") and inverse ("inv") transform calls
-    made from here on."""
+def count_transforms(monkeypatch, sets: list | None = None) -> dict:
+    """Counts of the forward ("fwd") and inverse ("inv") transforms made
+    from here on.  A derivative set (``derivs``) shares its passes, and
+    each array it returns counts as one inverse; with ``sets`` each set
+    also appends its keys there."""
     count = {"fwd": 0, "inv": 0}
 
     def counted(key, fn):
@@ -31,10 +33,21 @@ def count_transforms(monkeypatch) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_set(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            count["inv"] += len(out)
+            if sets is not None:
+                sets.append(tuple(out))
+            return out
+        return wrapper
+
     monkeypatch.setattr(mf.spectral_ops, "to_modal_values",
                         counted("fwd", mf.spectral_ops.to_modal_values))
     monkeypatch.setattr(mf.spectral_ops, "to_phys_values",
                         counted("inv", mf.spectral_ops.to_phys_values))
+    monkeypatch.setattr(mf.spectral_ops, "derivs",
+                        counted_set(mf.spectral_ops.derivs))
     return count
 
 
@@ -329,14 +342,18 @@ class TestDirectStep:
 
     def test_transform_budget(self, grid8, nondim, monkeypatch):
         """Exact transform counts of one direct step from a moving state that
-        carries its coefficients and of each Picard iteration after the
-        first, so that a repeated transform shows."""
+        carries its coefficients, and its 10 derivative sets, and of each
+        Picard iteration after the first, so that a repeated transform
+        shows."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
         state = sim.direct_step(state, 1e-3)
         assert np.any(state.u.w.values)
-        count = count_transforms(monkeypatch)
+        sets = []
+        count = count_transforms(monkeypatch, sets)
         sim.direct_step(state, 1e-3)
         assert count == {"fwd": 9, "inv": 49}
+        assert len(sets) == 10
+        assert sorted(map(len, sets)) == [3] * 9 + [9]    # 36 of the 49
 
         ends = []
         linear_step = sim.linear_step

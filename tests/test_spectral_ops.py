@@ -424,3 +424,99 @@ class TestBlockTransforms:
                               rfft2(zt, axes=(0, 1), norm="forward"))
         xy = irfft2(modal, s=(g.nx, g.ny), axes=(0, 1), norm="forward")
         assert np.array_equal(to_phys_values(modal, basis), _z_product(xy, basis.z_inv))
+
+
+def multiplier_then_inverse(modal, basis, key, dealias):
+    """The per-output formula ``derivs`` replaced: each derivative's modal
+    multipliers, then the whole-array inverse of the masked product."""
+    m, b = modal, basis
+    for axis in key:
+        if axis == "x":
+            m = mf.spectral_ops.dx_modal(m, b)
+        elif axis == "y":
+            m = mf.spectral_ops.dy_modal(m, b)
+        else:
+            m, b = mf.spectral_ops.dz_modal(m, b), b.other
+    if dealias:
+        m = m * b.dealias_mask
+    return to_phys_values(m, b)
+
+
+class TestDerivativeSets:
+    """``derivs`` shares the passes of a derivative set; each output equals
+    its multipliers followed by an inverse transform, to rounding."""
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_multiplier_then_inverse(self, basis_data, order, dealias):
+        basis, _, modal = basis_data
+        got = mf.spectral_ops.derivs(modal, basis, order, dealias)
+        assert list(got) == (["x", "y", "z"] if order == 1 else
+                             ["x", "y", "z", "xx", "yy", "zz", "xy", "xz", "yz"])
+        for key, vals in got.items():
+            want = multiplier_then_inverse(modal, basis, key, dealias)
+            assert vals.shape == basis.grid.shape and vals.flags.c_contiguous
+            assert np.max(np.abs(vals - want)) <= 1e-14 * np.max(np.abs(want)), key
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_z_constant_neumann_field(self, shape, dealias):
+        """z-derivatives of a field constant in z are exactly 0, and its
+        horizontal derivatives are exactly constant in z; every derivative
+        of the coefficients of a constant is exactly 0."""
+        g = transform_grid(*shape)
+        basis = mf.make_bases(g).neumann
+        xy = np.cos(np.pi * g.x)[:, None] + 0.3 * np.sin(2 * np.pi * g.y)[None, :]
+        vals = np.broadcast_to(xy[:, :, None], g.shape).copy()
+        d = mf.spectral_ops.derivs(to_modal_values(vals, basis), basis, 2, dealias)
+        for key, out in d.items():
+            if "z" in key:
+                assert np.all(out == 0.0), key
+            else:
+                assert np.all(out == out[..., :1]), key
+        assert np.any(d["x"] != 0.0) and np.any(d["y"] != 0.0)
+        const = np.zeros((g.nx, g.ny // 2 + 1, g.nz), dtype=complex)
+        const[0, 0, 0] = 2.5
+        for key, out in mf.spectral_ops.derivs(const, basis, 2, dealias).items():
+            assert np.all(out == 0.0), key
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_neumann_dz_walls_exactly_zero(self, shape, dealias):
+        """Odd z-derivatives of a cosine series are sine series: exactly 0
+        at the walls."""
+        basis = mf.make_bases(transform_grid(*shape)).neumann
+        rng = np.random.default_rng(9)
+        mshape = (shape[0], shape[1] // 2 + 1, shape[2])
+        modal = rng.standard_normal(mshape) + 1j * rng.standard_normal(mshape)
+        d = mf.spectral_ops.derivs(modal, basis, 2, dealias)
+        for key in ("z", "xz", "yz"):
+            assert np.all(d[key][..., [0, -1]] == 0.0), key
+        assert np.all(d["zz"][..., [0, -1]] != 0.0)
+
+    @pytest.mark.parametrize("kind", [NEUMANN, DIRICHLET])
+    def test_ky_nyquist_uses_only_the_real_part(self, kind):
+        """On an even ny the whole extent's Nyquist column enters as irfft
+        has it: only the real part of each multiplied column counts.  A
+        purely imaginary Nyquist column at kx = 0 has an exactly zero value
+        and x, z, xx, yy, zz, xz derivatives; its y and yz derivatives are
+        those of the multiplier-then-inverse formula."""
+        basis = mf.make_bases(transform_grid(8, 8, 9)).neumann
+        basis = basis if kind == NEUMANN else basis.other
+        nky = basis.grid.ny // 2 + 1
+        y = basis.inverse_matrices(False)[1]
+        assert np.all(y[0, :, 2 * nky - 1] == 0.0)          # its sine column
+        assert np.all(y[0, :, nky - 1] == np.cos(np.pi * np.arange(8)))
+        modal = np.zeros((8, nky, 9), dtype=complex)
+        modal[0, -1] = 1j * np.random.default_rng(4).standard_normal(9)
+        if kind == DIRICHLET:
+            modal[..., [0, -1]] = 0.0
+        assert np.all(to_phys_values(modal, basis) == 0.0)
+        d = mf.spectral_ops.derivs(modal, basis, 2)
+        for key, vals in d.items():
+            if key in ("y", "yz"):
+                want = multiplier_then_inverse(modal, basis, key, False)
+                assert np.any(want != 0.0)
+                assert np.max(np.abs(vals - want)) <= 1e-14 * np.max(np.abs(want))
+            else:
+                assert np.all(vals == 0.0), key
