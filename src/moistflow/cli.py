@@ -290,6 +290,8 @@ def _validate(rc: RunConfig) -> None:
                           rc[f"boundary.{var}.alpha_top"])
         except ValueError as exc:
             raise ConfigError(f"{path}: boundary.{var}: {exc}") from exc
+    if rc["run.threads"] < 1:
+        raise ConfigError(f"{path}: run.threads must be >= 1")
     if rc["ic.preset"] not in PRESET_NAMES:
         raise ConfigError(f"{path}: unknown ic.preset {rc['ic.preset']!r}")
     if rc["microphysics.q_vs.kind"] != "default":

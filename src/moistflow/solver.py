@@ -12,8 +12,6 @@ so the converged fixed point satisfies the full variable-mass update.
 
 from __future__ import annotations
 
-import functools
-import operator
 import os
 import time as _time
 import warnings
@@ -76,6 +74,10 @@ class SolverConfig:
             raise ValueError("picard_max_iters must be >= 1")
         if self.v_r_profile not in V_R_PROFILES:
             raise ValueError(f"unknown V_r profile {self.v_r_profile!r}")
+        for name in ("checkpoint_every", "snapshot_every", "record_states_every",
+                     "max_dt_halvings"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -105,43 +107,20 @@ class FrozenVelocity:
 
 @dataclass
 class RhsBundle:
-    """Explicit right-hand sides, one named term per mechanism, so each
-    contribution is retrievable for debugging.  Totals are the plain sums
-    of the stored terms."""
+    """Explicit right-hand sides: each equation's total (the momentum's a
+    3-tuple), with the pressure, Q-factors, rates and q_vs, and the frozen
+    log rho_d coefficients.  Named terms: ``assemble_rhs(terms=...)``."""
 
-    momentum: dict
-    temperature: dict
-    vapor: dict
-    cloud: dict
-    rain: dict
+    momentum: tuple
+    temperature: np.ndarray
+    vapor: np.ndarray
+    cloud: np.ndarray
+    rain: np.ndarray
     p: np.ndarray
     Q_m: np.ndarray
     Q_th: np.ndarray
     source_arrays: dict
-    log_rho_modal: np.ndarray = None  # coefficients of the frozen log rho_d
-
-    def total(self, which: str) -> np.ndarray:
-        return functools.reduce(operator.add, getattr(self, which).values())
-
-    def momentum_total(self):
-        return tuple(functools.reduce(operator.add, comps)
-                     for comps in zip(*self.momentum.values()))
-
-    def finite_total(self, which: str):
-        """``total(which)`` (``momentum_total()`` for the momentum), after a
-        check that it is finite.  A non-finite term makes its total
-        non-finite, so one test per total stands in for one per term; on
-        failure, the StepRejected names the first non-finite term in the
-        order temperature, vapor, cloud, rain, momentum."""
-        total = self.momentum_total() if which == "momentum" else self.total(which)
-        if all(np.all(np.isfinite(t)) for t in
-               (total if which == "momentum" else (total,))):
-            return total
-        for eq in ("temperature", "vapor", "cloud", "rain", "momentum"):
-            for tname, arr in getattr(self, eq).items():
-                if not np.all(np.isfinite(arr)):
-                    raise StepRejected(f"non-finite RHS term {eq}.{tname}")
-        raise StepRejected(f"non-finite RHS total of {which} (finite terms overflowed)")
+    log_rho_modal: np.ndarray
 
 
 @dataclass
@@ -292,7 +271,8 @@ class Simulation:
 
     def assemble_rhs(self, frozen: State, rho_vals: np.ndarray, factors: dict,
                      t_new: float | None = None, modal: dict | None = None,
-                     velocity: FrozenVelocity | None = None) -> RhsBundle:
+                     velocity: FrozenVelocity | None = None,
+                     terms: dict | None = None) -> RhsBundle:
         """Evaluate the frozen-state right-hand sides of the homogenized
         system: advection, sedimentation, pressure gradient, gravity, the
         B/psi lifting corrections, and the clipped phase-change sources.
@@ -302,10 +282,18 @@ class Simulation:
         inverse transforms; the pressure gradient and the log rho_d
         derivative are not truncated.
 
+        Each term is added to its equation's total as soon as it is formed,
+        so a total is the left-to-right sum of its terms in the order below,
+        and no term outlives its addition.  A given ``terms`` dict is filled
+        with them by name, ``terms[eq][name]`` (for the momentum a tuple of
+        components, 0.0 for one that is zero everywhere).  A non-finite
+        total raises StepRejected naming the first non-finite term in the
+        order temperature, vapor, cloud, rain, momentum, found by assembling
+        once more with ``terms``.
+
         ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
         ``_frozen_velocity(modal)`` when the caller already has them."""
         c = self.constants
-        g = self.grid
         neu = self.bases.neumann
         dealias = self.config.dealias
 
@@ -346,77 +334,89 @@ class Simulation:
         q_vs = self.closure(p, T_o)
         S = source_values(T_o, q_o["v"], q_o["c"], q_o["r"], q_vs, c)
 
-        forcing = {}
-        if self.forcing and t_new is not None:
-            forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
+        forcing = {} if t_new is None else {k: fn(t_new) for k, fn in self.forcing.items()}
+
+        totals = {}
+
+        def add(eq, name, *values):
+            # the first term becomes the total (a copy, if it is kept by name)
+            if terms is not None:
+                terms.setdefault(eq, {})[name] = values if eq == "momentum" else values[0]
+            if eq not in totals:
+                totals[eq] = [v.copy() if terms is not None else v for v in values]
+            else:
+                for total, v in zip(totals[eq], values):
+                    total += v
 
         # momentum ----------------------------------------------------------
         dp = sp.derivs(sp.to_modal_values(p, neu), neu)
+        add("momentum", "pressure_gradient", *(np.negative(dp[k], out=dp[k]) for k in "xyz"))
         rQm = rho_vals * Q_m
+        add("momentum", "advection",
+            -rQm * (u1 * du1["x"] + u2 * du1["y"] + w * du1["z"]),
+            -rQm * (u1 * du2["x"] + u2 * du2["y"] + w * du2["z"]),
+            -rQm * (u1 * dw["x"] + u2 * dw["y"] + w * dw["z"]))
         drag = rho_vals * q_o["r"] * self.v_r
-        momentum = {
-            # negated in place: the peak memory of a step falls in this function
-            "pressure_gradient": tuple(np.negative(dp[k], out=dp[k]) for k in "xyz"),
-            "advection": (-rQm * (u1 * du1["x"] + u2 * du1["y"] + w * du1["z"]),
-                          -rQm * (u1 * du2["x"] + u2 * du2["y"] + w * du2["z"]),
-                          -rQm * (u1 * dw["x"] + u2 * dw["y"] + w * dw["z"])),
-            "sedimentation_drag": (drag * du1["z"], drag * du2["z"], drag * dw["z"]),
-            "gravity": (np.zeros(g.shape), np.zeros(g.shape), -rQm * c.g),
-        }
+        add("momentum", "sedimentation_drag", drag * du1["z"], drag * du2["z"], drag * dw["z"])
+        add("momentum", "gravity", 0.0, 0.0, -rQm * c.g)
         if any(k in forcing for k in ("u1", "u2", "w")):
-            zero = np.zeros(g.shape)
-            momentum["forcing"] = (forcing.get("u1", zero), forcing.get("u2", zero),
-                                   forcing.get("w", zero))
+            add("momentum", "forcing", *(forcing.get(k, 0.0) for k in ("u1", "u2", "w")))
 
         # temperature ---------------------------------------------------------
         lT = lifted["T"]
         G_T, ap_T = lT["G"], fT.dz_log_b
-        qrV = c.c_l * q_o["r"] * self.v_r
-        temperature = {
-            "advection": -Q_th * (u1 * lT["x"] + u2 * lT["y"] + w * lT["z"]),
-            "sedimentation": qrV * (lT["z"] - ap_T * G_T),
-            "robin_correction": (Q_th * w * ap_T * G_T
-                                 + c.kappa * (-2.0 * ap_T * lT["z"]
-                                              + fT.dzz_binv_b * G_T
-                                              + fT.psi_laplacian)),
-            "compression": Q_cp * G_T * velocity.div,
-            "phase_heat": -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]),
-        }
+        add("temperature", "advection", -Q_th * (u1 * lT["x"] + u2 * lT["y"] + w * lT["z"]))
+        add("temperature", "sedimentation",
+            c.c_l * q_o["r"] * self.v_r * (lT["z"] - ap_T * G_T))
+        add("temperature", "robin_correction", Q_th * w * ap_T * G_T + c.kappa * (
+            -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T + fT.psi_laplacian))
+        add("temperature", "compression", Q_cp * G_T * velocity.div)
+        add("temperature", "phase_heat",
+            -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]))
         if not fT.psi.is_zero or fT.psi_rate is not None:
-            temperature["psi_tendency"] = -Q_th * fT.psi_dt
+            add("temperature", "psi_tendency", -Q_th * fT.psi_dt)
         if "T" in forcing:
-            temperature["forcing"] = forcing["T"]
+            add("temperature", "forcing", forcing["T"])
 
         # moisture ------------------------------------------------------------
-        def moisture_terms(name, fac, source_term, fkey):
+        for eq, name, fac, source_term, fkey in (
+                ("vapor", "v", fv, S["S_ev"] - S["S_cd"], "qv"),
+                ("cloud", "c", fc, S["S_cd"] - S["S_ac"] - S["S_cr"], "qc"),
+                ("rain", "r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")):
             l = lifted[name]
             G, ap = l["G"], fac.dz_log_b
-            terms = {
-                "advection": -(u1 * l["x"] + u2 * l["y"] + w * l["z"]),
-                "robin_correction": (w * ap * G - 2.0 * ap * l["z"]
-                                     + fac.dzz_binv_b * G + fac.psi_laplacian),
-                "sources": fac.b_profile * source_term,
-            }
+            add(eq, "advection", -(u1 * l["x"] + u2 * l["y"] + w * l["z"]))
+            add(eq, "robin_correction", w * ap * G - 2.0 * ap * l["z"]
+                + fac.dzz_binv_b * G + fac.psi_laplacian)
+            add(eq, "sources", fac.b_profile * source_term)
             if not fac.psi.is_zero or fac.psi_rate is not None:
-                terms["psi_tendency"] = -fac.psi_dt
+                add(eq, "psi_tendency", -fac.psi_dt)
             if fkey in forcing:
-                terms["forcing"] = forcing[fkey]
-            return terms
-
-        vapor = moisture_terms("v", fv, S["S_ev"] - S["S_cd"], "qv")
-        cloud = moisture_terms("c", fc, S["S_cd"] - S["S_ac"] - S["S_cr"], "qc")
-        rain = moisture_terms("r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")
+                add(eq, "forcing", forcing[fkey])
 
         lr = lifted["r"]
         log_rho_modal = dg.modal_of(frozen, "log_rho_d", self.bases)
         dz_log_rho = sp.to_phys_values(sp.dz_modal(log_rho_modal, neu), neu.other)
-        rain["sedimentation"] = (self.v_r * lr["z"]
-                                 + lr["G"] * (self.dz_v_r
-                                              + self.v_r * dz_log_rho
-                                              - self.v_r * fr.dz_log_b))
+        add("rain", "sedimentation", self.v_r * lr["z"]
+            + lr["G"] * (self.dz_v_r + self.v_r * dz_log_rho - self.v_r * fr.dz_log_b))
 
-        return RhsBundle(momentum, temperature, vapor, cloud, rain, p, Q_m, Q_th,
-                         {**S, "q_vs": q_vs}, log_rho_modal=log_rho_modal)
+        def finite(values):
+            return all(np.all(np.isfinite(v)) for v in values)
+
+        order = ("temperature", "vapor", "cloud", "rain", "momentum")
+        bad = [eq for eq in order if not finite(totals[eq])]
+        if bad:
+            if terms is None:   # assemble again by name; that call raises
+                terms = {}
+                self.assemble_rhs(frozen, rho_vals, factors, t_new, modal, velocity, terms)
+            for eq in order:
+                for tname, value in terms[eq].items():
+                    if not finite(value if eq == "momentum" else (value,)):
+                        raise StepRejected(f"non-finite RHS term {eq}.{tname}")
+            raise StepRejected(f"non-finite RHS total of {bad[0]} (finite terms overflowed)")
+
+        return RhsBundle(tuple(totals["momentum"]), *(totals[eq][0] for eq in order[:4]),
+                         p, Q_m, Q_th, {**S, "q_vs": q_vs}, log_rho_modal)
 
     # -- one frozen-coefficient update ---------------------------------------
 
@@ -434,8 +434,8 @@ class Simulation:
         ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
         ``_frozen_velocity(modal)`` when the caller already has them.  The
         returned state carries the coefficients of its fields, with those of
-        its log rho_d, as ``State.modal``.  Each equation's right-hand-side
-        total is checked for non-finite values before its solve."""
+        its log rho_d, as ``State.modal``.  The solves read the totals of
+        ``assemble_rhs``, which has checked that they are finite."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
@@ -459,11 +459,10 @@ class Simulation:
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
         new = {}
-        for key, eq, cur in (("qv", "vapor", current.frak_q_v),
-                             ("qc", "cloud", current.frak_q_c),
-                             ("qr", "rain", current.frak_q_r)):
-            new[key] = sp.helmholtz_modal(
-                cur.values + dt * rhs.finite_total(eq), dt, neu, dealias)
+        for key, total, cur in (("qv", rhs.vapor, current.frak_q_v),
+                                ("qc", rhs.cloud, current.frak_q_c),
+                                ("qr", rhs.rain, current.frak_q_r)):
+            new[key] = sp.helmholtz_modal(cur.values + dt * total, dt, neu, dealias)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
@@ -471,7 +470,7 @@ class Simulation:
         nu_T = c.kappa / Q_th
         nu_T_bar = float(np.mean(nu_T))
         gT = current.frak_T.values + dt * (
-            rhs.finite_total("temperature") / Q_th
+            rhs.temperature / Q_th
             + (nu_T - nu_T_bar) * lagged_laplacian("T"))
         new["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
 
@@ -481,8 +480,9 @@ class Simulation:
         nul = (c.mu + c.lam) / M
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
-        I = rhs.finite_total("momentum")
-        # every term is summed: free them before the largest solve
+        I = rhs.momentum
+        # free the other totals, the pressure and the rates before the
+        # largest solve
         log_rho_modal = rhs.log_rho_modal
         del rhs
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)

@@ -28,7 +28,14 @@ def set_workers(n: int) -> None:
     """The default worker count of bases built after this call (see
     ``Basis.workers``); a basis keeps the count it was built with."""
     global _WORKERS
-    _WORKERS = max(1, int(n))
+    _WORKERS = _worker_count(n)
+
+
+def _worker_count(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"the FFT worker count must be >= 1, got {n}")
+    return n
 
 
 # (x, y, z) derivative orders of each key ``derivs`` returns
@@ -49,8 +56,9 @@ class Basis:
 
     ``workers`` is the number of worker threads handed to each FFT pass of
     the transforms (rfft/irfft over y, fft/ifft over x); by default the
-    count last given to ``set_workers``.  pocketfft results do not depend on
-    it.  The matrix products run on BLAS and ignore it.
+    count last given to ``set_workers``; a count below 1 is a ValueError.
+    pocketfft results do not depend on it.  The matrix products run on BLAS
+    and ignore it.
     """
 
     def __init__(self, grid: Grid, kind: str, workers: int | None = None):
@@ -58,7 +66,7 @@ class Basis:
             raise ValueError(f"unknown basis kind {kind!r}")
         self.grid = grid
         self.kind = kind
-        self.workers = _WORKERS if workers is None else max(1, int(workers))
+        self.workers = _WORKERS if workers is None else _worker_count(workers)
         kx_int = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)  # integers
         ky_int = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)  # real-transform half
         mz = np.arange(grid.nz)

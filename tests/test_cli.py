@@ -206,6 +206,17 @@ class TestMain:
         assert main(["check", path]) == 2
         assert re.search(r"config error: .*c\.cfg:2: .*modes:", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path / "c.cfg", BASE + f"run.threads = {threads}\n")
+        assert main(["check", path]) == 2
+        assert "run.threads must be >= 1" in capsys.readouterr().err
+        for build in (lambda: mf.spectral_ops.Basis(mf.make_grid(8, 8, 9),
+                                                    mf.spectral_ops.NEUMANN, threads),
+                      lambda: mf.spectral_ops.set_workers(threads)):
+            with pytest.raises(ValueError, match="worker count must be >= 1"):
+                build()
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

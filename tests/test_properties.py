@@ -112,17 +112,19 @@ def test_homogenize_round_trip(var, data):
 def test_solver_water_exchange_within_four_ulp(name, amplitude, seed):
     """Criterion 03's bound on the phase-change rates assemble_rhs builds
     (RhsBundle.source_arrays) from a perturbed saturated layer; the moisture
-    right-hand sides carry exactly these exchange terms."""
+    right-hand sides carry exactly these exchange terms (their "sources")."""
     state = mf.perturb_state(LAYER, LAYER_SIM.bases, field=name,
                              amplitude=amplitude, seed=seed)
     factors = LAYER_SIM.factors_at(state.time, LAYER_SIM.config.dt)
-    rhs = LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors)
+    terms = {}
+    rhs = LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
+                                 terms=terms)
     S = rhs.source_arrays
     exchange = {"vapor": S["S_ev"] - S["S_cd"],
                 "cloud": S["S_cd"] - S["S_ac"] - S["S_cr"],
                 "rain": S["S_ac"] + S["S_cr"] - S["S_ev"]}
     for eq, var in (("vapor", "v"), ("cloud", "c"), ("rain", "r")):
-        assert np.array_equal(getattr(rhs, eq)["sources"],
+        assert np.array_equal(terms[eq]["sources"],
                               factors[var].b_profile * exchange[eq]), eq
     res = np.abs(exchange["vapor"] + exchange["cloud"] + exchange["rain"])
     scale = np.maximum.reduce([np.abs(S[n]) for n in RATES]

@@ -113,15 +113,16 @@ class TestAssembleRhs:
                             mf.SolverConfig(dt=1e-3, t_end=1e-3))
         factors = sim.factors_at(0.0)
         rho = np.exp(state.log_rho_d.values)
-        rhs = sim.assemble_rhs(state, rho, factors)
+        terms = {}
+        rhs = sim.assemble_rhs(state, rho, factors, terms=terms)
 
         for name in ("advection", "sedimentation_drag"):
-            for comp in rhs.momentum[name]:
+            for comp in terms["momentum"][name]:
                 assert np.max(np.abs(comp)) == 0.0
         p = mf.pressure(ScalarField(grid16, rho), ScalarField.zeros(grid16),
                         ScalarField(grid16, state.frak_T.values), nondim)
         gp = mf.grad(p, bases16)
-        tot = rhs.momentum_total()
+        tot = rhs.momentum
         assert np.allclose(tot[0], -gp.v1.values, atol=1e-12)
         assert np.allclose(tot[1], -gp.v2.values, atol=1e-12)
         assert np.allclose(tot[2], -gp.w.values - rho * nondim.g, atol=1e-12)
@@ -129,30 +130,39 @@ class TestAssembleRhs:
     def test_zero_rain_kills_sedimentation_terms(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble")
         factors = sim.factors_at(0.0)
-        rhs = sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors)
-        for comp in rhs.momentum["sedimentation_drag"]:
+        terms = {}
+        sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors, terms=terms)
+        for comp in terms["momentum"]["sedimentation_drag"]:
             assert np.max(np.abs(comp)) == 0.0
-        assert np.max(np.abs(rhs.temperature["sedimentation"])) == 0.0
-        assert np.max(np.abs(rhs.rain["sedimentation"])) == 0.0
+        assert np.max(np.abs(terms["temperature"]["sedimentation"])) == 0.0
+        assert np.max(np.abs(terms["rain"]["sedimentation"])) == 0.0
 
     def test_term_recomposition(self, grid16, nondim):
+        """Keeping the named terms does not change the totals, and each
+        total is bitwise the left-to-right sum of its terms."""
         sim, state = make_sim(grid16, nondim, preset="saturated_layer")
         factors = sim.factors_at(0.0)
-        rhs = sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors)
-        for eq in ("temperature", "vapor", "cloud", "rain"):
-            terms = getattr(rhs, eq)
-            total = None
-            for v in terms.values():
-                total = v.copy() if total is None else total + v
-            assert np.array_equal(total, rhs.total(eq))
-        tot = rhs.momentum_total()
-        acc = [None, None, None]
-        for v in rhs.momentum.values():
-            for i in range(3):
-                acc[i] = v[i].copy() if acc[i] is None else acc[i] + v[i]
-        for i in range(3):
-            assert np.array_equal(acc[i], tot[i])
+        rho = np.exp(state.log_rho_d.values)
+        terms = {}
+        named = sim.assemble_rhs(state, rho, factors, terms=terms)
+        plain = sim.assemble_rhs(state, rho, factors)
+        assert list(terms["momentum"]) == ["pressure_gradient", "advection",
+                                           "sedimentation_drag", "gravity"]
 
+        def bits(a):
+            return np.asarray(a).tobytes()
+
+        for eq in ("temperature", "vapor", "cloud", "rain", "momentum"):
+            def comps(v):
+                return v if eq == "momentum" else (v,)
+            acc = None
+            for v in terms[eq].values():
+                acc = ([np.array(x) for x in comps(v)] if acc is None
+                       else [a + x for a, x in zip(acc, comps(v))])
+            for a, got, ref in zip(acc, comps(getattr(named, eq)),
+                                   comps(getattr(plain, eq))):
+                assert bits(got) == bits(ref), eq
+                assert bits(a) == bits(got), eq
 
     def test_solver_runs_the_library_kernels(self, grid8, nondim):
         """The rates, q_vs, Q-factors and pressure that assemble_rhs builds
@@ -488,17 +498,22 @@ class TestCarriedCoefficients:
         """A non-finite total is traced to the first non-finite term, in
         the order temperature, vapor, cloud, rain, momentum."""
         sim, state = moving
-        rhs = sim.assemble_rhs(state, np.exp(state.log_rho_d.values),
-                               sim.factors_at(state.time))
-        assert np.array_equal(rhs.finite_total("vapor"), rhs.total("vapor"))
-        rhs.vapor["sources"][0, 0, 1] = np.nan
-        rhs.rain["advection"][1, 0, 1] = np.inf
-        with pytest.raises(mf.StepRejected, match=r"term vapor\.sources$"):
-            rhs.finite_total("rain")
-        rhs.momentum["gravity"][2][0, 0, 0] = -np.inf
-        with pytest.raises(mf.StepRejected, match=r"term vapor\.sources$"):
-            rhs.finite_total("momentum")
 
+        def spoiled(value, index):
+            def fn(t):
+                out = np.zeros(state.frak_T.values.shape)
+                out[index] = value
+                return out
+            return fn
+
+        forcing = {"qv": spoiled(np.nan, (0, 0, 1)), "qr": spoiled(np.inf, (1, 0, 1)),
+                   "w": spoiled(-np.inf, (0, 0, 3))}
+        for extra, first in (({}, "vapor"), ({"T": spoiled(np.nan, (2, 1, 1))},
+                                             "temperature")):
+            bad = mf.Simulation(sim.grid, sim.constants, sim.bspec, sim.config,
+                                forcing={**forcing, **extra})
+            with pytest.raises(mf.StepRejected, match=rf"term {first}\.forcing$"):
+                bad.linear_step(state, state, 1e-3)
 
 class TestSedimentationForm:
     def test_expanded_equals_conservative_form(self, nondim):
@@ -541,6 +556,13 @@ class TestSolverConfig:
     @pytest.mark.parametrize("t_end,dt", [(0.15, 1e-3), (0.02, 4e-3), (0.0, 1e-3)])
     def test_whole_step_horizons_accepted(self, t_end, dt):
         mf.SolverConfig(dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("name", ["checkpoint_every", "snapshot_every",
+                                      "record_states_every", "max_dt_halvings"])
+    def test_negative_cadences_rejected(self, name):
+        mf.SolverConfig(**{name: 0})
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            mf.SolverConfig(**{name: -3})
 
 
 class TestRun:
