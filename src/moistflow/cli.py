@@ -3,11 +3,11 @@ points: ``run``, ``check``, ``resume``, and ``export-plot``.
 
 Config files are plain UTF-8 ``key = value`` lines with dotted keys and
 ``#`` comments.  Unknown keys are errors (no silent typos), keys retired
-from earlier versions are read with a warning, every key has a
-documented default, and each run writes an echo file listing every consumed
-key so runs are reproducible from their outputs alone.  Exit codes: 0 on
-success, 1 on runtime failure, 2 on usage or configuration errors.  The
-environment variable MOISTFLOW_OUT overrides the output directory.
+from earlier versions are read with a warning, numbers must be finite, every
+key has a documented default, and each run writes an echo file listing every
+consumed key so runs are reproducible from their outputs alone.  Exit codes:
+0 on success, 1 on runtime failure, 2 on usage or configuration errors;
+MOISTFLOW_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def _schema() -> dict:
         s[f"boundary.{var}.alpha_top"] = ("float", 0.0)
         s[f"boundary.{var}.value_bottom"] = ("data", "preset")
         s[f"boundary.{var}.value_top"] = ("data", "preset")
-    s["microphysics.q_vs.kind"] = ("str", "default")
     solver = _field_entries(SolverConfig, _SOLVER_FIELDS)
     s.update((k, v) for k, v in solver.items() if k.startswith("solver."))
     s.update({
@@ -85,9 +84,21 @@ def _schema() -> dict:
 
 SCHEMA = _schema()
 
-# keys of earlier versions that no longer do anything; config.echo files
-# written by those versions list them, so they are read with a warning
-_RETIRED_KEYS = ("solver.psi_dt_mode", "run.seed")
+# keys of earlier versions that no longer do anything, read with a warning
+# (old config.echo files list them); one that chose what this version always
+# does maps to (type tag, that value, why): other values ask for another run
+_RETIRED_KEYS = {"solver.psi_dt_mode": None, "run.seed": None,
+                 "solver.dealias": ("bool", True, "the 2/3 rule is always applied"),
+                 "microphysics.q_vs.kind": (
+                     "str", "default", "only the 'default' saturation closure is "
+                     "file-configurable; plug closures in via the API")}
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 def _parse_modes(text: str, where: str) -> dict:
@@ -110,7 +121,7 @@ def _parse_modes(text: str, where: str) -> dict:
             raise ConfigError(f"{where}: mode entry needs k1,k2,re,im: {chunk!r}")
         try:
             k1, k2 = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3])
+            re, im = _finite(parts[2]), _finite(parts[3])
         except ValueError as exc:
             raise ConfigError(f"{where}: bad mode entry {chunk!r}: {exc}") from exc
         if (k1, k2) == (0, 0):
@@ -143,8 +154,8 @@ def _format_data(value) -> str:
     return repr(float(value))
 
 
-def _coerce(key: str, text: str, where: str):
-    kind = SCHEMA[key][0]
+def _coerce(key: str, text: str, where: str, kind: str | None = None):
+    kind = kind or SCHEMA[key][0]
     text = text.strip()
     if kind == "data" and text.startswith("modes"):
         return _parse_modes(text, where)    # its errors name the line already
@@ -152,7 +163,7 @@ def _coerce(key: str, text: str, where: str):
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "bool":
             low = text.lower()
             if low in ("true", "1", "yes", "on"):
@@ -163,7 +174,7 @@ def _coerce(key: str, text: str, where: str):
         if kind == "data":
             if text == "preset":
                 return "preset"
-            return float(text)
+            return _finite(text)
         return text
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse value for {key}: {exc}") from exc
@@ -261,6 +272,9 @@ def parse_config(path) -> RunConfig:
         key, text = (part.strip() for part in line.split("=", 1))
         where = f"{path}:{lineno}"
         if key in _RETIRED_KEYS:
+            fixed = _RETIRED_KEYS[key]
+            if fixed is not None and _coerce(key, text, where, fixed[0]) != fixed[1]:
+                raise ConfigError(f"{where}: {key} = {text}: {fixed[2]}")
             warnings.warn(f"{where}: {key} is retired and ignored")
             continue
         if key not in SCHEMA:
@@ -294,9 +308,6 @@ def _validate(rc: RunConfig) -> None:
         raise ConfigError(f"{path}: run.threads must be >= 1")
     if rc["ic.preset"] not in PRESET_NAMES:
         raise ConfigError(f"{path}: unknown ic.preset {rc['ic.preset']!r}")
-    if rc["microphysics.q_vs.kind"] != "default":
-        raise ConfigError(f"{path}: only the 'default' saturation closure is "
-                          f"file-configurable; plug closures in via the API")
 
 
 def build_simulation(rc: RunConfig):

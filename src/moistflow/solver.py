@@ -48,7 +48,6 @@ class SolverConfig:
     mode: str = "direct"            # "picard" | "direct"
     picard_tol: float = 1.0e-8
     picard_max_iters: int = 12
-    dealias: bool = True
     v_r_profile: str = "constant"   # terminal rain-fall speed profile
     v_r_scale: float = 1.0
     checkpoint_every: int = 0
@@ -97,7 +96,7 @@ class PicardReport:
 
 @dataclass
 class FrozenVelocity:
-    """Spectral derivatives of the (dealiased) frozen velocity of one
+    """Spectral derivatives of the dealiased frozen velocity of one
     iterate, shared by the density step and the right-hand sides."""
 
     d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
@@ -184,19 +183,17 @@ class Simulation:
 
     def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
         """Derivatives, div u and grad div u of the velocity with
-        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``.  When
-        the configuration dealiases, the 2/3 rule acts in the inverse
-        transforms: the modal multipliers are diagonal, so truncating their
-        products truncates the velocity."""
+        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``.  The
+        2/3 rule acts in the inverse transforms: the modal multipliers are
+        diagonal, so truncating their products truncates the velocity."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
-        dealias = self.config.dealias
         m1, m2, mw = modal["u1"], modal["u2"], modal["w"]
         div_m = sp.div_modal(m1, m2, mw, self.bases)
         return FrozenVelocity(
-            d=(sp.derivs(m1, neu, dealias=dealias), sp.derivs(m2, neu, dealias=dealias),
-               sp.derivs(mw, diri, dealias=dealias)),
-            div=sp.to_phys_values(div_m, neu, dealias),
-            grad_div=sp.derivs(div_m, neu, dealias=dealias))
+            d=(sp.derivs(m1, neu, dealias=True), sp.derivs(m2, neu, dealias=True),
+               sp.derivs(mw, diri, dealias=True)),
+            div=sp.to_phys_values(div_m, neu, True),
+            grad_div=sp.derivs(div_m, neu, dealias=True))
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -277,10 +274,9 @@ class Simulation:
         system: advection, sedimentation, pressure gradient, gravity, the
         B/psi lifting corrections, and the clipped phase-change sources.
 
-        When the configuration dealiases, the velocity and the lifted
-        scalars are differentiated under the 2/3 rule, which acts in their
-        inverse transforms; the pressure gradient and the log rho_d
-        derivative are not truncated.
+        The velocity and the lifted scalars are differentiated under the
+        2/3 rule, which acts in their inverse transforms; the pressure
+        gradient and the log rho_d derivative are not truncated.
 
         Each term is added to its equation's total as soon as it is formed,
         so a total is the left-to-right sum of its terms in the order below,
@@ -295,7 +291,6 @@ class Simulation:
         ``_frozen_velocity(modal)`` when the caller already has them."""
         c = self.constants
         neu = self.bases.neumann
-        dealias = self.config.dealias
 
         fT, fv, fc, fr = factors["T"], factors["v"], factors["c"], factors["r"]
         u1, u2, w = (comp.values for comp in frozen.u.components())
@@ -314,7 +309,7 @@ class Simulation:
                                        ("c", "qc", frozen.frak_q_c, fc),
                                        ("r", "qr", frozen.frak_q_r, fr)):
             m = modal[key]
-            d = sp.derivs(m, neu, dealias=dealias)
+            d = sp.derivs(m, neu, dealias=True)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -427,9 +422,9 @@ class Simulation:
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
         frozen iterate.  ``frozen`` must already hold the advanced density.
-        When the configuration dealiases, the solves' forward transforms
-        apply the 2/3 rule, so the new coefficients are 0 outside the kept
-        block, and the inverse transforms run on that block alone.
+        The solves' forward transforms apply the 2/3 rule, so the new
+        coefficients are 0 outside the kept block, and the inverse
+        transforms run on that block alone.
 
         ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
         ``_frozen_velocity(modal)`` when the caller already has them.  The
@@ -439,7 +434,6 @@ class Simulation:
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
-        dealias = self.config.dealias
         if factors is None:
             factors = self.factors_at(current.time, dt)
         if modal is None:
@@ -453,8 +447,7 @@ class Simulation:
         def lagged_laplacian(name):
             # formed where its solve uses it, so that at most one is in memory
             basis = dg.iterated_basis(name, self.bases)
-            return sp.to_phys_values(sp.laplacian_modal(modal[name], basis), basis,
-                                     dealias)
+            return sp.to_phys_values(sp.laplacian_modal(modal[name], basis), basis, True)
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
@@ -462,7 +455,7 @@ class Simulation:
         for key, total, cur in (("qv", rhs.vapor, current.frak_q_v),
                                 ("qc", rhs.cloud, current.frak_q_c),
                                 ("qr", rhs.rain, current.frak_q_r)):
-            new[key] = sp.helmholtz_modal(cur.values + dt * total, dt, neu, dealias)
+            new[key] = sp.helmholtz_modal(cur.values + dt * total, dt, neu, True)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
@@ -472,7 +465,7 @@ class Simulation:
         gT = current.frak_T.values + dt * (
             rhs.temperature / Q_th
             + (nu_T - nu_T_bar) * lagged_laplacian("T"))
-        new["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, dealias)
+        new["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, True)
 
         # momentum: same mean-coefficient splitting for both viscous operators
         M = rho_vals * rhs.Q_m
@@ -491,10 +484,10 @@ class Simulation:
                                + (nul - nul_bar) * velocity.grad_div[k])
               for i, (name, k) in enumerate(zip(("u1", "u2", "w"), "xyz"))]
         new["u1"], new["u2"], new["w"] = sp.vector_helmholtz_modal(
-            gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, dealias)
+            gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, True)
 
         new = {name: new[name] for name in dg.ITERATED}
-        vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases), dealias)
+        vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases), True)
                 for name, m in new.items()}
         for arr in vals.values():
             if not np.all(np.isfinite(arr)):
@@ -665,7 +658,7 @@ class Simulation:
             factors = self.factors_at(state.time, cfg.dt)
             rows = []
             states = []
-            self._rejections = 0
+            self._rejections = self._positivity_fixes = 0
             # a run resumed from a checkpoint keeps the step numbers of the
             # uninterrupted run (SolverConfig guarantees whole steps)
             step = round(initial.time / cfg.dt)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, rfft
+from scipy.fft import fft, ifft, rfft
 
 from .fields import Grid, ScalarField, VectorField
 
@@ -55,7 +55,7 @@ class Basis:
     ``inverse_matrices`` build once, and safe to share across threads.
 
     ``workers`` is the number of worker threads handed to each FFT pass of
-    the transforms (rfft/irfft over y, fft/ifft over x); by default the
+    the transforms (rfft over y, fft/ifft over x); by default the
     count last given to ``set_workers``; a count below 1 is a ValueError.
     pocketfft results do not depend on it.  The matrix products run on BLAS
     and ignore it.
@@ -160,10 +160,10 @@ class Basis:
           2/3 rule drops when ``dealias``;
         - ``y`` (3, ny, 2 nky): the real y-pass, applied on the left of the
           stacked (Re, Im) of the x-pass.  Row j holds w cos and -w sin of
-          the angle pi ky y_j, times (i ky)^r, with irfft's weights w (1 for
-          ky = 0, else 2).  An even ny's Nyquist column, in the whole
-          extent, has w = 1 and a sine of exactly 0: irfft uses only its
-          real part;
+          the angle pi ky y_j, times (i ky)^r, with the weights w of a real
+          inverse FFT (1 for ky = 0, else 2).  An even ny's Nyquist column,
+          in the whole extent, has w = 1 and a sine of exactly 0: only its
+          real part counts;
         - ``z`` (3, nmz, nz): the z_inv rows of the basis each derivative
           lives in, times the factors of ``dz_modal`` (so the Neumann
           sine-Nyquist row is 0 for r >= 1).
@@ -259,16 +259,11 @@ def to_modal_values(values: np.ndarray, basis: Basis,
 
 def to_phys_values(modal: np.ndarray, basis: Basis,
                    dealias: bool = False) -> np.ndarray:
-    """Inverse of to_modal_values.  Without ``dealias``: the unscaled
-    inverse FFTs over x and then y (the bits of irfft2), then the real
-    z-transform.  With ``dealias`` it transforms ``modal`` truncated by the
-    2/3 rule, as the value output of the pass that ``derivs`` runs, which
-    reads only the kept block; what ``modal`` holds outside it is ignored."""
-    if dealias:
-        return _inverse_set(modal, basis, [(0, 0, 0)], True)[0]
-    xy = ifft(modal, axis=0, norm="forward", workers=basis.workers)
-    vals = irfft(xy, n=basis.grid.ny, axis=1, norm="forward", workers=basis.workers)
-    return _z_product(vals, basis.z_inv)
+    """Inverse of to_modal_values: the value output of the pass that
+    ``derivs`` runs.  With ``dealias`` it transforms ``modal`` truncated by
+    the 2/3 rule, reading only the kept block; what ``modal`` holds outside
+    it is ignored."""
+    return _inverse_set(modal, basis, [(0, 0, 0)], dealias)[0]
 
 
 def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
@@ -409,8 +404,8 @@ def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
 def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """The part of ``modal`` that survives ``to_phys_values``: the ky = 0
     plane (and the ky Nyquist plane, for even ny) is made Hermitian in kx,
-    since the inverse y-pass (irfft) keeps only the real part of those columns, and the sine
-    wall rows are zeroed.  Then ``to_modal_values(to_phys_values(M))``
+    since the inverse y-pass keeps only the real part of those columns, and
+    the sine wall rows are zeroed.  Then ``to_modal_values(to_phys_values(M))``
     equals ``representable(M)`` up to rounding.  Odd derivatives of the kx
     or ky Nyquist modes are what break the symmetry."""
     out = modal.copy()
