@@ -108,9 +108,9 @@ class SourceBundle:
 
 def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
                   q_r: np.ndarray, q_vs: np.ndarray, constants: PhysConstants,
-                  clipped: bool = True) -> dict:
+                  q_v_raw: np.ndarray, q_c_raw: np.ndarray) -> dict:
     """The four phase-change rates on plain arrays, keyed S_ev, S_cd, S_ac,
-    S_cr.
+    S_cr, from the T, q_j given and the unclipped q_v_raw, q_c_raw.
 
     Raw form:
         S_ev = c_ev T (R_d + R_v q_v)/(1 + q_v + q_c + q_r) (q_vs - q_v)+ q_r
@@ -118,19 +118,17 @@ def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
         S_ac = c_ac (q_c - q_ac)+
         S_cr = c_cr q_c q_r
     The clipped form is the same formula with T+, q_j+ in place of T, q_j,
-    exactly where the approximation system puts them; the nucleation term
-    and S_ac keep unclipped arguments.
+    exactly where the approximation system puts them: the caller passes
+    the nonnegative parts as T, q_j.  The nucleation term and S_ac read
+    q_v_raw and q_c_raw in both forms.
     """
     c = constants
-    Tc, qvc, qcc, qrc = T, q_v, q_c, q_r
-    if clipped:
-        Tc, qvc, qcc, qrc = _pos(T), _pos(q_v), _pos(q_c), _pos(q_r)
-    denom = 1.0 + qvc + qcc + qrc
+    denom = 1.0 + q_v + q_c + q_r
     return {
-        "S_ev": c.c_ev * Tc * (c.R_d + c.R_v * qvc) / denom * _pos(q_vs - qvc) * qrc,
-        "S_cd": c.c_cd * (qvc - q_vs) * qcc + c.c_cn * _pos(q_v - q_vs) * c.q_cn,
-        "S_ac": c.c_ac * _pos(q_c - c.q_ac),
-        "S_cr": c.c_cr * qcc * qrc,
+        "S_ev": c.c_ev * T * (c.R_d + c.R_v * q_v) / denom * _pos(q_vs - q_v) * q_r,
+        "S_cd": c.c_cd * (q_v - q_vs) * q_c + c.c_cn * _pos(q_v_raw - q_vs) * c.q_cn,
+        "S_ac": c.c_ac * _pos(q_c_raw - c.q_ac),
+        "S_cr": c.c_cr * q_c * q_r,
     }
 
 
@@ -142,8 +140,10 @@ def sources(T: ScalarField, q_v: ScalarField, q_c: ScalarField, q_r: ScalarField
     grid = check_same_grid(T, q_v, q_c, q_r, q_vs)
     if not clipped and np.any(1.0 + q_v.values + q_c.values + q_r.values <= 0.0):
         raise ValueError("raw sources: moisture denominator 1 + q_v + q_c + q_r <= 0")
-    rates = source_values(T.values, q_v.values, q_c.values, q_r.values,
-                          q_vs.values, constants, clipped)
+    args = (T.values, q_v.values, q_c.values, q_r.values)
+    if clipped:
+        args = tuple(map(_pos, args))
+    rates = source_values(*args, q_vs.values, constants, q_v.values, q_c.values)
     return SourceBundle(*(ScalarField(grid, rates[k])
                           for k in ("S_ev", "S_cd", "S_ac", "S_cr")),
                         clipped, q_vs)

@@ -22,8 +22,9 @@ import numpy as np
 from . import diagnostics as dg
 from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
-from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
-                     save_modal, save_state, write_dir_atomically)
+from .fields import (MODAL_NAMES, Grid, PhysConstants, ScalarField, State,
+                     VectorField, positive_values, save_modal, save_state,
+                     write_dir_atomically)
 from .microphysics import SaturationClosure, source_values
 from .thermo import pressure_values, q_factor_values
 
@@ -96,9 +97,11 @@ class PicardReport:
 
 @dataclass
 class FrozenVelocity:
-    """Spectral derivatives of the dealiased frozen velocity of one
-    iterate, shared by the density step and the right-hand sides."""
+    """The frozen velocity of one iterate and the spectral derivatives of
+    its dealiased form, shared by the density step and the right-hand
+    sides."""
 
+    values: tuple     # values of v1, v2, w
     d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
     div: np.ndarray   # div u
     grad_div: dict    # grad(div u), keyed x, y, z
@@ -107,8 +110,8 @@ class FrozenVelocity:
 @dataclass
 class RhsBundle:
     """Explicit right-hand sides: each equation's total (the momentum's a
-    3-tuple), with the pressure, Q-factors, rates and q_vs, and the frozen
-    log rho_d coefficients.  Named terms: ``assemble_rhs(terms=...)``."""
+    3-tuple), with the pressure, Q-factors, rates and q_vs.  Named terms:
+    ``assemble_rhs(terms=...)``."""
 
     momentum: tuple
     temperature: np.ndarray
@@ -119,7 +122,6 @@ class RhsBundle:
     Q_m: np.ndarray
     Q_th: np.ndarray
     source_arrays: dict
-    log_rho_modal: np.ndarray
 
 
 @dataclass
@@ -175,21 +177,16 @@ class Simulation:
             return self._static_factors
         return build_factors(self.bspec, self.grid, t, dt)
 
-    def _state_modal(self, s: State) -> dict:
-        """Modal coefficients of the iterated variables, keyed as
-        ``diagnostics.ITERATED``: the ones ``s`` carries, or else
-        transforms."""
-        return {name: dg.modal_of(s, name, self.bases) for name in dg.ITERATED}
-
-    def _frozen_velocity(self, modal: dict) -> FrozenVelocity:
-        """Derivatives, div u and grad div u of the velocity with
-        coefficients ``modal["u1"]``, ``modal["u2"]``, ``modal["w"]``.  The
-        2/3 rule acts in the inverse transforms: the modal multipliers are
-        diagonal, so truncating their products truncates the velocity."""
+    def _frozen_velocity(self, s: State) -> FrozenVelocity:
+        """The velocity of ``s`` with its derivatives, div u and grad div u,
+        from its coefficients (``diagnostics.modal_of``).  The 2/3 rule acts
+        in the inverse transforms: the modal multipliers are diagonal, so
+        truncating their products truncates the velocity."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
-        m1, m2, mw = modal["u1"], modal["u2"], modal["w"]
+        m1, m2, mw = (dg.modal_of(s, name, self.bases) for name in ("u1", "u2", "w"))
         div_m = sp.div_modal(m1, m2, mw, self.bases)
         return FrozenVelocity(
+            values=tuple(comp.values for comp in s.u.components()),
             d=(sp.derivs(m1, neu, dealias=True), sp.derivs(m2, neu, dealias=True),
                sp.derivs(mw, diri, dealias=True)),
             div=sp.to_phys_values(div_m, neu, True),
@@ -210,33 +207,24 @@ class Simulation:
 
     # -- density transport --------------------------------------------------
 
-    def density_step(self, state: State, u_frozen: VectorField, dt: float,
-                     velocity: FrozenVelocity | None = None,
-                     step_cache: dict | None = None) -> ScalarField:
-        """Advance log rho_d along backtracked characteristics of the frozen
-        velocity: RK2 midpoint foot, second-order Taylor interpolation at the
-        foot, and a midpoint-rule quadrature of the divergence integral.
-        Positivity of rho_d is automatic in the log form.
+    def density_step(self, state: State, velocity: FrozenVelocity, dt: float,
+                     dlog: dict) -> ScalarField:
+        """Advance the log rho_d of ``state`` along backtracked
+        characteristics of the frozen velocity: RK2 midpoint foot,
+        second-order Taylor interpolation at the foot, and a midpoint-rule
+        quadrature of the divergence integral.  Positivity of rho_d is
+        automatic in the log form.
 
-        ``velocity`` is ``_frozen_velocity`` of ``u_frozen``'s coefficients
-        when the caller already has it; the velocity derivatives are those of
-        the dealiased velocity, the one the right-hand sides advect with.
-        ``step_cache`` keeps the derivatives of ``state.log_rho_d``, which do
-        not depend on the velocity, across the iterates of a step."""
+        ``velocity`` is ``_frozen_velocity`` of the frozen iterate; its
+        derivatives are those of the dealiased velocity, the one the
+        right-hand sides advect with.  ``dlog`` is the order-2 derivative
+        set of ``state.log_rho_d``, which does not depend on the velocity."""
         g = self.grid
-        neu, diri = self.bases.neumann, self.bases.dirichlet
-        u1, u2, w = (c.values for c in u_frozen.components())
+        u1, u2, w = velocity.values
         wall_w = max(float(np.max(np.abs(w[:, :, 0]))), float(np.max(np.abs(w[:, :, -1]))))
         if wall_w > 1.0e-8 * (1.0 + float(np.max(np.abs(w)))):
             raise ValueError("frozen velocity violates the no-penetration condition")
 
-        if not (np.any(u1) or np.any(u2) or np.any(w)):
-            return state.log_rho_d.copy()
-
-        if velocity is None:
-            velocity = self._frozen_velocity({"u1": sp.to_modal_values(u1, neu),
-                                              "u2": sp.to_modal_values(u2, neu),
-                                              "w": sp.to_modal_values(w, diri)})
         du1, du2, dw = velocity.d
         hx, hy = -0.5 * dt * u1, -0.5 * dt * u2
         hz = -0.5 * dt * w
@@ -252,11 +240,6 @@ class Simulation:
                           f"(overshoot {overshoot:.3e})")
         dz_f = foot_z - g.z[None, None, :]
 
-        dlog = step_cache.get("log_rho_d") if step_cache is not None else None
-        if dlog is None:
-            dlog = sp.derivs(dg.modal_of(state, "log_rho_d", self.bases), neu, order=2)
-            if step_cache is not None:
-                step_cache["log_rho_d"] = dlog
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
                                         dx_f, dy_f, dz_f, order=2)
 
@@ -267,8 +250,7 @@ class Simulation:
     # -- explicit right-hand sides ------------------------------------------
 
     def assemble_rhs(self, frozen: State, rho_vals: np.ndarray, factors: dict,
-                     t_new: float | None = None, modal: dict | None = None,
-                     velocity: FrozenVelocity | None = None,
+                     t_new: float, velocity: FrozenVelocity,
                      terms: dict | None = None) -> RhsBundle:
         """Evaluate the frozen-state right-hand sides of the homogenized
         system: advection, sedimentation, pressure gradient, gravity, the
@@ -287,19 +269,13 @@ class Simulation:
         order temperature, vapor, cloud, rain, momentum, found by assembling
         once more with ``terms``.
 
-        ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
-        ``_frozen_velocity(modal)`` when the caller already has them."""
+        ``velocity`` is ``_frozen_velocity(frozen)``; the scalars' and log
+        rho_d's coefficients are those of ``frozen`` (``modal_of``)."""
         c = self.constants
         neu = self.bases.neumann
 
         fT, fv, fc, fr = factors["T"], factors["v"], factors["c"], factors["r"]
-        u1, u2, w = (comp.values for comp in frozen.u.components())
-
-        # frozen-velocity derivatives and divergence
-        if modal is None:
-            modal = self._state_modal(frozen)
-        if velocity is None:
-            velocity = self._frozen_velocity(modal)
+        u1, u2, w = velocity.values
         du1, du2, dw = velocity.d
 
         # homogenized scalars: lifted field G = frak + psi and derivatives
@@ -308,8 +284,7 @@ class Simulation:
                                        ("v", "qv", frozen.frak_q_v, fv),
                                        ("c", "qc", frozen.frak_q_c, fc),
                                        ("r", "qr", frozen.frak_q_r, fr)):
-            m = modal[key]
-            d = sp.derivs(m, neu, dealias=True)
+            d = sp.derivs(dg.modal_of(frozen, key, self.bases), neu, dealias=True)
             psi = fac.psi
             if psi.is_zero:
                 G = field_.values
@@ -324,12 +299,16 @@ class Simulation:
         T_o = fT.binv_profile * lifted["T"]["G"]
         q_o = {n: factors[n].binv_profile * lifted[n]["G"] for n in ("v", "c", "r")}
 
-        Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(q_o["v"], q_o["c"], q_o["r"], c)
+        # both kernels compute with the clipped variables, each clipped once;
+        # the nucleation and auto-conversion rates read the raw q_v and q_c
+        T_c, qv_c, qc_c, qr_c = map(positive_values, (T_o, q_o["v"], q_o["c"], q_o["r"]))
+        Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(qv_c, qc_c, qr_c, c)
         p = pressure_values(rho_vals, q_o["v"], T_o, c)
         q_vs = self.closure(p, T_o)
-        S = source_values(T_o, q_o["v"], q_o["c"], q_o["r"], q_vs, c)
+        S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_o["v"], q_o["c"])
+        del T_c, qv_c, qc_c, qr_c   # kept, they would raise the step's peak memory
 
-        forcing = {} if t_new is None else {k: fn(t_new) for k, fn in self.forcing.items()}
+        forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
 
         totals = {}
 
@@ -368,7 +347,7 @@ class Simulation:
         add("temperature", "compression", Q_cp * G_T * velocity.div)
         add("temperature", "phase_heat",
             -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]))
-        if not fT.psi.is_zero or fT.psi_rate is not None:
+        if fT.psi_rate is not None:
             add("temperature", "psi_tendency", -Q_th * fT.psi_dt)
         if "T" in forcing:
             add("temperature", "forcing", forcing["T"])
@@ -384,14 +363,14 @@ class Simulation:
             add(eq, "robin_correction", w * ap * G - 2.0 * ap * l["z"]
                 + fac.dzz_binv_b * G + fac.psi_laplacian)
             add(eq, "sources", fac.b_profile * source_term)
-            if not fac.psi.is_zero or fac.psi_rate is not None:
+            if fac.psi_rate is not None:
                 add(eq, "psi_tendency", -fac.psi_dt)
             if fkey in forcing:
                 add(eq, "forcing", forcing[fkey])
 
         lr = lifted["r"]
-        log_rho_modal = dg.modal_of(frozen, "log_rho_d", self.bases)
-        dz_log_rho = sp.to_phys_values(sp.dz_modal(log_rho_modal, neu), neu.other)
+        dz_log_rho = sp.to_phys_values(
+            sp.dz_modal(dg.modal_of(frozen, "log_rho_d", self.bases), neu), neu.other)
         add("rain", "sedimentation", self.v_r * lr["z"]
             + lr["G"] * (self.dz_v_r + self.v_r * dz_log_rho - self.v_r * fr.dz_log_b))
 
@@ -403,7 +382,7 @@ class Simulation:
         if bad:
             if terms is None:   # assemble again by name; that call raises
                 terms = {}
-                self.assemble_rhs(frozen, rho_vals, factors, t_new, modal, velocity, terms)
+                self.assemble_rhs(frozen, rho_vals, factors, t_new, velocity, terms)
             for eq in order:
                 for tname, value in terms[eq].items():
                     if not finite(value if eq == "momentum" else (value,)):
@@ -411,13 +390,12 @@ class Simulation:
             raise StepRejected(f"non-finite RHS total of {bad[0]} (finite terms overflowed)")
 
         return RhsBundle(tuple(totals["momentum"]), *(totals[eq][0] for eq in order[:4]),
-                         p, Q_m, Q_th, {**S, "q_vs": q_vs}, log_rho_modal)
+                         p, Q_m, Q_th, {**S, "q_vs": q_vs})
 
     # -- one frozen-coefficient update ---------------------------------------
 
     def linear_step(self, frozen: State, current: State, dt: float,
-                    factors: dict | None = None, modal: dict | None = None,
-                    velocity: FrozenVelocity | None = None) -> State:
+                    factors: dict, velocity: FrozenVelocity) -> State:
         """Backward-Euler update of the associated linear system: implicit
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
@@ -426,28 +404,21 @@ class Simulation:
         coefficients are 0 outside the kept block, and the inverse
         transforms run on that block alone.
 
-        ``modal`` is ``_state_modal(frozen)`` and ``velocity`` is
-        ``_frozen_velocity(modal)`` when the caller already has them.  The
-        returned state carries the coefficients of its fields, with those of
-        its log rho_d, as ``State.modal``.  The solves read the totals of
+        ``velocity`` is ``_frozen_velocity(frozen)``.  The returned state
+        carries the coefficients of its fields, with those of the frozen
+        log rho_d, as ``State.modal``.  The solves read the totals of
         ``assemble_rhs``, which has checked that they are finite."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
-        if factors is None:
-            factors = self.factors_at(current.time, dt)
-        if modal is None:
-            modal = self._state_modal(frozen)
-        if velocity is None:
-            velocity = self._frozen_velocity(modal)
         rho_vals = np.exp(frozen.log_rho_d.values)
-        rhs = self.assemble_rhs(frozen, rho_vals, factors, t_new=current.time + dt,
-                                modal=modal, velocity=velocity)
+        rhs = self.assemble_rhs(frozen, rho_vals, factors, current.time + dt, velocity)
 
         def lagged_laplacian(name):
             # formed where its solve uses it, so that at most one is in memory
             basis = dg.iterated_basis(name, self.bases)
-            return sp.to_phys_values(sp.laplacian_modal(modal[name], basis), basis, True)
+            return sp.to_phys_values(sp.laplacian_modal(
+                dg.modal_of(frozen, name, self.bases), basis), basis, True)
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
@@ -476,7 +447,6 @@ class Simulation:
         I = rhs.momentum
         # free the other totals, the pressure and the rates before the
         # largest solve
-        log_rho_modal = rhs.log_rho_modal
         del rhs
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
         gu = [cur_u[i] + dt * (I[i] / M
@@ -498,7 +468,7 @@ class Simulation:
         out = State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
                     ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
                     ScalarField(g, vals["qr"]), current.time + dt)
-        out.modal = {**new, "log_rho_d": log_rho_modal}
+        out.modal = {**new, "log_rho_d": dg.modal_of(frozen, "log_rho_d", self.bases)}
         return out
 
     # -- metric for increments ------------------------------------------------
@@ -551,33 +521,42 @@ class Simulation:
         iters = cfg.picard_max_iters if max_iters is None else max_iters
         factors = self.factors_at(state.time, dt)
         report = PicardReport()
+        neu = self.bases.neumann
+        # the step starts from the coefficients the state carries, or from
+        # those of its fields on a copy; after that each iterate gets the
+        # coefficients of its fields from the previous solves
+        if state.modal is None:
+            state = replace(state)
+            state.modal = {name: dg.modal_of(state, name, self.bases)
+                           for name in MODAL_NAMES}
         # derivatives of the step's initial log rho_d, shared by all iterates
-        step_cache = {} if iters > 1 else None
+        dlog = sp.derivs(state.modal["log_rho_d"], neu, order=2)
 
-        # the step starts from the coefficients the state carries (the
-        # fields are transformed once if it has none); after that each
-        # iterate gets the coefficients of its fields from the previous
-        # solves
-        modal = self._state_modal(state)
         x_prev = state
         first = None
         for m in range(1, iters + 1):
             # one set of frozen-velocity derivatives serves the density step,
             # the right-hand sides and the lagged grad div u
-            velocity = self._frozen_velocity(modal)
-            log_rho_new = self.density_step(state, x_prev.u, dt, velocity, step_cache)
+            velocity = self._frozen_velocity(x_prev)
+            log_rho_new = self.density_step(state, velocity, dt, dlog)
+            if m == iters:
+                dlog = None     # no later iterate reads it; free it before the solves
+            # the frozen iterate: the previous one with the new density, and
+            # the coefficients of all eight of its fields
             try:
                 frozen = replace(x_prev, log_rho_d=log_rho_new)
             except FloatingPointError as exc:
                 raise StepRejected(f"density step at dt={dt:g}: {exc}") from exc
-            x_new = self.linear_step(frozen, state, dt, factors, modal, velocity)
+            frozen.modal = {**x_prev.modal,
+                            "log_rho_d": sp.to_modal_values(log_rho_new.values, neu)}
+            x_new = self.linear_step(frozen, state, dt, factors, velocity)
             report.iterations = m
             if iters == 1:
                 # the direct mode: no convergence test, so no increment either
                 report.converged = True
                 return x_new, report
             parts = self._increment_parts(dg.modal_sqs(
-                {name: x_new.modal[name] - modal[name] for name in dg.ITERATED},
+                {name: x_new.modal[name] - x_prev.modal[name] for name in dg.ITERATED},
                 self.bases), dt)
             inc = parts["total"]
             report.increments.append(parts)
@@ -595,7 +574,7 @@ class Simulation:
                 raise StepRejected(
                     f"Picard iteration diverging at dt={dt:g} "
                     f"(increment {inc:.3e} after {m} iterations)")
-            x_prev, modal = x_new, x_new.modal
+            x_prev = x_new
         raise StepRejected(
             f"Picard iteration did not converge in {iters} iterations at dt={dt:g}")
 
@@ -614,7 +593,6 @@ class Simulation:
             q = dehomogenize(getattr(state, attr), factors[var]).values
             neg = np.minimum(q, 0.0)
             if not np.any(neg):
-                out[attr] = getattr(state, attr)
                 continue
             self._positivity_fixes += 1
             pos = np.maximum(q, 0.0)
@@ -623,7 +601,8 @@ class Simulation:
             scale = 1.0 - deficit / total_pos if total_pos > deficit else 0.0
             fixed = ScalarField(self.grid, pos * scale)
             out[attr] = homogenize(fixed, factors[var])
-        return replace(state, **out)
+        # a state with nothing to fix keeps its coefficients
+        return replace(state, **out) if out else state
 
     # -- run loop --------------------------------------------------------------
 

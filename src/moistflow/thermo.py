@@ -90,16 +90,12 @@ def moist_density(rho_d: ScalarField, q_v: ScalarField, q_c: ScalarField,
 
 
 def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
-                    constants: PhysConstants, clipped: bool = True) -> tuple:
-    """(Q_m, Q_th, Q_cp, Q_1, Q_2) on plain arrays.
-
-    In clipped mode the mixing ratios are replaced by their nonnegative
-    parts before the affine formulas, so Q_m >= 1 holds for arbitrary
-    inputs.  Q_th always uses the c_l/c_pd coefficient form.
+                    constants: PhysConstants) -> tuple:
+    """(Q_m, Q_th, Q_cp, Q_1, Q_2) on plain arrays, from the mixing ratios
+    given (the clipped form passes their nonnegative parts).  Q_th always
+    uses the c_l/c_pd coefficient form.
     """
     c = constants
-    if clipped:
-        q_v, q_c, q_r = _pos(q_v), _pos(q_c), _pos(q_r)
     gamma = c.gamma
 
     Q_m = 1.0 + q_v + q_c + q_r
@@ -114,9 +110,13 @@ def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
 
 def q_factors(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
               constants: PhysConstants, clipped: bool) -> QFactors:
-    """Evaluate the Q coefficient fields (see q_factor_values)."""
+    """Evaluate the Q coefficient fields (see q_factor_values).  In clipped
+    mode the mixing ratios are replaced by their nonnegative parts before
+    the affine formulas, so Q_m >= 1 holds for arbitrary inputs."""
     grid = check_same_grid(q_v, q_c, q_r)
-    Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(q_v.values, q_c.values, q_r.values,
-                                                constants, clipped)
+    q = (q_v.values, q_c.values, q_r.values)
+    if clipped:
+        q = tuple(map(_pos, q))
+    Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(*q, constants)
     return QFactors(ScalarField(grid, Q_m), ScalarField(grid, Q_th),
                     ScalarField(grid, Q_cp), Q_1, Q_2, clipped)

@@ -28,6 +28,13 @@ ic.preset = thermal_bubble
 """
 
 
+def sample_config():
+    """The text of demos/sample_config.cfg."""
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "sample_config.cfg")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 # the retired keys, each with a value an old echo file may list
 RETIRED = {"solver.psi_dt_mode": "fd", "run.seed": "0", "solver.dealias": "true",
            "microphysics.q_vs.kind": "default"}
@@ -343,21 +350,21 @@ class TestMain:
                        (ref.frak_T, got.frak_T), (ref.frak_q_r, got.frak_q_r)):
             assert np.array_equal(fa.values, fb.values)
 
-    def test_resume_keeps_step_numbers(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["direct", "picard"])
+    def test_resume_keeps_step_numbers(self, tmp_path, mode):
         """The sample config at 8x8x9, resumed from its step-4 checkpoint:
         the diagnostics rows, checkpoint names and final meta.txt carry the
         step numbers of the uninterrupted run, and the rows are bitwise the
         same from the resume point on."""
-        sample = os.path.join(os.path.dirname(__file__), "..", "demos",
-                              "sample_config.cfg")
-        with open(sample, encoding="utf-8") as fh:
-            cfg = (fh.read()
-                   .replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n",
-                            "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n")
-                   .replace("solver.t_end = 0.1\n", "solver.t_end = 0.01\n")
-                   .replace("solver.checkpoint_every = 50\n",
-                            "solver.checkpoint_every = 4\n"))
+        cfg = (sample_config()
+               .replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n",
+                        "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n")
+               .replace("solver.t_end = 0.1\n", "solver.t_end = 0.01\n")
+               .replace("solver.mode = direct\n", f"solver.mode = {mode}\n")
+               .replace("solver.checkpoint_every = 50\n",
+                        "solver.checkpoint_every = 4\n"))
         assert "grid.nz = 9" in cfg and "checkpoint_every = 4" in cfg
+        assert f"solver.mode = {mode}" in cfg
         path = write_config(tmp_path / "c.cfg", cfg)
         out_full, out_res = str(tmp_path / "full"), str(tmp_path / "resumed")
         assert main(["run", path, "--out", out_full]) == 0
@@ -371,13 +378,43 @@ class TestMain:
         full_rows = read(out_full, "diagnostics.csv")
         res_rows = read(out_res, "diagnostics.csv")
         assert [r.split(",")[0] for r in res_rows[1:]] == [str(k) for k in range(4, 11)]
-        assert res_rows[1:] == full_rows[5:]
+        assert res_rows[2:] == full_rows[6:]
+        # the row at the resume point has no Picard report to show
+        at, ref = res_rows[1].split(","), full_rows[5].split(",")
+        assert at[:2] + at[4:] == ref[:2] + ref[4:]
         assert (sorted(os.listdir(os.path.join(out_res, "checkpoints")))
                 == sorted(os.listdir(os.path.join(out_full, "checkpoints")))
                 == ["step_000004", "step_000008", "step_000010"])
         assert read(out_res, "final_state", "meta.txt") == \
             read(out_full, "final_state", "meta.txt")
         assert "step=10" in read(out_full, "final_state", "meta.txt")
+
+    def test_strict_positivity_that_fixes_nothing_moves_no_bit(self, tmp_path):
+        """On the sample config the fixer never acts, so a run with
+        diagnostics.strict_positivity = true is bitwise the default run:
+        the rows and every field of the final state."""
+        cfg = sample_config().replace("solver.t_end = 0.1\n", "solver.t_end = 0.005\n")
+        assert "solver.t_end = 0.005" in cfg
+        outs = {}
+        for strict in ("false", "true"):
+            path = write_config(tmp_path / f"{strict}.cfg",
+                                cfg + f"diagnostics.strict_positivity = {strict}\n")
+            outs[strict] = str(tmp_path / strict)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # no "positivity fixer active"
+                assert main(["run", path, "--out", outs[strict]]) == 0
+
+        def read(out, *parts):
+            with open(os.path.join(out, *parts), "rb") as fh:
+                return fh.read()
+
+        assert read(outs["true"], "diagnostics.csv") == read(outs["false"], "diagnostics.csv")
+        names = [f for f in os.listdir(os.path.join(outs["false"], "final_state"))
+                 if f.endswith(".dat")]
+        assert len(names) == 8
+        for name in names:
+            assert (read(outs["true"], "final_state", name)
+                    == read(outs["false"], "final_state", name)), name
 
     def test_resume_from_checkpoint_without_coefficients(self, tmp_path):
         """A checkpoint written before coefficient files existed resumes by

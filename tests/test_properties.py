@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 import moistflow as mf
 from moistflow import spectral_ops as sp
-from moistflow.microphysics import source_values
-from moistflow.thermo import q_factor_values
 
 C = mf.PhysConstants.nondimensional()
 GRID = mf.make_grid(4, 4, 4)
@@ -33,33 +31,35 @@ kernel_settings = settings(derandomize=True, database=None, deadline=None,
                            max_examples=100)
 
 
-def values(lo, hi, shape=(16,)):
+def values(lo, hi, shape=GRID.shape):
     return arrays(np.float64, shape, elements=st.floats(lo, hi))
+
+
+def fields(*arrays):
+    return [mf.ScalarField(GRID, a) for a in arrays]
 
 
 @kernel_settings
 @given(T=values(-3.0, 3.0), qv=values(-1.0, 1.0), qc=values(-1.0, 1.0),
        qr=values(-1.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_clipped_rates_nonnegative(T, qv, qc, qr, qvs):
-    S = source_values(T, qv, qc, qr, qvs, C, clipped=True)
+    S = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
     for name in ("S_ev", "S_ac", "S_cr"):
-        assert np.all(S[name] >= 0.0), name
+        assert np.all(getattr(S, name).values >= 0.0), name
 
 
 @kernel_settings
 @given(qv=values(-1e6, 1e6), qc=values(-1e6, 1e6), qr=values(-1e6, 1e6))
 def test_clipped_mass_factor_at_least_one(qv, qc, qr):
-    Q_m = q_factor_values(qv, qc, qr, C, clipped=True)[0]
+    Q_m = mf.q_factors(*fields(qv, qc, qr), C, clipped=True).Q_m.values
     assert np.all(Q_m >= 1.0)
 
 
 @kernel_settings
-@given(T=values(-3.0, 3.0, GRID.shape), qv=values(-1.0, 1.0, GRID.shape),
-       qc=values(-1.0, 1.0, GRID.shape), qr=values(-1.0, 1.0, GRID.shape),
-       qvs=values(0.0, C.q_vs_star, GRID.shape))
+@given(T=values(-3.0, 3.0), qv=values(-1.0, 1.0), qc=values(-1.0, 1.0),
+       qr=values(-1.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_water_exchange_residual_within_four_ulp(T, qv, qc, qr, qvs):
-    f = [mf.ScalarField(GRID, a) for a in (T, qv, qc, qr, qvs)]
-    b = mf.sources(*f, C, clipped=True)
+    b = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
     res = np.abs(mf.water_exchange_residual(b).values)
     scale = np.maximum.reduce([np.abs(getattr(b, n).values) for n in RATES]
                               + [np.full(GRID.shape, 1e-300)])
@@ -70,13 +70,16 @@ def test_water_exchange_residual_within_four_ulp(T, qv, qc, qr, qvs):
 @given(T=values(0.0, 3.0), qv=values(0.0, 1.0), qc=values(0.0, 1.0),
        qr=values(0.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_raw_equals_clipped_on_nonnegative_inputs(T, qv, qc, qr, qvs):
-    raw = source_values(T, qv, qc, qr, qvs, C, clipped=False)
-    clipped = source_values(T, qv, qc, qr, qvs, C, clipped=True)
+    raw = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=False)
+    clipped = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
     for name in RATES:
-        assert np.array_equal(raw[name], clipped[name]), name
-    for a, b in zip(q_factor_values(qv, qc, qr, C, clipped=False),
-                    q_factor_values(qv, qc, qr, C, clipped=True)):
-        assert np.array_equal(a, b)
+        assert np.array_equal(getattr(raw, name).values,
+                              getattr(clipped, name).values), name
+    raw, clipped = (mf.q_factors(*fields(qv, qc, qr), C, clipped=flag)
+                    for flag in (False, True))
+    for name in ("Q_m", "Q_th", "Q_cp"):
+        assert np.array_equal(getattr(raw, name).values, getattr(clipped, name).values)
+    assert (raw.Q_1, raw.Q_2) == (clipped.Q_1, clipped.Q_2)
 
 
 @kernel_settings
@@ -118,7 +121,8 @@ def test_solver_water_exchange_within_four_ulp(name, amplitude, seed):
     factors = LAYER_SIM.factors_at(state.time, LAYER_SIM.config.dt)
     terms = {}
     rhs = LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
-                                 terms=terms)
+                                 state.time + LAYER_SIM.config.dt,
+                                 LAYER_SIM._frozen_velocity(state), terms)
     S = rhs.source_arrays
     exchange = {"vapor": S["S_ev"] - S["S_cd"],
                 "cloud": S["S_cd"] - S["S_ac"] - S["S_cr"],

@@ -7,7 +7,7 @@ import pytest
 import moistflow as mf
 from moistflow import diagnostics as dg
 from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
-from moistflow.spectral_ops import to_modal_values, to_phys_values, dz_modal
+from moistflow.spectral_ops import derivs, to_modal_values, to_phys_values, dz_modal
 
 from conftest import random_band_limited
 from mms import run_mms
@@ -18,6 +18,28 @@ def make_sim(grid, constants, preset="equilibrium", mode="picard", dt=1e-3,
     state, bspec = mf.preset_initial(preset, grid, constants)
     cfg = mf.SolverConfig(dt=dt, t_end=t_end, mode=mode, **cfg_kw)
     return mf.Simulation(grid, constants, bspec, cfg), state
+
+
+def density_step(sim, state, u, dt):
+    """density_step from ``state`` under the frozen velocity ``u``, with
+    the inputs built as picard_solve builds them: the frozen velocity and
+    the order-2 derivative set of ``state.log_rho_d``."""
+    dlog = derivs(dg.modal_of(state, "log_rho_d", sim.bases), sim.bases.neumann, order=2)
+    return sim.density_step(state, sim._frozen_velocity(replace(state, u=u)), dt, dlog)
+
+
+def linear_step(sim, frozen, current, dt):
+    """linear_step with the factors and frozen velocity picard_solve would
+    hand it for ``frozen``."""
+    return sim.linear_step(frozen, current, dt, sim.factors_at(current.time, dt),
+                           sim._frozen_velocity(frozen))
+
+
+def assemble_rhs(sim, state, factors, terms=None):
+    """assemble_rhs on the frozen state ``state`` and its density, at
+    t_new = state.time."""
+    return sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
+                            state.time, sim._frozen_velocity(state), terms)
 
 
 def count_transforms(monkeypatch, sets: list | None = None) -> dict:
@@ -54,7 +76,7 @@ def count_transforms(monkeypatch, sets: list | None = None) -> dict:
 class TestDensityStep:
     def test_no_flow_leaves_density_alone(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim)
-        out = sim.density_step(state, VectorField.zeros(grid16), 1e-3)
+        out = density_step(sim, state, VectorField.zeros(grid16), 1e-3)
         assert np.array_equal(out.values, state.log_rho_d.values)
 
     def test_constant_flow_translates(self, grid16, nondim, bases16):
@@ -65,7 +87,7 @@ class TestDensityStep:
         state.log_rho_d = ScalarField(grid16, vals)
         u = VectorField(ScalarField.full(grid16, 1.0), ScalarField.zeros(grid16),
                         ScalarField.zeros(grid16))
-        out = sim.density_step(state, u, dt)
+        out = density_step(sim, state, u, dt)
         expected = np.broadcast_to(f(grid16.x - dt)[:, None, None], grid16.shape)
         # div u = 0 so this is pure advection; departure-point Taylor
         # evaluation is O(dt^3)-accurate here
@@ -84,7 +106,7 @@ class TestDensityStep:
         m0 = float(np.sum(np.exp(state.log_rho_d.values) * w))
 
         def drift(dt):
-            out = sim.density_step(state, u, dt)
+            out = density_step(sim, state, u, dt)
             return abs(float(np.sum(np.exp(out.values) * w)) - m0)
 
         d1, d2 = drift(0.02), drift(0.01)
@@ -97,7 +119,7 @@ class TestDensityStep:
         u = VectorField(ScalarField.zeros(grid16), ScalarField.zeros(grid16),
                         ScalarField(grid16, bad_w))
         with pytest.raises(ValueError, match="no-penetration"):
-            sim.density_step(state, u, 1e-3)
+            density_step(sim, state, u, 1e-3)
 
 
 class TestAssembleRhs:
@@ -114,7 +136,7 @@ class TestAssembleRhs:
         factors = sim.factors_at(0.0)
         rho = np.exp(state.log_rho_d.values)
         terms = {}
-        rhs = sim.assemble_rhs(state, rho, factors, terms=terms)
+        rhs = assemble_rhs(sim, state, factors, terms)
 
         for name in ("advection", "sedimentation_drag"):
             for comp in terms["momentum"][name]:
@@ -131,7 +153,7 @@ class TestAssembleRhs:
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble")
         factors = sim.factors_at(0.0)
         terms = {}
-        sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors, terms=terms)
+        assemble_rhs(sim, state, factors, terms)
         for comp in terms["momentum"]["sedimentation_drag"]:
             assert np.max(np.abs(comp)) == 0.0
         assert np.max(np.abs(terms["temperature"]["sedimentation"])) == 0.0
@@ -142,10 +164,9 @@ class TestAssembleRhs:
         total is bitwise the left-to-right sum of its terms."""
         sim, state = make_sim(grid16, nondim, preset="saturated_layer")
         factors = sim.factors_at(0.0)
-        rho = np.exp(state.log_rho_d.values)
         terms = {}
-        named = sim.assemble_rhs(state, rho, factors, terms=terms)
-        plain = sim.assemble_rhs(state, rho, factors)
+        named = assemble_rhs(sim, state, factors, terms)
+        plain = assemble_rhs(sim, state, factors)
         assert list(terms["momentum"]) == ["pressure_gradient", "advection",
                                            "sedimentation_drag", "gravity"]
 
@@ -172,7 +193,7 @@ class TestAssembleRhs:
         state = sim.direct_step(state, 1e-3)
         factors = sim.factors_at(state.time, 1e-3)
         rho = mf.rho_d(state)
-        rhs = sim.assemble_rhs(state, rho.values, factors)
+        rhs = assemble_rhs(sim, state, factors)
 
         T, qv, qc, qr = (mf.dehomogenize(f, factors[var]) for f, var in (
             (state.frak_T, "T"), (state.frak_q_v, "v"),
@@ -201,7 +222,7 @@ class TestLinearStep:
                      ScalarField.zeros(grid8), ScalarField.zeros(grid8),
                      ScalarField.zeros(grid8), ScalarField.zeros(grid8))
         sim = mf.Simulation(grid8, const, bspec, mf.SolverConfig(dt=1e-3, t_end=1e-3))
-        out = sim.linear_step(zero, zero, 1e-3)
+        out = linear_step(sim, zero, zero, 1e-3)
         for f in (out.u.v1, out.u.v2, out.u.w, out.frak_T,
                   out.frak_q_v, out.frak_q_c, out.frak_q_r):
             assert np.max(np.abs(f.values)) < 1e-14
@@ -211,7 +232,7 @@ class TestLinearStep:
         eps, dt = 1e-3, 2e-3
         mode = np.broadcast_to(np.cos(np.pi * grid16.z), grid16.shape).copy()
         state.frak_T = ScalarField(grid16, state.frak_T.values + eps * mode)
-        out = sim.linear_step(state, state, dt)
+        out = linear_step(sim, state, state, dt)
         Qbar = nondim.c_pd / nondim.gamma
         factor = 1.0 / (1.0 + nondim.kappa * dt * np.pi**2 / Qbar)
         T0 = float(state.frak_T.values[0, 0, 0] - eps)  # uniform part survives
@@ -233,29 +254,7 @@ class TestLinearStep:
         grid = mf.make_grid(*shape)
         sim, state = make_sim(grid, nondim, preset="saturated_layer", mode="direct")
         state = sim.direct_step(state, 1e-3)
-        assert_carries_own_coefficients(sim.linear_step(state, state, 1e-3), sim.bases)
-
-    def test_coefficients_computed_when_not_given(self, grid8, nondim):
-        """linear_step without the frozen iterate's coefficients and
-        velocity derivatives transforms the frozen fields itself, and
-        matches, to rounding, the call the solver makes with the carried
-        ones, which is the direct step bit for bit."""
-        sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
-        state, dt = sim.direct_step(state, 1e-3), 1e-3
-        modal = sim._state_modal(state)
-        velocity = sim._frozen_velocity(modal)
-        frozen = replace(state, log_rho_d=sim.density_step(state, state.u, dt, velocity))
-        given = sim.linear_step(frozen, state, dt, None, modal, velocity)
-        computed = sim.linear_step(frozen, state, dt)
-        direct = sim.direct_step(state, dt)
-        for name, ref in dg.iterated_values(given).items():
-            assert np.array_equal(ref, dg.iterated_values(direct)[name]), name
-            gap = np.max(np.abs(dg.iterated_values(computed)[name] - ref))
-            assert gap <= 1e-13 * np.max(np.abs(ref)), name
-        for name in MODAL_NAMES:
-            ref = given.modal[name]
-            gap = np.max(np.abs(computed.modal[name] - ref))
-            assert gap <= 1e-13 * np.max(np.abs(ref)), name
+        assert_carries_own_coefficients(linear_step(sim, state, state, 1e-3), sim.bases)
 
 
 class TestPicard:
@@ -291,9 +290,8 @@ class TestPicard:
                               picard_tol=1e-10, picard_max_iters=30)
         out, rep = sim.picard_solve(state, dt)
         assert rep.converged
-        factors = sim.factors_at(state.time, dt)
-        log_rho = sim.density_step(state, out.u, dt)
-        mx = sim.linear_step(replace(out, log_rho_d=log_rho), state, dt, factors)
+        log_rho = density_step(sim, state, out.u, dt)
+        mx = linear_step(sim, replace(out, log_rho_d=log_rho), state, dt)
         delta = sim._m_norm_parts(mx, out, dt)["total"]
         zero = State(out.log_rho_d, VectorField.zeros(grid16),
                      ScalarField.zeros(grid16), ScalarField.zeros(grid16),
@@ -480,7 +478,11 @@ class TestCarriedCoefficients:
         assert replace(state, time=state.time).modal is None
         assert state.copy().modal is None
         assert mf.perturb_state(state, sim.bases, amplitude=1e-6).modal is None
-        fixed = sim._apply_positivity_fix(state, sim.factors_at(state.time))
+        # a state with negative rain, which the fixer rebuilds
+        dry = sim.direct_step(replace(state, frak_q_r=ScalarField(
+            grid8, state.frak_q_r.values - 1e-3)), 1e-3)
+        fixed = sim._apply_positivity_fix(dry, sim.factors_at(dry.time))
+        assert dry.modal is not None and sim._positivity_fixes > 0
         assert fixed.modal is None
         reassigned = sim.direct_step(state, 1e-3)
         reassigned.frak_T = reassigned.frak_T.copy()
@@ -505,7 +507,7 @@ class TestCarriedCoefficients:
             bad = mf.Simulation(sim.grid, sim.constants, sim.bspec, sim.config,
                                 forcing={**forcing, **extra})
             with pytest.raises(mf.StepRejected, match=rf"term {first}\.forcing$"):
-                bad.linear_step(state, state, 1e-3)
+                linear_step(bad, state, state, 1e-3)
 
 class TestSedimentationForm:
     def test_expanded_equals_conservative_form(self, nondim):
