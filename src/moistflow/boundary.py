@@ -19,6 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import spectral_ops as sp
 from .fields import Grid, ScalarField
 
 BOUNDARY_VARS = ("T", "v", "c", "r")
@@ -328,7 +329,8 @@ class BoundarySpec:
 class HomogenizationFactors:
     """Everything the homogenized equations need for one variable: B and its
     logarithmic derivative on the grid, the psi extension (with analytic
-    derivatives), and the psi time derivative."""
+    derivatives), and the psi time derivative.  What ``dehomogenized_modal``
+    builds on first use is held here, so it lives as long as the factors."""
 
     def __init__(self, var: str, profile: RobinProfile, grid: Grid,
                  psi: BoundaryExtension, psi_rate: BoundaryExtension | None = None):
@@ -342,6 +344,26 @@ class HomogenizationFactors:
         self.dzz_binv_b = profile.dzz_Binv_times_B(z)[None, None, :]
         self.psi = psi
         self.psi_rate = psi_rate
+        self._binv_modal = None
+
+    def dehomogenized_modal(self, modal: np.ndarray, basis: sp.Basis) -> np.ndarray:
+        """The coefficients of B^-1 (frak_F + psi) in the cosine ``basis``,
+        from the coefficients ``modal`` of frak_F, with no transform of the
+        field: B^-1 depends on z alone, so F(B^-1 frak_F) is ``modal`` times
+        the (nz, nz) matrix z_inv diag(B^-1) z_fwd along z.  F(B^-1 psi)
+        (nothing for a zero psi) is added; it and the matrix are formed on
+        the first call.  For representable ``modal``, this equals the
+        forward transform of ``dehomogenize``'s values to rounding."""
+        if self._binv_modal is None:
+            binv = self.binv_profile[0, 0]
+            psi = (None if self.psi.is_zero else
+                   sp.to_modal_values(self.binv_profile * self.psi_values, basis))
+            self._binv_modal = ((basis.z_inv * binv) @ basis.z_fwd, psi)
+        mat, psi = self._binv_modal
+        out = (modal.reshape(-1, mat.shape[0]) @ mat).reshape(modal.shape)
+        if psi is not None:
+            out += psi
+        return out
 
     @property
     def psi_values(self) -> np.ndarray:

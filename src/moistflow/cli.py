@@ -25,7 +25,7 @@ import numpy as np
 from .boundary import BOUNDARY_VARS, robin_profile
 from .fields import PhysConstants, load_state, make_grid
 from .presets import PRESET_NAMES, preset_initial
-from .solver import Simulation, SolverConfig
+from .solver import Simulation, SolverConfig, checkpoint_report
 
 
 class ConfigError(ValueError):
@@ -347,11 +347,12 @@ def _run_to_final_state(rc: RunConfig, out: str, checkpoint: str | None = None):
     with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as fh:
         fh.write(rc.echo_text())
     sim, state = build_simulation(rc)
+    report = None
     if checkpoint is not None:
-        state = load_state(checkpoint)
-    traj = sim.run(state, out_dir=out)
+        state, report = load_state(checkpoint), checkpoint_report(checkpoint)
+    traj = sim.run(state, out_dir=out, initial_report=report)
     sim.write_checkpoint(os.path.join(out, "final_state"), traj.steps,
-                         traj.final_state)
+                         traj.final_state, traj.rows[-1])
     return traj
 
 

@@ -96,17 +96,19 @@ def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
     neu = bases.neumann
     rho = np.exp(state.log_rho_d.values)
 
-    phys = {}
-    for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
-                            ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr")):
-        phys[name] = dehomogenize(getattr(state, attr), factors[var]).values
-
     tri = {}
     comp = [_norm_triplet(modal_of(state, name, bases), iterated_basis(name, bases))
             for name in ("u1", "u2", "w")]
     tri["u"] = tuple(float(np.sqrt(sum(t[k] ** 2 for t in comp))) for k in range(3))
-    for name in ("T", "qv", "qc", "qr"):
-        tri[name] = _norm_triplet(sp.to_modal_values(phys[name], neu), neu)
+    # the physical scalars' norms from the coefficients of frak (see
+    # HomogenizationFactors.dehomogenized_modal), their values for the rest
+    phys = {}
+    for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
+                            ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr")):
+        fac = factors[var]
+        phys[name] = dehomogenize(getattr(state, attr), fac).values
+        tri[name] = _norm_triplet(fac.dehomogenized_modal(modal_of(state, name, bases), neu),
+                                  neu)
     tri["sqrt_rho"] = _norm_triplet(sp.to_modal_values(np.sqrt(rho), neu), neu)
     tri["log_rho"] = _norm_triplet(modal_of(state, "log_rho_d", bases), neu)
 

@@ -181,16 +181,18 @@ class Simulation:
         """The velocity of ``s`` with its derivatives, div u and grad div u,
         from its coefficients (``diagnostics.modal_of``).  The 2/3 rule acts
         in the inverse transforms: the modal multipliers are diagonal, so
-        truncating their products truncates the velocity."""
+        truncating their products truncates the velocity, and the divergence
+        is formed on the kept block alone."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
         m1, m2, mw = (dg.modal_of(s, name, self.bases) for name in ("u1", "u2", "w"))
-        div_m = sp.div_modal(m1, m2, mw, self.bases)
+        div_m = sp.div_modal(sp.kept_block(m1, neu), sp.kept_block(m2, neu),
+                             sp.kept_block(mw, diri), self.bases)
+        grad_div = sp.derivs(div_m, neu, dealias=True, value=True)
         return FrozenVelocity(
             values=tuple(comp.values for comp in s.u.components()),
             d=(sp.derivs(m1, neu, dealias=True), sp.derivs(m2, neu, dealias=True),
                sp.derivs(mw, diri, dealias=True)),
-            div=sp.to_phys_values(div_m, neu, True),
-            grad_div=sp.derivs(div_m, neu, dealias=True))
+            div=grad_div.pop("value"), grad_div=grad_div)
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -415,10 +417,12 @@ class Simulation:
         rhs = self.assemble_rhs(frozen, rho_vals, factors, current.time + dt, velocity)
 
         def lagged_laplacian(name):
-            # formed where its solve uses it, so that at most one is in memory
+            # formed where its solve uses it, so that at most one is in memory;
+            # the dealiased inverse reads the kept block alone
             basis = dg.iterated_basis(name, self.bases)
             return sp.to_phys_values(sp.laplacian_modal(
-                dg.modal_of(frozen, name, self.bases), basis), basis, True)
+                sp.kept_block(dg.modal_of(frozen, name, self.bases), basis), basis),
+                basis, True)
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
@@ -619,10 +623,14 @@ class Simulation:
             out, rep2 = self._advance(half, 0.5 * dt, depth + 1)
             return out, (rep2 or rep1)
 
-    def run(self, initial: State, out_dir: str | None = None) -> Trajectory:
+    def run(self, initial: State, out_dir: str | None = None,
+            initial_report: PicardReport | None = None) -> Trajectory:
         """Advance to t_end, emitting one diagnostics row per step (plus the
         initial row), with snapshots and checkpoints on the configured
-        cadence.  Rejected steps are retried at half the step size."""
+        cadence.  Rejected steps are retried at half the step size.
+        ``initial_report`` is the report of the step that made ``initial``,
+        for the initial row: a resumed run passes its checkpoint's
+        (``checkpoint_report``)."""
         cfg = self.config
         writer = timings = None
         try:
@@ -643,8 +651,9 @@ class Simulation:
             step = round(initial.time / cfg.dt)
 
             def checkpoint():
+                # rows[-1] is the row of this step
                 path = os.path.join(out_dir, "checkpoints", f"step_{step:06d}")
-                self.write_checkpoint(path, step, state)
+                self.write_checkpoint(path, step, state, rows[-1])
 
             def record(report, wall):
                 row = dg.compute_row(state, factors, self.bases, step=step,
@@ -663,7 +672,7 @@ class Simulation:
                         and step % cfg.checkpoint_every == 0:
                     checkpoint()
 
-            record(None, 0.0)
+            record(initial_report, 0.0)
             n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
             for _ in range(max(n_steps, 0)):
                 tic = _time.perf_counter()
@@ -693,20 +702,40 @@ class Simulation:
         return Trajectory(state, rows, states, step, self._rejections, cfg,
                           _time.perf_counter() - t0)
 
-    def write_checkpoint(self, path: str, step: int, state: State) -> None:
+    def write_checkpoint(self, path: str, step: int, state: State,
+                         row: dg.DiagnosticsRow | None = None) -> None:
         """Write a resumable state directory: the fields, the coefficients
         the state carries, ``meta.txt`` and the config echo.  They land
         together (see ``fields.write_dir_atomically``), replacing whatever
-        ``path`` held."""
+        ``path`` held.  ``meta.txt`` keeps the Picard iteration count and
+        final ratio of ``row``, the diagnostics row of ``step`` (0 and 0.0
+        without one), for the first row of a resumed run."""
+        iters, ratio = (0, 0.0) if row is None else (row.picard_iterations,
+                                                     row.picard_final_ratio)
+
         def write(tmp):
             save_state(tmp, state)
             save_modal(tmp, state)
             with open(os.path.join(tmp, "meta.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"time={state.time!r}\nstep={step}\n"
-                         f"config_hash={self.config_hash}\n")
+                         f"config_hash={self.config_hash}\n"
+                         f"picard_iterations={iters!r}\npicard_final_ratio={ratio!r}\n")
             if self.config_echo:
                 with open(os.path.join(tmp, "config.echo"), "w",
                           encoding="utf-8") as fh:
                     fh.write(self.config_echo)
 
         write_dir_atomically(path, write)
+
+
+def checkpoint_report(path: str) -> PicardReport:
+    """The Picard report that ``write_checkpoint`` kept in the ``meta.txt``
+    of the checkpoint directory ``path``: its iteration count and final
+    ratio, 0 and 0.0 for a checkpoint written without them."""
+    meta = {}
+    with open(os.path.join(path, "meta.txt"), encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.rstrip("\n").partition("=")
+            meta[key] = value
+    return PicardReport(ratios=[float(meta.get("picard_final_ratio", "0.0"))],
+                        iterations=int(meta.get("picard_iterations", "0")))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, rfft
+from scipy.fft import fft, ifft
 
 from .fields import Grid, ScalarField, VectorField
 
@@ -39,10 +39,11 @@ def _worker_count(n) -> int:
 
 
 # (x, y, z) derivative orders of each key ``derivs`` returns
-_DERIV_ORDERS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1),
+_DERIV_ORDERS = {"value": (0, 0, 0), "x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1),
                  "xx": (2, 0, 0), "yy": (0, 2, 0), "zz": (0, 0, 2),
                  "xy": (1, 1, 0), "xz": (1, 0, 1), "yz": (0, 1, 1)}
-_DERIV_KEYS = {1: ("x", "y", "z"), 2: tuple(_DERIV_ORDERS)}
+_DERIV_KEYS = {1: ("x", "y", "z"),
+               2: ("x", "y", "z", "xx", "yy", "zz", "xy", "xz", "yz")}
 
 
 class Basis:
@@ -52,10 +53,11 @@ class Basis:
     they are nonnegative and nondecreasing in each mode index.  Instances
     are immutable after construction, apart from the complement that
     ``other``, the weights that ``sobolev_weights`` and the matrices that
-    ``inverse_matrices`` build once, and safe to share across threads.
+    ``inverse_matrices`` and ``forward_matrix`` build once, and safe to
+    share across threads.
 
     ``workers`` is the number of worker threads handed to each FFT pass of
-    the transforms (rfft over y, fft/ifft over x); by default the
+    the transforms (fft/ifft over x); by default the
     count last given to ``set_workers``; a count below 1 is a ValueError.
     pocketfft results do not depend on it.  The matrix products run on BLAS
     and ignore it.
@@ -104,6 +106,7 @@ class Basis:
         self._other = None
         self._sobolev_weights = None
         self._inverse_matrices = {}
+        self._forward_matrices = {}
 
     @property
     def other(self) -> "Basis":
@@ -191,6 +194,29 @@ class Basis:
             self._inverse_matrices[dealias] = (x, y, z)
         return self._inverse_matrices[dealias]
 
+    def forward_matrix(self, dealias: bool) -> np.ndarray:
+        """The (2 nky, ny) real y-pass of a forward transform over the
+        extent ``_extents(self, dealias)``, built on first use: rows 2k and
+        2k + 1 hold cos / ny and -sin / ny of the angle pi ky y_j, the real
+        and imaginary parts of a forward DFT over y (scipy's
+        ``norm="forward"``), so that a product with it on the right of
+        y-lines gives complex numbers in place.  The sine rows of ky = 0
+        and, in the whole extent of an even ny, of the Nyquist column are
+        exactly 0, as in ``rfft``."""
+        if dealias not in self._forward_matrices:
+            ny = self.grid.ny
+            nky = _extents(self, dealias)[0]
+            # reduced mod 2 pi like the inverse's angle
+            angle = (2.0 * np.pi / ny) * (np.outer(np.arange(nky), np.arange(ny)) % ny)
+            sin = np.sin(angle)
+            sin[0] = 0.0
+            if 2 * (nky - 1) == ny:
+                sin[-1] = 0.0
+            y = np.empty((2 * nky, ny))
+            y[0::2], y[1::2] = np.cos(angle) / ny, -sin / ny
+            self._forward_matrices[dealias] = y
+        return self._forward_matrices[dealias]
+
 
 @dataclass(frozen=True)
 class BasisPair:
@@ -209,11 +235,24 @@ def make_bases(grid: Grid, workers: int | None = None) -> BasisPair:
 # Array-level transforms.  values: real (nx, ny, nz); modal: complex same shape.
 # ---------------------------------------------------------------------------
 
-def _z_product(values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """values @ z along the last axis, as one 2-D gemm on a C-ordered copy,
-    so that the bits do not depend on the memory layout of ``values``."""
-    flat = np.ascontiguousarray(values).reshape(-1, z.shape[0])
-    return (flat @ z).reshape(values.shape[:-1] + z.shape[1:])
+def _z_product(values: np.ndarray, z: np.ndarray, first: bool = False) -> np.ndarray:
+    """values @ z along the last axis, as one 2-D gemm on a copy of
+    ``values`` laid out C-ordered as (y, x, z), so that the bits do not
+    depend on the memory layout of ``values``; the result is the (x, y, z)
+    view of the C-ordered (y, x, z) product.  With ``first`` each z-column's
+    first sample is taken out before the product and put back into
+    column 0, so that a column constant in z maps to exactly (c, 0, ...)."""
+    nx, ny, nz = values.shape
+    src = values.transpose(1, 0, 2)
+    copy = np.empty((ny, nx, nz))
+    if first:
+        np.subtract(src, src[..., :1], out=copy)
+    else:
+        copy[...] = src
+    out = (copy.reshape(-1, nz) @ z).reshape(ny, nx, z.shape[1])
+    if first:
+        out[..., 0] += src[..., 0]
+    return out.transpose(1, 0, 2)
 
 
 def _extents(basis: Basis, dealias: bool) -> tuple:
@@ -226,43 +265,42 @@ def _extents(basis: Basis, dealias: bool) -> tuple:
 
 def to_modal_values(values: np.ndarray, basis: Basis,
                     dealias: bool = False) -> np.ndarray:
-    """The z-transform runs first, on the real array; the FFTs over y and
-    then x come last.  A cosine transform takes out each column's first
-    sample and puts it back into mode 0, so that a column constant in z maps
-    to exactly (c, 0, ...).
+    """The mirror of ``_inverse_set``, over the extent of ``dealias``:
 
-    With ``dealias`` the result is truncated by the 2/3 rule, and the passes
-    run only on what it keeps: the kept z columns of the product, the kept
-    ky columns of the x-FFT.  Everything outside the block is exactly 0.
-    The 1/(nx ny) scaling falls between the two FFT passes, where rfft2
-    (norm "forward") applies it, so that without ``dealias`` the result has
-    rfft2's bits."""
+    - the z-product with the kept columns of ``z_fwd`` (``_z_product``, on
+      a C-ordered (y, x, z) copy); a cosine transform takes out each
+      z-column's first sample and puts it back into mode 0;
+    - one real y-gemm with ``Basis.forward_matrix`` on the right of the
+      product's y-lines, which it turns into complex (x, z, ky) lines; each
+      y-line's first sample is taken out before it and put back into
+      ky = 0, so that data constant in y (and a constant field) stay exact;
+    - one complex fft over x, and a C-ordered copy in (x, ky, z) order.
+
+    Without ``dealias`` the result is the whole (nx, ny//2+1, nz) array,
+    what rfft2 (norm "forward") gives of the z-product, to rounding.  With
+    ``dealias`` it is only the kept (nx, ky_keep, mz_keep) block of the 2/3
+    rule, with the dropped kx rows exactly 0."""
     nx, ny, nz = basis.grid.shape
     nky, nmz = _extents(basis, dealias)
-    z = basis.z_fwd[:, :nmz]
-    if basis.kind == NEUMANN:
-        first = values[..., :1]
-        zt = _z_product(values - first, z)
-        zt[..., :1] += first
-    else:
-        zt = _z_product(values, z)
-    block = rfft(zt, axis=1, workers=basis.workers)[:, :nky]
-    block *= 1.0 / (nx * ny)
-    block = fft(block, axis=0, overwrite_x=True, workers=basis.workers)
-    if not dealias:
-        return block
-    block[~basis.kx_keep] = 0.0
-    out = np.zeros((nx, ny // 2 + 1, nz), dtype=block.dtype)
-    out[:, :nky, :nmz] = block
-    return out
+    y = basis.forward_matrix(dealias)
+    zt = _z_product(values, basis.z_fwd[:, :nmz], basis.kind == NEUMANN)
+    lines = zt.transpose(1, 0, 2).reshape(ny, nx * nmz)
+    lines[1:] -= lines[0]
+    re_im = lines[1:].T @ y[:, 1:].T
+    re_im[:, 0] += lines[0]
+    block = fft(re_im.view(complex).reshape(nx, nmz, nky), axis=0, norm="forward",
+                overwrite_x=True, workers=basis.workers)
+    if dealias:
+        block[~basis.kx_keep] = 0.0
+    return np.ascontiguousarray(block.transpose(0, 2, 1))
 
 
 def to_phys_values(modal: np.ndarray, basis: Basis,
                    dealias: bool = False) -> np.ndarray:
     """Inverse of to_modal_values: the value output of the pass that
     ``derivs`` runs.  With ``dealias`` it transforms ``modal`` truncated by
-    the 2/3 rule, reading only the kept block; what ``modal`` holds outside
-    it is ignored."""
+    the 2/3 rule, reading only the kept block (``kept_block``, which may be
+    all ``modal`` holds); what ``modal`` holds outside it is ignored."""
     return _inverse_set(modal, basis, [(0, 0, 0)], dealias)[0]
 
 
@@ -300,37 +338,55 @@ def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
     return out
 
 
+# The multipliers take the whole (nx, ny//2+1, nz) array or any leading
+# (nky, nmz) extent of it, such as a dealiased transform's kept block.
+
+def kept_block(modal: np.ndarray, basis: Basis) -> np.ndarray:
+    """The leading (ky_keep, mz_keep) extent of the whole array ``modal``:
+    all that a dealiased inverse transform reads of it, kx rows the 2/3
+    rule drops included."""
+    return modal[:, :basis.ky_keep, :basis.mz_keep]
+
+
+def _eigenvalues(basis: Basis, block: np.ndarray) -> np.ndarray:
+    """The Laplacian eigenvalues over the extent of ``block``."""
+    return basis.eigenvalues[:, :block.shape[1], :block.shape[2]]
+
+
 def dx_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     return modal * (1j * basis.kappa_x)
 
 
 def dy_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
-    return modal * (1j * basis.kappa_y)
+    return modal * (1j * basis.kappa_y[:, :modal.shape[1]])
 
 
 def dz_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """Differentiate in z; the result lives in the complementary basis."""
-    nz = basis.grid.nz
+    nz, nmz = basis.grid.nz, modal.shape[-1]
     if basis.kind == NEUMANN:
-        out = -basis.kappa_z * modal
-        out[..., nz - 1] = 0.0  # Nyquist sine mode vanishes on the grid
+        out = -basis.kappa_z[..., :nmz] * modal
+        if nmz == nz:
+            out[..., nz - 1] = 0.0  # Nyquist sine mode vanishes on the grid
         return out
-    return basis.kappa_z * modal
+    return basis.kappa_z[..., :nmz] * modal
 
 
 def derivs(modal: np.ndarray, basis: Basis, order: int = 1,
-           dealias: bool = False) -> dict:
+           dealias: bool = False, value: bool = False) -> dict:
     """Spectral derivatives, as physical arrays keyed x, y, z (and xx, yy,
     zz, xy, xz, yz for order 2), of the field with modal coefficients
     ``modal`` in ``basis``, truncated by the 2/3 rule with ``dealias`` (the
     multipliers are diagonal, so the rule commutes with them).
-    z-derivatives of odd order live in the complementary basis.
+    z-derivatives of odd order live in the complementary basis.  With
+    ``value`` the set also holds the field's values, keyed ``value``, first.
 
     The set is one pass (``_inverse_set``): 2 x-FFTs for order 1, 3 for
-    order 2, and no multiplier product on the whole array.  The results
-    equal each multiplier (dx_modal, dy_modal, dz_modal) followed by
-    ``to_phys_values`` to rounding, not bitwise."""
-    keys = _DERIV_KEYS[order]
+    order 2, and no multiplier product on the whole array.  The values have
+    the bits of ``to_phys_values``; the derivatives equal each multiplier
+    (dx_modal, dy_modal, dz_modal) followed by ``to_phys_values`` to
+    rounding, not bitwise."""
+    keys = (("value",) if value else ()) + _DERIV_KEYS[order]
     return dict(zip(keys, _inverse_set(modal, basis, [_DERIV_ORDERS[k] for k in keys],
                                        dealias)))
 
@@ -345,7 +401,7 @@ def div_modal(m1: np.ndarray, m2: np.ndarray, mw: np.ndarray,
 
 def laplacian_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """Laplacian by modal multiplication; the result stays in ``basis``."""
-    return -basis.eigenvalues * modal
+    return -_eigenvalues(basis, modal) * modal
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +463,36 @@ def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:
     since the inverse y-pass keeps only the real part of those columns, and
     the sine wall rows are zeroed.  Then ``to_modal_values(to_phys_values(M))``
     equals ``representable(M)`` up to rounding.  Odd derivatives of the kx
-    or ky Nyquist modes are what break the symmetry."""
+    or ky Nyquist modes are what break the symmetry.  ``modal`` may be a
+    leading (nky, nmz) extent, as the multipliers take."""
     out = modal.copy()
-    ny = basis.grid.ny
-    flip = (-np.arange(basis.grid.nx)) % basis.grid.nx
-    for j in ((0, ny // 2) if ny % 2 == 0 else (0,)):
-        out[:, j] = 0.5 * (modal[:, j] + np.conj(modal[flip, j]))
+    _make_representable(out, basis)
+    return out
+
+
+def _make_representable(modal: np.ndarray, basis: Basis) -> None:
+    """``representable`` in place; a Nyquist plane or sine wall row outside
+    the extent of ``modal`` is left alone."""
+    nx, ny, nz = basis.grid.shape
+    flip = (-np.arange(nx)) % nx
+    for j in (0, ny // 2) if ny % 2 == 0 else (0,):
+        if j < modal.shape[1]:
+            modal[:, j] = 0.5 * (modal[:, j] + np.conj(modal[flip, j]))
     if basis.kind == DIRICHLET:
-        out[..., [0, -1]] = 0.0
+        modal[..., 0] = 0.0
+        if modal.shape[2] == nz:
+            modal[..., nz - 1] = 0.0
+
+
+def _solved(block: np.ndarray, denom: np.ndarray, basis: Basis) -> np.ndarray:
+    """The representable coefficients of block / denom, padded with zeros
+    to the whole (nx, ny//2+1, nz) array: the division writes into the
+    padding's leading extent."""
+    nx, ny, nz = basis.grid.shape
+    out = np.zeros((nx, ny // 2 + 1, nz), dtype=complex)
+    kept = out[:, :block.shape[1], :block.shape[2]]
+    np.divide(block, denom, out=kept)
+    _make_representable(kept, basis)
     return out
 
 
@@ -422,12 +500,12 @@ def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
                     dealias: bool = False) -> np.ndarray:
     """Solve (I - a * Laplacian) f = g by modal division and return the
     representable modal coefficients of f; with ``dealias`` the forward
-    transform of g truncates it by the 2/3 rule, so f is 0 outside the
-    kept block."""
+    transform of g truncates it by the 2/3 rule, the division runs on the
+    kept block alone, and f is 0 outside it."""
     if a < 0.0:
         raise ValueError("helmholtz coefficient a must be nonnegative")
-    modal = to_modal_values(g, basis, dealias)
-    return representable(modal / (1.0 + a * basis.eigenvalues), basis)
+    block = to_modal_values(g, basis, dealias)
+    return _solved(block, 1.0 + a * _eigenvalues(basis, block), basis)
 
 
 def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
@@ -435,8 +513,8 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
                            dealias: bool = False) -> tuple:
     """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) and
     return the representable modal coefficients of u; with ``dealias`` the
-    forward transforms of the data truncate it by the 2/3 rule, so u is 0
-    outside the kept block.
+    forward transforms of the data truncate it by the 2/3 rule, the split
+    runs on the kept block alone, and u is 0 outside it.
 
     Uses the divergence/solenoidal modal split: the divergence coefficient
     solves a scalar Helmholtz problem with coefficient a_mu + a_mulam, after
@@ -449,14 +527,14 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     m1 = to_modal_values(g1, neu, dealias)
     m2 = to_modal_values(g2, neu, dealias)
     m3 = to_modal_values(g3, diri, dealias)
+    eig_n, eig_d = _eigenvalues(neu, m1), _eigenvalues(diri, m3)
 
-    d = div_modal(m1, m2, m3, bases) / (1.0 + (a_mu + a_mulam) * neu.eigenvalues)
+    d = div_modal(m1, m2, m3, bases) / (1.0 + (a_mu + a_mulam) * eig_n)
 
-    denom_n = 1.0 + a_mu * neu.eigenvalues
-    u1 = (m1 + a_mulam * dx_modal(d, neu)) / denom_n
-    u2 = (m2 + a_mulam * dy_modal(d, neu)) / denom_n
-    u3 = (m3 + a_mulam * dz_modal(d, neu)) / (1.0 + a_mu * diri.eigenvalues)
-    return representable(u1, neu), representable(u2, neu), representable(u3, diri)
+    denom_n = 1.0 + a_mu * eig_n
+    return (_solved(m1 + a_mulam * dx_modal(d, neu), denom_n, neu),
+            _solved(m2 + a_mulam * dy_modal(d, neu), denom_n, neu),
+            _solved(m3 + a_mulam * dz_modal(d, neu), 1.0 + a_mu * eig_d, diri))
 
 
 def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:

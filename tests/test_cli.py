@@ -314,7 +314,7 @@ class TestMain:
             lone[threads] = fields(sim.direct_step(sim.direct_step(state, 1e-3), 1e-3))
 
         seen = []
-        for name in ("fft", "ifft", "rfft"):
+        for name in ("fft", "ifft"):
             def recorder(*args, _fn=getattr(mf.spectral_ops, name), **kwargs):
                 seen.append(kwargs["workers"])
                 return _fn(*args, **kwargs)
@@ -355,7 +355,8 @@ class TestMain:
         """The sample config at 8x8x9, resumed from its step-4 checkpoint:
         the diagnostics rows, checkpoint names and final meta.txt carry the
         step numbers of the uninterrupted run, and the rows are bitwise the
-        same from the resume point on."""
+        same from the resume point on, that point's Picard iteration count
+        and final ratio included."""
         cfg = (sample_config()
                .replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n",
                         "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n")
@@ -378,16 +379,24 @@ class TestMain:
         full_rows = read(out_full, "diagnostics.csv")
         res_rows = read(out_res, "diagnostics.csv")
         assert [r.split(",")[0] for r in res_rows[1:]] == [str(k) for k in range(4, 11)]
-        assert res_rows[2:] == full_rows[6:]
-        # the row at the resume point has no Picard report to show
-        at, ref = res_rows[1].split(","), full_rows[5].split(",")
-        assert at[:2] + at[4:] == ref[:2] + ref[4:]
+        # the row at the resume point too: the checkpoint keeps its Picard report
+        assert res_rows[1:] == full_rows[5:]
+        if mode == "picard":
+            assert int(res_rows[1].split(",")[2]) > 0
         assert (sorted(os.listdir(os.path.join(out_res, "checkpoints")))
                 == sorted(os.listdir(os.path.join(out_full, "checkpoints")))
                 == ["step_000004", "step_000008", "step_000010"])
         assert read(out_res, "final_state", "meta.txt") == \
             read(out_full, "final_state", "meta.txt")
         assert "step=10" in read(out_full, "final_state", "meta.txt")
+
+    def test_checkpoint_without_picard_report(self, tmp_path):
+        """A meta.txt written before checkpoints kept the Picard report
+        gives the resume's first row 0 iterations and ratio 0.0."""
+        (tmp_path / "meta.txt").write_text("time=0.004\nstep=4\nconfig_hash=abc\n",
+                                           encoding="utf-8")
+        report = mf.solver.checkpoint_report(str(tmp_path))
+        assert (report.iterations, report.final_ratio) == (0, 0.0)
 
     def test_strict_positivity_that_fixes_nothing_moves_no_bit(self, tmp_path):
         """On the sample config the fixer never acts, so a run with

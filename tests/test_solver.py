@@ -343,9 +343,9 @@ class TestDirectStep:
 
     def test_transform_budget(self, grid8, nondim, monkeypatch):
         """Exact transform counts of one direct step from a moving state that
-        carries its coefficients, and its 10 derivative sets, and of each
-        Picard iteration after the first, so that a repeated transform
-        shows."""
+        carries its coefficients, and its 10 derivative sets (div u is made
+        in the set of its gradient), and of each Picard iteration after the
+        first, so that a repeated transform shows."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
         state = sim.direct_step(state, 1e-3)
         assert np.any(state.u.w.values)
@@ -354,7 +354,7 @@ class TestDirectStep:
         sim.direct_step(state, 1e-3)
         assert count == {"fwd": 9, "inv": 49}
         assert len(sets) == 10
-        assert sorted(map(len, sets)) == [3] * 9 + [9]    # 36 of the 49
+        assert sorted(map(len, sets)) == [3] * 8 + [4] + [9]    # 37 of the 49
 
         ends = []
         linear_step = sim.linear_step
@@ -371,17 +371,52 @@ class TestDirectStep:
         assert per_iteration == {(9, 40)}
 
     def test_compute_row_transform_budget(self, grid8, nondim, monkeypatch):
-        """The diagnostics row reads the velocity and log rho_d coefficients
-        a state carries, and transforms only the four dehomogenized scalars
-        and sqrt(rho); on a state without coefficients it makes all nine."""
+        """The diagnostics row reads the coefficients a state carries: the
+        dehomogenized scalars' come from those of frak, with F(B^-1 psi)
+        formed on the first row and held by the factors, so that only
+        sqrt(rho) is transformed; on a state without coefficients the row
+        makes all nine."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
         carried = sim.direct_step(state, 1e-3)
         factors = sim.factors_at(carried.time, 1e-3)
+        psi_count = sum(not f.psi.is_zero for f in factors.values())
+        assert psi_count > 0
         count = count_transforms(monkeypatch)
-        for s, fwd in ((carried, 5), (carried.copy(), 9)):
+        dg.compute_row(carried, factors, sim.bases, step=1)
+        assert count == {"fwd": 1 + psi_count, "inv": 0}
+        for s, fwd in ((carried, 1), (carried.copy(), 9)):
             count.update(fwd=0, inv=0)
             dg.compute_row(s, factors, sim.bases, step=1)
             assert count == {"fwd": fwd, "inv": 0}
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_compute_row_norms_match_transformed_values(self, grid8, nondim,
+                                                        time_dependent):
+        """The norms of the dehomogenized T, q_v, q_c, q_r taken from the
+        carried coefficients equal those of the forward transforms of their
+        values, on a saturated layer (psi != 0) and with boundary data that
+        vary in time and along the wall."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        if time_dependent:
+            for var, a in (("T", 0.05), ("v", 1e-3)):
+                vb = bspec[var]
+                vb.data_bottom = lambda t, b=vb.data_bottom, a=a: {
+                    (0, 0): b + a * (1.0 + t), (1, 2): a * np.cos(t), (-1, -2): a * np.cos(t)}
+        cfg = mf.SolverConfig(dt=1e-3, t_end=1e-2, mode="direct")
+        sim = mf.Simulation(grid8, nondim, bspec, cfg)
+        assert bspec.time_dependent == time_dependent
+        carried = sim.direct_step(sim.direct_step(state, 1e-3), 1e-3)
+        factors = sim.factors_at(carried.time, 1e-3)
+        neu = sim.bases.neumann
+        assert not factors["T"].psi.is_zero
+        assert factors["v"].psi.is_zero != time_dependent
+        row = dg.compute_row(carried, factors, sim.bases, step=2)
+        for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
+                                ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr")):
+            fac = factors[var]
+            vals = mf.dehomogenize(getattr(carried, attr), fac).values
+            want = dg._norm_triplet(to_modal_values(vals, neu), neu)
+            assert row.norms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
 
     def test_step_halving_richardson_first_order(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble", mode="direct")
@@ -463,8 +498,8 @@ class TestCarriedCoefficients:
                               mode="direct", t_end=3e-3, checkpoint_every=3)
         written = []
         write_checkpoint = sim.write_checkpoint
-        monkeypatch.setattr(sim, "write_checkpoint", lambda path, step, s:
-                            written.append(step) or write_checkpoint(path, step, s))
+        monkeypatch.setattr(sim, "write_checkpoint", lambda path, step, s, row:
+                            written.append(step) or write_checkpoint(path, step, s, row))
         traj = sim.run(state, out_dir=str(tmp_path))
         assert written == [3]     # the last step is checkpointed once
         assert_carries_own_coefficients(traj.final_state, sim.bases)

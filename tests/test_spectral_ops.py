@@ -325,9 +325,10 @@ class TestDealias:
         vals = np.random.default_rng(5).standard_normal(grid8.shape)
         full = to_modal_values(vals, basis)
         out = to_modal_values(vals, basis, dealias=True)
+        assert out.shape == (grid8.nx, basis.ky_keep, basis.mz_keep)
         assert full[grid8.nx // 2, 0, 0] != 0.0 and full[0, 0, grid8.nz - 1] != 0.0
         assert out[grid8.nx // 2, 0, 0] == 0.0        # x Nyquist
-        assert out[0, 0, grid8.nz - 1] == 0.0          # z Nyquist
+        assert basis.mz_keep < grid8.nz                # z Nyquist: outside the block
         assert out[0, 0, 0] == pytest.approx(full[0, 0, 0], abs=1e-15)
         assert out[1, 1, 1] == pytest.approx(full[1, 1, 1], abs=1e-15)
 
@@ -384,13 +385,29 @@ class TestBlockTransforms:
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_forward_matches_masked_forward(self, basis_data):
+        """The dealiased forward is the kept block alone, its dropped kx
+        rows exactly 0."""
         basis, vals, _ = basis_data
         full = to_modal_values(vals, basis)
         got = to_modal_values(vals, basis, dealias=True)
-        assert got.shape == full.shape
-        assert np.all(got[~basis.dealias_mask] == 0.0)
-        want = full * basis.dealias_mask
+        kept = (slice(None), slice(basis.ky_keep), slice(basis.mz_keep))
+        assert got.shape == (basis.grid.nx, basis.ky_keep, basis.mz_keep)
+        assert np.all(got[~basis.dealias_mask[kept]] == 0.0)
+        want = (full * basis.dealias_mask)[kept]
         assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_y_constant_field_has_only_ky_zero(self, basis_data, dealias):
+        """A field constant in y but not in x and z has its ky >= 1
+        columns exactly 0, whatever the rounding of the y-pass matrix."""
+        basis = basis_data[0]
+        g = basis.grid
+        xz = (np.cos(np.pi * g.x)[:, None] * np.cos(np.pi * g.z)[None, :]
+              + 0.3 * np.sin(2 * np.pi * g.x)[:, None] * g.z[None, :] ** 2)
+        vals = np.broadcast_to(xz[:, None, :], g.shape).copy()
+        modal = to_modal_values(vals, basis, dealias)
+        assert np.all(modal[:, 1:] == 0.0)
+        assert np.any(modal[:, 0] != 0.0)
 
     @pytest.mark.parametrize("shape", GRIDS)
     def test_z_constant_neumann_column_is_mode_zero(self, shape):
@@ -410,17 +427,20 @@ class TestBlockTransforms:
         assert np.array_equal(to_phys_values(np.asfortranarray(modal), basis, True),
                               to_phys_values(modal, basis, True))
 
-    def test_whole_array_path_has_the_bits_of_rfft2(self, basis_data):
-        """The forward passes over y and x keep the bits of rfft2; the
-        whole-array inverse equals irfft2 and the z-series to rounding."""
+    def test_whole_array_path_matches_rfft2(self, basis_data):
+        """The forward passes over y and x equal rfft2 of the z-product,
+        and the whole-array inverse equals irfft2 and the z-series, to
+        rounding."""
         basis, vals, modal = basis_data
         if basis.kind == NEUMANN:
-            zt = _z_product(vals - vals[..., :1], basis.z_fwd)
+            zt = (vals - vals[..., :1]) @ basis.z_fwd
             zt[..., :1] += vals[..., :1]
         else:
-            zt = _z_product(vals, basis.z_fwd)
-        assert np.array_equal(to_modal_values(vals, basis),
-                              rfft2(zt, axes=(0, 1), norm="forward"))
+            zt = vals @ basis.z_fwd
+        want = rfft2(zt, axes=(0, 1), norm="forward")
+        got = to_modal_values(vals, basis)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         want = scipy_inverse(modal, basis)
         got = to_phys_values(modal, basis)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -448,6 +468,67 @@ def multiplier_then_inverse(modal, basis, key, dealias):
     if dealias:
         m = m * b.dealias_mask
     return scipy_inverse(m, b)
+
+
+def padded(block, basis):
+    """``block`` in the leading extent of a zero (nx, ny//2+1, nz) array."""
+    g = basis.grid
+    out = np.zeros((g.nx, g.ny // 2 + 1, g.nz), dtype=complex)
+    out[:, :block.shape[1], :block.shape[2]] = block
+    return out
+
+
+def whole_representable(modal, basis):
+    """``representable`` as a formula over the whole array."""
+    out = modal.copy()
+    nx, ny = basis.grid.nx, basis.grid.ny
+    flip = (-np.arange(nx)) % nx
+    for j in ((0, ny // 2) if ny % 2 == 0 else (0,)):
+        out[:, j] = 0.5 * (modal[:, j] + np.conj(modal[flip, j]))
+    if basis.kind == DIRICHLET:
+        out[..., [0, -1]] = 0.0
+    return out
+
+
+class TestBlockSolves:
+    """The solves divide, split and project on what the forward transform
+    returns, the kept block when dealiased, and pad once; their bits are
+    those of the whole-array formulas applied to the padded forward."""
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_scalar_solve(self, basis_data, dealias):
+        basis, vals, _ = basis_data
+        a = 0.37
+        got = mf.spectral_ops.helmholtz_modal(vals, a, basis, dealias)
+        m = padded(to_modal_values(vals, basis, dealias), basis)
+        want = whole_representable(m / (1.0 + a * basis.eigenvalues), basis)
+        assert got.shape == m.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("shape", GRIDS)
+    def test_vector_split(self, shape, dealias):
+        bases = mf.make_bases(transform_grid(*shape))
+        neu, diri = bases.neumann, bases.dirichlet
+        rng = np.random.default_rng(23)
+        g1, g2, g3 = (rng.standard_normal(shape) for _ in range(3))
+        a_mu, a_mulam = 0.21, 0.13
+        got = mf.spectral_ops.vector_helmholtz_modal(g1, g2, g3, a_mu, a_mulam,
+                                                     bases, dealias)
+        m1, m2 = (padded(to_modal_values(v, neu, dealias), neu) for v in (g1, g2))
+        m3 = padded(to_modal_values(g3, diri, dealias), diri)
+        # the whole-array split, the Neumann sine-Nyquist row of dz included
+        kz = neu.kappa_z
+        d = ((m1 * (1j * neu.kappa_x) + m2 * (1j * neu.kappa_y) + kz * m3)
+             / (1.0 + (a_mu + a_mulam) * neu.eigenvalues))
+        dz_d = -kz * d
+        dz_d[..., -1] = 0.0
+        denom = 1.0 + a_mu * neu.eigenvalues
+        want = (whole_representable((m1 + a_mulam * (d * (1j * neu.kappa_x))) / denom, neu),
+                whole_representable((m2 + a_mulam * (d * (1j * neu.kappa_y))) / denom, neu),
+                whole_representable((m3 + a_mulam * dz_d)
+                                    / (1.0 + a_mu * diri.eigenvalues), diri))
+        for u, w in zip(got, want):
+            assert u.shape == w.shape and np.array_equal(u, w)
 
 
 class TestDerivativeSets:
