@@ -13,7 +13,6 @@ MOISTFLOW_OUT overrides the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -23,9 +22,9 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .boundary import BOUNDARY_VARS, robin_profile
-from .fields import PhysConstants, load_state, make_grid
+from .fields import PhysConstants, make_grid
 from .presets import PRESET_NAMES, preset_initial
-from .solver import Simulation, SolverConfig, checkpoint_report
+from .solver import Simulation, SolverConfig, export_long, read_checkpoint
 
 
 class ConfigError(ValueError):
@@ -85,7 +84,7 @@ def _schema() -> dict:
 SCHEMA = _schema()
 
 # keys of earlier versions that no longer do anything, read with a warning
-# (old config.echo files list them); one that chose what this version always
+# (old echo files list them); one that chose what this version always
 # does maps to (type tag, that value, why): other values ask for another run
 _RETIRED_KEYS = {"solver.psi_dt_mode": None, "run.seed": None,
                  "solver.dealias": ("bool", True, "the 2/3 rule is always applied"),
@@ -339,27 +338,11 @@ def _resolve_out(rc: RunConfig, cli_out: str | None) -> str:
     return cli_out or env or rc["output.dir"]
 
 
-def _run_to_final_state(rc: RunConfig, out: str, checkpoint: str | None = None):
-    """Write the config echo, run the configured simulation (from the
-    checkpoint's state when one is given), and write ``final_state/`` as a
-    checkpoint directory."""
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.echo"), "w", encoding="utf-8") as fh:
-        fh.write(rc.echo_text())
-    sim, state = build_simulation(rc)
-    report = None
-    if checkpoint is not None:
-        state, report = load_state(checkpoint), checkpoint_report(checkpoint)
-    traj = sim.run(state, out_dir=out, initial_report=report)
-    sim.write_checkpoint(os.path.join(out, "final_state"), traj.steps,
-                         traj.final_state, traj.rows[-1])
-    return traj
-
-
 def _cmd_run(args) -> int:
     rc = parse_config(args.config)
     out = _resolve_out(rc, args.out)
-    traj = _run_to_final_state(rc, out)
+    sim, state = build_simulation(rc)
+    traj = sim.run(state, out_dir=out)
     print(f"run complete: {traj.steps} steps to t={traj.final_state.time:g}, "
           f"outputs in {out}")
     return 0
@@ -375,36 +358,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    ckpt = args.checkpoint
-    echo_path = os.path.join(ckpt, "config.echo")
-    if not os.path.exists(echo_path):
-        raise ConfigError(f"{ckpt}: no config.echo found; not a resumable "
-                          f"checkpoint directory")
-    rc = parse_config(echo_path)
+    state, report, echo = read_checkpoint(args.checkpoint)
+    rc = parse_config(echo)
     out = _resolve_out(rc, args.out)
-    traj = _run_to_final_state(rc, out, checkpoint=ckpt)
+    sim, _ = build_simulation(rc)
+    traj = sim.run(state, out_dir=out, initial_report=report)
     print(f"resumed to t={traj.final_state.time:g}, outputs in {out}")
     return 0
 
 
 def _cmd_export_plot(args) -> int:
-    src = os.path.join(args.csvdir, "diagnostics.csv")
-    dst = os.path.join(args.csvdir, "diagnostics_long.csv")
-    with open(src, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    idx_time = header.index("time")
-    idx_step = header.index("step")
-    with open(dst, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "step", "variable", "value"])
-        for row in rows:
-            for col, val in zip(header, row):
-                if col in ("time", "step"):
-                    continue
-                w.writerow([row[idx_time], row[idx_step], col, val])
-    print(f"wrote {dst}")
+    print(f"wrote {export_long(args.csvdir)}")
     return 0
 
 

@@ -12,7 +12,6 @@ cosine/sine series used throughout.
 from __future__ import annotations
 
 import os
-import shutil
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -370,28 +369,6 @@ def _load_modal(path, time: float, grid: Grid) -> dict:
                 raise ValueError(f"{path}: coefficients {name!r} are {a.dtype} of "
                                  f"shape {a.shape}, not complex of shape {want}")
         return modal
-
-
-def write_dir_atomically(dirpath, write) -> None:
-    """Call ``write(tmp)`` on an empty sibling directory of ``dirpath``, then
-    swap it into place, so that ``dirpath`` holds either its old files or
-    all of the new ones.  If ``write`` raises, ``dirpath`` is untouched and
-    the sibling is removed."""
-    parent, base = os.path.split(os.path.normpath(dirpath))
-    tmp, old = (os.path.join(parent, f".{base}.{tag}") for tag in ("tmp", "old"))
-    for p in (tmp, old):
-        shutil.rmtree(p, ignore_errors=True)
-    os.makedirs(tmp)
-    try:
-        write(tmp)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    # os.replace cannot replace a non-empty directory: move the old one aside
-    if os.path.exists(dirpath):
-        os.replace(dirpath, old)
-    os.replace(tmp, dirpath)
-    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_state(dirpath, grid: Grid | None = None) -> State:

@@ -12,10 +12,14 @@ so the converged fixed point satisfies the full variable-mass update.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import os
+import shutil
 import time as _time
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +27,8 @@ from . import diagnostics as dg
 from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
 from .fields import (MODAL_NAMES, Grid, PhysConstants, ScalarField, State,
-                     VectorField, positive_values, save_modal, save_state,
-                     write_dir_atomically)
+                     VectorField, load_state, positive_values, save_modal,
+                     save_state)
 from .microphysics import SaturationClosure, source_values
 from .thermo import pressure_values, q_factor_values
 
@@ -166,6 +170,7 @@ class Simulation:
         self._static_factors = None
         if not boundary_spec.time_dependent:
             self._static_factors = build_factors(boundary_spec, grid, 0.0)
+        self._last_factors = (None, None)     # ((t, dt), factors) of the last build
         self._positivity_fixes = 0
         self._rejections = 0
         self.config_echo = ""
@@ -173,9 +178,15 @@ class Simulation:
     # -- helpers ----------------------------------------------------------
 
     def factors_at(self, t: float, dt: float | None = None) -> dict:
+        """The homogenization factors at time ``t`` for a step of ``dt``: built
+        once for static wall data, else kept for the last (t, dt) asked for."""
         if self._static_factors is not None:
             return self._static_factors
-        return build_factors(self.bspec, self.grid, t, dt)
+        key, factors = self._last_factors
+        if key != (t, dt):
+            factors = build_factors(self.bspec, self.grid, t, dt)
+            self._last_factors = ((t, dt), factors)
+        return factors
 
     def _frozen_velocity(self, s: State) -> FrozenVelocity:
         """The velocity of ``s`` with its derivatives, div u and grad div u,
@@ -492,10 +503,6 @@ class Simulation:
         entries["total"] = float(np.sqrt(tot_l2) + np.sqrt(dt * tot_h1))
         return entries
 
-    def _m_norm_parts(self, a: State, b: State, dt: float) -> dict:
-        """``_increment_parts`` of the difference of two states."""
-        return self._increment_parts(dg.difference_sqs(a, b, self.bases), dt)
-
     def _state_scale(self, s: State) -> float:
         """Cheap size estimate of the iterated fields (floor for the
         convergence test); RMS times the domain-volume factor."""
@@ -625,55 +632,24 @@ class Simulation:
 
     def run(self, initial: State, out_dir: str | None = None,
             initial_report: PicardReport | None = None) -> Trajectory:
-        """Advance to t_end, emitting one diagnostics row per step (plus the
-        initial row), with snapshots and checkpoints on the configured
-        cadence.  Rejected steps are retried at half the step size.
-        ``initial_report`` is the report of the step that made ``initial``,
-        for the initial row: a resumed run passes its checkpoint's
-        (``checkpoint_report``)."""
+        """Advance to t_end, handing each step's diagnostics row (and the
+        initial one) with its state to a ``RunRecorder`` of the run directory
+        ``out_dir``, if any.  Rejected steps are retried at half the step
+        size.  ``initial_report`` is the report of the step that made
+        ``initial``, for the initial row: a resumed run passes its
+        checkpoint's (``read_checkpoint``)."""
         cfg = self.config
-        writer = timings = None
-        try:
-            if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
-                writer = dg.DiagnosticsWriter(os.path.join(out_dir, "diagnostics.csv"))
-                timings = open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8")
-                timings.write("step,wall_seconds\n")
-
-            t0 = _time.perf_counter()
-            state = initial
+        t0 = _time.perf_counter()
+        state = initial
+        self._rejections = self._positivity_fixes = 0
+        # a run resumed from a checkpoint keeps the step numbers of the
+        # uninterrupted run (SolverConfig guarantees whole steps)
+        step = round(initial.time / cfg.dt)
+        n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
+        with RunRecorder(self, out_dir) as recorder:
             factors = self.factors_at(state.time, cfg.dt)
-            rows = []
-            states = []
-            self._rejections = self._positivity_fixes = 0
-            # a run resumed from a checkpoint keeps the step numbers of the
-            # uninterrupted run (SolverConfig guarantees whole steps)
-            step = round(initial.time / cfg.dt)
-
-            def checkpoint():
-                # rows[-1] is the row of this step
-                path = os.path.join(out_dir, "checkpoints", f"step_{step:06d}")
-                self.write_checkpoint(path, step, state, rows[-1])
-
-            def record(report, wall):
-                row = dg.compute_row(state, factors, self.bases, step=step,
-                                     picard_report=report, wall_clock=wall)
-                rows.append(row)
-                if writer is not None:
-                    writer.emit(row)
-                if timings is not None:
-                    timings.write(f"{step},{wall!r}\n")
-                if cfg.record_states_every and step % cfg.record_states_every == 0:
-                    states.append((step, state.copy()))
-                if cfg.snapshot_every and out_dir and step % cfg.snapshot_every == 0:
-                    snap = os.path.join(out_dir, f"snapshot_{step:06d}")
-                    save_state(snap, state)
-                if cfg.checkpoint_every and out_dir and step > 0 \
-                        and step % cfg.checkpoint_every == 0:
-                    checkpoint()
-
-            record(initial_report, 0.0)
-            n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
+            recorder.record(state, dg.compute_row(state, factors, self.bases, step=step,
+                                                  picard_report=initial_report))
             for _ in range(max(n_steps, 0)):
                 tic = _time.perf_counter()
                 try:
@@ -685,57 +661,138 @@ class Simulation:
                 if cfg.strict_positivity:
                     state = self._apply_positivity_fix(state, factors)
                 step += 1
-                record(report, _time.perf_counter() - tic)
-
-            # the last state, unless record() has just checkpointed it
-            if cfg.checkpoint_every and out_dir \
-                    and (step == 0 or step % cfg.checkpoint_every):
-                checkpoint()
-        finally:
-            if timings is not None:
-                timings.close()
-            if writer is not None:
-                writer.close()
+                recorder.record(state, dg.compute_row(
+                    state, factors, self.bases, step=step, picard_report=report,
+                    wall_clock=_time.perf_counter() - tic))
+            recorder.finish(state)
         if self._positivity_fixes:
             warnings.warn(f"positivity fixer active on {self._positivity_fixes} "
                           f"field updates")
-        return Trajectory(state, rows, states, step, self._rejections, cfg,
-                          _time.perf_counter() - t0)
+        return Trajectory(state, recorder.rows, recorder.states, step, self._rejections,
+                          cfg, _time.perf_counter() - t0)
 
-    def write_checkpoint(self, path: str, step: int, state: State,
-                         row: dg.DiagnosticsRow | None = None) -> None:
-        """Write a resumable state directory: the fields, the coefficients
-        the state carries, ``meta.txt`` and the config echo.  They land
-        together (see ``fields.write_dir_atomically``), replacing whatever
-        ``path`` held.  ``meta.txt`` keeps the Picard iteration count and
-        final ratio of ``row``, the diagnostics row of ``step`` (0 and 0.0
-        without one), for the first row of a resumed run."""
-        iters, ratio = (0, 0.0) if row is None else (row.picard_iterations,
-                                                     row.picard_final_ratio)
 
-        def write(tmp):
+# -- the run directory -----------------------------------------------------------
+
+# every name in a run directory, each spelled here alone
+DIAGNOSTICS_FILE = "diagnostics.csv"
+TIMINGS_FILE = "timings.csv"
+SNAPSHOT_DIR = "snapshot_{:06d}"
+CHECKPOINT_DIR = os.path.join("checkpoints", "step_{:06d}")
+FINAL_STATE_DIR = "final_state"
+ECHO_FILE = "config.echo"
+META_FILE = "meta.txt"
+
+
+class RunRecorder:
+    """The record of one run, handed each row with its state and then the
+    last state (``finish``): the rows, the state every ``record_states_every``
+    steps, and, given a run directory, every file in it (a state's own files
+    through ``fields``): both CSV files (complete up to the last row, also
+    when the run fails), the snapshots and checkpoints on their cadences,
+    and a checkpoint of the last state.  A simulation with a ``config_echo``
+    (the command line's) also writes the echo into the root and each
+    checkpoint, and the final state's checkpoint, which ``resume`` reads."""
+
+    def __init__(self, sim: Simulation, out_dir: str | None):
+        self.sim, self.dir = sim, out_dir
+        self.rows, self.states = [], []         # states: [(step, State)]
+        self._files = contextlib.ExitStack()
+
+    def __enter__(self):
+        if self.dir is not None:
+            os.makedirs(self.dir, exist_ok=True)
+            if self.sim.config_echo:
+                Path(self.dir, ECHO_FILE).write_text(self.sim.config_echo, encoding="utf-8")
+            with contextlib.ExitStack() as files:
+                self._csv = files.enter_context(contextlib.closing(
+                    dg.DiagnosticsWriter(os.path.join(self.dir, DIAGNOSTICS_FILE))))
+                self._timings = files.enter_context(
+                    open(os.path.join(self.dir, TIMINGS_FILE), "w", encoding="utf-8"))
+                self._timings.write("step,wall_seconds\n")
+                self._files = files.pop_all()
+        return self
+
+    def __exit__(self, *exc):
+        self._files.close()
+
+    def record(self, state: State, row: dg.DiagnosticsRow) -> None:
+        cfg, step = self.sim.config, row.step
+        self.rows.append(row)
+        if cfg.record_states_every and step % cfg.record_states_every == 0:
+            self.states.append((step, state.copy()))
+        if self.dir is None:
+            return
+        self._csv.emit(row)
+        self._timings.write(f"{step},{row.wall_clock!r}\n")
+        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+            save_state(os.path.join(self.dir, SNAPSHOT_DIR.format(step)), state)
+        if cfg.checkpoint_every and step > 0 and step % cfg.checkpoint_every == 0:
+            self._checkpoint(CHECKPOINT_DIR.format(step), state)
+
+    def finish(self, state: State) -> None:
+        if self.dir is None:
+            return
+        step, every = self.rows[-1].step, self.sim.config.checkpoint_every
+        # the last state, unless record() has just checkpointed it
+        if every and (step == 0 or step % every):
+            self._checkpoint(CHECKPOINT_DIR.format(step), state)
+        if self.sim.config_echo:
+            self._checkpoint(FINAL_STATE_DIR, state)
+
+    def _checkpoint(self, name: str, state: State) -> None:
+        """Write the state directory ``name`` whole: the fields, their
+        coefficients, the meta file (with the last row's Picard report, for
+        a resumed run's first row) and the echo go into a hidden sibling,
+        which then replaces it, or is removed if a write fails."""
+        row, sim = self.rows[-1], self.sim
+        path = os.path.join(self.dir, name)
+        parent, base = os.path.split(path)
+        tmp, old = (os.path.join(parent, f".{base}.{tag}") for tag in ("tmp", "old"))
+        for p in (tmp, old):
+            shutil.rmtree(p, ignore_errors=True)
+        os.makedirs(tmp)
+        try:
             save_state(tmp, state)
             save_modal(tmp, state)
-            with open(os.path.join(tmp, "meta.txt"), "w", encoding="utf-8") as fh:
-                fh.write(f"time={state.time!r}\nstep={step}\n"
-                         f"config_hash={self.config_hash}\n"
-                         f"picard_iterations={iters!r}\npicard_final_ratio={ratio!r}\n")
-            if self.config_echo:
-                with open(os.path.join(tmp, "config.echo"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(self.config_echo)
+            Path(tmp, META_FILE).write_text(
+                f"time={state.time!r}\nstep={row.step}\nconfig_hash={sim.config_hash}\n"
+                f"picard_iterations={row.picard_iterations!r}\n"
+                f"picard_final_ratio={row.picard_final_ratio!r}\n", encoding="utf-8")
+            if sim.config_echo:
+                Path(tmp, ECHO_FILE).write_text(sim.config_echo, encoding="utf-8")
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        # os.replace cannot replace a non-empty directory: move the old one aside
+        if os.path.exists(path):
+            os.replace(path, old)
+        os.replace(tmp, path)
+        shutil.rmtree(old, ignore_errors=True)
 
-        write_dir_atomically(path, write)
+
+def read_checkpoint(path) -> tuple:
+    """(state, Picard report, config echo path) of the checkpoint directory
+    ``path`` that ``RunRecorder`` wrote.  The report is the one the meta
+    file kept, its iteration count and final ratio: 0 and 0.0 for a
+    checkpoint written without them.  The echo path is where the echo
+    would be; a run without a config writes none."""
+    with open(os.path.join(path, META_FILE), encoding="utf-8") as fh:
+        meta = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+    report = PicardReport(ratios=[float(meta.get("picard_final_ratio", "0.0"))],
+                          iterations=int(meta.get("picard_iterations", "0")))
+    return load_state(path), report, os.path.join(path, ECHO_FILE)
 
 
-def checkpoint_report(path: str) -> PicardReport:
-    """The Picard report that ``write_checkpoint`` kept in the ``meta.txt``
-    of the checkpoint directory ``path``: its iteration count and final
-    ratio, 0 and 0.0 for a checkpoint written without them."""
-    meta = {}
-    with open(os.path.join(path, "meta.txt"), encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            meta[key] = value
-    return PicardReport(ratios=[float(meta.get("picard_final_ratio", "0.0"))],
-                        iterations=int(meta.get("picard_iterations", "0")))
+def export_long(run_dir) -> str:
+    """Write the diagnostics of the run directory ``run_dir`` beside them in
+    long format, a (time, step, variable, value) line per value; return its path."""
+    dst = os.path.join(run_dir, "diagnostics_long.csv")
+    with open(os.path.join(run_dir, DIAGNOSTICS_FILE), encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "step", "variable", "value"])
+        w.writerows([row["time"], row["step"], col, val] for row in rows
+                    for col, val in row.items() if col not in ("time", "step"))
+    return dst

@@ -82,9 +82,6 @@ class Basis:
         self.kx_keep = np.abs(kx_int) <= grid.nx // 3
         self.ky_keep = grid.ny // 3 + 1
         self.mz_keep = (2 * (grid.nz - 1)) // 3 + 1
-        self.dealias_mask = (self.kx_keep[:, None, None]
-                             & (np.arange(ky_int.size) < self.ky_keep)[None, :, None]
-                             & (mz < self.mz_keep)[None, None, :])
         # Parseval multiplicity of each retained ky column (conjugate pairs
         # are folded by the real transform except ky = 0 and the Nyquist)
         wy = np.full(ky_int.shape, 2.0)

@@ -29,6 +29,16 @@ def nondim():
     return mf.PhysConstants.nondimensional()
 
 
+def dealias_mask(basis):
+    """The 2/3 rule on the modal grid of ``basis``, as a boolean array: the
+    kx rows of ``kx_keep``, the leading ``ky_keep`` columns and the leading
+    ``mz_keep`` rows."""
+    nx, ny, nz = basis.grid.shape
+    return (basis.kx_keep[:, None, None]
+            & (np.arange(ny // 2 + 1) < basis.ky_keep)[None, :, None]
+            & (np.arange(nz) < basis.mz_keep)[None, None, :])
+
+
 def random_band_limited(grid, bases, kind="neumann_z", seed=0, max_mode=None):
     """Deterministic random field with modes below the dealiasing cutoff."""
     basis = bases.neumann if kind == "neumann_z" else bases.dirichlet
@@ -38,7 +48,7 @@ def random_band_limited(grid, bases, kind="neumann_z", seed=0, max_mode=None):
         raw[:, :, 0] = 0.0
         raw[:, :, -1] = 0.0
     from moistflow.spectral_ops import to_modal_values, to_phys_values
-    modal = to_modal_values(raw, basis) * basis.dealias_mask
+    modal = to_modal_values(raw, basis) * dealias_mask(basis)
     if max_mode is not None:
         keep = ((np.abs(basis.kappa_x) <= np.pi * max_mode)
                 & (np.abs(basis.kappa_y) <= np.pi * max_mode)

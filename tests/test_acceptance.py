@@ -2,7 +2,7 @@
 one PASS line (pytest fails the run otherwise).  Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion report."""
 
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +273,6 @@ def test_criterion_10_determinism(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     assert main(["run", str(cfg), "--out", out1]) == 0
     assert main(["run", str(cfg), "--out", out2]) == 0
-    a = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
-    b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
+    a = Path(out1, "diagnostics.csv").read_bytes()
+    b = Path(out2, "diagnostics.csv").read_bytes()
     report(10, a == b, f"diagnostics CSV identical ({len(a)} bytes)")

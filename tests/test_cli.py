@@ -1,6 +1,7 @@
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,8 +274,8 @@ class TestMain:
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert main(["run", path, "--out", out1]) == 0
         assert main(["run", path, "--out", out2]) == 0
-        a = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
-        b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
+        a = Path(out1, "diagnostics.csv").read_bytes()
+        b = Path(out2, "diagnostics.csv").read_bytes()
         assert a == b
 
     def test_csv_independent_of_threads(self, tmp_path):
@@ -393,10 +394,23 @@ class TestMain:
     def test_checkpoint_without_picard_report(self, tmp_path):
         """A meta.txt written before checkpoints kept the Picard report
         gives the resume's first row 0 iterations and ratio 0.0."""
-        (tmp_path / "meta.txt").write_text("time=0.004\nstep=4\nconfig_hash=abc\n",
-                                           encoding="utf-8")
-        report = mf.solver.checkpoint_report(str(tmp_path))
+        cfg = BASE.replace("solver.mode = direct\n", "solver.mode = picard\n")
+        path = write_config(tmp_path / "c.cfg", cfg + "solver.checkpoint_every = 3\n")
+        out, res = tmp_path / "out", tmp_path / "resumed"
+        assert main(["run", path, "--out", str(out)]) == 0
+        ckpt = out / "checkpoints" / "step_000003"
+        (ckpt / "meta.txt").write_text("time=0.003\nstep=3\nconfig_hash=abc\n",
+                                       encoding="utf-8")
+        _, report, _ = mf.solver.read_checkpoint(str(ckpt))
         assert (report.iterations, report.final_ratio) == (0, 0.0)
+        assert main(["resume", str(ckpt), "--out", str(res)]) == 0
+
+        def row_3(out):
+            lines = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+            return next(line.split(",") for line in lines if line.startswith("3,"))
+
+        assert int(row_3(out)[2]) > 0
+        assert row_3(res)[2:4] == ["0", "0.0"]
 
     def test_strict_positivity_that_fixes_nothing_moves_no_bit(self, tmp_path):
         """On the sample config the fixer never acts, so a run with
@@ -470,6 +484,63 @@ class TestMain:
 
     def test_export_plot_missing_dir_exit_1(self, tmp_path):
         assert main(["export-plot", str(tmp_path / "nope")]) == 1
+
+
+FIELD_FILES = ["frak_T.dat", "frak_q_c.dat", "frak_q_r.dat", "frak_q_v.dat",
+               "log_rho_d.dat", "u_x.dat", "u_y.dat", "u_z.dat"]
+CHECKPOINT_FILES = ["config.echo", "frak_T.dat", "frak_q_c.dat", "frak_q_r.dat",
+                    "frak_q_v.dat", "log_rho_d.dat", "meta.txt", "modal.npz",
+                    "u_x.dat", "u_y.dat", "u_z.dat"]
+
+
+def layout(root):
+    """{directory relative to root: sorted names of the files in it}"""
+    return {Path(d).relative_to(root).as_posix(): sorted(files)
+            for d, _, files in os.walk(root) if files}
+
+
+class TestRunDirectory:
+    """The files a run leaves in its directory, pinned for a command-line
+    run, its resume into a fresh directory, and a library run, three steps
+    with checkpoints and snapshots every two."""
+
+    CADENCES = "solver.checkpoint_every = 2\nsolver.snapshot_every = 2\n"
+
+    def test_command_line_run_and_resume(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg", BASE + self.CADENCES)
+        out, res = tmp_path / "out", tmp_path / "resumed"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert main(["resume", str(out / "checkpoints" / "step_000002"),
+                     "--out", str(res)]) == 0
+        assert layout(out) == {
+            ".": ["config.echo", "diagnostics.csv", "timings.csv"],
+            "checkpoints/step_000002": CHECKPOINT_FILES,
+            "checkpoints/step_000003": CHECKPOINT_FILES,
+            "final_state": CHECKPOINT_FILES,
+            "snapshot_000000": FIELD_FILES,
+            "snapshot_000002": FIELD_FILES}
+        # the resume writes the checkpoint and snapshot of its start step,
+        # which is on both cadences
+        assert layout(res) == {
+            ".": ["config.echo", "diagnostics.csv", "timings.csv"],
+            "checkpoints/step_000002": CHECKPOINT_FILES,
+            "checkpoints/step_000003": CHECKPOINT_FILES,
+            "final_state": CHECKPOINT_FILES,
+            "snapshot_000002": FIELD_FILES}
+
+    def test_library_run(self, tmp_path, grid8, nondim):
+        """A simulation built without a config writes no echo and no
+        final_state/."""
+        state, bspec = mf.preset_initial("thermal_bubble", grid8, nondim)
+        cfg = mf.SolverConfig(dt=1e-3, t_end=3e-3, checkpoint_every=2, snapshot_every=2)
+        mf.Simulation(grid8, nondim, bspec, cfg).run(state, out_dir=str(tmp_path / "out"))
+        checkpoint = [name for name in CHECKPOINT_FILES if name != "config.echo"]
+        assert layout(tmp_path / "out") == {
+            ".": ["diagnostics.csv", "timings.csv"],
+            "checkpoints/step_000002": checkpoint,
+            "checkpoints/step_000003": checkpoint,
+            "snapshot_000000": FIELD_FILES,
+            "snapshot_000002": FIELD_FILES}
 
 
 class TestBuildSimulation:

@@ -160,11 +160,10 @@ class TestCoefficientFile:
     def ckpt(self, tmp_path, grid8, nondim):
         """A checkpoint of a solver-built state, holding its coefficients."""
         state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
-        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=1e-3, t_end=1e-3))
-        state = sim.direct_step(state, 1e-3)
-        path = tmp_path / "ckpt"
-        sim.write_checkpoint(str(path), 1, state)
-        return path, state
+        sim = mf.Simulation(grid8, nondim, bspec,
+                            mf.SolverConfig(dt=1e-3, t_end=1e-3, checkpoint_every=1))
+        state = sim.run(state, out_dir=str(tmp_path)).final_state
+        return tmp_path / "checkpoints" / "step_000001", state
 
     def test_coefficients_restored_bitwise(self, ckpt):
         path, state = ckpt

@@ -1,3 +1,4 @@
+import os
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from moistflow import diagnostics as dg
 from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
 from moistflow.spectral_ops import derivs, to_modal_values, to_phys_values, dz_modal
 
-from conftest import random_band_limited
+from conftest import dealias_mask, random_band_limited
 from mms import run_mms
 
 
@@ -33,6 +34,12 @@ def linear_step(sim, frozen, current, dt):
     hand it for ``frozen``."""
     return sim.linear_step(frozen, current, dt, sim.factors_at(current.time, dt),
                            sim._frozen_velocity(frozen))
+
+
+def m_norm_parts(sim, a, b, dt):
+    """The increment parts of the Picard metric for the difference of two
+    states."""
+    return sim._increment_parts(dg.difference_sqs(a, b, sim.bases), dt)
 
 
 def assemble_rhs(sim, state, factors, terms=None):
@@ -292,12 +299,12 @@ class TestPicard:
         assert rep.converged
         log_rho = density_step(sim, state, out.u, dt)
         mx = linear_step(sim, replace(out, log_rho_d=log_rho), state, dt)
-        delta = sim._m_norm_parts(mx, out, dt)["total"]
+        delta = m_norm_parts(sim, mx, out, dt)["total"]
         zero = State(out.log_rho_d, VectorField.zeros(grid16),
                      ScalarField.zeros(grid16), ScalarField.zeros(grid16),
                      ScalarField.zeros(grid16), ScalarField.zeros(grid16),
                      out.time)
-        x_norm = sim._m_norm_parts(out, zero, dt)["total"]
+        x_norm = m_norm_parts(sim, out, zero, dt)["total"]
         assert delta <= 2.0 * 1e-10 * x_norm
 
     def test_large_dt_rejected_then_half_succeeds(self, grid16, nondim):
@@ -424,7 +431,7 @@ class TestDirectStep:
         def halving_gap(dt):
             full = sim.direct_step(state, dt)
             half = sim.direct_step(sim.direct_step(state, dt / 2), dt / 2)
-            return sim._m_norm_parts(full, half, dt)["total"]
+            return m_norm_parts(sim, full, half, dt)["total"]
 
         g1, g2 = halving_gap(2e-3), halving_gap(1e-3)
         # over one interval the full-vs-two-halves gap scales like the local
@@ -471,7 +478,7 @@ class TestCarriedCoefficients:
         sim, state = moving
         out, rep = sim.picard_solve(state, 1e-3)
         assert rep.iterations >= 3
-        dropped = ~sim.bases.neumann.dealias_mask
+        dropped = ~dealias_mask(sim.bases.neumann)
         for s in (state, sim.direct_step(state, 1e-3), out):
             for name in dg.ITERATED:
                 assert np.all(s.modal[name][dropped] == 0.0), name
@@ -497,11 +504,12 @@ class TestCarriedCoefficients:
         sim, state = make_sim(grid8, nondim, preset="saturated_layer",
                               mode="direct", t_end=3e-3, checkpoint_every=3)
         written = []
-        write_checkpoint = sim.write_checkpoint
-        monkeypatch.setattr(sim, "write_checkpoint", lambda path, step, s, row:
-                            written.append(step) or write_checkpoint(path, step, s, row))
+        checkpoint = mf.solver.RunRecorder._checkpoint
+        monkeypatch.setattr(mf.solver.RunRecorder, "_checkpoint", lambda rec, name, s:
+                            written.append(name) or checkpoint(rec, name, s))
         traj = sim.run(state, out_dir=str(tmp_path))
-        assert written == [3]     # the last step is checkpointed once
+        # the last step is checkpointed once
+        assert written == [os.path.join("checkpoints", "step_000003")]
         assert_carries_own_coefficients(traj.final_state, sim.bases)
         loaded = mf.load_state(tmp_path / "checkpoints" / "step_000003")
         for name in MODAL_NAMES:
@@ -659,6 +667,37 @@ class TestRun:
         m0 = traj.rows[0].dry_mass
         for row in traj.rows:
             assert abs(row.dry_mass - m0) / m0 <= 1e-6
+
+    def test_factors_built_once_per_time_level(self, grid8, nondim, monkeypatch):
+        """With wall data that vary in time, the row of a step and the step
+        after it share the factors of one (t, dt): 5 steps build 6 sets, and
+        the rows are those of a build on every call.  Static data are built
+        once, before the run."""
+        def simulation(data_top):
+            state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+            bspec["T"].data_top = data_top
+            cfg = mf.SolverConfig(dt=1e-3, t_end=5e-3)
+            return mf.Simulation(grid8, nondim, bspec, cfg), state
+
+        built = []
+        build = mf.solver.build_factors
+        monkeypatch.setattr(mf.solver, "build_factors", lambda spec, grid, t, dt=None:
+                            built.append((t, dt)) or build(spec, grid, t, dt))
+        sim, state = simulation(lambda t: 1.0 + 0.1 * t)
+        rows = sim.run(state).rows
+        assert len(built) == len(set(built)) == 6
+        assert built[0] == (0.0, 1e-3)
+
+        sim, state = simulation(lambda t: 1.0 + 0.1 * t)
+        monkeypatch.setattr(sim, "factors_at", lambda t, dt=None:
+                            build(sim.bspec, sim.grid, t, dt))
+        assert ([row.csv_values() for row in sim.run(state).rows]
+                == [row.csv_values() for row in rows])
+
+        built.clear()
+        sim, state = simulation(1.0)
+        sim.run(state)
+        assert built == [(0.0, None)]
 
     def test_outputs_written(self, tmp_path, grid8, nondim):
         state, bspec = mf.preset_initial("thermal_bubble", grid8, nondim)
