@@ -36,21 +36,21 @@ print("early-time difference ratio (half vs full perturbation):",
       np.round(rep_half.delta_fields[early] / rep.delta_fields[early], 3))
 
 print("\n== checkpoint / resume through the command line ==")
-tmp = tempfile.mkdtemp(prefix="moistflow_demo_")
-cfg_path = os.path.join(tmp, "run.cfg")
-with open(cfg_path, "w") as fh:
-    fh.write("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n"
-             "constants.set = nondimensional\n"
-             "solver.dt = 1e-3\nsolver.t_end = 1e-2\nsolver.mode = direct\n"
-             "solver.checkpoint_every = 5\nic.preset = thermal_bubble\n")
-main(["run", cfg_path, "--out", os.path.join(tmp, "full")])
-main(["resume", os.path.join(tmp, "full", "checkpoints", "step_000005"),
-      "--out", os.path.join(tmp, "resumed")])
+with tempfile.TemporaryDirectory(prefix="moistflow_demo_") as tmp:
+    cfg_path = os.path.join(tmp, "run.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n"
+                 "constants.set = nondimensional\n"
+                 "solver.dt = 1e-3\nsolver.t_end = 1e-2\nsolver.mode = direct\n"
+                 "solver.checkpoint_every = 5\nic.preset = thermal_bubble\n")
+    main(["run", cfg_path, "--out", os.path.join(tmp, "full")])
+    main(["resume", os.path.join(tmp, "full", "checkpoints", "step_000005"),
+          "--out", os.path.join(tmp, "resumed")])
 
-ref = mf.load_state(os.path.join(tmp, "full", "final_state"))
-got = mf.load_state(os.path.join(tmp, "resumed", "final_state"))
-identical = all(np.array_equal(a.values, b.values) for a, b in
-                ((ref.frak_T, got.frak_T), (ref.u.w, got.u.w),
-                 (ref.log_rho_d, got.log_rho_d)))
-print(f"resumed final state identical to uninterrupted run: {identical}")
-main(["export-plot", os.path.join(tmp, "full")])
+    ref = mf.load_state(os.path.join(tmp, "full", "final_state"))
+    got = mf.load_state(os.path.join(tmp, "resumed", "final_state"))
+    identical = all(np.array_equal(a.values, b.values) for a, b in
+                    ((ref.frak_T, got.frak_T), (ref.u.w, got.u.w),
+                     (ref.log_rho_d, got.log_rho_d)))
+    print(f"resumed final state identical to uninterrupted run: {identical}")
+    main(["export-plot", os.path.join(tmp, "full")])

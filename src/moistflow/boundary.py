@@ -145,6 +145,14 @@ class BoundaryExtension:
     derivative at each wall exactly equal to that wall's data.  The decay
     rate is the integer magnitude |k| while phases carry pi k, following
     the construction convention; only the wall-derivative identity matters.
+
+    Every array keeps only the axes its data vary along: the modal profiles
+    and the accessors' values are built over the modes in ``kmag``, all
+    (nx, ny) of them for data that vary along a wall, and the mean mode
+    alone for data uniform along both walls, whose arrays are (1, 1, nz)
+    z-profiles that broadcast against the grid.  Such an extension has zero
+    x- and y-derivatives; callers skip them, and all terms of an extension
+    that ``is_zero``, instead of adding arrays of zeros.
     """
 
     def __init__(self, grid: Grid, beta_bottom: np.ndarray, beta_top: np.ndarray):
@@ -153,10 +161,17 @@ class BoundaryExtension:
         self.beta_top = np.asarray(beta_top, dtype=complex)
         if self.beta_bottom.shape != (grid.nx, grid.ny):
             raise ValueError("beta arrays must be (nx, ny) coefficient grids")
-        k1 = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
-        k2 = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)
-        self.kmag = np.sqrt(k1[:, None] ** 2 + k2[None, :] ** 2)
         self.is_zero = (not np.any(self.beta_bottom)) and (not np.any(self.beta_top))
+        # data uniform along the walls hold the mean mode alone: the arrays
+        # are then built over that mode, as (1, 1, nz) z-profiles
+        self.varies_along_walls = any(np.any(b[1:]) or np.any(b[:, 1:])
+                                      for b in (self.beta_bottom, self.beta_top))
+        hx, hy = (grid.nx, grid.ny) if self.varies_along_walls else (1, 1)
+        # the integer wavenumbers of the modes the arrays are built over
+        self.k1 = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)[:hx]
+        self.k2 = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny)[:hy]
+        self.kmag = np.sqrt(self.k1[:, None] ** 2 + self.k2[None, :] ** 2)
+        self._beta = (self.beta_bottom[:hx, :hy], self.beta_top[:hx, :hy])
         self._cache: dict = {}
         self._profile0 = None
 
@@ -176,12 +191,12 @@ class BoundaryExtension:
             prof = np.where(km == 0.0, 1.0 + 0j, decay)
         else:
             prof = np.where(km == 0.0, 0.0 + 0j, signed_km * decay)
-        beta = self.beta_top if top else self.beta_bottom
+        beta = self._beta[1] if top else self._beta[0]
         return beta[:, :, None] * prof
 
     def mode_profiles(self, z: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Complex modal profiles of the blended extension (or its z
-        derivatives) on an arbitrary node set z."""
+        derivatives) on an arbitrary node set z, over the modes in ``kmag``."""
         z = np.asarray(z, dtype=float)
         if deriv not in (0, 1, 2):
             raise ValueError("deriv must be 0, 1, or 2")
@@ -203,26 +218,20 @@ class BoundaryExtension:
     def _assemble(self, key: str) -> np.ndarray:
         if key in self._cache:
             return self._cache[key]
-        g = self.grid
-        if self.is_zero:
-            out = np.zeros(g.shape)
+        z = self.grid.z
+        if key in self._PROFILE0_KEYS and self._profile0 is None:
+            self._profile0 = self.mode_profiles(z, 0)
+        if key == "lap":
+            modal = (self.mode_profiles(z, 2)
+                     - (np.pi ** 2) * (self.kmag ** 2)[:, :, None] * self._profile0)
+        elif key in ("dx", "dy"):
+            kap = np.pi * (self.k1[:, None, None] if key == "dx" else self.k2[None, :, None])
+            modal = 1j * kap * self._profile0
+        elif key == "0":
+            modal = self._profile0
         else:
-            if key in self._PROFILE0_KEYS and self._profile0 is None:
-                self._profile0 = self.mode_profiles(g.z, 0)
-            if key == "lap":
-                modal = (self.mode_profiles(g.z, 2)
-                         - (np.pi ** 2) * (self.kmag ** 2)[:, :, None]
-                         * self._profile0)
-            elif key in ("dx", "dy"):
-                n = g.nx if key == "dx" else g.ny
-                kap = np.pi * np.fft.fftfreq(n, d=1.0 / n)
-                shape = (-1, 1, 1) if key == "dx" else (1, -1, 1)
-                modal = 1j * kap.reshape(shape) * self._profile0
-            elif key == "0":
-                modal = self._profile0
-            else:
-                modal = self.mode_profiles(g.z, int(key))
-            out = np.real(np.fft.ifft2(modal, axes=(0, 1), norm="forward"))
+            modal = self.mode_profiles(z, int(key))
+        out = np.real(np.fft.ifft2(modal, axes=(0, 1), norm="forward"))
         self._cache[key] = out
         if all(k in self._cache for k in self._PROFILE0_KEYS):
             self._profile0 = None     # built once; no accessor needs it again
@@ -282,7 +291,8 @@ def build_extension(h_bottom, h_top, grid: Grid) -> BoundaryExtension:
 def extend(h_bottom, h_top, grid: Grid) -> ScalarField:
     """The extension as a physical field on the grid; its analytic wall
     derivatives match the data exactly (see BoundaryExtension.dz_values)."""
-    return ScalarField(grid, build_extension(h_bottom, h_top, grid).values())
+    values = build_extension(h_bottom, h_top, grid).values()
+    return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +362,25 @@ class HomogenizationFactors:
         field: B^-1 depends on z alone, so F(B^-1 frak_F) is ``modal`` times
         the (nz, nz) matrix z_inv diag(B^-1) z_fwd along z.  F(B^-1 psi)
         (nothing for a zero psi) is added; it and the matrix are formed on
-        the first call.  For representable ``modal``, this equals the
-        forward transform of ``dehomogenize``'s values to rounding."""
+        the first call.  Of F(B^-1 psi) only the (kx, ky) = (0, 0) column is
+        kept when the rest is exactly 0, as it is for a z-profile psi unless
+        nx has a prime factor above 3, whose x-FFT of a constant leaves
+        rounding in the other columns.  For representable ``modal``, this
+        equals the forward transform of ``dehomogenize``'s values to
+        rounding."""
         if self._binv_modal is None:
             binv = self.binv_profile[0, 0]
-            psi = (None if self.psi.is_zero else
-                   sp.to_modal_values(self.binv_profile * self.psi_values, basis))
+            psi = None
+            if not self.psi.is_zero:
+                psi = sp.to_modal_values(np.broadcast_to(
+                    self.binv_profile * self.psi_values, self.grid.shape), basis)
+                if not (np.any(psi[1:]) or np.any(psi[:, 1:])):
+                    psi = psi[:1, :1].copy()
             self._binv_modal = ((basis.z_inv * binv) @ basis.z_fwd, psi)
         mat, psi = self._binv_modal
         out = (modal.reshape(-1, mat.shape[0]) @ mat).reshape(modal.shape)
         if psi is not None:
-            out += psi
+            out[:psi.shape[0], :psi.shape[1]] += psi
         return out
 
     @property
@@ -370,17 +388,14 @@ class HomogenizationFactors:
         return self.psi.values()
 
     @property
-    def psi_dz(self) -> np.ndarray:
-        return self.psi.dz_values()
-
-    @property
     def psi_laplacian(self) -> np.ndarray:
         return self.psi.laplacian_values()
 
     @property
     def psi_dt(self) -> np.ndarray:
+        """The rate of psi; a (1, 1, 1) zero without one."""
         if self.psi_rate is None:
-            return np.zeros(self.grid.shape)
+            return np.zeros((1, 1, 1))
         return self.psi_rate.values()
 
 
@@ -430,13 +445,18 @@ def homogenize(F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
     """frak_F = B F - psi."""
     if F.grid != factors.grid:
         raise ValueError("field grid does not match homogenization factors")
-    return ScalarField(F.grid, factors.b_profile * F.values - factors.psi_values)
+    out = factors.b_profile * F.values
+    if not factors.psi.is_zero:
+        out -= factors.psi_values
+    return ScalarField(F.grid, out)
 
 
 def dehomogenize(frak_F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
     """Exact inverse F = B^-1 (frak_F + psi)."""
     if frak_F.grid != factors.grid:
         raise ValueError("field grid does not match homogenization factors")
+    if factors.psi.is_zero:
+        return ScalarField(frak_F.grid, factors.binv_profile * frak_F.values)
     return ScalarField(frak_F.grid,
                        factors.binv_profile * (frak_F.values + factors.psi_values))
 
@@ -484,9 +504,8 @@ def _psi_integer_norms(ext: BoundaryExtension, refine: int = 4):
     i1 = np.sum(np.abs(f1) ** 2 * w, axis=2)
     i2 = np.sum(np.abs(f2) ** 2 * w, axis=2)
 
-    nx, ny = g.nx, g.ny
-    k1 = np.pi * np.fft.fftfreq(nx, d=1.0 / nx)[:, None]
-    k2 = np.pi * np.fft.fftfreq(ny, d=1.0 / ny)[None, :]
+    k1 = np.pi * ext.k1[:, None]
+    k2 = np.pi * ext.k2[None, :]
     ksq = k1 ** 2 + k2 ** 2
     l2_sq = 4.0 * np.sum(i0)
     h1_sq = l2_sq + 4.0 * np.sum(ksq * i0 + i1)

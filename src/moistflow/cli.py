@@ -305,6 +305,8 @@ def _validate(rc: RunConfig) -> None:
             raise ConfigError(f"{path}: boundary.{var}: {exc}") from exc
     if rc["run.threads"] < 1:
         raise ConfigError(f"{path}: run.threads must be >= 1")
+    if rc["ic.sat_ratio"] < 0.0:
+        raise ConfigError(f"{path}: ic.sat_ratio must be nonnegative")
     if rc["ic.preset"] not in PRESET_NAMES:
         raise ConfigError(f"{path}: unknown ic.preset {rc['ic.preset']!r}")
 

@@ -80,6 +80,9 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     params = dict(params or {})
+    sat_ratio = float(params.get("sat_ratio", 1.1))
+    if sat_ratio < 0.0:
+        raise ValueError("sat_ratio must be nonnegative")
     alphas = alphas if alphas is not None else _default_alphas(name)
 
     T0 = float(params.get("T0") or constants.T_ref)
@@ -105,7 +108,6 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
             T_vals + amp * _bump_x(X) * _bump_x(Y) * _bump_z(Z), shape).copy()
     elif name == "saturated_layer":
         closure = params.get("closure") or SaturationClosure(constants)
-        sat_ratio = float(params.get("sat_ratio", 1.1))
         p_mid = rho_col[(grid.nz - 1) // 2] * constants.R_d * T0
         q_vs_mid = float(closure(np.array([p_mid]), np.array([T0]))[0])
         band = _bump_z(Z, power=3)

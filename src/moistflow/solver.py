@@ -78,6 +78,8 @@ class SolverConfig:
             raise ValueError("picard_max_iters must be >= 1")
         if self.v_r_profile not in V_R_PROFILES:
             raise ValueError(f"unknown V_r profile {self.v_r_profile!r}")
+        if self.v_r_scale < 0.0:
+            raise ValueError("v_r_scale must be nonnegative: rain falls downward")
         for name in ("checkpoint_every", "snapshot_every", "record_states_every",
                      "max_dt_halvings"):
             if getattr(self, name) < 0:
@@ -106,7 +108,8 @@ class FrozenVelocity:
     sides."""
 
     values: tuple     # values of v1, v2, w
-    d: tuple          # first derivatives of v1, v2, w: dicts keyed x, y, z
+    d: tuple | None   # first derivatives of v1, v2, w: dicts keyed x, y, z;
+                      # None once assemble_rhs has used them
     div: np.ndarray   # div u
     grad_div: dict    # grad(div u), keyed x, y, z
 
@@ -282,8 +285,12 @@ class Simulation:
         order temperature, vapor, cloud, rain, momentum, found by assembling
         once more with ``terms``.
 
-        ``velocity`` is ``_frozen_velocity(frozen)``; the scalars' and log
-        rho_d's coefficients are those of ``frozen`` (``modal_of``)."""
+        ``velocity`` is ``_frozen_velocity(frozen)``.  Its nine derivatives
+        are freed (``velocity.d`` becomes None) once the momentum advection
+        and drag have used them; ``div`` and ``grad_div`` stay.  The
+        scalars' and log rho_d's coefficients are those of ``frozen``
+        (``modal_of``).  Each scalar's derivative set is formed where its
+        equation is assembled and freed after it."""
         c = self.constants
         neu = self.bases.neumann
 
@@ -291,26 +298,29 @@ class Simulation:
         u1, u2, w = velocity.values
         du1, du2, dw = velocity.d
 
-        # homogenized scalars: lifted field G = frak + psi and derivatives
-        lifted = {}
-        for name, key, field_, fac in (("T", "T", frozen.frak_T, fT),
-                                       ("v", "qv", frozen.frak_q_v, fv),
-                                       ("c", "qc", frozen.frak_q_c, fc),
-                                       ("r", "qr", frozen.frak_q_r, fr)):
-            d = sp.derivs(dg.modal_of(frozen, key, self.bases), neu, dealias=True)
-            psi = fac.psi
-            if psi.is_zero:
-                G = field_.values
-                Gx, Gy, Gz = d["x"], d["y"], d["z"]
-            else:
-                G = field_.values + fac.psi_values
-                Gx, Gy = d["x"] + psi.dx_values(), d["y"] + psi.dy_values()
-                Gz = d["z"] + fac.psi_dz
-            lifted[name] = {"G": G, "x": Gx, "y": Gy, "z": Gz}
+        # homogenized scalars: the lifted values G = frak + psi up front, for
+        # the microphysics; each one's derivatives where its equation uses them
+        scalars = {"T": ("T", frozen.frak_T), "v": ("qv", frozen.frak_q_v),
+                   "c": ("qc", frozen.frak_q_c), "r": ("qr", frozen.frak_q_r)}
+        G = {name: field_.values if factors[name].psi.is_zero
+             else field_.values + factors[name].psi_values
+             for name, (_, field_) in scalars.items()}
+
+        def lifted_derivs(name):
+            # the order-1 set of G, with psi's own derivatives where nonzero
+            d = sp.derivs(dg.modal_of(frozen, scalars[name][0], self.bases), neu,
+                          dealias=True)
+            psi = factors[name].psi
+            if psi.varies_along_walls:
+                d["x"] += psi.dx_values()
+                d["y"] += psi.dy_values()
+            if not psi.is_zero:
+                d["z"] += psi.dz_values()
+            return d
 
         # dehomogenized physical variables from the frozen state
-        T_o = fT.binv_profile * lifted["T"]["G"]
-        q_o = {n: factors[n].binv_profile * lifted[n]["G"] for n in ("v", "c", "r")}
+        T_o = fT.binv_profile * G["T"]
+        q_o = {n: factors[n].binv_profile * G[n] for n in ("v", "c", "r")}
 
         # both kernels compute with the clipped variables, each clipped once;
         # the nucleation and auto-conversion rates read the raw q_v and q_c
@@ -345,18 +355,26 @@ class Simulation:
             -rQm * (u1 * dw["x"] + u2 * dw["y"] + w * dw["z"]))
         drag = rho_vals * q_o["r"] * self.v_r
         add("momentum", "sedimentation_drag", drag * du1["z"], drag * du2["z"], drag * dw["z"])
+        # nothing below reads the velocity's nine derivatives: free them
+        del drag, du1, du2, dw
+        velocity.d = None
         add("momentum", "gravity", 0.0, 0.0, -rQm * c.g)
+        del rQm
         if any(k in forcing for k in ("u1", "u2", "w")):
             add("momentum", "forcing", *(forcing.get(k, 0.0) for k in ("u1", "u2", "w")))
 
         # temperature ---------------------------------------------------------
-        lT = lifted["T"]
-        G_T, ap_T = lT["G"], fT.dz_log_b
+        lT = lifted_derivs("T")
+        G_T, ap_T = G["T"], fT.dz_log_b
         add("temperature", "advection", -Q_th * (u1 * lT["x"] + u2 * lT["y"] + w * lT["z"]))
         add("temperature", "sedimentation",
             c.c_l * q_o["r"] * self.v_r * (lT["z"] - ap_T * G_T))
-        add("temperature", "robin_correction", Q_th * w * ap_T * G_T + c.kappa * (
-            -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T + fT.psi_laplacian))
+        lifting = -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T
+        del lT
+        if not fT.psi.is_zero:
+            lifting += fT.psi_laplacian
+        add("temperature", "robin_correction", Q_th * w * ap_T * G_T + c.kappa * lifting)
+        del lifting
         add("temperature", "compression", Q_cp * G_T * velocity.div)
         add("temperature", "phase_heat",
             -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]))
@@ -370,22 +388,25 @@ class Simulation:
                 ("vapor", "v", fv, S["S_ev"] - S["S_cd"], "qv"),
                 ("cloud", "c", fc, S["S_cd"] - S["S_ac"] - S["S_cr"], "qc"),
                 ("rain", "r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")):
-            l = lifted[name]
-            G, ap = l["G"], fac.dz_log_b
+            l = lifted_derivs(name)
+            ap = fac.dz_log_b
             add(eq, "advection", -(u1 * l["x"] + u2 * l["y"] + w * l["z"]))
-            add(eq, "robin_correction", w * ap * G - 2.0 * ap * l["z"]
-                + fac.dzz_binv_b * G + fac.psi_laplacian)
+            robin = w * ap * G[name] - 2.0 * ap * l["z"] + fac.dzz_binv_b * G[name]
+            if not fac.psi.is_zero:
+                robin += fac.psi_laplacian
+            add(eq, "robin_correction", robin)
+            del robin
             add(eq, "sources", fac.b_profile * source_term)
             if fac.psi_rate is not None:
                 add(eq, "psi_tendency", -fac.psi_dt)
             if fkey in forcing:
                 add(eq, "forcing", forcing[fkey])
-
-        lr = lifted["r"]
-        dz_log_rho = sp.to_phys_values(
-            sp.dz_modal(dg.modal_of(frozen, "log_rho_d", self.bases), neu), neu.other)
-        add("rain", "sedimentation", self.v_r * lr["z"]
-            + lr["G"] * (self.dz_v_r + self.v_r * dz_log_rho - self.v_r * fr.dz_log_b))
+            if eq == "rain":    # the rain set also serves the sedimentation
+                dz_log_rho = sp.to_phys_values(sp.dz_modal(
+                    dg.modal_of(frozen, "log_rho_d", self.bases), neu), neu.other)
+                add("rain", "sedimentation", self.v_r * l["z"] + G["r"] * (
+                    self.dz_v_r + self.v_r * dz_log_rho - self.v_r * fr.dz_log_b))
+            del l
 
         def finite(values):
             return all(np.all(np.isfinite(v)) for v in values)
@@ -395,7 +416,8 @@ class Simulation:
         if bad:
             if terms is None:   # assemble again by name; that call raises
                 terms = {}
-                self.assemble_rhs(frozen, rho_vals, factors, t_new, velocity, terms)
+                self.assemble_rhs(frozen, rho_vals, factors, t_new,
+                                  self._frozen_velocity(frozen), terms)
             for eq in order:
                 for tname, value in terms[eq].items():
                     if not finite(value if eq == "momentum" else (value,)):

@@ -187,6 +187,10 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             mf.preset_initial("vortex", grid8, nondim)
 
+    def test_negative_sat_ratio_rejected(self, grid8, nondim):
+        with pytest.raises(ValueError, match="sat_ratio must be nonnegative"):
+            mf.preset_initial("saturated_layer", grid8, nondim, params={"sat_ratio": -3.0})
+
     def test_presets_satisfy_discrete_robin_condition(self, grid16, nondim, bases16):
         """Wall-normal derivative of the homogenized fields vanishes in the
         cosine representation and wall traces match the boundary data."""
@@ -250,6 +254,16 @@ class TestMain:
                       lambda: mf.spectral_ops.set_workers(threads)):
             with pytest.raises(ValueError, match="worker count must be >= 1"):
                 build()
+
+    @pytest.mark.parametrize("line,message", [
+        ("ic.sat_ratio = -3", "ic.sat_ratio must be nonnegative"),
+        ("solver.v_r_scale = -1", "v_r_scale must be nonnegative")])
+    def test_negative_vapour_or_upward_rain_exit_2(self, tmp_path, capsys, line, message):
+        """A negative saturation ratio (negative vapour) and a negative rain
+        fall speed (rain falling upward) are config errors."""
+        path = write_config(tmp_path / "c.cfg", BASE + line + "\n")
+        assert main(["check", path]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

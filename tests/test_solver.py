@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -439,6 +440,41 @@ class TestDirectStep:
         assert 3.0 <= g1 / g2 <= 6.0
 
 
+
+class TestWorkingSet:
+    def test_uniform_wall_data_cache_z_profiles(self, grid16, nondim):
+        """After a step and its row on the saturated layer, whose wall data
+        are uniform along the walls (psi != 0 for T, 0 for the moisture),
+        every array an extension has cached depends on z alone, and so
+        does the F(B^-1 psi) the row's factors keep."""
+        sim, state = make_sim(grid16, nondim, preset="saturated_layer", mode="direct",
+                              t_end=1e-3)
+        sim.run(state)
+        factors = sim.factors_at(1e-3, 1e-3)
+        assert not factors["T"].psi.is_zero
+        assert factors["T"].psi._cache
+        for var, fac in factors.items():
+            for key, arr in fac.psi._cache.items():
+                assert arr.shape == (1, 1, grid16.nz), (var, key)
+            assert fac.psi._profile0 is None or fac.psi._profile0.shape[:2] == (1, 1)
+        assert factors["T"]._binv_modal[1].shape == (1, 1, grid16.nz)
+
+    def test_direct_step_peak_memory(self, grid16, nondim):
+        """A 16x16x17 direct step from a carried state, with what is built
+        once already built, allocates at most 45 field arrays above its
+        start at its peak (traced)."""
+        sim, state = make_sim(grid16, nondim, preset="saturated_layer", mode="direct")
+        carried = sim.direct_step(state, 1e-3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sim.direct_step(carried, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * np.prod(grid16.shape)) <= 45.0
+
+
 def assert_carries_own_coefficients(state, bases):
     """state.modal holds the forward transforms of its fields, to rounding."""
     assert state.modal is not None and list(state.modal) == list(MODAL_NAMES)
@@ -600,6 +636,11 @@ class TestSolverConfig:
         mf.SolverConfig(**{name: 0})
         with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             mf.SolverConfig(**{name: -3})
+
+    def test_upward_rain_fall_speed_rejected(self):
+        mf.SolverConfig(v_r_scale=0.0)
+        with pytest.raises(ValueError, match="v_r_scale must be nonnegative"):
+            mf.SolverConfig(v_r_scale=-1.0)
 
 
 class TestRun:
