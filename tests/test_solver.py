@@ -440,7 +440,6 @@ class TestDirectStep:
         assert 3.0 <= g1 / g2 <= 6.0
 
 
-
 class TestWorkingSet:
     def test_uniform_wall_data_cache_z_profiles(self, grid16, nondim):
         """After a step and its row on the saturated layer, whose wall data
