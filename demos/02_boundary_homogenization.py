@@ -51,7 +51,7 @@ print(f"round-trip error {np.max(np.abs(back.values - vals)):.2e}")
 
 # a field with exact Robin data maps to one with zero wall-normal derivative
 G = 0.3 * np.cos(2 * np.pi * grid.z)[None, None, :] * np.ones(grid.shape)
-robin_F = mf.ScalarField(grid, fac.binv_profile * (G + fac.psi_values))
+robin_F = mf.ScalarField(grid, fac.binv_profile * (G + fac.psi.values()))
 frak2 = mf.homogenize(robin_F, fac)
 print(f"Robin-compatible field homogenizes to the cosine series itself: "
       f"max deviation {np.max(np.abs(frak2.values - G)):.2e}")

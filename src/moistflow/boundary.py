@@ -373,7 +373,7 @@ class HomogenizationFactors:
             psi = None
             if not self.psi.is_zero:
                 psi = sp.to_modal_values(np.broadcast_to(
-                    self.binv_profile * self.psi_values, self.grid.shape), basis)
+                    self.binv_profile * self.psi.values(), self.grid.shape), basis)
                 if not (np.any(psi[1:]) or np.any(psi[:, 1:])):
                     psi = psi[:1, :1].copy()
             self._binv_modal = ((basis.z_inv * binv) @ basis.z_fwd, psi)
@@ -382,21 +382,6 @@ class HomogenizationFactors:
         if psi is not None:
             out[:psi.shape[0], :psi.shape[1]] += psi
         return out
-
-    @property
-    def psi_values(self) -> np.ndarray:
-        return self.psi.values()
-
-    @property
-    def psi_laplacian(self) -> np.ndarray:
-        return self.psi.laplacian_values()
-
-    @property
-    def psi_dt(self) -> np.ndarray:
-        """The rate of psi; a (1, 1, 1) zero without one."""
-        if self.psi_rate is None:
-            return np.zeros((1, 1, 1))
-        return self.psi_rate.values()
 
 
 def _eval_data(data, t: float):
@@ -447,7 +432,7 @@ def homogenize(F: ScalarField, factors: HomogenizationFactors) -> ScalarField:
         raise ValueError("field grid does not match homogenization factors")
     out = factors.b_profile * F.values
     if not factors.psi.is_zero:
-        out -= factors.psi_values
+        out -= factors.psi.values()
     return ScalarField(F.grid, out)
 
 
@@ -458,7 +443,7 @@ def dehomogenize(frak_F: ScalarField, factors: HomogenizationFactors) -> ScalarF
     if factors.psi.is_zero:
         return ScalarField(frak_F.grid, factors.binv_profile * frak_F.values)
     return ScalarField(frak_F.grid,
-                       factors.binv_profile * (frak_F.values + factors.psi_values))
+                       factors.binv_profile * (frak_F.values + factors.psi.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ norms of the negative parts of the physical (dehomogenized) variables.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,44 +81,47 @@ def _negative_l2(vals: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(neg * neg * w)))
 
 
+def physical_values(state: State, factors: dict) -> dict:
+    """The dehomogenized T, q_v, q_c, q_r of ``state``, keyed T, qv, qc, qr."""
+    return {name: dehomogenize(getattr(state, attr), factors[var]).values
+            for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
+                                    ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr"))}
+
+
 def negativity_monitor(state: State, factors: dict, bases: sp.BasisPair) -> tuple:
     """L2 norms of the negative parts of the physical T, q_v, q_c, q_r
     (the sign statements concern the dehomogenized variables)."""
     w = state.grid.quad_weights()
-    return tuple(_negative_l2(dehomogenize(getattr(state, attr), factors[var]).values, w)
-                 for attr, var in (("frak_T", "T"), ("frak_q_v", "v"),
-                                   ("frak_q_c", "c"), ("frak_q_r", "r")))
+    return tuple(_negative_l2(vals, w) for vals in physical_values(state, factors).values())
 
 
 def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,
                 picard_report=None, wall_clock: float = 0.0) -> DiagnosticsRow:
+    state = with_coefficients(state, bases)
     g = state.grid
     neu = bases.neumann
     rho = np.exp(state.log_rho_d.values)
 
     tri = {}
-    comp = [_norm_triplet(modal_of(state, name, bases), iterated_basis(name, bases))
+    comp = [_norm_triplet(state.modal[name], iterated_basis(name, bases))
             for name in ("u1", "u2", "w")]
     tri["u"] = tuple(float(np.sqrt(sum(t[k] ** 2 for t in comp))) for k in range(3))
     # the physical scalars' norms from the coefficients of frak (see
     # HomogenizationFactors.dehomogenized_modal), their values for the rest
-    phys = {}
-    for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
-                            ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr")):
-        fac = factors[var]
-        phys[name] = dehomogenize(getattr(state, attr), fac).values
-        tri[name] = _norm_triplet(fac.dehomogenized_modal(modal_of(state, name, bases), neu),
-                                  neu)
+    phys = physical_values(state, factors)
+    for var, name in zip("Tvcr", phys):
+        tri[name] = _norm_triplet(
+            factors[var].dehomogenized_modal(state.modal[name], neu), neu)
     tri["sqrt_rho"] = _norm_triplet(sp.to_modal_values(np.sqrt(rho), neu), neu)
-    tri["log_rho"] = _norm_triplet(modal_of(state, "log_rho_d", bases), neu)
+    tri["log_rho"] = _norm_triplet(state.modal["log_rho_d"], neu)
 
     w = g.quad_weights()
     dry_mass = float(np.sum(rho * w))
     total_water = float(np.sum(rho * (phys["qv"] + phys["qc"] + phys["qr"]) * w))
 
-    minima = {name: float(np.min(phys[name])) for name in ("T", "qv", "qc", "qr")}
+    minima = {name: float(np.min(vals)) for name, vals in phys.items()}
     minima["rho"] = float(np.min(rho))
-    neg = {name: _negative_l2(phys[name], w) for name in ("T", "qv", "qc", "qr")}
+    neg = {name: _negative_l2(vals, w) for name, vals in phys.items()}
 
     iters = picard_report.iterations if picard_report is not None else 0
     ratio = picard_report.final_ratio if picard_report is not None else 0.0
@@ -176,14 +179,17 @@ def iterated_basis(name: str, bases: sp.BasisPair) -> sp.Basis:
     return bases.dirichlet if name == "w" else bases.neumann
 
 
-def modal_of(s: State, name: str, bases: sp.BasisPair) -> np.ndarray:
-    """Modal coefficients of the variable ``name`` (a key of ``State.modal``)
-    of ``s``: the ones ``s`` carries, or else the forward transform of its
-    values."""
+def with_coefficients(s: State, bases: sp.BasisPair) -> State:
+    """``s`` itself when it carries the coefficients of its fields
+    (``State.modal``), else a copy that carries the forward transforms of
+    its eight fields."""
     if s.modal is not None:
-        return s.modal[name]
-    vals = s.log_rho_d.values if name == "log_rho_d" else iterated_values(s)[name]
-    return sp.to_modal_values(vals, iterated_basis(name, bases))
+        return s
+    vals = {**iterated_values(s), "log_rho_d": s.log_rho_d.values}
+    out = replace(s)
+    out.modal = {name: sp.to_modal_values(vals[name], iterated_basis(name, bases))
+                 for name in MODAL_NAMES}
+    return out
 
 
 def modal_sqs(modal: dict, bases: sp.BasisPair) -> dict:

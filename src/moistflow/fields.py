@@ -242,9 +242,10 @@ class State:
 
     ``modal`` is None, or the modal coefficients of the fields keyed as
     ``MODAL_NAMES``, equal to their forward transforms up to rounding.  Only
-    the solver and ``load_state`` attach them; a state built any other way
-    (``copy``, ``dataclasses.replace``) has none, and assigning a field
-    drops them.  Changing a field's values in place would leave them stale.
+    the solver, ``load_state`` and ``diagnostics.with_coefficients`` attach
+    them; a state built any other way (``copy``, ``dataclasses.replace``)
+    has none, and assigning a field drops them.  Changing a field's values
+    in place would leave them stale.
     """
 
     log_rho_d: ScalarField

@@ -26,9 +26,8 @@ import numpy as np
 from . import diagnostics as dg
 from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
-from .fields import (MODAL_NAMES, Grid, PhysConstants, ScalarField, State,
-                     VectorField, load_state, positive_values, save_modal,
-                     save_state)
+from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
+                     load_state, positive_values, save_modal, save_state)
 from .microphysics import SaturationClosure, source_values
 from .thermo import pressure_values, q_factor_values
 
@@ -117,18 +116,16 @@ class FrozenVelocity:
 @dataclass
 class RhsBundle:
     """Explicit right-hand sides: each equation's total (the momentum's a
-    3-tuple), with the pressure, Q-factors, rates and q_vs.  Named terms:
-    ``assemble_rhs(terms=...)``."""
+    3-tuple), with the mass factors Q_m and Q_th that ``linear_step``
+    divides by.  Named terms: ``assemble_rhs(terms=...)``."""
 
     momentum: tuple
     temperature: np.ndarray
     vapor: np.ndarray
     cloud: np.ndarray
     rain: np.ndarray
-    p: np.ndarray
     Q_m: np.ndarray
     Q_th: np.ndarray
-    source_arrays: dict
 
 
 @dataclass
@@ -193,12 +190,12 @@ class Simulation:
 
     def _frozen_velocity(self, s: State) -> FrozenVelocity:
         """The velocity of ``s`` with its derivatives, div u and grad div u,
-        from its coefficients (``diagnostics.modal_of``).  The 2/3 rule acts
-        in the inverse transforms: the modal multipliers are diagonal, so
-        truncating their products truncates the velocity, and the divergence
-        is formed on the kept block alone."""
+        from the coefficients ``s`` carries.  The 2/3 rule acts in the
+        inverse transforms: the modal multipliers are diagonal, so truncating
+        their products truncates the velocity, and the divergence is formed
+        on the kept block alone."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
-        m1, m2, mw = (dg.modal_of(s, name, self.bases) for name in ("u1", "u2", "w"))
+        m1, m2, mw = (s.modal[name] for name in ("u1", "u2", "w"))
         div_m = sp.div_modal(sp.kept_block(m1, neu), sp.kept_block(m2, neu),
                              sp.kept_block(mw, diri), self.bases)
         grad_div = sp.derivs(div_m, neu, dealias=True, value=True)
@@ -288,9 +285,11 @@ class Simulation:
         ``velocity`` is ``_frozen_velocity(frozen)``.  Its nine derivatives
         are freed (``velocity.d`` becomes None) once the momentum advection
         and drag have used them; ``div`` and ``grad_div`` stay.  The
-        scalars' and log rho_d's coefficients are those of ``frozen``
-        (``modal_of``).  Each scalar's derivative set is formed where its
-        equation is assembled and freed after it."""
+        scalars' and log rho_d's coefficients are those ``frozen`` carries.
+        Each scalar's derivative set is formed where its equation is
+        assembled and freed after it; the pressure once its gradient is
+        formed, q_vs once the rates are.  The bundle holds what
+        ``linear_step`` reads."""
         c = self.constants
         neu = self.bases.neumann
 
@@ -303,13 +302,12 @@ class Simulation:
         scalars = {"T": ("T", frozen.frak_T), "v": ("qv", frozen.frak_q_v),
                    "c": ("qc", frozen.frak_q_c), "r": ("qr", frozen.frak_q_r)}
         G = {name: field_.values if factors[name].psi.is_zero
-             else field_.values + factors[name].psi_values
+             else field_.values + factors[name].psi.values()
              for name, (_, field_) in scalars.items()}
 
         def lifted_derivs(name):
             # the order-1 set of G, with psi's own derivatives where nonzero
-            d = sp.derivs(dg.modal_of(frozen, scalars[name][0], self.bases), neu,
-                          dealias=True)
+            d = sp.derivs(frozen.modal[scalars[name][0]], neu, dealias=True)
             psi = factors[name].psi
             if psi.varies_along_walls:
                 d["x"] += psi.dx_values()
@@ -329,7 +327,7 @@ class Simulation:
         p = pressure_values(rho_vals, q_o["v"], T_o, c)
         q_vs = self.closure(p, T_o)
         S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_o["v"], q_o["c"])
-        del T_c, qv_c, qc_c, qr_c   # kept, they would raise the step's peak memory
+        del T_c, qv_c, qc_c, qr_c, q_vs   # kept, they would raise the step's peak
 
         forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
 
@@ -347,6 +345,7 @@ class Simulation:
 
         # momentum ----------------------------------------------------------
         dp = sp.derivs(sp.to_modal_values(p, neu), neu)
+        del p
         add("momentum", "pressure_gradient", *(np.negative(dp[k], out=dp[k]) for k in "xyz"))
         rQm = rho_vals * Q_m
         add("momentum", "advection",
@@ -372,14 +371,14 @@ class Simulation:
         lifting = -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T
         del lT
         if not fT.psi.is_zero:
-            lifting += fT.psi_laplacian
+            lifting += fT.psi.laplacian_values()
         add("temperature", "robin_correction", Q_th * w * ap_T * G_T + c.kappa * lifting)
         del lifting
         add("temperature", "compression", Q_cp * G_T * velocity.div)
         add("temperature", "phase_heat",
             -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]))
         if fT.psi_rate is not None:
-            add("temperature", "psi_tendency", -Q_th * fT.psi_dt)
+            add("temperature", "psi_tendency", -Q_th * fT.psi_rate.values())
         if "T" in forcing:
             add("temperature", "forcing", forcing["T"])
 
@@ -393,17 +392,17 @@ class Simulation:
             add(eq, "advection", -(u1 * l["x"] + u2 * l["y"] + w * l["z"]))
             robin = w * ap * G[name] - 2.0 * ap * l["z"] + fac.dzz_binv_b * G[name]
             if not fac.psi.is_zero:
-                robin += fac.psi_laplacian
+                robin += fac.psi.laplacian_values()
             add(eq, "robin_correction", robin)
             del robin
             add(eq, "sources", fac.b_profile * source_term)
             if fac.psi_rate is not None:
-                add(eq, "psi_tendency", -fac.psi_dt)
+                add(eq, "psi_tendency", -fac.psi_rate.values())
             if fkey in forcing:
                 add(eq, "forcing", forcing[fkey])
             if eq == "rain":    # the rain set also serves the sedimentation
-                dz_log_rho = sp.to_phys_values(sp.dz_modal(
-                    dg.modal_of(frozen, "log_rho_d", self.bases), neu), neu.other)
+                dz_log_rho = sp.to_phys_values(
+                    sp.dz_modal(frozen.modal["log_rho_d"], neu), neu.other)
                 add("rain", "sedimentation", self.v_r * l["z"] + G["r"] * (
                     self.dz_v_r + self.v_r * dz_log_rho - self.v_r * fr.dz_log_b))
             del l
@@ -425,7 +424,7 @@ class Simulation:
             raise StepRejected(f"non-finite RHS total of {bad[0]} (finite terms overflowed)")
 
         return RhsBundle(tuple(totals["momentum"]), *(totals[eq][0] for eq in order[:4]),
-                         p, Q_m, Q_th, {**S, "q_vs": q_vs})
+                         Q_m, Q_th)
 
     # -- one frozen-coefficient update ---------------------------------------
 
@@ -434,10 +433,10 @@ class Simulation:
         """Backward-Euler update of the associated linear system: implicit
         constant-coefficient diffusion, explicit frozen right-hand sides,
         mean-coefficient mass factors with the deviation lagged on the
-        frozen iterate.  ``frozen`` must already hold the advanced density.
-        The solves' forward transforms apply the 2/3 rule, so the new
-        coefficients are 0 outside the kept block, and the inverse
-        transforms run on that block alone.
+        frozen iterate.  ``frozen`` must already hold the advanced density
+        and carry the coefficients of its fields.  The solves' forward
+        transforms apply the 2/3 rule, so the new coefficients are 0 outside
+        the kept block, and the inverse transforms run on that block alone.
 
         ``velocity`` is ``_frozen_velocity(frozen)``.  The returned state
         carries the coefficients of its fields, with those of the frozen
@@ -454,8 +453,7 @@ class Simulation:
             # the dealiased inverse reads the kept block alone
             basis = dg.iterated_basis(name, self.bases)
             return sp.to_phys_values(sp.laplacian_modal(
-                sp.kept_block(dg.modal_of(frozen, name, self.bases), basis), basis),
-                basis, True)
+                sp.kept_block(frozen.modal[name], basis), basis), basis, True)
 
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
@@ -482,8 +480,7 @@ class Simulation:
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
         I = rhs.momentum
-        # free the other totals, the pressure and the rates before the
-        # largest solve
+        # free the other totals before the largest solve
         del rhs
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
         gu = [cur_u[i] + dt * (I[i] / M
@@ -505,7 +502,7 @@ class Simulation:
         out = State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
                     ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
                     ScalarField(g, vals["qr"]), current.time + dt)
-        out.modal = {**new, "log_rho_d": dg.modal_of(frozen, "log_rho_d", self.bases)}
+        out.modal = {**new, "log_rho_d": frozen.modal["log_rho_d"]}
         return out
 
     # -- metric for increments ------------------------------------------------
@@ -558,10 +555,7 @@ class Simulation:
         # the step starts from the coefficients the state carries, or from
         # those of its fields on a copy; after that each iterate gets the
         # coefficients of its fields from the previous solves
-        if state.modal is None:
-            state = replace(state)
-            state.modal = {name: dg.modal_of(state, name, self.bases)
-                           for name in MODAL_NAMES}
+        state = dg.with_coefficients(state, self.bases)
         # derivatives of the step's initial log rho_d, shared by all iterates
         dlog = sp.derivs(state.modal["log_rho_d"], neu, order=2)
 

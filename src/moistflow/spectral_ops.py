@@ -270,8 +270,14 @@ def to_modal_values(values: np.ndarray, basis: Basis,
     - one real y-gemm with ``Basis.forward_matrix`` on the right of the
       product's y-lines, which it turns into complex (x, z, ky) lines; each
       y-line's first sample is taken out before it and put back into
-      ky = 0, so that data constant in y (and a constant field) stay exact;
+      ky = 0, so that the ky > 0 coefficients of data constant in y are
+      exactly 0, for every grid;
     - one complex fft over x, and a C-ordered copy in (x, ky, z) order.
+
+    A constant field comes out as exactly its value in the mean and 0
+    elsewhere only where that fft of a constant line is exact, as it is
+    for power-of-two nx; other nx can leave the mean and the kx != 0 rows
+    off by rounding.
 
     Without ``dealias`` the result is the whole (nx, ny//2+1, nz) array,
     what rfft2 (norm "forward") gives of the z-product, to rounding.  With

@@ -55,3 +55,31 @@ def random_band_limited(grid, bases, kind="neumann_z", seed=0, max_mode=None):
                 & (basis.kappa_z <= np.pi * max_mode))
         modal = modal * keep
     return to_phys_values(modal, basis)
+
+
+def kernel_outputs(mp, sim, hold=lambda a: a) -> dict:
+    """Record, through the MonkeyPatch ``mp``, what the kernels of
+    ``sim.assemble_rhs`` return from here on: the pressure as "p", q_vs as
+    "q_vs", the Q-factors by their names and the rates by theirs.  Each
+    array is stored as ``hold`` of it; Q_1 and Q_2 are plain numbers."""
+    out = {}
+
+    def keep(name, value):
+        out[name] = hold(value) if isinstance(value, np.ndarray) else value
+
+    def recorded(fn, store):
+        def wrapper(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            store(value)
+            return value
+        return wrapper
+
+    mp.setattr(mf.solver, "pressure_values",
+               recorded(mf.solver.pressure_values, lambda v: keep("p", v)))
+    mp.setattr(sim, "closure", recorded(sim.closure, lambda v: keep("q_vs", v)))
+    mp.setattr(mf.solver, "q_factor_values", recorded(
+        mf.solver.q_factor_values,
+        lambda v: [keep(n, x) for n, x in zip(("Q_m", "Q_th", "Q_cp", "Q_1", "Q_2"), v)]))
+    mp.setattr(mf.solver, "source_values", recorded(
+        mf.solver.source_values, lambda v: [keep(n, x) for n, x in v.items()]))
+    return out

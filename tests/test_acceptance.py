@@ -149,7 +149,7 @@ def test_criterion_06_homogenization_equivalence():
     # Robin-compatible field -> homogeneous Neumann, measured through the
     # analytic chain-rule oracle at the walls
     G = random_band_limited(grid, bases, seed=4)
-    psi = fac.psi_values
+    psi = fac.psi.values()
     F = fac.binv_profile * (G + psi)
     dzG = to_phys_values(dz_modal(to_modal_values(G, bases.neumann),
                                   bases.neumann), bases.dirichlet)

@@ -214,7 +214,7 @@ class TestHomogenize:
         (spectral wall-derivative oracle), vanishes."""
         fac = self._factors(grid16, -1.0, 1.0, 1.3, 0.8)
         G = random_band_limited(grid16, bases16, seed=10)   # cosine series
-        psi = fac.psi_values
+        psi = fac.psi.values()
         F = ScalarField(grid16, fac.binv_profile * (G + psi))
         frak = mf.homogenize(F, fac)
         assert np.allclose(frak.values, G, atol=1e-12)
@@ -261,10 +261,10 @@ class TestFactors:
                                                lambda t: 1.0 + t, lambda t: 2.0 - t)
         dt = 1e-3
         fac = build_factors(spec, grid8, t=0.5, dt=dt)["T"]
-        rate = fac.psi_dt
+        rate = fac.psi_rate.values()
         fac0 = build_factors(spec, grid8, t=0.5, dt=dt)["T"]
         facp = build_factors(spec, grid8, t=0.5 + dt, dt=dt)["T"]
-        fd = (facp.psi_values - fac0.psi_values) / dt
+        fd = (facp.psi.values() - fac0.psi.values()) / dt
         assert np.allclose(rate, fd, rtol=1e-9, atol=1e-12)
 
     def test_time_dependent_without_dt_rejected(self, grid8):
@@ -282,7 +282,7 @@ class TestFactors:
         prof = robin_profile(-1.0, 1.0)
         expected_scale = -1.0 * float(prof.B(0.0)) * np.cos(0.3)
         ext = build_extension(expected_scale, 0.0, grid8)
-        assert np.allclose(fac.psi_dt, ext.values(), atol=1e-14)
+        assert np.allclose(fac.psi_rate.values(), ext.values(), atol=1e-14)
 
     def test_spec_validation(self):
         spec = BoundarySpec()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import moistflow as mf
-from moistflow.diagnostics import COLUMNS, compute_row
+from moistflow.diagnostics import COLUMNS, compute_row, with_coefficients
 from moistflow.fields import ScalarField
 
 from conftest import random_band_limited
@@ -87,6 +87,29 @@ class TestNegativityMonitor:
         neg = mf.negative_part(ScalarField(grid8, vals)).values
         expected = np.sqrt(np.sum(neg**2 * grid8.quad_weights()))
         assert out[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_row_reports_the_monitor(self, grid8, bases8):
+        """The neg_* values of a diagnostics row are the monitor's, bitwise."""
+        state = self._state(grid8, random_band_limited(grid8, bases8, seed=12))
+        factors = self._factors(grid8)
+        row = compute_row(state, factors, bases8, step=0)
+        assert tuple(row.negative_norms[n] for n in ("T", "qv", "qc", "qr")) \
+            == mf.negativity_monitor(state, factors, bases8)
+        assert row.negative_norms["T"] > 0.0
+
+
+class TestComputeRow:
+    def test_bare_state_row_equals_row_with_coefficients(self, grid8, bases8, nondim):
+        """A row of a state without coefficients is bitwise the row of
+        ``with_coefficients`` of it, in every CSV value."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        state = mf.perturb_state(state, bases8, field="frak_T", amplitude=1e-2, seed=3)
+        factors = mf.build_factors(bspec, grid8)
+        assert state.modal is None
+        bare = compute_row(state, factors, bases8, step=4)
+        carried = compute_row(with_coefficients(state, bases8), factors, bases8, step=4)
+        assert bare.csv_values() == carried.csv_values()
+        assert state.modal is None
 
 
 class TestEmit:

@@ -5,11 +5,15 @@ transform round trip, the homogenize/dehomogenize round trip, and the
 water-exchange bound on the rates the solver builds."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import moistflow as mf
 from moistflow import spectral_ops as sp
+from moistflow.diagnostics import with_coefficients
+
+from conftest import kernel_outputs
 
 C = mf.PhysConstants.nondimensional()
 GRID = mf.make_grid(4, 4, 4)
@@ -102,10 +106,10 @@ def test_homogenize_round_trip(var, data):
     F = data.draw(values(-10.0, 10.0, ROBIN_GRID.shape))
     floor = 8.0 * np.finfo(float).smallest_subnormal
     back = mf.dehomogenize(mf.homogenize(mf.ScalarField(ROBIN_GRID, F), fac), fac)
-    scale = np.abs(F) + np.abs(fac.binv_profile * fac.psi_values)
+    scale = np.abs(F) + np.abs(fac.binv_profile * fac.psi.values())
     assert np.all(np.abs(back.values - F) <= 8.0 * EPS * scale + floor)
     frak = mf.homogenize(mf.dehomogenize(mf.ScalarField(ROBIN_GRID, F), fac), fac)
-    scale = np.abs(F) + np.abs(fac.psi_values)
+    scale = np.abs(F) + np.abs(fac.psi.values())
     assert np.all(np.abs(frak.values - F) <= 8.0 * EPS * scale + floor)
 
 
@@ -114,16 +118,19 @@ def test_homogenize_round_trip(var, data):
        amplitude=st.floats(0.0, 1e-2), seed=st.integers(0, 2**16))
 def test_solver_water_exchange_within_four_ulp(name, amplitude, seed):
     """Criterion 03's bound on the phase-change rates assemble_rhs builds
-    (RhsBundle.source_arrays) from a perturbed saturated layer; the moisture
-    right-hand sides carry exactly these exchange terms (their "sources")."""
-    state = mf.perturb_state(LAYER, LAYER_SIM.bases, field=name,
-                             amplitude=amplitude, seed=seed)
+    (what its source_values call returns) from a perturbed saturated layer;
+    the moisture right-hand sides carry exactly these exchange terms (their
+    "sources")."""
+    state = with_coefficients(mf.perturb_state(LAYER, LAYER_SIM.bases, field=name,
+                                               amplitude=amplitude, seed=seed),
+                              LAYER_SIM.bases)
     factors = LAYER_SIM.factors_at(state.time, LAYER_SIM.config.dt)
     terms = {}
-    rhs = LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
-                                 state.time + LAYER_SIM.config.dt,
-                                 LAYER_SIM._frozen_velocity(state), terms)
-    S = rhs.source_arrays
+    with pytest.MonkeyPatch.context() as mp:
+        S = kernel_outputs(mp, LAYER_SIM)
+        LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
+                               state.time + LAYER_SIM.config.dt,
+                               LAYER_SIM._frozen_velocity(state), terms)
     exchange = {"vapor": S["S_ev"] - S["S_cd"],
                 "cloud": S["S_cd"] - S["S_ac"] - S["S_cr"],
                 "rain": S["S_ac"] + S["S_cr"] - S["S_ev"]}

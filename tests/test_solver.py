@@ -1,7 +1,8 @@
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from moistflow import diagnostics as dg
 from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
 from moistflow.spectral_ops import derivs, to_modal_values, to_phys_values, dz_modal
 
-from conftest import dealias_mask, random_band_limited
+from conftest import dealias_mask, kernel_outputs, random_band_limited
 from mms import run_mms
 
 
@@ -26,13 +27,16 @@ def density_step(sim, state, u, dt):
     """density_step from ``state`` under the frozen velocity ``u``, with
     the inputs built as picard_solve builds them: the frozen velocity and
     the order-2 derivative set of ``state.log_rho_d``."""
-    dlog = derivs(dg.modal_of(state, "log_rho_d", sim.bases), sim.bases.neumann, order=2)
-    return sim.density_step(state, sim._frozen_velocity(replace(state, u=u)), dt, dlog)
+    state = dg.with_coefficients(state, sim.bases)
+    dlog = derivs(state.modal["log_rho_d"], sim.bases.neumann, order=2)
+    frozen = dg.with_coefficients(replace(state, u=u), sim.bases)
+    return sim.density_step(state, sim._frozen_velocity(frozen), dt, dlog)
 
 
 def linear_step(sim, frozen, current, dt):
     """linear_step with the factors and frozen velocity picard_solve would
-    hand it for ``frozen``."""
+    hand it for ``frozen``, which it gives its coefficients."""
+    frozen = dg.with_coefficients(frozen, sim.bases)
     return sim.linear_step(frozen, current, dt, sim.factors_at(current.time, dt),
                            sim._frozen_velocity(frozen))
 
@@ -44,8 +48,9 @@ def m_norm_parts(sim, a, b, dt):
 
 
 def assemble_rhs(sim, state, factors, terms=None):
-    """assemble_rhs on the frozen state ``state`` and its density, at
-    t_new = state.time."""
+    """assemble_rhs on the frozen state ``state``, given its coefficients,
+    and its density, at t_new = state.time."""
+    state = dg.with_coefficients(state, sim.bases)
     return sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
                             state.time, sim._frozen_velocity(state), terms)
 
@@ -193,7 +198,7 @@ class TestAssembleRhs:
                 assert bits(got) == bits(ref), eq
                 assert bits(a) == bits(got), eq
 
-    def test_solver_runs_the_library_kernels(self, grid8, nondim):
+    def test_solver_runs_the_library_kernels(self, grid8, nondim, monkeypatch):
         """The rates, q_vs, Q-factors and pressure that assemble_rhs builds
         are bitwise those of the library functions on the dehomogenized
         fields, so the tests of thermo and microphysics check what runs."""
@@ -201,6 +206,7 @@ class TestAssembleRhs:
         state = sim.direct_step(state, 1e-3)
         factors = sim.factors_at(state.time, 1e-3)
         rho = mf.rho_d(state)
+        built = kernel_outputs(monkeypatch, sim)
         rhs = assemble_rhs(sim, state, factors)
 
         T, qv, qc, qr = (mf.dehomogenize(f, factors[var]) for f, var in (
@@ -211,14 +217,30 @@ class TestAssembleRhs:
         qf = mf.q_factors(qv, qc, qr, nondim, clipped=True)
         rates = mf.sources(T, qv, qc, qr, q_vs, nondim, clipped=True)
 
-        assert np.array_equal(rhs.p, p.values)
+        assert np.array_equal(built["p"], p.values)
         assert np.array_equal(rhs.Q_m, qf.Q_m.values)
         assert np.array_equal(rhs.Q_th, qf.Q_th.values)
-        assert np.array_equal(rhs.source_arrays["q_vs"], q_vs.values)
+        assert rhs.Q_m is built["Q_m"] and rhs.Q_th is built["Q_th"]
+        assert np.array_equal(built["Q_cp"], qf.Q_cp.values)
+        assert (built["Q_1"], built["Q_2"]) == (qf.Q_1, qf.Q_2)
+        assert np.array_equal(built["q_vs"], q_vs.values)
         for name in ("S_ev", "S_cd", "S_ac", "S_cr"):
-            assert np.array_equal(rhs.source_arrays[name],
-                                  getattr(rates, name).values), name
+            assert np.array_equal(built[name], getattr(rates, name).values), name
         assert np.any(rates.S_cd.values) and np.any(rates.S_cr.values)
+
+    def test_bundle_keeps_no_pressure_or_rates(self, grid8, nondim, monkeypatch):
+        """Once assemble_rhs returns, its pressure, q_vs and four rates are
+        gone while the bundle is still alive; the bundle holds the totals,
+        Q_m and Q_th alone."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
+        state = sim.direct_step(state, 1e-3)
+        refs = kernel_outputs(monkeypatch, sim, hold=weakref.ref)
+        rhs = assemble_rhs(sim, state, sim.factors_at(state.time, 1e-3))
+        assert [f.name for f in fields(rhs)] == [
+            "momentum", "temperature", "vapor", "cloud", "rain", "Q_m", "Q_th"]
+        for name in ("p", "q_vs", "S_ev", "S_cd", "S_ac", "S_cr"):
+            assert refs[name]() is None, name
+        assert refs["Q_m"]() is rhs.Q_m and refs["Q_th"]() is rhs.Q_th
 
 
 class TestLinearStep:
@@ -550,6 +572,25 @@ class TestCarriedCoefficients:
         for name in MODAL_NAMES:
             assert np.array_equal(loaded.modal[name], traj.final_state.modal[name])
         assert_carries_own_coefficients(loaded, sim.bases)
+
+    def test_with_coefficients(self, moving):
+        """with_coefficients returns a state that carries coefficients
+        itself; of a bare state, a copy with the same fields that carries
+        the forward transform of each field in its basis, bitwise, while
+        the input stays bare."""
+        sim, state = moving
+        assert dg.with_coefficients(state, sim.bases) is state
+        bare = state.copy()
+        out = dg.with_coefficients(bare, sim.bases)
+        assert bare.modal is None and out is not bare
+        assert list(out.modal) == list(MODAL_NAMES)
+        assert out.time == bare.time
+        assert all(getattr(out, f) is getattr(bare, f) for f in (
+            "log_rho_d", "u", "frak_T", "frak_q_v", "frak_q_c", "frak_q_r"))
+        values = dict(dg.iterated_values(bare), log_rho_d=bare.log_rho_d.values)
+        for name in MODAL_NAMES:
+            assert np.array_equal(out.modal[name], to_modal_values(
+                values[name], dg.iterated_basis(name, sim.bases))), name
 
     def test_states_built_otherwise_carry_none(self, moving, grid8, nondim):
         sim, state = moving

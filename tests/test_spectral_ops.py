@@ -409,6 +409,27 @@ class TestBlockTransforms:
         assert np.all(modal[:, 1:] == 0.0)
         assert np.any(modal[:, 0] != 0.0)
 
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 16, 32])
+    def test_what_stays_exact_of_constant_data(self, n):
+        """On n x n x 9 grids: data constant in y have their ky >= 1
+        columns exactly 0 in both bases, whatever n; a constant field's
+        cosine coefficients are exactly its value in the mean and 0
+        elsewhere where nx is a power of two (at nx = 10, 12, 14 or 20 the
+        x-fft of a constant line leaves rounding)."""
+        g = mf.make_grid(n, n, 9)
+        neu = mf.make_bases(g).neumann
+        vals = np.broadcast_to(np.random.default_rng(n).standard_normal((n, 1, 9)),
+                               g.shape).copy()
+        assert np.all(to_modal_values(vals, neu)[:, 1:] == 0.0)
+        vals[..., [0, -1]] = 0.0
+        assert np.all(to_modal_values(vals, neu.other)[:, 1:] == 0.0)
+        if n & (n - 1) == 0:
+            c = 1.2345678901234567
+            modal = to_modal_values(np.full(g.shape, c), neu)
+            assert modal[0, 0, 0] == c
+            modal[0, 0, 0] = 0.0
+            assert not np.any(modal)
+
     @pytest.mark.parametrize("shape", GRIDS)
     def test_z_constant_neumann_column_is_mode_zero(self, shape):
         g = transform_grid(*shape)
