@@ -115,19 +115,18 @@ class RobinProfile:
 
 
 def robin_profile(alpha_bottom: float, alpha_top: float,
-                  validate: bool = True, var: str = "") -> RobinProfile:
+                  var: str = "") -> RobinProfile:
     """Build the lifting profile; validates the wall sign condition
-    (alpha <= 0 at z=0, alpha >= 0 at z=1) unless explicitly waived."""
+    (alpha <= 0 at z=0, alpha >= 0 at z=1)."""
     label = f" for variable {var!r}" if var else ""
-    if validate:
-        if alpha_bottom > 0.0:
-            raise ValueError(
-                f"sign condition violated{label}: alpha_bottom must be <= 0 "
-                f"at z=0, got {alpha_bottom}")
-        if alpha_top < 0.0:
-            raise ValueError(
-                f"sign condition violated{label}: alpha_top must be >= 0 "
-                f"at z=1, got {alpha_top}")
+    if alpha_bottom > 0.0:
+        raise ValueError(
+            f"sign condition violated{label}: alpha_bottom must be <= 0 "
+            f"at z=0, got {alpha_bottom}")
+    if alpha_top < 0.0:
+        raise ValueError(
+            f"sign condition violated{label}: alpha_top must be >= 0 "
+            f"at z=1, got {alpha_top}")
     return RobinProfile(float(alpha_bottom), float(alpha_top))
 
 
@@ -329,7 +328,7 @@ class BoundarySpec:
 
     def validate(self):
         for var, vb in self.variables.items():
-            robin_profile(vb.alpha_bottom, vb.alpha_top, validate=True, var=var)
+            robin_profile(vb.alpha_bottom, vb.alpha_top, var=var)
 
     @property
     def time_dependent(self) -> bool:
@@ -342,10 +341,8 @@ class HomogenizationFactors:
     derivatives), and the psi time derivative.  What ``dehomogenized_modal``
     builds on first use is held here, so it lives as long as the factors."""
 
-    def __init__(self, var: str, profile: RobinProfile, grid: Grid,
+    def __init__(self, profile: RobinProfile, grid: Grid,
                  psi: BoundaryExtension, psi_rate: BoundaryExtension | None = None):
-        self.var = var
-        self.profile = profile
         self.grid = grid
         z = grid.z
         self.b_profile = profile.B(z)[None, None, :]
@@ -422,7 +419,7 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
             psi_rate = BoundaryExtension(
                 grid, (1.0 / dt) * (psi_next.beta_bottom - psi.beta_bottom),
                 (1.0 / dt) * (psi_next.beta_top - psi.beta_top))
-        factors[var] = HomogenizationFactors(var, prof, grid, psi, psi_rate)
+        factors[var] = HomogenizationFactors(prof, grid, psi, psi_rate)
     return factors
 
 
@@ -511,14 +508,11 @@ def trace_norm_check(psi: BoundaryExtension, h_bottom, h_top) -> TraceReport:
     g = psi.grid
     beta_b = _coefficients_from(h_bottom, g)
     beta_t = _coefficients_from(h_top, g)
+    psi_norm = {0: 0.0, 1: 0.0}
+    if not psi.is_zero:
+        h1, h2 = _psi_integer_norms(psi)
+        psi_norm = {0: np.sqrt(h1 * h2), 1: h2 * np.sqrt(h2 / h1)}
     entries = {}
-    if psi.is_zero:
-        for s in (0, 1):
-            nd = np.sqrt(_boundary_norm_sq(beta_b, beta_t, s))
-            entries[s] = TraceEntry(0.0, nd, 0.0)
-        return TraceReport(entries)
-    h1, h2 = _psi_integer_norms(psi)
-    psi_norm = {0: np.sqrt(h1 * h2), 1: h2 * np.sqrt(h2 / h1)}
     for s in (0, 1):
         nd = np.sqrt(_boundary_norm_sq(beta_b, beta_t, s))
         ratio = psi_norm[s] / nd if nd > 0.0 else 0.0

@@ -18,18 +18,18 @@ from . import spectral_ops as sp
 from .boundary import dehomogenize
 from .fields import MODAL_NAMES, ScalarField, State
 
+# the CSV's variable groups, in column order: Sobolev norms, minima and
+# L2 norms of negative parts
+NORMED = ("u", "T", "qv", "qc", "qr", "sqrt_rho", "log_rho")
+MINIMA = ("T", "qv", "qc", "qr", "rho")
+NEGATIVE = ("T", "qv", "qc", "qr")
+
 COLUMNS = (
     "step", "time", "picard_iterations", "picard_final_ratio",
-    "l2_u", "h1_u", "h2_u",
-    "l2_T", "h1_T", "h2_T",
-    "l2_qv", "h1_qv", "h2_qv",
-    "l2_qc", "h1_qc", "h2_qc",
-    "l2_qr", "h1_qr", "h2_qr",
-    "l2_sqrt_rho", "h1_sqrt_rho", "h2_sqrt_rho",
-    "l2_log_rho", "h1_log_rho", "h2_log_rho",
+    *(f"{norm}_{name}" for name in NORMED for norm in ("l2", "h1", "h2")),
     "dry_mass", "total_water",
-    "min_T", "min_qv", "min_qc", "min_qr", "min_rho",
-    "neg_T", "neg_qv", "neg_qc", "neg_qr",
+    *(f"min_{name}" for name in MINIMA),
+    *(f"neg_{name}" for name in NEGATIVE),
 )
 
 
@@ -49,13 +49,13 @@ class DiagnosticsRow:
     def csv_values(self):
         vals = [self.step, repr(self.time), self.picard_iterations,
                 repr(self.picard_final_ratio)]
-        for name in ("u", "T", "qv", "qc", "qr", "sqrt_rho", "log_rho"):
+        for name in NORMED:
             vals.extend(repr(x) for x in self.norms[name])
         vals.append(repr(self.dry_mass))
         vals.append(repr(self.total_water))
-        for name in ("T", "qv", "qc", "qr", "rho"):
+        for name in MINIMA:
             vals.append(repr(self.minima[name]))
-        for name in ("T", "qv", "qc", "qr"):
+        for name in NEGATIVE:
             vals.append(repr(self.negative_norms[name]))
         return vals
 

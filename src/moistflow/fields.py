@@ -342,10 +342,9 @@ def save_state(dirpath, state: State) -> None:
 
 
 def save_modal(dirpath, state: State) -> None:
-    """Write the coefficients a state carries, if any, into ``modal.npz``
-    next to its fields, with the state's time and grid shape."""
-    if state.modal is None:
-        return
+    """Write the coefficients a state carries into ``modal.npz`` next to its
+    fields, with the state's time and grid shape.  The state must carry
+    them: every state a run checkpoints does."""
     with open(os.path.join(dirpath, MODAL_FILE), "wb") as fh:
         np.savez(fh, time=np.float64(state.time), grid=np.array(state.grid.shape),
                  **state.modal)

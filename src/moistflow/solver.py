@@ -167,10 +167,9 @@ class Simulation:
         vr_fn, dvr_fn = V_R_PROFILES[config.v_r_profile]
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
         self.dz_v_r = (config.v_r_scale * dvr_fn(grid.z))[None, None, :]
-        self._static_factors = None
+        self._factors = (None, None)          # (key, factors) of the last build
         if not boundary_spec.time_dependent:
-            self._static_factors = build_factors(boundary_spec, grid, 0.0)
-        self._last_factors = (None, None)     # ((t, dt), factors) of the last build
+            self.factors_at(0.0)              # static data are built once, here
         self._positivity_fixes = 0
         self._rejections = 0
         self.config_echo = ""
@@ -180,13 +179,10 @@ class Simulation:
     def factors_at(self, t: float, dt: float | None = None) -> dict:
         """The homogenization factors at time ``t`` for a step of ``dt``: built
         once for static wall data, else kept for the last (t, dt) asked for."""
-        if self._static_factors is not None:
-            return self._static_factors
-        key, factors = self._last_factors
-        if key != (t, dt):
-            factors = build_factors(self.bspec, self.grid, t, dt)
-            self._last_factors = ((t, dt), factors)
-        return factors
+        key = (t, dt) if self.bspec.time_dependent else ()
+        if key != self._factors[0]:
+            self._factors = (key, build_factors(self.bspec, self.grid, t, dt))
+        return self._factors[1]
 
     def _frozen_velocity(self, s: State) -> FrozenVelocity:
         """The velocity of ``s`` with its derivatives, div u and grad div u,
@@ -656,7 +652,9 @@ class Simulation:
         checkpoint's (``read_checkpoint``)."""
         cfg = self.config
         t0 = _time.perf_counter()
-        state = initial
+        # every state of the run carries its coefficients: attached here and
+        # after the positivity fixer, kept by each step's solves
+        state = dg.with_coefficients(initial, self.bases)
         self._rejections = self._positivity_fixes = 0
         # a run resumed from a checkpoint keeps the step numbers of the
         # uninterrupted run (SolverConfig guarantees whole steps)
@@ -675,7 +673,8 @@ class Simulation:
                                        f"t={state.time:g}: {exc}") from exc
                 factors = self.factors_at(state.time, cfg.dt)
                 if cfg.strict_positivity:
-                    state = self._apply_positivity_fix(state, factors)
+                    state = dg.with_coefficients(
+                        self._apply_positivity_fix(state, factors), self.bases)
                 step += 1
                 recorder.record(state, dg.compute_row(
                     state, factors, self.bases, step=step, picard_report=report,

@@ -43,10 +43,6 @@ class TestRobinProfile:
         with pytest.raises(ValueError, match="alpha_top"):
             robin_profile(-0.5, -1.0)
 
-    def test_waiver(self):
-        prof = robin_profile(0.5, -1.0, validate=False)
-        assert prof.alpha_bottom == 0.5
-
     def test_b_positive_and_derived_profiles(self, grid8):
         prof = robin_profile(-1.0, 1.0)
         z = grid8.z

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import moistflow as mf
+from moistflow import diagnostics as dg
 from moistflow.cli import SCHEMA, build_simulation, main, parse_config
 from moistflow.presets import discrete_hydrostatic_rho
 from moistflow.spectral_ops import to_modal_values
@@ -541,6 +542,25 @@ class TestRunDirectory:
             "checkpoints/step_000003": CHECKPOINT_FILES,
             "final_state": CHECKPOINT_FILES,
             "snapshot_000002": FIELD_FILES}
+
+    def test_zero_step_run(self, tmp_path):
+        """A run of no steps checkpoints its initial state in the layout of
+        every other checkpoint, coefficients included: the forward
+        transforms of the fields it wrote."""
+        cfg = BASE.replace("solver.t_end = 3e-3\n", "solver.t_end = 0.0\n")
+        path = write_config(tmp_path / "c.cfg", cfg + "solver.checkpoint_every = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert layout(out) == {
+            ".": ["config.echo", "diagnostics.csv", "timings.csv"],
+            "checkpoints/step_000000": CHECKPOINT_FILES,
+            "final_state": CHECKPOINT_FILES}
+        sim = build_simulation(parse_config(path))[0]
+        for d in (out / "checkpoints" / "step_000000", out / "final_state"):
+            loaded = mf.load_state(d)
+            fresh = dg.with_coefficients(loaded.copy(), sim.bases)
+            for name, modal in fresh.modal.items():
+                assert np.array_equal(loaded.modal[name], modal), name
 
     def test_library_run(self, tmp_path, grid8, nondim):
         """A simulation built without a config writes no echo and no

@@ -749,6 +749,55 @@ class TestRun:
         for row in traj.rows:
             assert abs(row.dry_mass - m0) / m0 <= 1e-6
 
+    def test_bare_initial_state_transformed_once(self, grid8, nondim, monkeypatch):
+        """A run attaches the coefficients of a bare initial state once, for
+        its first row and its first step: a 1-step run from it makes one
+        forward transform per field more than from the same state with its
+        coefficients."""
+        sim, state = make_sim(grid8, nondim, preset="saturated_layer",
+                              mode="direct", t_end=1e-3)
+        carried = dg.with_coefficients(state, sim.bases)
+        count = count_transforms(monkeypatch)
+        fwd = []
+        for initial in (carried, state):
+            before = count["fwd"]
+            sim = make_sim(grid8, nondim, preset="saturated_layer",
+                           mode="direct", t_end=1e-3)[0]
+            sim.run(initial)
+            fwd.append(count["fwd"] - before)
+        assert fwd[1] - fwd[0] == len(MODAL_NAMES)
+
+    def test_fixed_states_checkpoint_their_coefficients(self, tmp_path, grid8, nondim):
+        """A run whose positivity fixer acts on every step writes modal.npz
+        in every checkpoint, and a resume from one repeats the uninterrupted
+        run's later rows and final state bitwise."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        state.frak_q_r.values[0, 0, 2] -= 2e-4
+        cfg = mf.SolverConfig(dt=1e-3, t_end=4e-3, mode="direct",
+                              strict_positivity=True, checkpoint_every=1)
+        full = tmp_path / "full"
+        with pytest.warns(UserWarning, match="positivity fixer active on 8 field"):
+            traj = mf.Simulation(grid8, nondim, bspec, cfg).run(state, out_dir=str(full))
+        names = [f"step_{n:06d}" for n in range(1, 5)]
+        assert sorted(os.listdir(full / "checkpoints")) == names
+        for name in names:
+            assert (full / "checkpoints" / name / "modal.npz").exists(), name
+        resumed, report, _ = mf.solver.read_checkpoint(full / "checkpoints" / names[1])
+        assert resumed.modal is not None
+        with pytest.warns(UserWarning, match="positivity fixer active"):
+            res = mf.Simulation(grid8, nondim, bspec, cfg).run(
+                resumed, initial_report=report)
+        assert ([row.csv_values() for row in res.rows]
+                == [row.csv_values() for row in traj.rows[2:]])
+        for name in MODAL_NAMES:
+            assert np.array_equal(res.final_state.modal[name],
+                                  traj.final_state.modal[name]), name
+        for a, b in zip(dg.iterated_values(res.final_state).values(),
+                        dg.iterated_values(traj.final_state).values()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(res.final_state.log_rho_d.values,
+                              traj.final_state.log_rho_d.values)
+
     def test_factors_built_once_per_time_level(self, grid8, nondim, monkeypatch):
         """With wall data that vary in time, the row of a step and the step
         after it share the factors of one (t, dt): 5 steps build 6 sets, and
