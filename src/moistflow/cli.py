@@ -74,7 +74,6 @@ def _schema() -> dict:
         "ic.sat_ratio": ("float", 1.1),
         "ic.qc_seed": ("float", 1.0e-3),
         "ic.qr_seed": ("float", 5.0e-4),
-        "run.threads": ("int", 1),
     })
     s.update(solver)    # the renamed field: diagnostics.strict_positivity
     s["output.dir"] = ("str", "out")
@@ -86,7 +85,7 @@ SCHEMA = _schema()
 # keys of earlier versions that no longer do anything, read with a warning
 # (old echo files list them); one that chose what this version always
 # does maps to (type tag, that value, why): other values ask for another run
-_RETIRED_KEYS = {"solver.psi_dt_mode": None, "run.seed": None,
+_RETIRED_KEYS = {"solver.psi_dt_mode": None, "run.seed": None, "run.threads": None,
                  "solver.dealias": ("bool", True, "the 2/3 rule is always applied"),
                  "microphysics.q_vs.kind": (
                      "str", "default", "only the 'default' saturation closure is "
@@ -303,8 +302,6 @@ def _validate(rc: RunConfig) -> None:
                           rc[f"boundary.{var}.alpha_top"])
         except ValueError as exc:
             raise ConfigError(f"{path}: boundary.{var}: {exc}") from exc
-    if rc["run.threads"] < 1:
-        raise ConfigError(f"{path}: run.threads must be >= 1")
     if rc["ic.sat_ratio"] < 0.0:
         raise ConfigError(f"{path}: ic.sat_ratio must be nonnegative")
     if rc["ic.preset"] not in PRESET_NAMES:
@@ -330,7 +327,7 @@ def build_simulation(rc: RunConfig):
             if override != "preset":
                 setattr(bspec[var], attr, override)
     sim = Simulation(grid, constants, bspec, rc.solver_config(),
-                     config_hash=rc.config_hash(), threads=rc["run.threads"])
+                     config_hash=rc.config_hash())
     sim.config_echo = rc.echo_text()
     return sim, state
 

@@ -145,16 +145,13 @@ class Simulation:
     """One integration context: grid, constants, boundary data, closure.
 
     A simulation instance is single-writer (run() owns the state); separate
-    instances may run concurrently.  ``threads`` (the CLI's ``run.threads``)
-    is the FFT worker count of this simulation's bases alone; None takes
-    the default of ``spectral_ops.set_workers``.
+    instances may run concurrently.
     """
 
     def __init__(self, grid: Grid, constants: PhysConstants,
                  boundary_spec: BoundarySpec, config: SolverConfig,
                  closure: SaturationClosure | None = None,
-                 forcing: dict | None = None, config_hash: str = "",
-                 threads: int | None = None):
+                 forcing: dict | None = None, config_hash: str = ""):
         boundary_spec.validate()
         self.grid = grid
         self.constants = constants
@@ -163,7 +160,7 @@ class Simulation:
         self.closure = closure or SaturationClosure(constants)
         self.forcing = forcing or {}
         self.config_hash = config_hash
-        self.bases = sp.make_bases(grid, threads)
+        self.bases = sp.make_bases(grid)
         vr_fn, dvr_fn = V_R_PROFILES[config.v_r_profile]
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
         self.dz_v_r = (config.v_r_scale * dvr_fn(grid.z))[None, None, :]
@@ -609,10 +606,17 @@ class Simulation:
     # -- positivity fixer (off by default) ------------------------------------
 
     def _apply_positivity_fix(self, state: State, factors: dict) -> State:
+        """``state``, which carries coefficients as every state of a run does,
+        with each mixing ratio that has a negative value clipped to its
+        nonnegative part, rescaled to keep its dry-air-weighted integral.
+        The result carries the coefficients of ``state`` for the fields left
+        alone and the forward transforms of the fixed ones (it is ``state``
+        itself when nothing needs fixing)."""
         w = self.grid.quad_weights()
         rho = np.exp(state.log_rho_d.values)
-        out = {}
-        for attr, var in (("frak_q_v", "v"), ("frak_q_c", "c"), ("frak_q_r", "r")):
+        out, modal = {}, {}
+        for attr, var, name in (("frak_q_v", "v", "qv"), ("frak_q_c", "c", "qc"),
+                                ("frak_q_r", "r", "qr")):
             q = dehomogenize(getattr(state, attr), factors[var]).values
             neg = np.minimum(q, 0.0)
             if not np.any(neg):
@@ -624,8 +628,13 @@ class Simulation:
             scale = 1.0 - deficit / total_pos if total_pos > deficit else 0.0
             fixed = ScalarField(self.grid, pos * scale)
             out[attr] = homogenize(fixed, factors[var])
-        # a state with nothing to fix keeps its coefficients
-        return replace(state, **out) if out else state
+            modal[name] = sp.to_modal_values(out[attr].values,
+                                             dg.iterated_basis(name, self.bases))
+        if not out:
+            return state
+        fixed_state = replace(state, **out)
+        fixed_state.modal = {**state.modal, **modal}
+        return fixed_state
 
     # -- run loop --------------------------------------------------------------
 
@@ -652,8 +661,8 @@ class Simulation:
         checkpoint's (``read_checkpoint``)."""
         cfg = self.config
         t0 = _time.perf_counter()
-        # every state of the run carries its coefficients: attached here and
-        # after the positivity fixer, kept by each step's solves
+        # every state of the run carries its coefficients: attached here,
+        # kept by each step's solves and by the positivity fixer
         state = dg.with_coefficients(initial, self.bases)
         self._rejections = self._positivity_fixes = 0
         # a run resumed from a checkpoint keeps the step numbers of the
@@ -673,8 +682,7 @@ class Simulation:
                                        f"t={state.time:g}: {exc}") from exc
                 factors = self.factors_at(state.time, cfg.dt)
                 if cfg.strict_positivity:
-                    state = dg.with_coefficients(
-                        self._apply_positivity_fix(state, factors), self.bases)
+                    state = self._apply_positivity_fix(state, factors)
                 step += 1
                 recorder.record(state, dg.compute_row(
                     state, factors, self.bases, step=step, picard_report=report,

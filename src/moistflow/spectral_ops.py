@@ -14,28 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .fields import Grid, ScalarField, VectorField
 
 NEUMANN = "neumann_z"
 DIRICHLET = "dirichlet_z"
 
-_WORKERS = 1
-
 
 def set_workers(n: int) -> None:
-    """The default worker count of bases built after this call (see
-    ``Basis.workers``); a basis keeps the count it was built with."""
-    global _WORKERS
-    _WORKERS = _worker_count(n)
-
-
-def _worker_count(n) -> int:
-    n = int(n)
-    if n < 1:
+    """A no-op kept for ``bench/run_bench.py``, which calls it each episode:
+    the transforms run numpy's FFT, which has no worker threads.  A count
+    below 1 is still a ValueError."""
+    if int(n) < 1:
         raise ValueError(f"the FFT worker count must be >= 1, got {n}")
-    return n
 
 
 # (x, y, z) derivative orders of each key ``derivs`` returns
@@ -55,20 +46,13 @@ class Basis:
     ``other``, the weights that ``sobolev_weights`` and the matrices that
     ``inverse_matrices`` and ``forward_matrix`` build once, and safe to
     share across threads.
-
-    ``workers`` is the number of worker threads handed to each FFT pass of
-    the transforms (fft/ifft over x); by default the
-    count last given to ``set_workers``; a count below 1 is a ValueError.
-    pocketfft results do not depend on it.  The matrix products run on BLAS
-    and ignore it.
     """
 
-    def __init__(self, grid: Grid, kind: str, workers: int | None = None):
+    def __init__(self, grid: Grid, kind: str):
         if kind not in (NEUMANN, DIRICHLET):
             raise ValueError(f"unknown basis kind {kind!r}")
         self.grid = grid
         self.kind = kind
-        self.workers = _WORKERS if workers is None else _worker_count(workers)
         kx_int = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)  # integers
         ky_int = np.fft.rfftfreq(grid.ny, d=1.0 / grid.ny)  # real-transform half
         mz = np.arange(grid.nz)
@@ -112,8 +96,7 @@ class Basis:
         reference cycle: a cycle would keep a dropped simulation's arrays
         alive until the next full garbage collection."""
         if self._other is None:
-            self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN,
-                                self.workers)
+            self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN)
         return self._other
 
     @property
@@ -195,7 +178,7 @@ class Basis:
         """The (2 nky, ny) real y-pass of a forward transform over the
         extent ``_extents(self, dealias)``, built on first use: rows 2k and
         2k + 1 hold cos / ny and -sin / ny of the angle pi ky y_j, the real
-        and imaginary parts of a forward DFT over y (scipy's
+        and imaginary parts of a forward DFT over y (numpy's
         ``norm="forward"``), so that a product with it on the right of
         y-lines gives complex numbers in place.  The sine rows of ky = 0
         and, in the whole extent of an even ny, of the Nyquist column are
@@ -221,10 +204,9 @@ class BasisPair:
     dirichlet: Basis
 
 
-def make_bases(grid: Grid, workers: int | None = None) -> BasisPair:
-    """The Neumann basis and its complement, with FFT ``workers`` (see
-    ``Basis``)."""
-    neu = Basis(grid, NEUMANN, workers)
+def make_bases(grid: Grid) -> BasisPair:
+    """The Neumann basis and its complement."""
+    neu = Basis(grid, NEUMANN)
     return BasisPair(neu, neu.other)
 
 
@@ -272,7 +254,8 @@ def to_modal_values(values: np.ndarray, basis: Basis,
       y-line's first sample is taken out before it and put back into
       ky = 0, so that the ky > 0 coefficients of data constant in y are
       exactly 0, for every grid;
-    - one complex fft over x, and a C-ordered copy in (x, ky, z) order.
+    - one complex fft over x, in place along the product's strided first
+      axis, and a C-ordered copy in (x, ky, z) order.
 
     A constant field comes out as exactly its value in the mean and 0
     elsewhere only where that fft of a constant line is exact, as it is
@@ -291,8 +274,8 @@ def to_modal_values(values: np.ndarray, basis: Basis,
     lines[1:] -= lines[0]
     re_im = lines[1:].T @ y[:, 1:].T
     re_im[:, 0] += lines[0]
-    block = fft(re_im.view(complex).reshape(nx, nmz, nky), axis=0, norm="forward",
-                overwrite_x=True, workers=basis.workers)
+    block = re_im.view(complex).reshape(nx, nmz, nky)
+    np.fft.fft(block, axis=0, norm="forward", out=block)
     if dealias:
         block[~basis.kx_keep] = 0.0
     return np.ascontiguousarray(block.transpose(0, 2, 1))
@@ -313,9 +296,11 @@ def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
     field with coefficients ``modal``, over the extent of ``dealias``, with
     every pass the set can share shared (see ``Basis.inverse_matrices``):
 
-    - the block is read once, and its x-multiplied copies for x-orders
-      0..max go through one ifft over x, ky ahead of x in memory;
-    - their (Re, Im) is split once, into one stacked real array;
+    - the block is read once for each x-order 0..max: its x-multiplied
+      copy goes into one reused buffer with x the contiguous last axis
+      (numpy's FFT is several times slower along a strided axis), through
+      one ifft over x in place, and by a transposing copy into its (Re, Im)
+      rows of one stacked real array, x ahead of z;
     - each distinct (x, y) order pair is one real y-gemm on that array;
     - each output is one product with its z-matrix, written through the
       (y, x, z) view of the C-ordered result."""
@@ -323,13 +308,16 @@ def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
     nx, ny, nz = basis.grid.shape
     nky, nmz = _extents(basis, dealias)
     nxm = max(o[0] for o in orders) + 1
-    block = modal[:, :nky, :nmz].transpose(1, 0, 2)
-    xs = np.empty((nxm, nky, nx, nmz), dtype=complex)
+    block = modal[:, :nky, :nmz].transpose(1, 2, 0)
+    re_im = np.empty((nxm, 2, nky, nx, nmz))
+    xs = np.empty((nky, nmz, nx), dtype=complex)
     for a in range(nxm):
-        np.multiply(block, x[a, :, None], out=xs[a])
-    xs = ifft(xs, axis=2, norm="forward", overwrite_x=True, workers=basis.workers)
-    re_im = np.concatenate((xs.real, xs.imag), axis=1).reshape(nxm, 2 * nky, nx * nmz)
+        np.multiply(block, x[a], out=xs)
+        np.fft.ifft(xs, axis=-1, norm="forward", out=xs)
+        re_im[a, 0] = xs.real.transpose(0, 2, 1)
+        re_im[a, 1] = xs.imag.transpose(0, 2, 1)
     del xs          # freed before the outputs are allocated
+    re_im = re_im.reshape(nxm, 2 * nky, nx * nmz)
     ys = {}
     out = []
     for a, b, c in orders:

@@ -267,7 +267,7 @@ def test_criterion_10_determinism(tmp_path):
         "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n"
         "constants.set = nondimensional\n"
         "solver.dt = 1e-3\nsolver.t_end = 2e-2\nsolver.mode = direct\n"
-        "ic.preset = saturated_layer\nrun.threads = 1\n")
+        "ic.preset = saturated_layer\n")
     cfg = tmp_path / "det.cfg"
     cfg.write_text(cfg_text)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,7 +41,7 @@ def sample_config():
 
 # the retired keys, each with a value an old echo file may list
 RETIRED = {"solver.psi_dt_mode": "fd", "run.seed": "0", "solver.dealias": "true",
-           "microphysics.q_vs.kind": "default"}
+           "microphysics.q_vs.kind": "default", "run.threads": "1"}
 OLD_ECHO = BASE + "".join(f"{key} = {value}\n" for key, value in RETIRED.items())
 
 
@@ -246,15 +248,19 @@ class TestMain:
         assert "c.cfg:2: " in err and message in err
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+    def test_threads_retired_set_workers_still_checks(self, tmp_path, threads):
+        """run.threads is retired: any value, even one below 1, warns and is
+        left out of the echo.  spectral_ops.set_workers does nothing, but
+        still rejects a count below 1."""
         path = write_config(tmp_path / "c.cfg", BASE + f"run.threads = {threads}\n")
-        assert main(["check", path]) == 2
-        assert "run.threads must be >= 1" in capsys.readouterr().err
-        for build in (lambda: mf.spectral_ops.Basis(mf.make_grid(8, 8, 9),
-                                                    mf.spectral_ops.NEUMANN, threads),
-                      lambda: mf.spectral_ops.set_workers(threads)):
-            with pytest.raises(ValueError, match="worker count must be >= 1"):
-                build()
+        with pytest.warns(UserWarning, match=r"c\.cfg:10: run\.threads is retired"):
+            rc = parse_config(path)
+        assert rc == parse_config(write_config(tmp_path / "base.cfg", BASE))
+        assert "run.threads" not in rc.echo_text()
+        with pytest.warns(UserWarning, match="run.threads is retired"):
+            assert main(["check", path]) == 0
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            mf.spectral_ops.set_workers(threads)
 
     @pytest.mark.parametrize("line,message", [
         ("ic.sat_ratio = -3", "ic.sat_ratio must be nonnegative"),
@@ -277,6 +283,30 @@ class TestMain:
         assert os.path.exists(os.path.join(out, "config.echo"))
         assert os.path.exists(os.path.join(out, "final_state", "meta.txt"))
 
+    def test_runtime_needs_no_scipy(self, tmp_path):
+        """A CLI run and a library Picard step succeed in a process in which
+        SciPy cannot be imported, and load no SciPy module; SciPy is a test
+        dependency only."""
+        path = write_config(tmp_path / "c.cfg", BASE)
+        script = f"""
+import sys
+sys.modules["scipy"] = None     # any import of scipy now fails
+import moistflow as mf
+from moistflow import diagnostics as dg
+assert mf.main(["run", {path!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+grid, const = mf.make_grid(8, 8, 9), mf.PhysConstants.nondimensional()
+state, bspec = mf.preset_initial("saturated_layer", grid, const)
+sim = mf.Simulation(grid, const, bspec, mf.SolverConfig(dt=1e-3, t_end=1e-3, mode="picard"))
+sim.picard_solve(dg.with_coefficients(state, sim.bases), 1e-3)
+print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod))
+"""
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_env_out_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path / "c.cfg", BASE)
         envdir = str(tmp_path / "envout")
@@ -292,58 +322,6 @@ class TestMain:
         a = Path(out1, "diagnostics.csv").read_bytes()
         b = Path(out2, "diagnostics.csv").read_bytes()
         assert a == b
-
-    def test_csv_independent_of_threads(self, tmp_path):
-        cfg = (BASE.replace("grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\n",
-                            "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 17\n")
-               .replace("solver.t_end = 3e-3\n", "solver.t_end = 5e-3\n"))
-        csv = {}
-        try:
-            for threads in (1, 2):
-                path = write_config(tmp_path / f"t{threads}.cfg",
-                                    cfg + f"run.threads = {threads}\n")
-                out = str(tmp_path / f"t{threads}")
-                assert main(["run", path, "--out", out]) == 0
-                with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
-                    csv[threads] = fh.read()
-        finally:
-            mf.spectral_ops.set_workers(1)
-        assert csv[1].count(b"\n") == 7     # header, initial row, 5 steps
-        assert csv[1] == csv[2]
-
-    def test_threads_belong_to_each_simulation(self, tmp_path, monkeypatch):
-        """Two simulations built with run.threads 1 and 2 in one process
-        each hand their own count to every FFT pass, stepped in turn, and
-        each gives the bits of a lone run."""
-        def built(threads):
-            path = write_config(tmp_path / f"t{threads}.cfg",
-                                BASE + f"run.threads = {threads}\n")
-            return build_simulation(parse_config(path))
-
-        def fields(state):
-            return [state.log_rho_d.values,
-                    *mf.diagnostics.iterated_values(state).values()]
-
-        lone = {}
-        for threads in (1, 2):
-            sim, state = built(threads)
-            lone[threads] = fields(sim.direct_step(sim.direct_step(state, 1e-3), 1e-3))
-
-        seen = []
-        for name in ("fft", "ifft"):
-            def recorder(*args, _fn=getattr(mf.spectral_ops, name), **kwargs):
-                seen.append(kwargs["workers"])
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(mf.spectral_ops, name, recorder)
-        runs = {threads: built(threads) for threads in (1, 2)}
-        for _ in range(2):
-            for threads, (sim, state) in runs.items():
-                seen.clear()
-                runs[threads] = (sim, sim.direct_step(state, 1e-3))
-                assert seen and set(seen) == {threads}
-        for threads, (_, state) in runs.items():
-            for got, want in zip(fields(state), lone[threads]):
-                assert np.array_equal(got, want)
 
     def test_run_then_resume_matches_uninterrupted(self, tmp_path):
         full_cfg = BASE + "solver.t_end = 6e-3\nsolver.checkpoint_every = 3\n"

@@ -597,15 +597,47 @@ class TestCarriedCoefficients:
         assert replace(state, time=state.time).modal is None
         assert state.copy().modal is None
         assert mf.perturb_state(state, sim.bases, amplitude=1e-6).modal is None
-        # a state with negative rain, which the fixer rebuilds
-        dry = sim.direct_step(replace(state, frak_q_r=ScalarField(
-            grid8, state.frak_q_r.values - 1e-3)), 1e-3)
-        fixed = sim._apply_positivity_fix(dry, sim.factors_at(dry.time))
-        assert dry.modal is not None and sim._positivity_fixes > 0
-        assert fixed.modal is None
         reassigned = sim.direct_step(state, 1e-3)
         reassigned.frak_T = reassigned.frak_T.copy()
         assert reassigned.modal is None
+
+    def test_fixer_keeps_the_coefficients_it_does_not_touch(self, moving, grid8):
+        """The positivity fixer hands on the carried coefficients of every
+        field it leaves alone, and the forward transforms of those it fixes."""
+        sim, state = moving
+        dry = sim.direct_step(replace(state, frak_q_r=ScalarField(
+            grid8, state.frak_q_r.values - 1e-3)), 1e-3)
+        fixed = sim._apply_positivity_fix(dry, sim.factors_at(dry.time))
+        assert sim._positivity_fixes > 0 and fixed.frak_q_r is not dry.frak_q_r
+        assert list(fixed.modal) == list(MODAL_NAMES)
+        values = dict(dg.iterated_values(fixed), log_rho_d=fixed.log_rho_d.values)
+        for name, attr in zip(MODAL_NAMES[4:7], ("frak_q_v", "frak_q_c", "frak_q_r")):
+            if getattr(fixed, attr) is not getattr(dry, attr):
+                assert np.array_equal(fixed.modal[name], to_modal_values(
+                    values[name], sim.bases.neumann)), name
+            else:
+                assert fixed.modal[name] is dry.modal[name], name
+        for name in MODAL_NAMES[:4] + MODAL_NAMES[7:]:
+            assert fixed.modal[name] is dry.modal[name], name
+
+    def test_fixer_transforms_only_the_fields_it_fixes(self, grid8, nondim, monkeypatch):
+        """A 4-step run whose fixer acts on 3, 2, 2 and 1 fields makes one
+        forward transform per fixed field more than the same run without the
+        fixer."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        state.frak_q_r.values[0, 0, 2] -= 2e-4
+        count = count_transforms(monkeypatch)
+        fwd = {}
+        for strict in (False, True):
+            sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(
+                dt=1e-3, t_end=4e-3, mode="direct", strict_positivity=strict))
+            before = count["fwd"]
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                sim.run(state)
+            fwd[strict] = count["fwd"] - before
+        assert [str(w.message) for w in rec] == ["positivity fixer active on 8 field updates"]
+        assert fwd[True] == fwd[False] + 8
 
     def test_nonfinite_total_names_first_term_in_order(self, moving):
         """A non-finite total is traced to the first non-finite term, in
