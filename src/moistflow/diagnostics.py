@@ -76,8 +76,9 @@ def _norm_triplet(modal: np.ndarray, basis) -> tuple:
 
 
 def _negative_l2(vals: np.ndarray, w: np.ndarray) -> float:
-    """L2 norm of the negative part (|f| - f)/2 under quadrature weights w."""
-    neg = (np.abs(vals) - vals) * 0.5
+    """L2 norm of the negative part f- = max(-f, 0) under quadrature weights
+    w, squared from min(f, 0) = -f- in one pass."""
+    neg = np.minimum(vals, 0.0)
     return float(np.sqrt(np.sum(neg * neg * w)))
 
 

@@ -217,8 +217,9 @@ def check_same_grid(*fields) -> Grid:
 
 
 def positive_values(a: np.ndarray) -> np.ndarray:
-    """Pointwise a+ = (|a| + a)/2; exact in floating point."""
-    return (np.abs(a) + a) * 0.5
+    """Pointwise a+ = max(a, 0), in one pass: exact, +0.0 for -0.0, NaN for
+    NaN and +inf for +inf."""
+    return np.maximum(a, 0.0)
 
 
 def positive_part(f: ScalarField) -> ScalarField:

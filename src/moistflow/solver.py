@@ -102,15 +102,18 @@ class PicardReport:
 
 @dataclass
 class FrozenVelocity:
-    """The frozen velocity of one iterate and the spectral derivatives of
-    its dealiased form, shared by the density step and the right-hand
-    sides."""
+    """The frozen velocity of one iterate and what the density step and
+    the right-hand sides read of the spectral derivatives of its dealiased
+    form: each component's derivative along the velocity,
+    A_i = u1 dx u_i + u2 dy u_i + w dz u_i, its z-derivative, div u and
+    grad div u.  The other six first derivatives are freed once the A_i
+    are formed."""
 
-    values: tuple     # values of v1, v2, w
-    d: tuple | None   # first derivatives of v1, v2, w: dicts keyed x, y, z;
-                      # None once assemble_rhs has used them
-    div: np.ndarray   # div u
-    grad_div: dict    # grad(div u), keyed x, y, z
+    values: tuple            # values of v1, v2, w
+    advection: tuple | None  # A_i of v1, v2, w; None once assemble_rhs has used them
+    dz: tuple | None         # dz of v1, v2, w; None once assemble_rhs has used them
+    div: np.ndarray | None   # div u; None once linear_step has used it
+    grad_div: dict | None    # grad(div u), keyed x, y, z; None likewise
 
 
 @dataclass
@@ -182,21 +185,27 @@ class Simulation:
         return self._factors[1]
 
     def _frozen_velocity(self, s: State) -> FrozenVelocity:
-        """The velocity of ``s`` with its derivatives, div u and grad div u,
+        """The velocity of ``s`` with its A_i, dz u_i, div u and grad div u,
         from the coefficients ``s`` carries.  The 2/3 rule acts in the
         inverse transforms: the modal multipliers are diagonal, so truncating
         their products truncates the velocity, and the divergence is formed
-        on the kept block alone."""
+        on the kept block alone.  Each component's derivative set lives only
+        until its A_i is formed."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
         m1, m2, mw = (s.modal[name] for name in ("u1", "u2", "w"))
         div_m = sp.div_modal(sp.kept_block(m1, neu), sp.kept_block(m2, neu),
                              sp.kept_block(mw, diri), self.bases)
         grad_div = sp.derivs(div_m, neu, dealias=True, value=True)
-        return FrozenVelocity(
-            values=tuple(comp.values for comp in s.u.components()),
-            d=(sp.derivs(m1, neu, dealias=True), sp.derivs(m2, neu, dealias=True),
-               sp.derivs(mw, diri, dealias=True)),
-            div=grad_div.pop("value"), grad_div=grad_div)
+        values = tuple(comp.values for comp in s.u.components())
+        u1, u2, w = values
+        advection, dz = [], []
+        for m, basis in ((m1, neu), (m2, neu), (mw, diri)):
+            d = sp.derivs(m, basis, dealias=True)
+            advection.append(u1 * d["x"] + u2 * d["y"] + w * d["z"])
+            dz.append(d["z"])
+            del d       # not alive while the next set is formed
+        return FrozenVelocity(values, tuple(advection), tuple(dz),
+                              div=grad_div.pop("value"), grad_div=grad_div)
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -221,37 +230,42 @@ class Simulation:
         quadrature of the divergence integral.  Positivity of rho_d is
         automatic in the log form.
 
-        ``velocity`` is ``_frozen_velocity`` of the frozen iterate; its
-        derivatives are those of the dealiased velocity, the one the
-        right-hand sides advect with.  ``dlog`` is the order-2 derivative
-        set of ``state.log_rho_d``, which does not depend on the velocity."""
+        The midpoint velocity is u_i - (dt/2) A_i, the order-1 Taylor value
+        of u_i at the half-step foot x - (dt/2) u, from the A_i of
+        ``velocity``: the material derivatives the momentum advects with.
+        ``velocity`` is ``_frozen_velocity`` of the frozen iterate.  ``dlog``
+        is the order-2 derivative set of ``state.log_rho_d``, which does not
+        depend on the velocity."""
         g = self.grid
+        z = g.z[None, None, :]
         u1, u2, w = velocity.values
         wall_w = max(float(np.max(np.abs(w[:, :, 0]))), float(np.max(np.abs(w[:, :, -1]))))
         if wall_w > 1.0e-8 * (1.0 + float(np.max(np.abs(w)))):
             raise ValueError("frozen velocity violates the no-penetration condition")
 
-        du1, du2, dw = velocity.d
-        hx, hy = -0.5 * dt * u1, -0.5 * dt * u2
-        hz = -0.5 * dt * w
-        um1 = self._taylor_eval(u1, du1, hx, hy, hz, order=1)
-        um2 = self._taylor_eval(u2, du2, hx, hy, hz, order=1)
-        umw = self._taylor_eval(w, dw, hx, hy, hz, order=1)
-
-        dx_f, dy_f = -dt * um1, -dt * um2
-        foot_z = np.clip(g.z[None, None, :] - dt * umw, 0.0, 1.0)
-        overshoot = np.max(np.abs((g.z[None, None, :] - dt * umw) - foot_z))
+        # the foot's displacements: -dt times the midpoint velocity
+        a1, a2, aw = velocity.advection
+        half = 0.5 * dt
+        dx_f = -dt * (u1 - half * a1)
+        dy_f = -dt * (u2 - half * a2)
+        foot = z - dt * (w - half * aw)
+        dz_f = np.clip(foot, 0.0, 1.0)
+        overshoot = np.max(np.abs(foot - dz_f))
+        del foot
         if overshoot > dt * max(float(np.max(np.abs(w))), 1e-300):
             warnings.warn(f"characteristic feet clamped to the channel "
                           f"(overshoot {overshoot:.3e})")
-        dz_f = foot_z - g.z[None, None, :]
+        dz_f -= z
 
         log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
                                         dx_f, dy_f, dz_f, order=2)
 
-        div_mid = self._taylor_eval(velocity.div, velocity.grad_div,
-                                    0.5 * dx_f, 0.5 * dy_f, 0.5 * dz_f, order=1)
-        return ScalarField(g, log_at_foot - dt * div_mid)
+        # halved in place: the midpoint of the characteristic
+        for d in (dx_f, dy_f, dz_f):
+            d *= 0.5
+        log_at_foot -= dt * self._taylor_eval(velocity.div, velocity.grad_div,
+                                              dx_f, dy_f, dz_f, order=1)
+        return ScalarField(g, log_at_foot)
 
     # -- explicit right-hand sides ------------------------------------------
 
@@ -275,20 +289,22 @@ class Simulation:
         order temperature, vapor, cloud, rain, momentum, found by assembling
         once more with ``terms``.
 
-        ``velocity`` is ``_frozen_velocity(frozen)``.  Its nine derivatives
-        are freed (``velocity.d`` becomes None) once the momentum advection
-        and drag have used them; ``div`` and ``grad_div`` stay.  The
-        scalars' and log rho_d's coefficients are those ``frozen`` carries.
-        Each scalar's derivative set is formed where its equation is
-        assembled and freed after it; the pressure once its gradient is
-        formed, q_vs once the rates are.  The bundle holds what
-        ``linear_step`` reads."""
+        ``velocity`` is ``_frozen_velocity(frozen)``.  Its A_i and dz u_i
+        become the momentum advection and drag terms in place, and the
+        velocity lets go of them (they are set to None); ``div`` and
+        ``grad_div`` stay.  The scalars' and log rho_d's coefficients are
+        those ``frozen`` carries.  Each array is freed at its last use:
+        each scalar's derivative set after its equation, the pressure once
+        its gradient is formed, q_vs, the clipped variables, T_o, q_v and
+        q_c once the rates are, the rates once their three combinations
+        are, each combination and Q_cp after the terms that read them.  A
+        term that is the number 0.0 is recorded but not added.  The bundle
+        holds what ``linear_step`` reads."""
         c = self.constants
         neu = self.bases.neumann
 
         fT, fv, fc, fr = factors["T"], factors["v"], factors["c"], factors["r"]
         u1, u2, w = velocity.values
-        du1, du2, dw = velocity.d
 
         # homogenized scalars: the lifted values G = frak + psi up front, for
         # the microphysics; each one's derivatives where its equation uses them
@@ -311,16 +327,25 @@ class Simulation:
 
         # dehomogenized physical variables from the frozen state
         T_o = fT.binv_profile * G["T"]
-        q_o = {n: factors[n].binv_profile * G[n] for n in ("v", "c", "r")}
+        q_v, q_c, q_r = (factors[n].binv_profile * G[n] for n in ("v", "c", "r"))
 
         # both kernels compute with the clipped variables, each clipped once;
-        # the nucleation and auto-conversion rates read the raw q_v and q_c
-        T_c, qv_c, qc_c, qr_c = map(positive_values, (T_o, q_o["v"], q_o["c"], q_o["r"]))
-        Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(qv_c, qc_c, qr_c, c)
-        p = pressure_values(rho_vals, q_o["v"], T_o, c)
+        # the nucleation and auto-conversion rates read the raw q_v and q_c.
+        # The rates come first, so that the Q-factors are not alive with them.
+        p = pressure_values(rho_vals, q_v, T_o, c)
         q_vs = self.closure(p, T_o)
-        S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_o["v"], q_o["c"])
-        del T_c, qv_c, qc_c, qr_c, q_vs   # kept, they would raise the step's peak
+        T_c = positive_values(T_o)
+        del T_o
+        qv_c, qc_c, qr_c = map(positive_values, (q_v, q_c, q_r))
+        S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_v, q_c)
+        del T_c, q_vs, q_v, q_c
+        # each equation's exchange term, S_ev - S_cd shared by T and q_v
+        exchange = {"v": S["S_ev"] - S["S_cd"],
+                    "c": S["S_cd"] - S["S_ac"] - S["S_cr"],
+                    "r": S["S_ac"] + S["S_cr"] - S["S_ev"]}
+        del S
+        Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(qv_c, qc_c, qr_c, c)
+        del qv_c, qc_c, qr_c
 
         forcing = {k: fn(t_new) for k, fn in self.forcing.items()}
 
@@ -334,24 +359,27 @@ class Simulation:
                 totals[eq] = [v.copy() if terms is not None else v for v in values]
             else:
                 for total, v in zip(totals[eq], values):
-                    total += v
+                    if not (isinstance(v, float) and v == 0.0):
+                        total += v
 
         # momentum ----------------------------------------------------------
         dp = sp.derivs(sp.to_modal_values(p, neu), neu)
         del p
         add("momentum", "pressure_gradient", *(np.negative(dp[k], out=dp[k]) for k in "xyz"))
-        rQm = rho_vals * Q_m
-        add("momentum", "advection",
-            -rQm * (u1 * du1["x"] + u2 * du1["y"] + w * du1["z"]),
-            -rQm * (u1 * du2["x"] + u2 * du2["y"] + w * du2["z"]),
-            -rQm * (u1 * dw["x"] + u2 * dw["y"] + w * dw["z"]))
-        drag = rho_vals * q_o["r"] * self.v_r
-        add("momentum", "sedimentation_drag", drag * du1["z"], drag * du2["z"], drag * dw["z"])
-        # nothing below reads the velocity's nine derivatives: free them
-        del drag, du1, du2, dw
-        velocity.d = None
-        add("momentum", "gravity", 0.0, 0.0, -rQm * c.g)
-        del rQm
+        # nothing below reads the velocity's A_i and dz u_i: their arrays
+        # become the advection and drag terms in place
+        minus_rQm = -(rho_vals * Q_m)
+        for a in velocity.advection:
+            a *= minus_rQm
+        add("momentum", "advection", *velocity.advection)
+        drag = rho_vals * q_r * self.v_r
+        for d in velocity.dz:
+            d *= drag
+        add("momentum", "sedimentation_drag", *velocity.dz)
+        del drag
+        velocity.advection = velocity.dz = None
+        add("momentum", "gravity", 0.0, 0.0, minus_rQm * c.g)
+        del minus_rQm
         if any(k in forcing for k in ("u1", "u2", "w")):
             add("momentum", "forcing", *(forcing.get(k, 0.0) for k in ("u1", "u2", "w")))
 
@@ -360,7 +388,7 @@ class Simulation:
         G_T, ap_T = G["T"], fT.dz_log_b
         add("temperature", "advection", -Q_th * (u1 * lT["x"] + u2 * lT["y"] + w * lT["z"]))
         add("temperature", "sedimentation",
-            c.c_l * q_o["r"] * self.v_r * (lT["z"] - ap_T * G_T))
+            c.c_l * q_r * self.v_r * (lT["z"] - ap_T * G_T))
         lifting = -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T
         del lT
         if not fT.psi.is_zero:
@@ -368,18 +396,16 @@ class Simulation:
         add("temperature", "robin_correction", Q_th * w * ap_T * G_T + c.kappa * lifting)
         del lifting
         add("temperature", "compression", Q_cp * G_T * velocity.div)
-        add("temperature", "phase_heat",
-            -(Q_1 * G_T + Q_2 * fT.b_profile) * (S["S_ev"] - S["S_cd"]))
+        del Q_cp
+        add("temperature", "phase_heat", -(Q_1 * G_T + Q_2 * fT.b_profile) * exchange["v"])
         if fT.psi_rate is not None:
             add("temperature", "psi_tendency", -Q_th * fT.psi_rate.values())
         if "T" in forcing:
             add("temperature", "forcing", forcing["T"])
 
         # moisture ------------------------------------------------------------
-        for eq, name, fac, source_term, fkey in (
-                ("vapor", "v", fv, S["S_ev"] - S["S_cd"], "qv"),
-                ("cloud", "c", fc, S["S_cd"] - S["S_ac"] - S["S_cr"], "qc"),
-                ("rain", "r", fr, S["S_ac"] + S["S_cr"] - S["S_ev"], "qr")):
+        for eq, name, fac, fkey in (("vapor", "v", fv, "qv"), ("cloud", "c", fc, "qc"),
+                                    ("rain", "r", fr, "qr")):
             l = lifted_derivs(name)
             ap = fac.dz_log_b
             add(eq, "advection", -(u1 * l["x"] + u2 * l["y"] + w * l["z"]))
@@ -388,7 +414,7 @@ class Simulation:
                 robin += fac.psi.laplacian_values()
             add(eq, "robin_correction", robin)
             del robin
-            add(eq, "sources", fac.b_profile * source_term)
+            add(eq, "sources", fac.b_profile * exchange.pop(name))
             if fac.psi_rate is not None:
                 add(eq, "psi_tendency", -fac.psi_rate.values())
             if fkey in forcing:
@@ -431,15 +457,22 @@ class Simulation:
         transforms apply the 2/3 rule, so the new coefficients are 0 outside
         the kept block, and the inverse transforms run on that block alone.
 
-        ``velocity`` is ``_frozen_velocity(frozen)``.  The returned state
-        carries the coefficients of its fields, with those of the frozen
-        log rho_d, as ``State.modal``.  The solves read the totals of
-        ``assemble_rhs``, which has checked that they are finite."""
+        ``velocity`` is ``_frozen_velocity(frozen)``, which the step uses
+        up: ``assemble_rhs`` frees its A_i and dz u_i, and this step its
+        div u and grad div u once the momentum data are formed.  The
+        returned state carries the coefficients of its fields, with those of
+        the frozen log rho_d, as ``State.modal``.  The solves read the
+        totals of ``assemble_rhs``, which has checked that they are finite;
+        each total is freed after its solve, and each solve's data and
+        coefficient fields before the next large allocation."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
         rho_vals = np.exp(frozen.log_rho_d.values)
         rhs = self.assemble_rhs(frozen, rho_vals, factors, current.time + dt, velocity)
+        totals = {"qv": rhs.vapor, "qc": rhs.cloud, "qr": rhs.rain, "T": rhs.temperature}
+        I, Q_m, Q_th = rhs.momentum, rhs.Q_m, rhs.Q_th
+        del rhs
 
         def lagged_laplacian(name):
             # formed where its solve uses it, so that at most one is in memory;
@@ -451,37 +484,38 @@ class Simulation:
         # moisture first, then temperature, then momentum (declared splitting
         # order; the right-hand sides all come from the same frozen state)
         new = {}
-        for key, total, cur in (("qv", rhs.vapor, current.frak_q_v),
-                                ("qc", rhs.cloud, current.frak_q_c),
-                                ("qr", rhs.rain, current.frak_q_r)):
-            new[key] = sp.helmholtz_modal(cur.values + dt * total, dt, neu, True)
+        for key, cur in (("qv", current.frak_q_v), ("qc", current.frak_q_c),
+                         ("qr", current.frak_q_r)):
+            new[key] = sp.helmholtz_modal(cur.values + dt * totals.pop(key), dt, neu, True)
 
         # temperature: divide by the mass factor, solve with the domain-mean
         # diffusivity, lag the deviation times the frozen Laplacian
-        Q_th = rhs.Q_th
         nu_T = c.kappa / Q_th
         nu_T_bar = float(np.mean(nu_T))
         gT = current.frak_T.values + dt * (
-            rhs.temperature / Q_th
+            totals.pop("T") / Q_th
             + (nu_T - nu_T_bar) * lagged_laplacian("T"))
+        del nu_T, Q_th
         new["T"] = sp.helmholtz_modal(gT, nu_T_bar * dt, neu, True)
+        del gT
 
         # momentum: same mean-coefficient splitting for both viscous operators
-        M = rho_vals * rhs.Q_m
+        M = rho_vals * Q_m
+        del rho_vals, Q_m
         nu = c.mu / M
         nul = (c.mu + c.lam) / M
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
-        I = rhs.momentum
-        # free the other totals before the largest solve
-        del rhs
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
         gu = [cur_u[i] + dt * (I[i] / M
                                + (nu - nu_bar) * lagged_laplacian(name)
                                + (nul - nul_bar) * velocity.grad_div[k])
               for i, (name, k) in enumerate(zip(("u1", "u2", "w"), "xyz"))]
+        del I, M, nu, nul
+        velocity.div = velocity.grad_div = None
         new["u1"], new["u2"], new["w"] = sp.vector_helmholtz_modal(
             gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, True)
+        del gu
 
         new = {name: new[name] for name in dg.ITERATED}
         vals = {name: sp.to_phys_values(m, dg.iterated_basis(name, self.bases), True)

@@ -301,9 +301,11 @@ def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
       (numpy's FFT is several times slower along a strided axis), through
       one ifft over x in place, and by a transposing copy into its (Re, Im)
       rows of one stacked real array, x ahead of z;
-    - each distinct (x, y) order pair is one real y-gemm on that array;
+    - each distinct (x, y) order pair is one real y-gemm on that array,
+      which is freed after the last of them;
     - each output is one product with its z-matrix, written through the
-      (y, x, z) view of the C-ordered result."""
+      (y, x, z) view of the C-ordered result; a y-gemm's product is freed
+      after the last output that reads it."""
     x, y, z = basis.inverse_matrices(dealias)
     nx, ny, nz = basis.grid.shape
     nky, nmz = _extents(basis, dealias)
@@ -318,14 +320,21 @@ def _inverse_set(modal: np.ndarray, basis: Basis, orders: list,
         re_im[a, 1] = xs.imag.transpose(0, 2, 1)
     del xs          # freed before the outputs are allocated
     re_im = re_im.reshape(nxm, 2 * nky, nx * nmz)
+    last = {(a, b): i for i, (a, b, _) in enumerate(orders)}
+    gemms_left = len(last)
     ys = {}
     out = []
-    for a, b, c in orders:
+    for i, (a, b, c) in enumerate(orders):
         if (a, b) not in ys:
             ys[a, b] = (y[b] @ re_im[a]).reshape(ny, nx, nmz)
+            gemms_left -= 1
+            if not gemms_left:
+                del re_im
         vals = np.empty((nx, ny, nz))
         np.matmul(ys[a, b], z[c], out=vals.transpose(1, 0, 2))
         out.append(vals)
+        if last[a, b] == i:
+            del ys[a, b]
     return out
 
 

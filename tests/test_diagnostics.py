@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import moistflow as mf
-from moistflow.diagnostics import COLUMNS, compute_row, with_coefficients
+from moistflow.diagnostics import COLUMNS, _negative_l2, compute_row, with_coefficients
 from moistflow.fields import ScalarField
 
 from conftest import random_band_limited
@@ -87,6 +87,22 @@ class TestNegativityMonitor:
         neg = mf.negative_part(ScalarField(grid8, vals)).values
         expected = np.sqrt(np.sum(neg**2 * grid8.quad_weights()))
         assert out[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_negative_l2_nonfinite(self, grid8, bases8):
+        """The squared negative part is min(f, 0)^2, bitwise ((|f| - f)/2)^2;
+        a NaN or a -inf makes the norm non-finite, and a +inf, whose
+        negative part is 0, makes the row's norms of that field so."""
+        w = grid8.quad_weights()
+        vals = random_band_limited(grid8, bases8, seed=12)
+        vals[0, 0, 0] = -0.0
+        old = (np.abs(vals) - vals) * 0.5
+        assert _negative_l2(vals, w) == float(np.sqrt(np.sum(old * old * w)))
+        for bad, finite in ((np.nan, False), (-np.inf, False), (np.inf, True)):
+            vals[1, 2, 3] = bad
+            assert np.isfinite(_negative_l2(vals, w)) == finite, bad
+            row = compute_row(self._state(grid8, vals), self._factors(grid8), bases8, step=0)
+            assert not all(np.isfinite(row.norms["T"])), bad
 
     def test_row_reports_the_monitor(self, grid8, bases8):
         """The neg_* values of a diagnostics row are the monitor's, bitwise."""

@@ -7,7 +7,7 @@ import pytest
 
 import moistflow as mf
 from moistflow.fields import (MODAL_FILE, MODAL_NAMES, ScalarField, State,
-                              VectorField, save_field)
+                              VectorField, positive_values, save_field)
 from moistflow.spectral_ops import to_modal_values, to_phys_values
 
 from conftest import random_band_limited
@@ -57,6 +57,19 @@ class TestSignParts:
         f = ScalarField(grid8, vals)
         prod = mf.positive_part(f).values * mf.negative_part(f).values
         assert np.all(prod == 0.0)
+
+    def test_positive_values_nonfinite_and_signed_zero(self):
+        """positive_values is max(a, 0): bitwise (|a| + a)/2 wherever that
+        does not overflow, +0.0 for -0.0, and NaN and +inf kept, so that
+        they reach the finite checks (the raw value carries a -inf there,
+        whose positive part is 0)."""
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 300, 4000)
+        a = np.concatenate([a, [-0.0, 0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]])
+        got = positive_values(a)
+        assert np.isnan(got[-3]) and got[-2] == np.inf and got[-1] == 0.0
+        assert not np.any(np.signbit(got[:-3]))
+        assert got[:-3].tobytes() == ((np.abs(a[:-3]) + a[:-3]) * 0.5).tobytes()
 
     def test_decomposition_exact(self, grid8, bases8):
         vals = random_band_limited(grid8, bases8, seed=3)
