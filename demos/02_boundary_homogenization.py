@@ -36,7 +36,7 @@ print(f"wall-derivative residual: bottom "
       f"{np.linalg.norm(dz[:, :, 0] - hb) / np.linalg.norm(hb):.2e}, top "
       f"{np.linalg.norm(dz[:, :, -1] - ht) / np.linalg.norm(ht):.2e}")
 report = mf.trace_norm_check(ext, hb, ht)
-for s, entry in report.entries.items():
+for s, entry in report.items():
     print(f"trace bound, s={s}: |psi|_(s+3/2) / |data|_s = {entry.ratio:.3f}")
 
 print("\n== homogenize / dehomogenize ==")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -301,15 +301,14 @@ def extend(h_bottom, h_top, grid: Grid) -> ScalarField:
 @dataclass
 class VariableBoundary:
     """Robin coefficients and data for one variable.  Data entries may be
-    scalars, coefficient arrays, mode tables, or callables of time; an
-    optional analytic rate callable supplies d/dt of the data."""
+    scalars, coefficient arrays, mode tables, or callables of time; the
+    rate of callable data is the step's difference quotient (see
+    ``build_factors``)."""
 
     alpha_bottom: float = 0.0
     alpha_top: float = 0.0
     data_bottom: object = 0.0
     data_top: object = 0.0
-    rate_bottom: Callable | None = None
-    rate_top: Callable | None = None
 
     @property
     def time_dependent(self) -> bool:
@@ -390,8 +389,9 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
     """Build homogenization factors for every variable at time t.
 
     psi is the extension of alpha * exp(A) * F_b per wall.  For
-    time-dependent data without a registered analytic rate, d/dt psi is
-    finite-differenced from evaluations at t and t + dt (dt required).
+    time-dependent data, psi_t is (psi(t + dt) - psi(t)) / dt (dt
+    required): the rate that makes a step's update of frak_F = B F - psi
+    equal to its update of B F.  Static data have no psi_t.
     """
     factors = {}
     for var, vb in spec.variables.items():
@@ -406,11 +406,7 @@ def build_factors(spec: BoundarySpec, grid: Grid, t: float = 0.0,
 
         psi = lifted(_eval_data(vb.data_bottom, t), _eval_data(vb.data_top, t))
         psi_rate = None
-        if vb.rate_bottom is not None or vb.rate_top is not None:
-            psi_rate = lifted(
-                vb.rate_bottom(t) if vb.rate_bottom is not None else 0.0,
-                vb.rate_top(t) if vb.rate_top is not None else 0.0)
-        elif vb.time_dependent:
+        if vb.time_dependent:
             if dt is None or dt <= 0.0:
                 raise ValueError("time-dependent boundary data requires dt for "
                                  "the finite-difference psi rate")
@@ -454,11 +450,6 @@ class TraceEntry:
     ratio: float
 
 
-@dataclass
-class TraceReport:
-    entries: dict  # s -> TraceEntry
-
-
 def _boundary_norm_sq(beta_b: np.ndarray, beta_t: np.ndarray, s: int) -> float:
     nx, ny = beta_b.shape
     k1 = np.fft.fftfreq(nx, d=1.0 / nx)
@@ -467,11 +458,11 @@ def _boundary_norm_sq(beta_b: np.ndarray, beta_t: np.ndarray, s: int) -> float:
     return 4.0 * float(np.sum(w * (np.abs(beta_b) ** 2 + np.abs(beta_t) ** 2)))
 
 
-def _psi_integer_norms(ext: BoundaryExtension, refine: int = 4):
+def _psi_integer_norms(ext: BoundaryExtension):
     """(H1, H2) norms of the extension from analytic derivative profiles on
-    a Simpson-refined vertical quadrature grid."""
+    a Simpson quadrature grid 4 times finer in z than the grid's."""
     g = ext.grid
-    nfine = refine * (g.nz - 1) + 1
+    nfine = 4 * (g.nz - 1) + 1
     z = np.linspace(0.0, 1.0, nfine)
     h = z[1] - z[0]
     w = np.ones(nfine)
@@ -496,9 +487,10 @@ def _psi_integer_norms(ext: BoundaryExtension, refine: int = 4):
     return np.sqrt(h1_sq), np.sqrt(h2_sq)
 
 
-def trace_norm_check(psi: BoundaryExtension, h_bottom, h_top) -> TraceReport:
+def trace_norm_check(psi: BoundaryExtension, h_bottom, h_top) -> dict:
     """Empirical constants in the trace-lifting bound: the ratio of the
-    extension's H^(s+3/2) norm to the data's H^s boundary norm, s in {0, 1}.
+    extension's H^(s+3/2) norm to the data's H^s boundary norm, as a
+    ``TraceEntry`` for each s in {0, 1}.
 
     Half-integer norms are the empirical functionals
     H^(3/2) = sqrt(H1 * H2) and H^(5/2) = H2 * sqrt(H2 / H1) (log-linear
@@ -517,4 +509,4 @@ def trace_norm_check(psi: BoundaryExtension, h_bottom, h_top) -> TraceReport:
         nd = np.sqrt(_boundary_norm_sq(beta_b, beta_t, s))
         ratio = psi_norm[s] / nd if nd > 0.0 else 0.0
         entries[s] = TraceEntry(float(psi_norm[s]), float(nd), float(ratio))
-    return TraceReport(entries)
+    return entries

@@ -314,13 +314,12 @@ def build_simulation(rc: RunConfig):
     constants = rc.constants()
     alphas = {var: (rc[f"boundary.{var}.alpha_bottom"],
                     rc[f"boundary.{var}.alpha_top"]) for var in BOUNDARY_VARS}
-    params = {"T0": rc["ic.T0"], "rho0": rc["ic.rho0"],
-              "sat_ratio": rc["ic.sat_ratio"], "qc_seed": rc["ic.qc_seed"],
-              "qr_seed": rc["ic.qr_seed"]}
-    if rc["ic.amplitude"] > 0.0:
-        params["amplitude"] = rc["ic.amplitude"]
-    state, bspec = preset_initial(rc["ic.preset"], grid, constants,
-                                  alphas=alphas, params=params)
+    state, bspec = preset_initial(
+        rc["ic.preset"], grid, constants, alphas=alphas,
+        T0=rc["ic.T0"], rho0=rc["ic.rho0"],
+        amplitude=rc["ic.amplitude"] if rc["ic.amplitude"] > 0.0 else None,
+        sat_ratio=rc["ic.sat_ratio"], qc_seed=rc["ic.qc_seed"],
+        qr_seed=rc["ic.qr_seed"])
     for var in BOUNDARY_VARS:
         for side, attr in (("bottom", "data_bottom"), ("top", "data_top")):
             override = rc[f"boundary.{var}.value_{side}"]

@@ -60,15 +60,14 @@ class DiagnosticsRow:
         return vals
 
 
-def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair,
-                 kind: str = sp.NEUMANN) -> float:
-    """H^k norm, k in {0, 1, 2}: one term per distinct multi-index, spectral
-    derivatives, exact quadrature of the modal representation."""
+def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair) -> float:
+    """H^k norm, k in {0, 1, 2}, of a field in the cosine basis: one term per
+    distinct multi-index, spectral derivatives, exact quadrature of the
+    modal representation."""
     if order not in (0, 1, 2):
         raise ValueError("sobolev_norm supports orders 0, 1, 2 only")
-    basis = bases.neumann if kind == sp.NEUMANN else bases.dirichlet
-    modal = sp.to_modal_values(f.values, basis)
-    return float(np.sqrt(sp.modal_sobolev_sq(modal, basis, order)))
+    modal = sp.to_modal_values(f.values, bases.neumann)
+    return float(np.sqrt(sp.modal_sobolev_sq(modal, bases.neumann, order)))
 
 
 def _norm_triplet(modal: np.ndarray, basis) -> tuple:

@@ -228,8 +228,8 @@ def positive_part(f: ScalarField) -> ScalarField:
 
 
 def negative_part(f: ScalarField) -> ScalarField:
-    """Pointwise f- = (|f| - f)/2, so f+ - f- = f and f+ * f- = 0."""
-    return ScalarField(f.grid, (np.abs(f.values) - f.values) * 0.5)
+    """Pointwise f- = (-f)+, so f+ - f- = f and f+ * f- = 0."""
+    return ScalarField(f.grid, positive_values(-f.values))
 
 
 @dataclass
@@ -372,13 +372,13 @@ def _load_modal(path, time: float, grid: Grid) -> dict:
         return modal
 
 
-def load_state(dirpath, grid: Grid | None = None) -> State:
+def load_state(dirpath) -> State:
     """Read the fields that save_state wrote; all eight must carry the same
-    time, so that a directory mixing two states is rejected.  The
+    time and grid, so that a directory mixing two states is rejected.  The
     coefficients that save_modal wrote are restored when present; their
     time and grid must be the fields'."""
     loaded = {}
-    time = None
+    time = grid = None
     for name in STATE_FIELD_NAMES:
         f, fname, t = load_field(os.path.join(dirpath, name + ".dat"), grid)
         if fname != name:

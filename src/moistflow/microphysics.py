@@ -30,22 +30,18 @@ class SaturationClosure:
         q_vs = q_vs_star * s(T) * p_ref / (p_ref + p+),
         s(T) = clip(2 T^2 / (T^2 + T_ref^2), 0, 1),  s(T) = 0 for T <= 0,
 
-    which satisfies all of the above by construction.  User closures are
-    sample-audited at registration.
+    which satisfies all of the above by construction.  Another closure is
+    plugged in as ``func(p, T)``, and is sample-audited here; ``func=None``
+    means the default closure.
     """
 
     constants: PhysConstants
-    kind: str = "default"
-    func: Callable = dc_field(default=None, repr=False)
+    func: Callable | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         # the default closure keeps func None: a stored bound method would
         # make a reference cycle through the instance
-        if self.kind == "default":
-            self.func = None
-        elif self.func is None:
-            raise ValueError("user-plugged closure requires a callable")
-        else:
+        if self.func is not None:
             self._audit()
 
     def _default(self, p: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -64,12 +60,12 @@ class SaturationClosure:
         c = self.constants
         return (c.q_vs_star / c.p_ref, 1.3 * c.q_vs_star / c.T_ref)
 
-    def _audit(self, samples: int = 400):
-        """Sampled bound/sign audit for user-plugged closures."""
+    def _audit(self):
+        """Bound/sign audit of a plugged-in closure on 400 random samples."""
         c = self.constants
         rng = np.random.default_rng(0)
-        p = np.abs(rng.normal(scale=3.0 * c.p_ref, size=samples))
-        T = rng.normal(scale=3.0 * c.T_ref, size=samples)
+        p = np.abs(rng.normal(scale=3.0 * c.p_ref, size=400))
+        T = rng.normal(scale=3.0 * c.T_ref, size=400)
         q = np.asarray(self.func(p, T))
         if np.any(q < 0.0) or np.any(q > c.q_vs_star * (1.0 + 1e-12)):
             raise ValueError("saturation closure violates 0 <= q_vs <= q_vs_star")
@@ -102,8 +98,6 @@ class SourceBundle:
     S_cd: ScalarField
     S_ac: ScalarField
     S_cr: ScalarField
-    clipped: bool
-    q_vs_used: ScalarField
 
 
 def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
@@ -145,8 +139,7 @@ def sources(T: ScalarField, q_v: ScalarField, q_c: ScalarField, q_r: ScalarField
         args = tuple(map(_pos, args))
     rates = source_values(*args, q_vs.values, constants, q_v.values, q_c.values)
     return SourceBundle(*(ScalarField(grid, rates[k])
-                          for k in ("S_ev", "S_cd", "S_ac", "S_cr")),
-                        clipped, q_vs)
+                          for k in ("S_ev", "S_cd", "S_ac", "S_cr")))
 
 
 def water_exchange_residual(bundle: SourceBundle) -> ScalarField:

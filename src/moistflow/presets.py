@@ -70,23 +70,31 @@ def _default_alphas(name: str) -> dict:
 
 
 def preset_initial(name: str, grid: Grid, constants: PhysConstants,
-                   alphas: dict | None = None, params: dict | None = None):
+                   alphas: dict | None = None, *, T0: float = 0.0,
+                   rho0: float = 0.0, amplitude: float | None = None,
+                   sat_ratio: float = 1.1, qc_seed: float = 2.0e-3,
+                   qr_seed: float = 5.0e-4):
     """Build an initial state and its matching boundary specification.
 
     Returns (State, BoundarySpec): boundary data values are chosen to match
     the wall traces of the initial fields so the state satisfies the
     discrete Robin conditions for the given alpha coefficients.
+
+    ``T0`` is the base temperature (0 means ``constants.T_ref``) and
+    ``rho0`` the density at z = 0 (0 means p_ref / (R_d T0)).
+    ``amplitude`` is the thermal bubble's peak (None means 0.01 T0).  The
+    saturated layer's vapour band peaks at ``sat_ratio`` times the default
+    closure's q_vs at mid-height, and ``qc_seed`` and ``qr_seed`` are the
+    peaks of its cloud and rain bands.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    params = dict(params or {})
-    sat_ratio = float(params.get("sat_ratio", 1.1))
     if sat_ratio < 0.0:
         raise ValueError("sat_ratio must be nonnegative")
     alphas = alphas if alphas is not None else _default_alphas(name)
 
-    T0 = float(params.get("T0") or constants.T_ref)
-    rho0 = float(params.get("rho0") or constants.p_ref / (constants.R_d * T0))
+    T0 = float(T0 or constants.T_ref)
+    rho0 = float(rho0 or constants.p_ref / (constants.R_d * T0))
 
     X = grid.x[:, None, None]
     Y = grid.y[None, :, None]
@@ -103,27 +111,21 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
     qr = np.zeros(shape)
 
     if name == "thermal_bubble":
-        amp = float(params.get("amplitude", 0.01 * T0))
+        amp = 0.01 * T0 if amplitude is None else float(amplitude)
         T_vals = np.broadcast_to(
             T_vals + amp * _bump_x(X) * _bump_x(Y) * _bump_z(Z), shape).copy()
     elif name == "saturated_layer":
-        closure = params.get("closure") or SaturationClosure(constants)
         p_mid = rho_col[(grid.nz - 1) // 2] * constants.R_d * T0
-        q_vs_mid = float(closure(np.array([p_mid]), np.array([T0]))[0])
+        q_vs_mid = float(SaturationClosure(constants)(np.array([p_mid]),
+                                                      np.array([T0]))[0])
         band = _bump_z(Z, power=3)
         hmod = 0.8 + 0.2 * _bump_x(X) * _bump_x(Y)
         qv = np.broadcast_to(sat_ratio * q_vs_mid * band * hmod, shape).copy()
-        qc = np.broadcast_to(
-            float(params.get("qc_seed", 2.0e-3)) * band * _bump_x(X) * _bump_x(Y),
-            shape).copy()
-        qr = np.broadcast_to(
-            float(params.get("qr_seed", 5.0e-4)) * band
-            * ((1.0 + np.sin(np.pi * X)) / 2.0) ** 2, shape).copy()
+        qc = np.broadcast_to(qc_seed * band * _bump_x(X) * _bump_x(Y), shape).copy()
+        qr = np.broadcast_to(qr_seed * band * ((1.0 + np.sin(np.pi * X)) / 2.0) ** 2,
+                             shape).copy()
     elif name == "manufactured":
-        a_r = float(params.get("a_r", 0.05))
-        a_u = float(params.get("a_u", 0.1))
-        a_T = float(params.get("a_T", 0.02))
-        a_q = float(params.get("a_q", 1.0e-3))
+        a_r, a_u, a_T, a_q = 0.05, 0.1, 0.02, 1.0e-3
         log_rho = ScalarField(grid, log_rho.values
                               + a_r * np.cos(np.pi * X) * np.cos(np.pi * Z))
         u = VectorField(

@@ -45,6 +45,15 @@ V_R_PROFILES = {
 }
 
 
+def _whole_steps(t: float, dt: float, what: str) -> int:
+    """The number of steps of ``dt`` from 0 to ``t``; a ValueError naming
+    ``what`` unless it is whole to 1e-9 relative."""
+    n = round(t / dt)
+    if abs(n * dt - t) > 1.0e-9 * abs(t):
+        raise ValueError(f"{what} {t!r} is not a whole number of steps of dt {dt!r}")
+    return n
+
+
 @dataclass
 class SolverConfig:
     dt: float = 1.0e-3
@@ -65,10 +74,7 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
-        n_steps = round(self.t_end / self.dt)
-        if abs(n_steps * self.dt - self.t_end) > 1.0e-9 * self.t_end:
-            raise ValueError(f"t_end {self.t_end!r} is not a whole number of "
-                             f"steps of dt {self.dt!r}")
+        _whole_steps(self.t_end, self.dt, "t_end")
         if self.mode not in ("picard", "direct"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.picard_tol <= 0.0:
@@ -692,22 +698,26 @@ class Simulation:
         ``out_dir``, if any.  Rejected steps are retried at half the step
         size.  ``initial_report`` is the report of the step that made
         ``initial``, for the initial row: a resumed run passes its
-        checkpoint's (``read_checkpoint``)."""
+        checkpoint's (``read_checkpoint``).  ``initial.time`` must be a
+        whole number of steps and not past t_end: a ValueError otherwise."""
         cfg = self.config
         t0 = _time.perf_counter()
+        # a run resumed from a checkpoint keeps the step numbers of the
+        # uninterrupted run
+        step = _whole_steps(initial.time, cfg.dt, "initial time")
+        n_steps = _whole_steps(cfg.t_end, cfg.dt, "t_end") - step
+        if n_steps < 0:
+            raise ValueError(f"initial time {initial.time!r} is past t_end "
+                             f"{cfg.t_end!r}")
         # every state of the run carries its coefficients: attached here,
         # kept by each step's solves and by the positivity fixer
         state = dg.with_coefficients(initial, self.bases)
         self._rejections = self._positivity_fixes = 0
-        # a run resumed from a checkpoint keeps the step numbers of the
-        # uninterrupted run (SolverConfig guarantees whole steps)
-        step = round(initial.time / cfg.dt)
-        n_steps = int(round((cfg.t_end - initial.time) / cfg.dt))
         with RunRecorder(self, out_dir) as recorder:
             factors = self.factors_at(state.time, cfg.dt)
             recorder.record(state, dg.compute_row(state, factors, self.bases, step=step,
                                                   picard_report=initial_report))
-            for _ in range(max(n_steps, 0)):
+            for _ in range(n_steps):
                 tic = _time.perf_counter()
                 try:
                     state, report = self._advance(state, cfg.dt)

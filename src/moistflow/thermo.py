@@ -28,7 +28,6 @@ class QFactors:
     Q_cp: ScalarField
     Q_1: float
     Q_2: float
-    clipped: bool
 
 
 def mixed_heat_capacity(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
@@ -119,4 +118,4 @@ def q_factors(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
         q = tuple(map(_pos, q))
     Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(*q, constants)
     return QFactors(ScalarField(grid, Q_m), ScalarField(grid, Q_th),
-                    ScalarField(grid, Q_cp), Q_1, Q_2, clipped)
+                    ScalarField(grid, Q_cp), Q_1, Q_2)

@@ -25,8 +25,7 @@ def mms_constants():
 
 def mms_closure(constants):
     return mf.SaturationClosure(
-        constants, kind="user",
-        func=lambda p, T: np.where(np.asarray(T) > 0.0, Q0, 0.0))
+        constants, func=lambda p, T: np.where(np.asarray(T) > 0.0, Q0, 0.0))
 
 
 def exact_qv(grid, t):
@@ -41,7 +40,7 @@ def build_mms_problem(grid, dt, t_end):
     constants = mms_constants()
     closure = mms_closure(constants)
     state, bspec = mf.preset_initial("equilibrium", grid, constants,
-                                     params={"T0": T0, "rho0": 1.0})
+                                     T0=T0, rho0=1.0)
     state.frak_q_v = mf.ScalarField(grid, exact_qv(grid, 0.0))
 
     X = grid.x[:, None, None]

@@ -262,23 +262,19 @@ class TestFactors:
         facp = build_factors(spec, grid8, t=0.5 + dt, dt=dt)["T"]
         fd = (facp.psi.values() - fac0.psi.values()) / dt
         assert np.allclose(rate, fd, rtol=1e-9, atol=1e-12)
+        # each wall's rate is its own: alpha B d/dt of that wall's data
+        prof = robin_profile(-1.0, 1.0)
+        dz_rate = fac.psi_rate.dz_values()
+        assert np.allclose(dz_rate[..., 0], -1.0 * float(prof.B(0.0)), rtol=1e-9)
+        assert np.allclose(dz_rate[..., -1], -1.0 * float(prof.B(1.0)), rtol=1e-9)
+        with pytest.raises(TypeError):
+            VariableBoundary(-1.0, 1.0, 0.0, 0.0, rate_top=lambda t: 1.0)
 
     def test_time_dependent_without_dt_rejected(self, grid8):
         spec = BoundarySpec()
         spec.variables["T"] = VariableBoundary(0.0, 0.0, lambda t: t, 0.0)
         with pytest.raises(ValueError, match="dt"):
             build_factors(spec, grid8, t=0.0)
-
-    def test_analytic_rate_used_when_registered(self, grid8):
-        spec = BoundarySpec()
-        spec.variables["T"] = VariableBoundary(
-            -1.0, 1.0, lambda t: np.sin(t), 0.0,
-            rate_bottom=lambda t: np.cos(t))
-        fac = build_factors(spec, grid8, t=0.3, dt=1e-3)["T"]
-        prof = robin_profile(-1.0, 1.0)
-        expected_scale = -1.0 * float(prof.B(0.0)) * np.cos(0.3)
-        ext = build_extension(expected_scale, 0.0, grid8)
-        assert np.allclose(fac.psi_rate.values(), ext.values(), atol=1e-14)
 
     def test_spec_validation(self):
         spec = BoundarySpec()
@@ -291,8 +287,8 @@ class TestTraceNorm:
     def test_zero_data(self, grid8):
         ext = build_extension(0.0, 0.0, grid8)
         report = trace_norm_check(ext, 0.0, 0.0)
-        assert report.entries[0].ratio == 0.0
-        assert report.entries[1].ratio == 0.0
+        assert report[0].ratio == 0.0
+        assert report[1].ratio == 0.0
 
     def test_single_mode_against_dense_quadrature_oracle(self, grid16):
         """Independent oracle: rebuild the single-mode profile from its
@@ -321,7 +317,7 @@ class TestTraceNorm:
         psi_h15 = (np.sqrt(h1) * np.sqrt(h2)) ** 0.5
         data_h0 = np.sqrt(4.0 * 2.0 * 0.25)  # two coefficients of 1/2 on one face
         expected_ratio = psi_h15 / data_h0
-        assert report.entries[0].ratio == pytest.approx(expected_ratio, rel=0.05)
+        assert report[0].ratio == pytest.approx(expected_ratio, rel=0.05)
 
     def test_ratio_stable_under_resolution_doubling(self):
         g1 = mf.make_grid(16, 16, 17)
@@ -332,6 +328,5 @@ class TestTraceNorm:
         r1 = trace_norm_check(build_extension(hb, ht, g1), hb, ht)
         r2 = trace_norm_check(build_extension(hb, ht, g2), hb, ht)
         for s in (0, 1):
-            assert np.isfinite(r1.entries[s].ratio)
-            assert r1.entries[s].ratio == pytest.approx(r2.entries[s].ratio,
-                                                        rel=0.10)
+            assert np.isfinite(r1[s].ratio)
+            assert r1[s].ratio == pytest.approx(r2[s].ratio, rel=0.10)

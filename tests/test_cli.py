@@ -163,8 +163,7 @@ class TestPresets:
 
     def test_zero_amplitude_bubble_equals_equilibrium(self, grid16, nondim):
         eq, _ = mf.preset_initial("equilibrium", grid16, nondim)
-        bb, _ = mf.preset_initial("thermal_bubble", grid16, nondim,
-                                  params={"amplitude": 0.0})
+        bb, _ = mf.preset_initial("thermal_bubble", grid16, nondim, amplitude=0.0)
         assert np.array_equal(eq.frak_T.values, bb.frak_T.values)
         assert np.array_equal(eq.log_rho_d.values, bb.log_rho_d.values)
 
@@ -190,9 +189,20 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             mf.preset_initial("vortex", grid8, nondim)
 
+    def test_sat_ratio_scales_vapour(self, grid8, nondim):
+        """sat_ratio scales q_v, whose wall data are 0, against the default
+        1.1; the removed params= dict is an error."""
+        ref, _ = mf.preset_initial("saturated_layer", grid8, nondim)
+        got, _ = mf.preset_initial("saturated_layer", grid8, nondim, sat_ratio=2.0)
+        assert np.max(ref.frak_q_v.values) > 0.0
+        np.testing.assert_allclose(got.frak_q_v.values,
+                                   ref.frak_q_v.values * (2.0 / 1.1), rtol=1e-14)
+        with pytest.raises(TypeError):
+            mf.preset_initial("saturated_layer", grid8, nondim, params={"sat_ratio": 2.0})
+
     def test_negative_sat_ratio_rejected(self, grid8, nondim):
         with pytest.raises(ValueError, match="sat_ratio must be nonnegative"):
-            mf.preset_initial("saturated_layer", grid8, nondim, params={"sat_ratio": -3.0})
+            mf.preset_initial("saturated_layer", grid8, nondim, sat_ratio=-3.0)
 
     def test_presets_satisfy_discrete_robin_condition(self, grid16, nondim, bases16):
         """Wall-normal derivative of the homogenized fields vanishes in the

@@ -71,6 +71,24 @@ class TestSignParts:
         assert not np.any(np.signbit(got[:-3]))
         assert got[:-3].tobytes() == ((np.abs(a[:-3]) + a[:-3]) * 0.5).tobytes()
 
+    def test_negative_part_nonfinite_and_overflow(self, grid8):
+        """negative_part is (-f)+: bitwise (|f| - f)/2 on finite values below
+        half the largest double, +inf maps to 0 and NaN stays NaN, and a
+        negative value beyond half the largest double maps to its magnitude
+        where (|f| - f)/2 overflowed to inf."""
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal(grid8.shape) * 10.0 ** rng.integers(-320, 300, grid8.shape)
+        got = mf.negative_part(ScalarField(grid8, a)).values
+        assert not np.any(np.signbit(got))
+        assert got.tobytes() == ((np.abs(a) - a) * 0.5).tobytes()
+        big = np.finfo(float).max
+        special = [np.inf, -np.inf, np.nan, -big, big, -0.0, 0.0]
+        a.flat[:7] = special
+        got = mf.negative_part(ScalarField(grid8, a)).values.flat[:7]
+        assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+        assert got[3] == big and got[4] == 0.0
+        assert got[5] == 0.0 and got[6] == 0.0 and not np.any(np.signbit(got[5:]))
+
     def test_decomposition_exact(self, grid8, bases8):
         vals = random_band_limited(grid8, bases8, seed=3)
         f = ScalarField(grid8, vals)

@@ -65,14 +65,30 @@ class TestSaturationClosure:
             if enabled:
                 gc.enable()
 
+    def test_plugged_closure_evaluated_and_audited(self):
+        """A closure given as func is audited once, on 400 samples, and is
+        the one evaluated; the removed kind= selector is an error."""
+        calls = []
+
+        def f(p, T):
+            calls.append(np.size(p))
+            return np.where(np.asarray(T) > 0.0, 0.01, 0.0)
+
+        closure = mf.SaturationClosure(C, func=f)
+        assert calls == [400]
+        assert closure(np.array([1.0]), np.array([1.0]))[0] == 0.01
+        assert mf.SaturationClosure(C)(np.array([1.0]), np.array([1.0]))[0] != 0.01
+        with pytest.raises(TypeError):
+            mf.SaturationClosure(C, kind="user", func=f)
+
     def test_user_closure_audit_rejects_bound_violation(self):
         with pytest.raises(ValueError, match="q_vs"):
-            mf.SaturationClosure(C, kind="user", func=lambda p, T: np.full_like(p, 1.0))
+            mf.SaturationClosure(C, func=lambda p, T: np.full_like(p, 1.0))
 
     def test_user_closure_audit_rejects_nonzero_at_cold(self):
         bad = lambda p, T: np.full_like(np.asarray(p, dtype=float), 0.01)
         with pytest.raises(ValueError, match="vanish"):
-            mf.SaturationClosure(C, kind="user", func=bad)
+            mf.SaturationClosure(C, func=bad)
 
 
 class TestSources:

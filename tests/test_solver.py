@@ -307,7 +307,7 @@ class TestLinearStep:
     def test_zero_in_zero_out(self, grid8):
         const = mf.PhysConstants.nondimensional(g=0.0)
         state, bspec = mf.preset_initial("equilibrium", grid8, const,
-                                         params={"T0": 1.0, "rho0": 1.0})
+                                         T0=1.0, rho0=1.0)
         zero = State(ScalarField.zeros(grid8), VectorField.zeros(grid8),
                      ScalarField.zeros(grid8), ScalarField.zeros(grid8),
                      ScalarField.zeros(grid8), ScalarField.zeros(grid8))
@@ -817,6 +817,23 @@ class TestRun:
         assert traj.steps == 0
         assert len(traj.rows) == 1
         assert np.array_equal(traj.final_state.frak_T.values, state.frak_T.values)
+
+    def test_start_off_the_step_grid_or_past_t_end_rejected(self, tmp_path, grid8,
+                                                            nondim):
+        """Rows are numbered from initial.time / dt, so a start between two
+        steps or past t_end is an error, raised before any file is written;
+        a start at t_end, as a resume of final_state/, runs 0 steps."""
+        state, bspec = mf.preset_initial("equilibrium", grid8, nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=1e-3, t_end=0.02))
+        for t, match in ((0.0105, "initial time 0.0105 is not a whole number"),
+                         (0.021, "past t_end")):
+            with pytest.raises(ValueError, match=match):
+                sim.run(replace(state, time=t), out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+        traj = sim.run(replace(state, time=0.02 * (1.0 + 1e-12)))
+        assert traj.steps == 20 and len(traj.rows) == 1
+        traj = sim.run(replace(state, time=0.015))
+        assert traj.steps == 20 and len(traj.rows) == 6
 
     def test_equilibrium_ten_steps_static(self, grid8, nondim):
         state, bspec = mf.preset_initial("equilibrium", grid8, nondim)
