@@ -12,7 +12,7 @@ from .microphysics import (SaturationClosure, SourceBundle, saturation_q_vs,
                            sources, water_exchange_residual)
 from .boundary import (BoundarySpec, BoundaryExtension, HomogenizationFactors,
                        VariableBoundary, build_extension, build_factors,
-                       cutoff_chi0, dehomogenize, extend, homogenize,
+                       cutoff_chi0, dehomogenize, homogenize,
                        robin_profile, trace_norm_check)
 from .spectral_ops import (Basis, BasisPair, div, dz, grad,
                            helmholtz_solve, laplacian, make_bases,

@@ -287,13 +287,6 @@ def build_extension(h_bottom, h_top, grid: Grid) -> BoundaryExtension:
                              _coefficients_from(h_top, grid))
 
 
-def extend(h_bottom, h_top, grid: Grid) -> ScalarField:
-    """The extension as a physical field on the grid; its analytic wall
-    derivatives match the data exactly (see BoundaryExtension.dz_values)."""
-    values = build_extension(h_bottom, h_top, grid).values()
-    return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
-
-
 # ---------------------------------------------------------------------------
 # Per-variable boundary specification and homogenization factors.
 # ---------------------------------------------------------------------------

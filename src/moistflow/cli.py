@@ -21,9 +21,9 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .boundary import BOUNDARY_VARS, robin_profile
+from .boundary import BOUNDARY_VARS
 from .fields import PhysConstants, make_grid
-from .presets import PRESET_NAMES, preset_initial
+from .presets import preset_initial
 from .solver import Simulation, SolverConfig, export_long, read_checkpoint
 
 
@@ -81,6 +81,8 @@ def _schema() -> dict:
 
 
 SCHEMA = _schema()
+_CONSTANT_SETS = {"atmospheric": PhysConstants,
+                  "nondimensional": PhysConstants.nondimensional}
 
 # keys of earlier versions that no longer do anything, read with a warning
 # (old echo files list them); one that chose what this version always
@@ -99,7 +101,7 @@ def _finite(text: str) -> float:
     return x
 
 
-def _parse_modes(text: str, where: str) -> dict:
+def _parse_modes(text: str) -> dict:
     """Mode-table syntax: 'modes: k1,k2,re,im; k1,k2,re,im; ...'.
 
     Each entry contributes re*cos(pi(k1 x + k2 y)) + im*sin(pi(k1 x + k2 y))
@@ -108,7 +110,7 @@ def _parse_modes(text: str, where: str) -> dict:
     """
     head, colon, body = text.partition(":")
     if not colon or head.strip() != "modes":
-        raise ConfigError(f"{where}: mode table must start with 'modes:': {text!r}")
+        raise ValueError(f"mode table must start with 'modes:': {text!r}")
     beta: dict = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -116,15 +118,12 @@ def _parse_modes(text: str, where: str) -> dict:
             continue
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 4:
-            raise ConfigError(f"{where}: mode entry needs k1,k2,re,im: {chunk!r}")
-        try:
-            k1, k2 = int(parts[0]), int(parts[1])
-            re, im = _finite(parts[2]), _finite(parts[3])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad mode entry {chunk!r}: {exc}") from exc
+            raise ValueError(f"mode entry needs k1,k2,re,im: {chunk!r}")
+        k1, k2 = int(parts[0]), int(parts[1])
+        re, im = _finite(parts[2]), _finite(parts[3])
         if (k1, k2) == (0, 0):
             if im != 0.0:
-                raise ConfigError(f"{where}: mean mode (0,0) must have im = 0")
+                raise ValueError("mean mode (0,0) must have im = 0")
             beta[(0, 0)] = beta.get((0, 0), 0.0) + re
         else:
             beta[(k1, k2)] = beta.get((k1, k2), 0.0) + (re - 1j * im) / 2.0
@@ -155,9 +154,9 @@ def _format_data(value) -> str:
 def _coerce(key: str, text: str, where: str, kind: str | None = None):
     kind = kind or SCHEMA[key][0]
     text = text.strip()
-    if kind == "data" and text.startswith("modes"):
-        return _parse_modes(text, where)    # its errors name the line already
     try:
+        if kind == "data" and text.startswith("modes"):
+            return _parse_modes(text)
         if kind == "int":
             return int(text)
         if kind == "float":
@@ -194,26 +193,13 @@ class RunConfig:
         return isinstance(other, RunConfig) and self.echo_text() == other.echo_text()
 
     def constants(self) -> PhysConstants:
-        if self["constants.set"] == "nondimensional":
-            base = PhysConstants.nondimensional()
-        elif self["constants.set"] == "atmospheric":
-            base = PhysConstants()
-        else:
-            raise ConfigError(f"{self.path}: unknown constants.set "
-                              f"{self['constants.set']!r}")
-        kwargs = {name: self[key] if key in self.explicit else getattr(base, name)
-                  for name, key in _CONSTANT_FIELDS.items()}
-        try:
-            return PhysConstants(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: {exc}") from exc
+        base = _CONSTANT_SETS[self["constants.set"]]()
+        return PhysConstants(**{
+            name: self[key] if key in self.explicit else getattr(base, name)
+            for name, key in _CONSTANT_FIELDS.items()})
 
     def solver_config(self) -> SolverConfig:
-        try:
-            return SolverConfig(**{name: self[key]
-                                   for name, key in _SOLVER_FIELDS.items()})
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: {exc}") from exc
+        return SolverConfig(**{name: self[key] for name, key in _SOLVER_FIELDS.items()})
 
     def _effective(self) -> dict:
         """key -> effective value, in schema order (constants resolved)."""
@@ -251,8 +237,12 @@ def _echo_line(key: str, v) -> str:
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a config file; raises ConfigError with file/line
-    information on unknown keys, bad types, or invariant violations."""
+    """Parse a config file; raises ConfigError with file/line information on
+    unknown, duplicate or retired keys, values of the wrong type, non-finite
+    numbers, malformed mode tables and an unknown constants.set.  Whether
+    the values make a runnable simulation (grid sizes, constants, solver
+    settings, wall sign conditions, initial data) is for the library to
+    decide, in ``build_simulation``."""
     values = {k: v for k, (_, v) in SCHEMA.items()}
     explicit = set()
     try:
@@ -280,53 +270,37 @@ def parse_config(path) -> RunConfig:
         if key in explicit:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         values[key] = _coerce(key, text, where)
+        if key == "constants.set" and values[key] not in _CONSTANT_SETS:
+            raise ConfigError(f"{where}: unknown constants.set {values[key]!r}")
         explicit.add(key)
 
-    rc = RunConfig(values=values, explicit=explicit, path=str(path))
-    _validate(rc)
-    return rc
-
-
-def _validate(rc: RunConfig) -> None:
-    path = rc.path
-    nx, ny, nz = rc["grid.nx"], rc["grid.ny"], rc["grid.nz"]
-    try:
-        make_grid(nx, ny, nz)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    rc.constants()
-    rc.solver_config()
-    for var in BOUNDARY_VARS:
-        try:
-            robin_profile(rc[f"boundary.{var}.alpha_bottom"],
-                          rc[f"boundary.{var}.alpha_top"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: boundary.{var}: {exc}") from exc
-    if rc["ic.sat_ratio"] < 0.0:
-        raise ConfigError(f"{path}: ic.sat_ratio must be nonnegative")
-    if rc["ic.preset"] not in PRESET_NAMES:
-        raise ConfigError(f"{path}: unknown ic.preset {rc['ic.preset']!r}")
+    return RunConfig(values=values, explicit=explicit, path=str(path))
 
 
 def build_simulation(rc: RunConfig):
-    """Construct (Simulation, initial State) from a parsed config."""
-    grid = make_grid(rc["grid.nx"], rc["grid.ny"], rc["grid.nz"])
-    constants = rc.constants()
-    alphas = {var: (rc[f"boundary.{var}.alpha_bottom"],
-                    rc[f"boundary.{var}.alpha_top"]) for var in BOUNDARY_VARS}
-    state, bspec = preset_initial(
-        rc["ic.preset"], grid, constants, alphas=alphas,
-        T0=rc["ic.T0"], rho0=rc["ic.rho0"],
-        amplitude=rc["ic.amplitude"] if rc["ic.amplitude"] > 0.0 else None,
-        sat_ratio=rc["ic.sat_ratio"], qc_seed=rc["ic.qc_seed"],
-        qr_seed=rc["ic.qr_seed"])
-    for var in BOUNDARY_VARS:
-        for side, attr in (("bottom", "data_bottom"), ("top", "data_top")):
-            override = rc[f"boundary.{var}.value_{side}"]
-            if override != "preset":
-                setattr(bspec[var], attr, override)
-    sim = Simulation(grid, constants, bspec, rc.solver_config(),
-                     config_hash=rc.config_hash())
+    """Construct (Simulation, initial State) from a parsed config.  The
+    library's constructors check the values; what they reject is raised as
+    a ConfigError naming the config file."""
+    try:
+        grid = make_grid(rc["grid.nx"], rc["grid.ny"], rc["grid.nz"])
+        constants = rc.constants()
+        alphas = {var: (rc[f"boundary.{var}.alpha_bottom"],
+                        rc[f"boundary.{var}.alpha_top"]) for var in BOUNDARY_VARS}
+        state, bspec = preset_initial(
+            rc["ic.preset"], grid, constants, alphas=alphas,
+            T0=rc["ic.T0"], rho0=rc["ic.rho0"],
+            amplitude=rc["ic.amplitude"] or None,
+            sat_ratio=rc["ic.sat_ratio"], qc_seed=rc["ic.qc_seed"],
+            qr_seed=rc["ic.qr_seed"])
+        for var in BOUNDARY_VARS:
+            for side, attr in (("bottom", "data_bottom"), ("top", "data_top")):
+                override = rc[f"boundary.{var}.value_{side}"]
+                if override != "preset":
+                    setattr(bspec[var], attr, override)
+        sim = Simulation(grid, constants, bspec, rc.solver_config())
+    except ValueError as exc:
+        raise ConfigError(f"{rc.path}: {exc}") from exc
+    sim.config_hash = rc.config_hash()
     sim.config_echo = rc.echo_text()
     return sim, state
 

@@ -47,8 +47,8 @@ def discrete_hydrostatic_rho(grid: Grid, constants: PhysConstants, T0: float,
     if residual > 1e-9 * scale:
         raise RuntimeError(f"hydrostatic solve residual too large: {residual:.3e}")
     if np.any(rho <= 0.0):
-        raise RuntimeError("discrete hydrostatic density is not positive; "
-                           "reduce g / R_d T0 or refine nz")
+        raise ValueError("discrete hydrostatic density is not positive; "
+                         "reduce g / R_d T0 or refine nz")
     return rho
 
 
@@ -82,15 +82,20 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
 
     ``T0`` is the base temperature (0 means ``constants.T_ref``) and
     ``rho0`` the density at z = 0 (0 means p_ref / (R_d T0)).
-    ``amplitude`` is the thermal bubble's peak (None means 0.01 T0).  The
-    saturated layer's vapour band peaks at ``sat_ratio`` times the default
-    closure's q_vs at mid-height, and ``qc_seed`` and ``qr_seed`` are the
-    peaks of its cloud and rain bands.
+    ``amplitude`` is the thermal bubble's peak (None means 0.01 T0; a
+    negative peak gives a cold bubble).  The saturated layer's vapour band
+    peaks at ``sat_ratio`` times the default closure's q_vs at mid-height,
+    and ``qc_seed`` and ``qr_seed`` are the peaks of its cloud and rain
+    bands.  A negative ``T0``, ``rho0``, ``sat_ratio``, ``qc_seed`` or
+    ``qr_seed``, or data whose hydrostatic density is not positive, raise
+    ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if sat_ratio < 0.0:
-        raise ValueError("sat_ratio must be nonnegative")
+    for keyword, value in (("T0", T0), ("rho0", rho0), ("sat_ratio", sat_ratio),
+                           ("qc_seed", qc_seed), ("qr_seed", qr_seed)):
+        if value < 0.0:
+            raise ValueError(f"{keyword} must be nonnegative, got {value}")
     alphas = alphas if alphas is not None else _default_alphas(name)
 
     T0 = float(T0 or constants.T_ref)

@@ -160,7 +160,7 @@ class Simulation:
     def __init__(self, grid: Grid, constants: PhysConstants,
                  boundary_spec: BoundarySpec, config: SolverConfig,
                  closure: SaturationClosure | None = None,
-                 forcing: dict | None = None, config_hash: str = ""):
+                 forcing: dict | None = None):
         boundary_spec.validate()
         self.grid = grid
         self.constants = constants
@@ -168,7 +168,6 @@ class Simulation:
         self.config = config
         self.closure = closure or SaturationClosure(constants)
         self.forcing = forcing or {}
-        self.config_hash = config_hash
         self.bases = sp.make_bases(grid)
         vr_fn, dvr_fn = V_R_PROFILES[config.v_r_profile]
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
@@ -178,7 +177,8 @@ class Simulation:
             self.factors_at(0.0)              # static data are built once, here
         self._positivity_fixes = 0
         self._rejections = 0
-        self.config_echo = ""
+        self.config_echo = ""         # provenance, set by cli.build_simulation
+        self.config_hash = ""
 
     # -- helpers ----------------------------------------------------------
 

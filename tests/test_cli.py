@@ -66,16 +66,20 @@ class TestParseConfig:
             parse_config(path)
 
     def test_sign_condition_enforced(self, tmp_path):
+        """The parser leaves the wall sign condition to the library, whose
+        rejection build_simulation raises as a config error."""
         path = write_config(tmp_path / "c.cfg", "boundary.T.alpha_bottom = 0.5\n")
-        with pytest.raises(mf.ConfigError, match="sign condition"):
-            parse_config(path)
+        rc = parse_config(path)
+        with pytest.raises(mf.ConfigError, match=r"c\.cfg: sign condition"):
+            build_simulation(rc)
 
     @pytest.mark.parametrize("var,line", [("c", "boundary.c.alpha_bottom = 0.5"),
                                           ("r", "boundary.r.alpha_top = -0.5")])
     def test_sign_condition_names_the_variable(self, tmp_path, var, line):
         path = write_config(tmp_path / "c.cfg", line + "\n")
-        with pytest.raises(mf.ConfigError, match=rf"boundary\.{var}\b.*sign condition"):
-            parse_config(path)
+        with pytest.raises(mf.ConfigError,
+                           match=rf"sign condition violated for variable '{var}'"):
+            build_simulation(parse_config(path))
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", "grid.nx = 8\ngrid.nx = 16\n")
@@ -90,6 +94,11 @@ class TestParseConfig:
     def test_grid_invariants_checked(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", "grid.nx = 7\n")
         with pytest.raises(mf.ConfigError, match="even"):
+            build_simulation(parse_config(path))
+
+    def test_unknown_constants_set_reports_line(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg", "grid.nx = 8\nconstants.set = martian\n")
+        with pytest.raises(mf.ConfigError, match=r"c\.cfg:2: unknown constants\.set"):
             parse_config(path)
 
     def test_echo_reparse_round_trip(self, tmp_path):
@@ -204,6 +213,15 @@ class TestPresets:
         with pytest.raises(ValueError, match="sat_ratio must be nonnegative"):
             mf.preset_initial("saturated_layer", grid8, nondim, sat_ratio=-3.0)
 
+    @pytest.mark.parametrize("keyword", ["T0", "rho0", "qc_seed", "qr_seed"])
+    def test_negative_input_rejected_by_name(self, grid8, nondim, keyword):
+        with pytest.raises(ValueError, match=f"^{keyword} must be nonnegative"):
+            mf.preset_initial("saturated_layer", grid8, nondim, **{keyword: -1.0})
+
+    def test_nonpositive_hydrostatic_density_is_a_value_error(self, grid8, nondim):
+        with pytest.raises(ValueError, match="density is not positive"):
+            discrete_hydrostatic_rho(grid8, nondim, 1e-300, 1.0)
+
     def test_presets_satisfy_discrete_robin_condition(self, grid16, nondim, bases16):
         """Wall-normal derivative of the homogenized fields vanishes in the
         cosine representation and wall traces match the boundary data."""
@@ -273,7 +291,7 @@ class TestMain:
             mf.spectral_ops.set_workers(threads)
 
     @pytest.mark.parametrize("line,message", [
-        ("ic.sat_ratio = -3", "ic.sat_ratio must be nonnegative"),
+        ("ic.sat_ratio = -3", "sat_ratio must be nonnegative"),
         ("solver.v_r_scale = -1", "v_r_scale must be nonnegative")])
     def test_negative_vapour_or_upward_rain_exit_2(self, tmp_path, capsys, line, message):
         """A negative saturation ratio (negative vapour) and a negative rain
@@ -581,3 +599,56 @@ class TestBuildSimulation:
         rc = parse_config(write_config(tmp_path / "c.cfg", cfg))
         c = rc.constants()
         assert c.R_d == 1.0 and c.g == 0.5
+
+
+class TestLibraryRejectionsExit2:
+    """The parser checks syntax; the library's constructors check whether
+    the values can run, and build_simulation turns their rejections into
+    exit 2, before any file is written."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("grid.nx = 7", "nx must be even"),
+        ("grid.nz = 3", "nz must be >= 4"),
+        ("constants.mu = 0", "mu must be positive"),
+        ("solver.dt = 0", "dt must be positive"),
+        ("solver.t_end = 2.5e-3", "t_end"),
+        ("solver.mode = implicit", "unknown solver mode"),
+        ("solver.v_r_scale = -1", "v_r_scale must be nonnegative"),
+        ("boundary.v.alpha_top = -1", "sign condition violated for variable 'v'"),
+        ("ic.sat_ratio = -0.5", "sat_ratio must be nonnegative"),
+        ("ic.preset = vortex", "unknown preset 'vortex'")])
+    def test_check_and_run_exit_2_and_write_nothing(self, tmp_path, capsys, line,
+                                                    message):
+        key = line.split(" = ")[0]
+        cfg = "".join(f"{kept}\n" for kept in BASE.splitlines()
+                      if not kept.startswith(f"{key} = "))
+        path = write_config(tmp_path / "c.cfg", cfg + line + "\n")
+        assert main(["check", path]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["equilibrium", "thermal_bubble",
+                                        "saturated_layer", "manufactured"])
+    @pytest.mark.parametrize("line", ["ic.T0 = -1", "ic.T0 = 1e-300", "ic.rho0 = -1",
+                                      "constants.g = 1e6", "constants.T_ref = 1e-300"])
+    def test_data_without_positive_density_exit_2(self, tmp_path, preset, line):
+        """A negative base temperature or density, or gravity too strong for
+        the column, leave no positive hydrostatic density: a config error,
+        not a runtime failure."""
+        cfg = BASE.replace("ic.preset = thermal_bubble", f"ic.preset = {preset}")
+        assert main(["check", write_config(tmp_path / "c.cfg", cfg + line + "\n")]) == 2
+
+    @pytest.mark.parametrize("key", ["qc_seed", "qr_seed"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, key):
+        cfg = BASE.replace("ic.preset = thermal_bubble", "ic.preset = saturated_layer")
+        path = write_config(tmp_path / "c.cfg", cfg + f"ic.{key} = -1\n")
+        assert main(["check", path]) == 2
+        assert f"{key} must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_amplitude_is_a_cold_bubble(self, tmp_path, nondim):
+        path = write_config(tmp_path / "c.cfg", BASE + "ic.amplitude = -0.5\n")
+        _, state = build_simulation(parse_config(path))
+        assert np.min(state.frak_T.values) < nondim.T_ref
