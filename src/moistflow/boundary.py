@@ -356,7 +356,10 @@ class HomogenizationFactors:
         nx has a prime factor above 3, whose x-FFT of a constant leaves
         rounding in the other columns.  For representable ``modal``, this
         equals the forward transform of ``dehomogenize``'s values to
-        rounding."""
+        rounding.  ``modal`` may be the whole array or a leading
+        (nky, nmz) extent of it, which takes the leading nmz rows of the
+        matrix; the result has all nz rows, on the larger ky extent of
+        ``modal`` and F(B^-1 psi)."""
         if self._binv_modal is None:
             binv = self.binv_profile[0, 0]
             psi = None
@@ -367,10 +370,9 @@ class HomogenizationFactors:
                     psi = psi[:1, :1].copy()
             self._binv_modal = ((basis.z_inv * binv) @ basis.z_fwd, psi)
         mat, psi = self._binv_modal
-        out = (modal.reshape(-1, mat.shape[0]) @ mat).reshape(modal.shape)
-        if psi is not None:
-            out[:psi.shape[0], :psi.shape[1]] += psi
-        return out
+        nmz = modal.shape[2]
+        out = (modal.reshape(-1, nmz) @ mat[:nmz]).reshape(*modal.shape[:2], -1)
+        return out if psi is None else sp.extent_sum(out, psi)
 
 
 def _eval_data(data, t: float):

@@ -74,6 +74,10 @@ class PhysConstants:
             raise ValueError("q_vs_star must be nonnegative")
         if self.g < 0.0:
             raise ValueError("gravity g must be nonnegative")
+        with np.errstate(over="ignore"):   # the default closure squares T_ref
+            if not np.isfinite(np.square(self.T_ref)):
+                raise ValueError(f"constant T_ref must have a finite square, "
+                                 f"got {self.T_ref}")
 
     @property
     def gamma(self) -> float:
@@ -125,6 +129,13 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.nx, self.ny, self.nz)
+
+    @property
+    def kept_extent(self) -> tuple:
+        """The leading (ky, m) extent that the 2/3 rule keeps of the modal
+        grid, ky <= ny//3 and m <= 2(nz-1)//3: the block a dealiased
+        transform runs over (``spectral_ops.Basis``)."""
+        return self.ny // 3 + 1, (2 * (self.nz - 1)) // 3 + 1
 
     @property
     def volume(self) -> float:
@@ -242,7 +253,10 @@ class State:
     conditions into homogeneous Neumann ones.
 
     ``modal`` is None, or the modal coefficients of the fields keyed as
-    ``MODAL_NAMES``, equal to their forward transforms up to rounding.  Only
+    ``MODAL_NAMES``, equal to their forward transforms up to rounding.
+    Each array is the whole (nx, ny//2+1, nz) array or the kept block of
+    the 2/3 rule (``Grid.kept_extent``), which a dealiased solve returns
+    and outside which the field's coefficients are 0.  Only
     the solver, ``load_state`` and ``diagnostics.with_coefficients`` attach
     them; a state built any other way (``copy``, ``dataclasses.replace``)
     has none, and assigning a field drops them.  Changing a field's values
@@ -344,8 +358,9 @@ def save_state(dirpath, state: State) -> None:
 
 def save_modal(dirpath, state: State) -> None:
     """Write the coefficients a state carries into ``modal.npz`` next to its
-    fields, with the state's time and grid shape.  The state must carry
-    them: every state a run checkpoints does."""
+    fields, each array on the extent the state carries, with the state's
+    time and grid shape.  The state must carry them: every state a run
+    checkpoints does."""
     with open(os.path.join(dirpath, MODAL_FILE), "wb") as fh:
         np.savez(fh, time=np.float64(state.time), grid=np.array(state.grid.shape),
                  **state.modal)
@@ -360,15 +375,16 @@ def _load_modal(path, time: float, grid: Grid) -> dict:
         if shape != grid.shape:
             raise ValueError(f"{path}: coefficients of grid {shape} do not "
                              f"match the fields' grid {grid.shape}")
-        want = (grid.nx, grid.ny // 2 + 1, grid.nz)
+        whole, kept = (grid.nx, grid.ny // 2 + 1, grid.nz), (grid.nx, *grid.kept_extent)
         modal = {}
         for name in MODAL_NAMES:
             if name not in npz.files:
                 raise ValueError(f"{path}: no coefficients {name!r}")
             a = modal[name] = npz[name]
-            if a.shape != want or not np.iscomplexobj(a):
+            if a.shape not in (whole, kept) or not np.iscomplexobj(a):
                 raise ValueError(f"{path}: coefficients {name!r} are {a.dtype} of "
-                                 f"shape {a.shape}, not complex of shape {want}")
+                                 f"shape {a.shape}, not complex of shape {whole} "
+                                 f"or {kept}")
         return modal
 
 
@@ -376,7 +392,9 @@ def load_state(dirpath) -> State:
     """Read the fields that save_state wrote; all eight must carry the same
     time and grid, so that a directory mixing two states is rejected.  The
     coefficients that save_modal wrote are restored when present; their
-    time and grid must be the fields'."""
+    time and grid must be the fields', and each array must be complex, of
+    the whole (nx, ny//2+1, nz) extent or of the kept block of the 2/3
+    rule (``Grid.kept_extent``)."""
     loaded = {}
     time = grid = None
     for name in STATE_FIELD_NAMES:

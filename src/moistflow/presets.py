@@ -83,12 +83,13 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
     ``T0`` is the base temperature (0 means ``constants.T_ref``) and
     ``rho0`` the density at z = 0 (0 means p_ref / (R_d T0)).
     ``amplitude`` is the thermal bubble's peak (None means 0.01 T0; a
-    negative peak gives a cold bubble).  The saturated layer's vapour band
+    negative peak gives a cold bubble, which must leave the temperature
+    positive everywhere).  The saturated layer's vapour band
     peaks at ``sat_ratio`` times the default closure's q_vs at mid-height,
     and ``qc_seed`` and ``qr_seed`` are the peaks of its cloud and rain
     bands.  A negative ``T0``, ``rho0``, ``sat_ratio``, ``qc_seed`` or
-    ``qr_seed``, or data whose hydrostatic density is not positive, raise
-    ValueError.
+    ``qr_seed``, a bubble whose temperature is not positive everywhere, or
+    data whose hydrostatic density is not positive, raise ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -119,6 +120,9 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
         amp = 0.01 * T0 if amplitude is None else float(amplitude)
         T_vals = np.broadcast_to(
             T_vals + amp * _bump_x(X) * _bump_x(Y) * _bump_z(Z), shape).copy()
+        if not np.all(T_vals > 0.0):
+            raise ValueError(f"amplitude {amp!r} makes the initial temperature not "
+                             f"positive everywhere (minimum {np.min(T_vals)!r})")
     elif name == "saturated_layer":
         p_mid = rho_col[(grid.nz - 1) // 2] * constants.R_d * T0
         q_vs_mid = float(SaturationClosure(constants)(np.array([p_mid]),

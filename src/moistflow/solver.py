@@ -111,15 +111,22 @@ class FrozenVelocity:
     """The frozen velocity of one iterate and what the density step and
     the right-hand sides read of the spectral derivatives of its dealiased
     form: each component's derivative along the velocity,
-    A_i = u1 dx u_i + u2 dy u_i + w dz u_i, its z-derivative, div u and
-    grad div u.  The other six first derivatives are freed once the A_i
-    are formed."""
+    A_i = u1 dx u_i + u2 dy u_i + w dz u_i, its z-derivative, div u, and
+    the coefficients of div u on the kept block of the 2/3 rule.  The
+    other six first derivatives are freed once the A_i are formed, and
+    grad div u is formed from ``div_modal`` by each stage that reads it
+    (``grad_div``)."""
 
     values: tuple            # values of v1, v2, w
     advection: tuple | None  # A_i of v1, v2, w; None once assemble_rhs has used them
     dz: tuple | None         # dz of v1, v2, w; None once assemble_rhs has used them
-    div: np.ndarray | None   # div u; None once linear_step has used it
-    grad_div: dict | None    # grad(div u), keyed x, y, z; None likewise
+    div: np.ndarray | None   # div u; None once assemble_rhs has used it
+    div_modal: np.ndarray | None    # its kept-block coefficients; None likewise
+
+    def grad_div(self, bases: sp.BasisPair) -> dict:
+        """grad div u, keyed x, y, z: the dealiased order-1 set of
+        ``div_modal``, formed anew on each call."""
+        return sp.derivs(self.div_modal, bases.neumann, dealias=True)
 
 
 @dataclass
@@ -191,17 +198,16 @@ class Simulation:
         return self._factors[1]
 
     def _frozen_velocity(self, s: State) -> FrozenVelocity:
-        """The velocity of ``s`` with its A_i, dz u_i, div u and grad div u,
-        from the coefficients ``s`` carries.  The 2/3 rule acts in the
-        inverse transforms: the modal multipliers are diagonal, so truncating
-        their products truncates the velocity, and the divergence is formed
-        on the kept block alone.  Each component's derivative set lives only
-        until its A_i is formed."""
+        """The velocity of ``s`` with its A_i, dz u_i, div u and the
+        coefficients of div u, from the coefficients ``s`` carries.  The 2/3
+        rule acts in the inverse transforms: the modal multipliers are
+        diagonal, so truncating their products truncates the velocity, and
+        the divergence is formed on the kept block alone.  Each component's
+        derivative set lives only until its A_i is formed."""
         neu, diri = self.bases.neumann, self.bases.dirichlet
         m1, m2, mw = (s.modal[name] for name in ("u1", "u2", "w"))
         div_m = sp.div_modal(sp.kept_block(m1, neu), sp.kept_block(m2, neu),
                              sp.kept_block(mw, diri), self.bases)
-        grad_div = sp.derivs(div_m, neu, dealias=True, value=True)
         values = tuple(comp.values for comp in s.u.components())
         u1, u2, w = values
         advection, dz = [], []
@@ -211,7 +217,7 @@ class Simulation:
             dz.append(d["z"])
             del d       # not alive while the next set is formed
         return FrozenVelocity(values, tuple(advection), tuple(dz),
-                              div=grad_div.pop("value"), grad_div=grad_div)
+                              div=sp.to_phys_values(div_m, neu, True), div_modal=div_m)
 
     @staticmethod
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
@@ -239,9 +245,10 @@ class Simulation:
         The midpoint velocity is u_i - (dt/2) A_i, the order-1 Taylor value
         of u_i at the half-step foot x - (dt/2) u, from the A_i of
         ``velocity``: the material derivatives the momentum advects with.
-        ``velocity`` is ``_frozen_velocity`` of the frozen iterate.  ``dlog``
-        is the order-2 derivative set of ``state.log_rho_d``, which does not
-        depend on the velocity."""
+        ``velocity`` is ``_frozen_velocity`` of the frozen iterate; its
+        grad div u is formed for the divergence integral and freed after it.
+        ``dlog`` is the order-2 derivative set of ``state.log_rho_d``, which
+        does not depend on the velocity."""
         g = self.grid
         z = g.z[None, None, :]
         u1, u2, w = velocity.values
@@ -269,7 +276,7 @@ class Simulation:
         # halved in place: the midpoint of the characteristic
         for d in (dx_f, dy_f, dz_f):
             d *= 0.5
-        log_at_foot -= dt * self._taylor_eval(velocity.div, velocity.grad_div,
+        log_at_foot -= dt * self._taylor_eval(velocity.div, velocity.grad_div(self.bases),
                                               dx_f, dy_f, dz_f, order=1)
         return ScalarField(g, log_at_foot)
 
@@ -298,10 +305,11 @@ class Simulation:
         ``velocity`` is ``_frozen_velocity(frozen)``.  Its A_i and dz u_i
         become the momentum advection and drag terms in place, and the
         velocity lets go of them (they are set to None); ``div`` and
-        ``grad_div`` stay.  The scalars' and log rho_d's coefficients are
+        ``div_modal`` stay.  The scalars' and log rho_d's coefficients are
         those ``frozen`` carries.  Each array is freed at its last use:
         each scalar's derivative set after its equation, the pressure once
-        its gradient is formed, q_vs, the clipped variables, T_o, q_v and
+        its forward transform is formed and that transform once its
+        gradient is, q_vs, the clipped variables, T_o, q_v and
         q_c once the rates are, the rates once their three combinations
         are, each combination and Q_cp after the terms that read them.  A
         term that is the number 0.0 is recorded but not added.  The bundle
@@ -369,8 +377,10 @@ class Simulation:
                         total += v
 
         # momentum ----------------------------------------------------------
-        dp = sp.derivs(sp.to_modal_values(p, neu), neu)
+        p_modal = sp.to_modal_values(p, neu)
         del p
+        dp = sp.derivs(p_modal, neu)
+        del p_modal
         add("momentum", "pressure_gradient", *(np.negative(dp[k], out=dp[k]) for k in "xyz"))
         # nothing below reads the velocity's A_i and dz u_i: their arrays
         # become the advection and drag terms in place
@@ -464,18 +474,21 @@ class Simulation:
         the kept block, and the inverse transforms run on that block alone.
 
         ``velocity`` is ``_frozen_velocity(frozen)``, which the step uses
-        up: ``assemble_rhs`` frees its A_i and dz u_i, and this step its
-        div u and grad div u once the momentum data are formed.  The
-        returned state carries the coefficients of its fields, with those of
-        the frozen log rho_d, as ``State.modal``.  The solves read the
-        totals of ``assemble_rhs``, which has checked that they are finite;
-        each total is freed after its solve, and each solve's data and
-        coefficient fields before the next large allocation."""
+        up: ``assemble_rhs`` frees its A_i and dz u_i, and this step lets go
+        of div u after ``assemble_rhs`` and of the coefficients of div u
+        once it has formed grad div u from them for the momentum data.  The
+        returned state carries the coefficients of its fields as
+        ``State.modal``: the kept blocks the solves return, with the whole
+        array of the frozen log rho_d.  The solves read the totals of
+        ``assemble_rhs``, which has checked that they are finite; each total
+        is freed after its solve, and each solve's data and coefficient
+        fields before the next large allocation."""
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
         rho_vals = np.exp(frozen.log_rho_d.values)
         rhs = self.assemble_rhs(frozen, rho_vals, factors, current.time + dt, velocity)
+        velocity.div = None     # read by assemble_rhs alone
         totals = {"qv": rhs.vapor, "qc": rhs.cloud, "qr": rhs.rain, "T": rhs.temperature}
         I, Q_m, Q_th = rhs.momentum, rhs.Q_m, rhs.Q_th
         del rhs
@@ -513,12 +526,13 @@ class Simulation:
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
         cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
+        grad_div = velocity.grad_div(self.bases)
+        velocity.div_modal = None
         gu = [cur_u[i] + dt * (I[i] / M
                                + (nu - nu_bar) * lagged_laplacian(name)
-                               + (nul - nul_bar) * velocity.grad_div[k])
+                               + (nul - nul_bar) * grad_div.pop(k))
               for i, (name, k) in enumerate(zip(("u1", "u2", "w"), "xyz"))]
-        del I, M, nu, nul
-        velocity.div = velocity.grad_div = None
+        del I, M, nu, nul, grad_div
         new["u1"], new["u2"], new["w"] = sp.vector_helmholtz_modal(
             gu[0], gu[1], gu[2], nu_bar * dt, nul_bar * dt, self.bases, True)
         del gu
@@ -615,9 +629,11 @@ class Simulation:
                 # the direct mode: no convergence test, so no increment either
                 report.converged = True
                 return x_new, report
+            # the iterates may carry different extents (the step's input the
+            # whole array): the difference is taken on the larger one
             parts = self._increment_parts(dg.modal_sqs(
-                {name: x_new.modal[name] - x_prev.modal[name] for name in dg.ITERATED},
-                self.bases), dt)
+                {name: sp.extent_sum(x_new.modal[name], x_prev.modal[name], subtract=True)
+                 for name in dg.ITERATED}, self.bases), dt)
             inc = parts["total"]
             report.increments.append(parts)
             if m >= 2:

@@ -4,8 +4,9 @@ Horizontal directions are Fourier (period 2, so mode k carries wavenumber
 pi*k); the vertical uses the Laplacian eigenbases of the channel: cosine
 series cos(m pi z) for fields with homogeneous Neumann walls (horizontal
 velocity, temperature, mixing ratios) and sine series sin(m pi z) for the
-no-penetration vertical velocity.  Both modal arrays are stored with shape
-(nx, ny, nz); the sine array keeps rows m = 0 and m = nz-1 identically
+no-penetration vertical velocity.  A modal array is the whole
+(nx, ny//2+1, nz) array or a leading extent of it, such as the kept block
+of the 2/3 rule; the sine array keeps rows m = 0 and m = nz-1 identically
 zero (the Nyquist sine mode vanishes on the collocation grid).
 """
 
@@ -64,8 +65,7 @@ class Basis:
         # the kx rows in kx_keep, and the leading ky_keep columns and
         # mz_keep rows, the block a dealiased transform runs over
         self.kx_keep = np.abs(kx_int) <= grid.nx // 3
-        self.ky_keep = grid.ny // 3 + 1
-        self.mz_keep = (2 * (grid.nz - 1)) // 3 + 1
+        self.ky_keep, self.mz_keep = grid.kept_extent
         # Parseval multiplicity of each retained ky column (conjugate pairs
         # are folded by the real transform except ky = 0 and the Nyquist)
         wy = np.full(ky_int.shape, 2.0)
@@ -85,7 +85,8 @@ class Basis:
         self.z_inv = np.cos(phase) if kind == NEUMANN else np.sin(phase) * ww
         self.z_fwd = self.z_inv * ww * (2.0 / n)
         self._other = None
-        self._sobolev_weights = None
+        self._sobolev_factors = None
+        self._sobolev_weights = {}
         self._inverse_matrices = {}
         self._forward_matrices = {}
 
@@ -99,13 +100,12 @@ class Basis:
             self._other = Basis(self.grid, DIRICHLET if self.kind == NEUMANN else NEUMANN)
         return self._other
 
-    @property
-    def sobolev_weights(self) -> tuple:
-        """Parseval weights of the squared Sobolev norms of orders 0, 1, 2,
-        built on first use and split in x to stay small: ``P`` (3 x nx)
-        holds kx^0, kx^2, kx^4, and ``W`` (3 M x 3, M = (ny//2+1) nz) the
-        (ky, kz) weight of each of those x-moments, one column per order,
-        each column cumulative.
+    def sobolev_weights(self, nky: int, nmz: int) -> tuple:
+        """Parseval weights of the squared Sobolev norms of orders 0, 1, 2
+        over the leading extent of nky columns and nmz rows, built once per
+        extent and split in x to stay small: ``P`` (3 x nx) holds kx^0,
+        kx^2, kx^4, and ``W`` (3 nky nmz x 3) the (ky, kz) weight of each of
+        those x-moments, one column per order, each column cumulative.
 
         Horizontal modes integrate to 4 |a|^2 each over the doubly periodic
         cross-section; vertical cosine modes carry weight 1 (mean) or 1/2,
@@ -113,7 +113,7 @@ class Basis:
         sine Nyquist row is invisible on the grid so it carries weight zero.
         One term per distinct multi-index of derivatives.
         """
-        if self._sobolev_weights is None:
+        if self._sobolev_factors is None:
             nz = self.grid.nz
             cw = np.full(nz, 0.5)
             cw[0] = 1.0
@@ -127,12 +127,15 @@ class Basis:
             h1 = even * (1.0 + ky2) + odd * kz2
             h2 = h1 + even * (ky2 ** 2 + kz2 ** 2) + odd * ky2 * kz2
             zero = np.zeros_like(even)
-            # rows: the x-moment kx^(2i); columns: the order
+            # rows: the x-moment kx^(2i); columns: the order; then (ky, kz)
             w = np.array([[even, h1, h2], [zero, even, h1], [zero, zero, even]])
             kx2 = self.kappa_x[:, 0, 0] ** 2
-            self._sobolev_weights = (np.array([np.ones_like(kx2), kx2, kx2 ** 2]),
-                                     w.transpose(0, 2, 3, 1).reshape(-1, 3))
-        return self._sobolev_weights
+            self._sobolev_factors = (np.array([np.ones_like(kx2), kx2, kx2 ** 2]),
+                                     w.transpose(0, 2, 3, 1))
+        if (nky, nmz) not in self._sobolev_weights:
+            P, w = self._sobolev_factors
+            self._sobolev_weights[nky, nmz] = (P, w[:, :nky, :nmz].reshape(-1, 3))
+        return self._sobolev_weights[nky, nmz]
 
     def inverse_matrices(self, dealias: bool) -> tuple:
         """The factors of an inverse transform of derivatives over the
@@ -442,13 +445,32 @@ def laplacian(f: ScalarField, basis: Basis) -> ScalarField:
 def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
     """Squared Sobolev norms of orders 0..max_order (max_order <= 2) from
     modal coefficients, in one pass over |a|^2 and two products with the
-    basis' ``sobolev_weights`` (Parseval)."""
+    basis' ``sobolev_weights`` for the extent of ``modal`` (Parseval):
+    the whole array or any leading (nky, nmz) extent of it, such as the
+    kept block a dealiased solve returns."""
     if max_order not in (0, 1, 2):
         raise ValueError("sobolev order must be 0, 1, or 2")
     a2 = modal.real ** 2 + modal.imag ** 2
-    P, W = basis.sobolev_weights
+    P, W = basis.sobolev_weights(*modal.shape[1:])
     moments = P @ a2.reshape(basis.grid.nx, -1)
     return tuple(float(x) for x in moments.reshape(-1) @ W[:, :max_order + 1])
+
+
+def extent_sum(a: np.ndarray, b: np.ndarray, subtract: bool = False) -> np.ndarray:
+    """a + b, or a - b with ``subtract``, of two coefficient arrays of
+    leading extents, one within the other: a new array of the larger
+    extent, in which the smaller counts as 0 outside its own."""
+    if all(na >= nb for na, nb in zip(a.shape, b.shape)):
+        out = a.copy()
+        lead = tuple(slice(n) for n in b.shape)
+        if subtract:
+            out[lead] -= b
+        else:
+            out[lead] += b
+        return out
+    out = -b if subtract else b.copy()
+    out[tuple(slice(n) for n in a.shape)] += a
+    return out
 
 
 def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
@@ -485,23 +507,21 @@ def _make_representable(modal: np.ndarray, basis: Basis) -> None:
 
 
 def _solved(block: np.ndarray, denom: np.ndarray, basis: Basis) -> np.ndarray:
-    """The representable coefficients of block / denom, padded with zeros
-    to the whole (nx, ny//2+1, nz) array: the division writes into the
-    padding's leading extent."""
-    nx, ny, nz = basis.grid.shape
-    out = np.zeros((nx, ny // 2 + 1, nz), dtype=complex)
-    kept = out[:, :block.shape[1], :block.shape[2]]
-    np.divide(block, denom, out=kept)
-    _make_representable(kept, basis)
+    """The representable coefficients of block / denom, on the extent of
+    ``block``: the kept (nx, ky_keep, mz_keep) block of a dealiased
+    forward, or the whole array."""
+    out = np.divide(block, denom)
+    _make_representable(out, basis)
     return out
 
 
 def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
                     dealias: bool = False) -> np.ndarray:
     """Solve (I - a * Laplacian) f = g by modal division and return the
-    representable modal coefficients of f; with ``dealias`` the forward
-    transform of g truncates it by the 2/3 rule, the division runs on the
-    kept block alone, and f is 0 outside it."""
+    representable modal coefficients of f on the extent the forward
+    transform of g gives: the whole (nx, ny//2+1, nz) array, or with
+    ``dealias`` the kept (nx, ky_keep, mz_keep) block of the 2/3 rule,
+    outside which f is 0 and which is all the result holds."""
     if a < 0.0:
         raise ValueError("helmholtz coefficient a must be nonnegative")
     block = to_modal_values(g, basis, dealias)
@@ -512,9 +532,10 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
                            a_mu: float, a_mulam: float, bases: BasisPair,
                            dealias: bool = False) -> tuple:
     """Solve (I - a_mu * Lap - a_mulam * grad div) u = (g1, g2, g3) and
-    return the representable modal coefficients of u; with ``dealias`` the
-    forward transforms of the data truncate it by the 2/3 rule, the split
-    runs on the kept block alone, and u is 0 outside it.
+    return the representable modal coefficients of u on the extent the
+    forward transforms give: the whole array, or with ``dealias`` the kept
+    block of the 2/3 rule, outside which u is 0 and which is all each
+    result holds.
 
     Uses the divergence/solenoidal modal split: the divergence coefficient
     solves a scalar Helmholtz problem with coefficient a_mu + a_mulam, after

@@ -170,6 +170,13 @@ class TestPresets:
         coeffs = to_modal_values(dz_p + nondim.g * rho, bases.dirichlet)
         assert np.max(np.abs(coeffs)) <= 1e-13 * nondim.g * np.max(rho)
 
+    @pytest.mark.parametrize("amplitude", [-2.0, -1.0, float("nan")])
+    def test_bubble_without_positive_temperature_rejected(self, grid8, nondim, amplitude):
+        """A cold bubble whose peak reaches T0 (1 here) leaves a temperature
+        that is not positive everywhere: a ValueError naming amplitude."""
+        with pytest.raises(ValueError, match="amplitude"):
+            mf.preset_initial("thermal_bubble", grid8, nondim, amplitude=amplitude)
+
     def test_zero_amplitude_bubble_equals_equilibrium(self, grid16, nondim):
         eq, _ = mf.preset_initial("equilibrium", grid16, nondim)
         bb, _ = mf.preset_initial("thermal_bubble", grid16, nondim, amplitude=0.0)
@@ -616,6 +623,8 @@ class TestLibraryRejectionsExit2:
         ("solver.v_r_scale = -1", "v_r_scale must be nonnegative"),
         ("boundary.v.alpha_top = -1", "sign condition violated for variable 'v'"),
         ("ic.sat_ratio = -0.5", "sat_ratio must be nonnegative"),
+        ("ic.amplitude = -2", "amplitude -2.0 makes the initial temperature not positive"),
+        ("constants.T_ref = 1e300", "T_ref must have a finite square"),
         ("ic.preset = vortex", "unknown preset 'vortex'")])
     def test_check_and_run_exit_2_and_write_nothing(self, tmp_path, capsys, line,
                                                     message):

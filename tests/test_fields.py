@@ -102,6 +102,20 @@ def _state_with_log_rho(grid, vals):
                  ScalarField.zeros(grid), ScalarField.zeros(grid))
 
 
+class TestPhysConstants:
+    @pytest.mark.parametrize("T_ref", [1e300, 1.4e154, float("inf")])
+    def test_T_ref_without_finite_square_rejected(self, T_ref):
+        """The default saturation closure squares T_ref: a value whose square
+        overflows is a ValueError naming the constant, not an
+        OverflowError at the first step."""
+        with pytest.raises(ValueError, match="T_ref"):
+            mf.PhysConstants(T_ref=T_ref)
+
+    def test_largest_T_ref_with_finite_square_accepted(self):
+        T_ref = float(np.sqrt(np.finfo(float).max))
+        assert np.isfinite(mf.PhysConstants(T_ref=T_ref).T_ref ** 2)
+
+
 class TestRhoD:
     def test_zero_log_gives_unit_density(self, grid8):
         s = _state_with_log_rho(grid8, np.zeros(grid8.shape))
@@ -223,12 +237,17 @@ class TestCoefficientFile:
             mf.load_state(path)
 
     @pytest.mark.parametrize("key, change, match", [
-        ("u1", lambda a: a[:, :, :5], r"'u1' are complex128 of shape \(8, 5, 5\)"),
+        ("u1", lambda a: a[:, :, :5], r"'u1' are complex128 of shape \(8, 3, 5\), not "
+                                      r"complex of shape \(8, 5, 9\) or \(8, 3, 6\)"),
+        ("T", lambda a: np.zeros((8, 5, 6), complex), r"'T' are complex128 of shape \(8, 5, 6\)"),
+        ("qv", lambda a: a[:4], r"'qv' are complex128 of shape \(4, 3, 6\)"),
         ("w", lambda a: a.real.copy(), "'w' are float64"),
-        ("T", None, "no coefficients 'T'")], ids=["shape", "real", "missing"])
+        ("T", None, "no coefficients 'T'")],
+        ids=["shape", "mixed-extent", "x-cut", "real", "missing"])
     def test_malformed_coefficient_array_rejected(self, ckpt, key, change, match):
-        """Each coefficient array must be present, complex and of the shape
-        the grid's transforms give, (nx, ny//2+1, nz)."""
+        """Each coefficient array must be present, complex and of one of the
+        extents the grid's transforms give: the whole (nx, ny//2+1, nz)
+        array or the kept (nx, ky_keep, mz_keep) block of the 2/3 rule."""
         path, state = ckpt
         with np.load(path / MODAL_FILE) as npz:
             arrays = dict(npz)
@@ -240,6 +259,43 @@ class TestCoefficientFile:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=re.escape(str(path / MODAL_FILE)) + ".*" + match):
             mf.load_state(path)
+
+
+    @pytest.mark.parametrize("mode", ["direct", "picard"])
+    def test_whole_extent_checkpoint_resumes_bitwise(self, tmp_path, grid8, nondim, mode):
+        """A checkpoint whose modal.npz holds every array at the whole
+        (nx, ny//2+1, nz) extent, the kept blocks padded with zeros, as
+        earlier versions wrote it, loads those arrays and resumes to the
+        bits of the uninterrupted run, whose states carry the blocks: the
+        final fields and coefficients, and every row after the checkpoint's
+        own."""
+        state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        cfg = mf.SolverConfig(dt=1e-3, t_end=3e-3, mode=mode, checkpoint_every=1)
+        full = mf.Simulation(grid8, nondim, bspec, cfg).run(state, out_dir=str(tmp_path))
+        path = tmp_path / "checkpoints" / "step_000001"
+        whole = (grid8.nx, grid8.ny // 2 + 1, grid8.nz)
+        with np.load(path / MODAL_FILE) as npz:
+            arrays = dict(npz)
+        assert arrays["u1"].shape == (grid8.nx, *grid8.kept_extent)
+        for name in MODAL_NAMES:
+            a = arrays[name]
+            arrays[name] = np.zeros(whole, complex)
+            arrays[name][:, :a.shape[1], :a.shape[2]] = a
+        with open(path / MODAL_FILE, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded = mf.load_state(path)
+        assert all(loaded.modal[name].shape == whole for name in MODAL_NAMES)
+        resumed = mf.Simulation(grid8, nondim, bspec, cfg).run(loaded)
+        a, b = full.final_state, resumed.final_state
+        for name, (va, vb) in zip(MODAL_NAMES[:-1], (
+                (a.u.v1, b.u.v1), (a.u.v2, b.u.v2), (a.u.w, b.u.w), (a.frak_T, b.frak_T),
+                (a.frak_q_v, b.frak_q_v), (a.frak_q_c, b.frak_q_c), (a.frak_q_r, b.frak_q_r))):
+            assert va.values.tobytes() == vb.values.tobytes(), name
+        assert a.log_rho_d.values.tobytes() == b.log_rho_d.values.tobytes()
+        for name in MODAL_NAMES:
+            assert a.modal[name].tobytes() == b.modal[name].tobytes(), name
+        assert ([r.csv_values() for r in full.rows[2:]]
+                == [r.csv_values() for r in resumed.rows[1:]])
 
 
 class TestAtomicWrite:

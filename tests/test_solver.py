@@ -10,9 +10,10 @@ import pytest
 import moistflow as mf
 from moistflow import diagnostics as dg
 from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
-from moistflow.spectral_ops import derivs, to_modal_values, to_phys_values, dz_modal
+from moistflow.spectral_ops import (derivs, div_modal, to_modal_values, to_phys_values,
+                                    dz_modal)
 
-from conftest import dealias_mask, kernel_outputs, random_band_limited
+from conftest import kernel_outputs, random_band_limited
 from mms import run_mms
 
 
@@ -131,7 +132,10 @@ class TestDensityStep:
         serve both stages: density_step's midpoint velocity u_i - (dt/2) A_i
         gives log rho_d within 1e-14 relative of the order-1 Taylor value of
         u_i at x - (dt/2) u, formed from the nine derivatives, and the
-        momentum advection assemble_rhs records is -rho Q_m A_i bitwise."""
+        momentum advection assemble_rhs records is -rho Q_m A_i bitwise.
+        The velocity holds div u and the kept block of its coefficients,
+        and grad div u formed from them is bitwise the derivative set of
+        the whole-array divergence."""
         sim, state = make_sim(grid16, nondim, preset="saturated_layer")
         state.log_rho_d = ScalarField(grid16, state.log_rho_d.values + 0.3 * random_band_limited(
             grid16, bases16, seed=4, max_mode=3))
@@ -145,6 +149,15 @@ class TestDensityStep:
         frozen = dg.with_coefficients(replace(state, u=u), sim.bases)
         velocity = sim._frozen_velocity(frozen)
         neu, diri = sim.bases.neumann, sim.bases.dirichlet
+        # the velocity keeps div u and its kept-block coefficients, from
+        # which grad div u is formed where it is read
+        assert velocity.div_modal.shape == (grid16.nx, *grid16.kept_extent)
+        grad_div = velocity.grad_div(sim.bases)
+        ref = derivs(div_modal(frozen.modal["u1"], frozen.modal["u2"], frozen.modal["w"],
+                               sim.bases), neu, dealias=True, value=True)
+        assert velocity.div.tobytes() == ref.pop("value").tobytes()
+        for k in "xyz":
+            assert grad_div[k].tobytes() == ref[k].tobytes(), k
         d = [derivs(frozen.modal[name], basis, dealias=True)
              for name, basis in (("u1", neu), ("u2", neu), ("w", diri))]
         u1, u2, w = (comp.values for comp in u.components())
@@ -155,7 +168,7 @@ class TestDensityStep:
             dz_f = np.clip(z - dt * umw, 0.0, 1.0) - z
             log = sim._taylor_eval(state.log_rho_d.values, derivs(
                 state.modal["log_rho_d"], neu, order=2), dx_f, dy_f, dz_f, order=2)
-            return log - dt * sim._taylor_eval(velocity.div, velocity.grad_div, 0.5 * dx_f,
+            return log - dt * sim._taylor_eval(velocity.div, grad_div, 0.5 * dx_f,
                                                0.5 * dy_f, 0.5 * dz_f, order=1)
 
         hx, hy, hz = -0.5 * dt * u1, -0.5 * dt * u2, -0.5 * dt * w
@@ -433,18 +446,19 @@ class TestDirectStep:
 
     def test_transform_budget(self, grid8, nondim, monkeypatch):
         """Exact transform counts of one direct step from a moving state that
-        carries its coefficients, and its 10 derivative sets (div u is made
-        in the set of its gradient), and of each Picard iteration after the
-        first, so that a repeated transform shows."""
+        carries its coefficients, and its 11 derivative sets (grad div u is
+        formed twice, by density_step and by linear_step, and div u is a
+        single inverse), and of each Picard iteration after the first, so
+        that a repeated transform shows."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
         state = sim.direct_step(state, 1e-3)
         assert np.any(state.u.w.values)
         sets = []
         count = count_transforms(monkeypatch, sets)
         sim.direct_step(state, 1e-3)
-        assert count == {"fwd": 9, "inv": 49}
-        assert len(sets) == 10
-        assert sorted(map(len, sets)) == [3] * 8 + [4] + [9]    # 37 of the 49
+        assert count == {"fwd": 9, "inv": 52}
+        assert len(sets) == 11
+        assert sorted(map(len, sets)) == [3] * 10 + [9]    # 39 of the 52
 
         ends = []
         linear_step = sim.linear_step
@@ -458,7 +472,7 @@ class TestDirectStep:
         _, rep = sim.picard_solve(state, 1e-3)
         assert rep.iterations >= 3
         per_iteration = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(ends, ends[1:])}
-        assert per_iteration == {(9, 40)}
+        assert per_iteration == {(9, 43)}
 
     def test_compute_row_transform_budget(self, grid8, nondim, monkeypatch):
         """The diagnostics row reads the coefficients a state carries: the
@@ -540,11 +554,14 @@ class TestWorkingSet:
             assert fac.psi._profile0 is None or fac.psi._profile0.shape[:2] == (1, 1)
         assert factors["T"]._binv_modal[1].shape == (1, 1, grid16.nz)
 
-    def test_direct_step_peak_memory(self, grid16, nondim):
-        """A 16x16x17 direct step from a carried state, with what is built
-        once already built, allocates at most 36 field arrays above its
-        start at its peak (traced)."""
-        sim, state = make_sim(grid16, nondim, preset="saturated_layer", mode="direct")
+    @pytest.mark.parametrize("n, bound", [(16, 27.8), (32, 26.5)])
+    def test_direct_step_peak_memory(self, nondim, n, bound):
+        """A direct step from a carried state, with what is built once
+        already built, allocates at most ``bound`` field arrays above its
+        start at its peak (traced): its measured peak, 26.8 arrays at
+        16x16x17 and 25.6 at 32x32x33, plus one."""
+        grid = mf.make_grid(n, n, n + 1)
+        sim, state = make_sim(grid, nondim, preset="saturated_layer", mode="direct")
         carried = sim.direct_step(state, 1e-3)
         tracemalloc.start()
         try:
@@ -553,17 +570,34 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - start) / (8 * np.prod(grid16.shape)) <= 36.0
+        assert (peak - start) / (8 * np.prod(grid.shape)) <= bound
+
+    def test_carried_coefficients_size(self, nondim):
+        """A carried 32x32x33 state holds at most 1.2 MB of coefficients:
+        seven kept blocks and the whole log rho_d array (the whole arrays
+        would take 2.3 MB)."""
+        grid = mf.make_grid(32, 32, 33)
+        sim, state = make_sim(grid, nondim, preset="saturated_layer", mode="direct")
+        carried = sim.direct_step(state, 1e-3)
+        assert sum(m.nbytes for m in carried.modal.values()) <= 1.2e6
 
 
 def assert_carries_own_coefficients(state, bases):
-    """state.modal holds the forward transforms of its fields, to rounding."""
+    """state.modal holds the forward transforms of its fields, to rounding,
+    each array on its own extent: the whole array, or the kept block of
+    the 2/3 rule, outside which the transform is 0 to rounding."""
     assert state.modal is not None and list(state.modal) == list(MODAL_NAMES)
     values = dict(dg.iterated_values(state), log_rho_d=state.log_rho_d.values)
+    g = state.grid
     for name in MODAL_NAMES:
+        a = state.modal[name]
         ref = to_modal_values(values[name], dg.iterated_basis(name, bases))
-        gap = np.max(np.abs(state.modal[name] - ref))
-        assert gap <= 1e-13 * np.max(np.abs(ref)), name
+        assert a.shape in (ref.shape, (g.nx, *g.kept_extent)), name
+        lead = (slice(None), slice(a.shape[1]), slice(a.shape[2]))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(a - ref[lead])) <= 1e-13 * scale, name
+        ref[lead] = 0.0
+        assert np.max(np.abs(ref)) <= 1e-13 * scale, name
 
 
 class TestCarriedCoefficients:
@@ -589,17 +623,22 @@ class TestCarriedCoefficients:
 
     def test_carried_coefficients_vanish_outside_the_kept_block(self, moving):
         """After a dealiased direct step and a Picard step, every iterated
-        coefficient array is exactly 0 outside the 2/3 block.  The block
-        inverse ignores what lies there, so the fields would not show a
-        solve that leaked into it."""
+        coefficient array is the kept (nx, ky_keep, mz_keep) block of the
+        2/3 rule, nothing outside it is stored, and the kx rows the rule
+        drops are exactly 0; log rho_d keeps the whole array.  The block
+        inverse ignores the dropped rows, so the fields would not show a
+        solve that leaked into them."""
         sim, state = moving
         out, rep = sim.picard_solve(state, 1e-3)
         assert rep.iterations >= 3
-        dropped = ~dealias_mask(sim.bases.neumann)
+        g, neu = state.grid, sim.bases.neumann
         for s in (state, sim.direct_step(state, 1e-3), out):
             for name in dg.ITERATED:
-                assert np.all(s.modal[name][dropped] == 0.0), name
-                assert np.any(s.modal[name][~dropped] != 0.0), name
+                m = s.modal[name]
+                assert m.shape == (g.nx, *g.kept_extent), name
+                assert np.all(m[~neu.kx_keep] == 0.0), name
+                assert np.any(m[neu.kx_keep] != 0.0), name
+            assert s.modal["log_rho_d"].shape == (g.nx, g.ny // 2 + 1, g.nz)
 
     def test_state_after_a_halved_step(self, moving, monkeypatch):
         sim, state = moving
