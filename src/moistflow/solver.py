@@ -223,13 +223,37 @@ class Simulation:
     def _taylor_eval(vals, derivs, dx, dy, dz, order: int = 2):
         """Evaluate a field at displaced points via its Taylor series; the
         departure-point evaluator of the semi-Lagrangian step (displacements
-        are a fraction of a cell at the CFL numbers this scheme targets)."""
-        out = vals + dx * derivs["x"] + dy * derivs["y"] + dz * derivs["z"]
+        are a fraction of a cell at the CFL numbers this scheme targets).
+
+        The series is vals + dx f_x + dy f_y + dz f_z, then
+        + 0.5 (dx dx f_xx + dy dy f_yy + dz dz f_zz) + dx dy f_xy
+        + dx dz f_xz + dy dz f_yz, summed left to right and each product
+        formed left to right, in place on two work arrays beside the
+        result, so that few temporaries are alive at once."""
+        out = vals + dx * derivs["x"]
+        work = np.empty_like(out)
+
+        def add(to, key, a, b=None):
+            if b is None:
+                np.multiply(a, derivs[key], out=work)
+            else:
+                np.multiply(a, b, out=work)
+                np.multiply(work, derivs[key], out=work)
+            to += work
+
+        add(out, "y", dy)
+        add(out, "z", dz)
         if order >= 2:
-            out = out + 0.5 * (dx * dx * derivs["xx"] + dy * dy * derivs["yy"]
-                               + dz * dz * derivs["zz"]) \
-                      + dx * dy * derivs["xy"] + dx * dz * derivs["xz"] \
-                      + dy * dz * derivs["yz"]
+            half = dx * dx
+            half *= derivs["xx"]
+            add(half, "yy", dy, dy)
+            add(half, "zz", dz, dz)
+            half *= 0.5
+            out += half
+            del half
+            add(out, "xy", dx, dy)
+            add(out, "xz", dx, dz)
+            add(out, "yz", dy, dz)
         return out
 
     # -- density transport --------------------------------------------------
@@ -270,14 +294,20 @@ class Simulation:
                           f"(overshoot {overshoot:.3e})")
         dz_f -= z
 
-        log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
-                                        dx_f, dy_f, dz_f, order=2)
-
-        # halved in place: the midpoint of the characteristic
+        # the divergence integral first, at the midpoint of the characteristic
+        # (the displacements halved in place), so that grad div u is freed
+        # before log rho_d at the foot is allocated; halving and doubling are
+        # exact, so the foot's displacements come back bitwise
         for d in (dx_f, dy_f, dz_f):
             d *= 0.5
-        log_at_foot -= dt * self._taylor_eval(velocity.div, velocity.grad_div(self.bases),
-                                              dx_f, dy_f, dz_f, order=1)
+        div_integral = self._taylor_eval(velocity.div, velocity.grad_div(self.bases),
+                                         dx_f, dy_f, dz_f, order=1)
+        div_integral *= dt
+        for d in (dx_f, dy_f, dz_f):
+            d *= 2.0
+        log_at_foot = self._taylor_eval(state.log_rho_d.values, dlog,
+                                        dx_f, dy_f, dz_f, order=2)
+        log_at_foot -= div_integral
         return ScalarField(g, log_at_foot)
 
     # -- explicit right-hand sides ------------------------------------------
@@ -351,6 +381,7 @@ class Simulation:
         T_c = positive_values(T_o)
         del T_o
         qv_c, qc_c, qr_c = map(positive_values, (q_v, q_c, q_r))
+        del q_r     # formed again where the drag and the sedimentation read it
         S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_v, q_c)
         del T_c, q_vs, q_v, q_c
         # each equation's exchange term, S_ev - S_cd shared by T and q_v
@@ -388,7 +419,7 @@ class Simulation:
         for a in velocity.advection:
             a *= minus_rQm
         add("momentum", "advection", *velocity.advection)
-        drag = rho_vals * q_r * self.v_r
+        drag = rho_vals * (fr.binv_profile * G["r"]) * self.v_r
         for d in velocity.dz:
             d *= drag
         add("momentum", "sedimentation_drag", *velocity.dz)
@@ -404,7 +435,7 @@ class Simulation:
         G_T, ap_T = G["T"], fT.dz_log_b
         add("temperature", "advection", -Q_th * (u1 * lT["x"] + u2 * lT["y"] + w * lT["z"]))
         add("temperature", "sedimentation",
-            c.c_l * q_r * self.v_r * (lT["z"] - ap_T * G_T))
+            c.c_l * (fr.binv_profile * G["r"]) * self.v_r * (lT["z"] - ap_T * G_T))
         lifting = -2.0 * ap_T * lT["z"] + fT.dzz_binv_b * G_T
         del lT
         if not fT.psi.is_zero:
