@@ -270,7 +270,8 @@ class Simulation:
         of u_i at the half-step foot x - (dt/2) u, from the A_i of
         ``velocity``: the material derivatives the momentum advects with.
         ``velocity`` is ``_frozen_velocity`` of the frozen iterate; its
-        grad div u is formed for the divergence integral and freed after it.
+        grad div u is formed for the divergence integral, which comes
+        first, and freed before log rho_d at the foot is allocated.
         ``dlog`` is the order-2 derivative set of ``state.log_rho_d``, which
         does not depend on the velocity."""
         g = self.grid
@@ -339,9 +340,11 @@ class Simulation:
         those ``frozen`` carries.  Each array is freed at its last use:
         each scalar's derivative set after its equation, the pressure once
         its forward transform is formed and that transform once its
-        gradient is, q_vs, the clipped variables, T_o, q_v and
-        q_c once the rates are, the rates once their three combinations
-        are, each combination and Q_cp after the terms that read them.  A
+        gradient is, the raw q_r before the rates (it is formed again
+        where the drag and T's sedimentation read it), q_vs, the clipped
+        variables, T_o, q_v and q_c once the rates are, the rates once
+        their three combinations are, each combination and Q_cp after the
+        terms that read them.  A
         term that is the number 0.0 is recorded but not added.  The bundle
         holds what ``linear_step`` reads."""
         c = self.constants
