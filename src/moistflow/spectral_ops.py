@@ -85,7 +85,6 @@ class Basis:
         self.z_inv = np.cos(phase) if kind == NEUMANN else np.sin(phase) * ww
         self.z_fwd = self.z_inv * ww * (2.0 / n)
         self._other = None
-        self._sobolev_factors = None
         self._sobolev_weights = {}
         self._inverse_matrices = {}
         self._forward_matrices = {}
@@ -113,7 +112,7 @@ class Basis:
         sine Nyquist row is invisible on the grid so it carries weight zero.
         One term per distinct multi-index of derivatives.
         """
-        if self._sobolev_factors is None:
+        if (nky, nmz) not in self._sobolev_weights:
             nz = self.grid.nz
             cw = np.full(nz, 0.5)
             cw[0] = 1.0
@@ -130,11 +129,9 @@ class Basis:
             # rows: the x-moment kx^(2i); columns: the order; then (ky, kz)
             w = np.array([[even, h1, h2], [zero, even, h1], [zero, zero, even]])
             kx2 = self.kappa_x[:, 0, 0] ** 2
-            self._sobolev_factors = (np.array([np.ones_like(kx2), kx2, kx2 ** 2]),
-                                     w.transpose(0, 2, 3, 1))
-        if (nky, nmz) not in self._sobolev_weights:
-            P, w = self._sobolev_factors
-            self._sobolev_weights[nky, nmz] = (P, w[:, :nky, :nmz].reshape(-1, 3))
+            self._sobolev_weights[nky, nmz] = (
+                np.array([np.ones_like(kx2), kx2, kx2 ** 2]),
+                w.transpose(0, 2, 3, 1)[:, :nky, :nmz].reshape(-1, 3))
         return self._sobolev_weights[nky, nmz]
 
     def inverse_matrices(self, dealias: bool) -> tuple:
