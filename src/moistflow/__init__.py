@@ -4,12 +4,13 @@ contraction-mapping (Picard) time stepper."""
 
 from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
                      load_field, load_state, make_grid, negative_part,
-                     positive_part, rho_d, save_field, save_state)
-from .thermo import (QFactors, latent_heat, mixed_gas_constant,
-                     mixed_heat_capacity, moist_density, potential_temperature,
-                     pressure, q_factors)
-from .microphysics import (SaturationClosure, SourceBundle, saturation_q_vs,
-                           sources, water_exchange_residual)
+                     positive_part, positive_values, rho_d, save_field,
+                     save_state)
+from .thermo import (latent_heat, mixed_gas_constant, mixed_heat_capacity,
+                     moist_density, potential_temperature, pressure_values,
+                     q_factor_values)
+from .microphysics import (SaturationClosure, exchange_terms, source_values,
+                           water_exchange_residual)
 from .boundary import (BoundarySpec, BoundaryExtension, HomogenizationFactors,
                        VariableBoundary, build_extension, build_factors,
                        cutoff_chi0, dehomogenize, homogenize,

@@ -6,8 +6,10 @@ A Robin condition dz F = alpha (F_b - F) at a wall becomes a homogeneous
 Neumann condition for frak_F = B F - psi, where B = exp(A) with a quadratic
 A(z) whose endpoint slopes reproduce the alpha coefficients, and psi is an
 interior extension whose wall-normal derivative equals alpha B F_b exactly.
-Factor construction is pure; factors are immutable once built and safe to
-share across threads.
+Factor construction is pure.  Factors and extensions fill caches on first
+use, and an extension releases its deriv-0 profile once every accessor
+built from it is cached, so they are not safe to share across threads
+until those caches are full; each Simulation builds its own.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair) -> float:
     if order not in (0, 1, 2):
         raise ValueError("sobolev_norm supports orders 0, 1, 2 only")
     modal = sp.to_modal_values(f.values, bases.neumann)
-    return float(np.sqrt(sp.modal_sobolev_sq(modal, bases.neumann, order)))
+    return float(np.sqrt(sp.modal_sobolev_sqs(modal, bases.neumann, order)[order]))
 
 
 def _norm_triplet(modal: np.ndarray, basis) -> tuple:

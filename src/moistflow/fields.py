@@ -74,10 +74,10 @@ class PhysConstants:
             raise ValueError("q_vs_star must be nonnegative")
         if self.g < 0.0:
             raise ValueError("gravity g must be nonnegative")
-        with np.errstate(over="ignore"):   # the default closure squares T_ref
-            if not np.isfinite(np.square(self.T_ref)):
+        with np.errstate(over="ignore"):   # the default closure forms 2 T_ref^2
+            if not np.isfinite(2.0 * np.square(self.T_ref)):
                 raise ValueError(f"constant T_ref must have a finite square, "
-                                 f"got {self.T_ref}")
+                                 f"twice over (2 T_ref^2), got {self.T_ref}")
 
     @property
     def gamma(self) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import PhysConstants, ScalarField, check_same_grid
+from .fields import PhysConstants
 from .fields import positive_values as _pos
 
 
@@ -78,28 +78,6 @@ class SaturationClosure:
         return self.func(p, T)
 
 
-def saturation_q_vs(p: ScalarField, T: ScalarField,
-                    closure: SaturationClosure) -> ScalarField:
-    grid = check_same_grid(p, T)
-    if np.any(p.values <= 0.0):
-        raise ValueError("saturation closure requires positive pressure")
-    return ScalarField(grid, closure(p.values, T.values))
-
-
-@dataclass
-class SourceBundle:
-    """Evaluated microphysics rates on the grid.
-
-    In clipped form S_ev, S_ac, S_cr are nonnegative by construction;
-    S_cd carries no sign constraint (its condensation term may reverse).
-    """
-
-    S_ev: ScalarField
-    S_cd: ScalarField
-    S_ac: ScalarField
-    S_cr: ScalarField
-
-
 def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
                   q_r: np.ndarray, q_vs: np.ndarray, constants: PhysConstants,
                   q_v_raw: np.ndarray, q_c_raw: np.ndarray) -> dict:
@@ -114,10 +92,14 @@ def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
     The clipped form is the same formula with T+, q_j+ in place of T, q_j,
     exactly where the approximation system puts them: the caller passes
     the nonnegative parts as T, q_j.  The nucleation term and S_ac read
-    q_v_raw and q_c_raw in both forms.
+    q_v_raw and q_c_raw in both forms.  A moisture denominator
+    1 + q_v + q_c + q_r that is not positive everywhere raises ValueError;
+    in the clipped form it is at least 1.
     """
     c = constants
     denom = 1.0 + q_v + q_c + q_r
+    if np.any(denom <= 0.0):
+        raise ValueError("raw sources: moisture denominator 1 + q_v + q_c + q_r <= 0")
     return {
         "S_ev": c.c_ev * T * (c.R_d + c.R_v * q_v) / denom * _pos(q_vs - q_v) * q_r,
         "S_cd": c.c_cd * (q_v - q_vs) * q_c + c.c_cn * _pos(q_v_raw - q_vs) * c.q_cn,
@@ -126,29 +108,21 @@ def source_values(T: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
     }
 
 
-def sources(T: ScalarField, q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-            q_vs: ScalarField, constants: PhysConstants,
-            clipped: bool = True) -> SourceBundle:
-    """Evaluate the four phase-change rates (see source_values); the raw
-    form requires a positive moisture denominator."""
-    grid = check_same_grid(T, q_v, q_c, q_r, q_vs)
-    if not clipped and np.any(1.0 + q_v.values + q_c.values + q_r.values <= 0.0):
-        raise ValueError("raw sources: moisture denominator 1 + q_v + q_c + q_r <= 0")
-    args = (T.values, q_v.values, q_c.values, q_r.values)
-    if clipped:
-        args = tuple(map(_pos, args))
-    rates = source_values(*args, q_vs.values, constants, q_v.values, q_c.values)
-    return SourceBundle(*(ScalarField(grid, rates[k])
-                          for k in ("S_ev", "S_cd", "S_ac", "S_cr")))
+def exchange_terms(rates: dict) -> dict:
+    """The phase-change term of each moisture equation from the rates
+    ``source_values`` returns: vapour S_ev - S_cd (the temperature
+    equation's too), cloud S_cd - S_ac - S_cr, rain S_ac + S_cr - S_ev,
+    keyed v, c, r."""
+    return {"v": rates["S_ev"] - rates["S_cd"],
+            "c": rates["S_cd"] - rates["S_ac"] - rates["S_cr"],
+            "r": rates["S_ac"] + rates["S_cr"] - rates["S_ev"]}
 
 
-def water_exchange_residual(bundle: SourceBundle) -> ScalarField:
-    """Sum of the three moisture right-hand sides; telescopes to zero, so
-    phase changes conserve total water internally."""
-    ev, cd = bundle.S_ev.values, bundle.S_cd.values
-    ac, cr = bundle.S_ac.values, bundle.S_cr.values
-    res = (ev - cd) + (cd - ac - cr) + (ac + cr - ev)
-    return ScalarField(bundle.S_ev.grid, res)
+def water_exchange_residual(rates: dict) -> np.ndarray:
+    """Sum of the three moisture exchange terms of ``rates``; telescopes to
+    zero, so phase changes conserve total water internally."""
+    ex = exchange_terms(rates)
+    return ex["v"] + ex["c"] + ex["r"]
 
 
 def growth_bound_constant(constants: PhysConstants) -> float:

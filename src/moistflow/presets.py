@@ -69,6 +69,15 @@ def _default_alphas(name: str) -> dict:
     return {v: (0.0, 0.0) for v in ("T", "v", "c", "r")}
 
 
+def _check_closure_square(T: float) -> None:
+    """Reject an initial temperature for which the default saturation
+    closure's 2 T^2 overflows."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * np.square(T)):
+            raise ValueError(f"initial temperature {T!r} must have a finite "
+                             f"square, twice over (2 T^2)")
+
+
 def preset_initial(name: str, grid: Grid, constants: PhysConstants,
                    alphas: dict | None = None, *, T0: float = 0.0,
                    rho0: float = 0.0, amplitude: float | None = None,
@@ -88,8 +97,9 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
     peaks at ``sat_ratio`` times the default closure's q_vs at mid-height,
     and ``qc_seed`` and ``qr_seed`` are the peaks of its cloud and rain
     bands.  A negative ``T0``, ``rho0``, ``sat_ratio``, ``qc_seed`` or
-    ``qr_seed``, a bubble whose temperature is not positive everywhere, or
-    data whose hydrostatic density is not positive, raise ValueError.
+    ``qr_seed``, a bubble whose temperature is not positive everywhere, an
+    initial temperature T whose 2 T^2 overflows, or data whose hydrostatic
+    density is not positive, raise ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -100,6 +110,7 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
     alphas = alphas if alphas is not None else _default_alphas(name)
 
     T0 = float(T0 or constants.T_ref)
+    _check_closure_square(T0)     # before the saturated layer's closure reads T0
     rho0 = float(rho0 or constants.p_ref / (constants.R_d * T0))
 
     X = grid.x[:, None, None]
@@ -153,6 +164,8 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
         qr = 0.25 * a_q * (1.0 + np.sin(np.pi * X) * np.cos(np.pi * Z)
                            * np.ones_like(Y)) / 2.0
 
+    _check_closure_square(float(np.max(T_vals)))
+
     bspec = BoundarySpec({
         "T": VariableBoundary(alphas["T"][0], alphas["T"][1], T0, T0),
         "v": VariableBoundary(alphas["v"][0], alphas["v"][1],
@@ -190,7 +203,7 @@ def perturb_state(state: State, bases: sp.BasisPair, field: str = "frak_T",
             & (np.abs(neu.kappa_y) <= np.pi * max_mode)
             & (neu.kappa_z <= np.pi * max_mode))
     vals = sp.to_phys_values(modal * keep, neu)
-    norm = np.sqrt(sp.modal_sobolev_sq(sp.to_modal_values(vals, neu), neu, 0))
+    norm = np.sqrt(sp.modal_sobolev_sqs(sp.to_modal_values(vals, neu), neu, 0)[0])
     vals *= amplitude / norm
     out = state.copy()
     target = getattr(out, field)

@@ -28,7 +28,7 @@ from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
 from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
                      load_state, positive_values, save_modal, save_state)
-from .microphysics import SaturationClosure, source_values
+from .microphysics import SaturationClosure, exchange_terms, source_values
 from .thermo import pressure_values, q_factor_values
 
 
@@ -379,7 +379,10 @@ class Simulation:
         # both kernels compute with the clipped variables, each clipped once;
         # the nucleation and auto-conversion rates read the raw q_v and q_c.
         # The rates come first, so that the Q-factors are not alive with them.
-        p = pressure_values(rho_vals, q_v, T_o, c)
+        try:
+            p = pressure_values(rho_vals, q_v, T_o, c)
+        except ValueError as exc:   # an underflowed rho_d: a failed step
+            raise StepRejected(str(exc)) from exc
         q_vs = self.closure(p, T_o)
         T_c = positive_values(T_o)
         del T_o
@@ -387,10 +390,7 @@ class Simulation:
         del q_r     # formed again where the drag and the sedimentation read it
         S = source_values(T_c, qv_c, qc_c, qr_c, q_vs, c, q_v, q_c)
         del T_c, q_vs, q_v, q_c
-        # each equation's exchange term, S_ev - S_cd shared by T and q_v
-        exchange = {"v": S["S_ev"] - S["S_cd"],
-                    "c": S["S_cd"] - S["S_ac"] - S["S_cr"],
-                    "r": S["S_ac"] + S["S_cr"] - S["S_ev"]}
+        exchange = exchange_terms(S)     # S_ev - S_cd shared by T and q_v
         del S
         Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(qv_c, qc_c, qr_c, c)
         del qv_c, qc_c, qr_c

@@ -45,8 +45,9 @@ class Basis:
     they are nonnegative and nondecreasing in each mode index.  Instances
     are immutable after construction, apart from the complement that
     ``other``, the weights that ``sobolev_weights`` and the matrices that
-    ``inverse_matrices`` and ``forward_matrix`` build once, and safe to
-    share across threads.
+    ``inverse_matrices`` and ``forward_matrix`` build on first use; two
+    threads that fill the same cache at once build the same entry twice,
+    with the same values.
     """
 
     def __init__(self, grid: Grid, kind: str):
@@ -134,6 +135,18 @@ class Basis:
                 w.transpose(0, 2, 3, 1)[:, :nky, :nmz].reshape(-1, 3))
         return self._sobolev_weights[nky, nmz]
 
+    def _y_table(self, nky: int) -> tuple:
+        """cos and sin, (ny, nky), of the angle pi ky y_j = 2 pi ky j / ny of
+        the first nky columns, reduced mod 2 pi so that each entry is of an
+        exact angle: the ky = 0 sines are exactly 0, and an even ny's
+        Nyquist column, when nky reaches it, is given a sine of exactly 0."""
+        ny = self.grid.ny
+        angle = (2.0 * np.pi / ny) * (np.outer(np.arange(ny), np.arange(nky)) % ny)
+        sin = np.sin(angle)
+        if 2 * (nky - 1) == ny:
+            sin[:, -1] = 0.0
+        return np.cos(angle), sin
+
     def inverse_matrices(self, dealias: bool) -> tuple:
         """The factors of an inverse transform of derivatives over the
         extent ``_extents(self, dealias)`` (nky columns, nmz rows), built on
@@ -152,18 +165,13 @@ class Basis:
           sine-Nyquist row is 0 for r >= 1).
         """
         if dealias not in self._inverse_matrices:
-            nx, ny, nz = self.grid.shape
+            nx, _, nz = self.grid.shape
             nky, nmz = _extents(self, dealias)
             keep = (self.kx_keep if dealias else np.ones(nx, bool))[:, None, None]
             x1 = dx_modal(keep.astype(complex), self)
             x = np.array([keep, x1, dx_modal(x1, self)])[:, :, 0, 0]
-            # the angle pi ky y_j = 2 pi ky j / ny, reduced mod 2 pi so that
-            # each entry is of an exact angle
-            angle = (2.0 * np.pi / ny) * (np.outer(np.arange(ny), np.arange(nky)) % ny)
-            sin = np.sin(angle)
-            if 2 * (nky - 1) == ny:
-                sin[:, -1] = 0.0
-            e = self.ky_multiplicity[0, :nky, 0] * (np.cos(angle) + 1j * sin)
+            cos, sin = self._y_table(nky)
+            e = self.ky_multiplicity[0, :nky, 0] * (cos + 1j * sin)
             iky = 1j * self.kappa_y[0, :nky, 0]       # the multiplier of dy_modal
             # Re(c e) = Re c Re e - Im c Im e, for c e, c (iky e), c (iky^2 e)
             y = np.array([np.hstack([f.real, -f.imag]) for f in (e, iky * e, iky * (iky * e))])
@@ -186,14 +194,9 @@ class Basis:
         if dealias not in self._forward_matrices:
             ny = self.grid.ny
             nky = _extents(self, dealias)[0]
-            # reduced mod 2 pi like the inverse's angle
-            angle = (2.0 * np.pi / ny) * (np.outer(np.arange(nky), np.arange(ny)) % ny)
-            sin = np.sin(angle)
-            sin[0] = 0.0
-            if 2 * (nky - 1) == ny:
-                sin[-1] = 0.0
+            cos, sin = self._y_table(nky)
             y = np.empty((2 * nky, ny))
-            y[0::2], y[1::2] = np.cos(angle) / ny, -sin / ny
+            y[0::2], y[1::2] = cos.T / ny, -sin.T / ny
             self._forward_matrices[dealias] = y
         return self._forward_matrices[dealias]
 
@@ -468,12 +471,6 @@ def extent_sum(a: np.ndarray, b: np.ndarray, subtract: bool = False) -> np.ndarr
     out = -b if subtract else b.copy()
     out[tuple(slice(n) for n in a.shape)] += a
     return out
-
-
-def modal_sobolev_sq(modal: np.ndarray, basis: Basis, order: int) -> float:
-    """Squared Sobolev norm of order <= 2 from modal coefficients (see
-    modal_sobolev_sqs)."""
-    return modal_sobolev_sqs(modal, basis, order)[order]
 
 
 def representable(modal: np.ndarray, basis: Basis) -> np.ndarray:

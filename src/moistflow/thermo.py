@@ -9,25 +9,9 @@ momentum mass factor bounded below by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import PhysConstants, ScalarField, check_same_grid
-from .fields import positive_values as _pos
-
-
-@dataclass
-class QFactors:
-    """Coefficient fields Q_m, Q_th, Q_cp plus the scalar phase-heat
-    coefficients Q_1 and Q_2 (constants by the algebraic collapse of the
-    mixed gas constant against the mixed heat capacity)."""
-
-    Q_m: ScalarField
-    Q_th: ScalarField
-    Q_cp: ScalarField
-    Q_1: float
-    Q_2: float
 
 
 def mixed_heat_capacity(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
@@ -57,18 +41,11 @@ def latent_heat(T: ScalarField, constants: PhysConstants) -> ScalarField:
 
 def pressure_values(rho_d: np.ndarray, q_v: np.ndarray, T: np.ndarray,
                     constants: PhysConstants) -> np.ndarray:
-    """p = rho_d (R_d + R_v q_v) T on plain arrays."""
-    return rho_d * (constants.R_d + constants.R_v * q_v) * T
-
-
-def pressure(rho_d: ScalarField, q_v: ScalarField, T: ScalarField,
-             constants: PhysConstants) -> ScalarField:
-    """p = rho_d (R_d + R_v q_v) T."""
-    grid = check_same_grid(rho_d, q_v, T)
-    if np.any(rho_d.values <= 0.0):
+    """p = rho_d (R_d + R_v q_v) T on plain arrays; a dry-air density that
+    is not positive everywhere raises ValueError."""
+    if np.any(rho_d <= 0.0):
         raise ValueError("pressure requires strictly positive dry-air density")
-    return ScalarField(grid, pressure_values(rho_d.values, q_v.values, T.values,
-                                             constants))
+    return rho_d * (constants.R_d + constants.R_v * q_v) * T
 
 
 def potential_temperature(T: ScalarField, p: ScalarField,
@@ -91,8 +68,10 @@ def moist_density(rho_d: ScalarField, q_v: ScalarField, q_c: ScalarField,
 def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
                     constants: PhysConstants) -> tuple:
     """(Q_m, Q_th, Q_cp, Q_1, Q_2) on plain arrays, from the mixing ratios
-    given (the clipped form passes their nonnegative parts).  Q_th always
-    uses the c_l/c_pd coefficient form.
+    given: the clipped form passes their nonnegative parts, which makes
+    Q_m >= 1 for any input.  Q_th always uses the c_l/c_pd coefficient
+    form; Q_1 and Q_2 are plain numbers, constants by the algebraic
+    collapse of the mixed gas constant against the mixed heat capacity.
     """
     c = constants
     gamma = c.gamma
@@ -105,17 +84,3 @@ def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
     Q_1 = c.c_pv - c.c_l - c.R_v
     Q_2 = c.L_ref - (c.c_pv - c.c_l) * c.T_ref
     return Q_m, Q_th, Q_cp, Q_1, Q_2
-
-
-def q_factors(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-              constants: PhysConstants, clipped: bool) -> QFactors:
-    """Evaluate the Q coefficient fields (see q_factor_values).  In clipped
-    mode the mixing ratios are replaced by their nonnegative parts before
-    the affine formulas, so Q_m >= 1 holds for arbitrary inputs."""
-    grid = check_same_grid(q_v, q_c, q_r)
-    q = (q_v.values, q_c.values, q_r.values)
-    if clipped:
-        q = tuple(map(_pos, q))
-    Q_m, Q_th, Q_cp, Q_1, Q_2 = q_factor_values(*q, constants)
-    return QFactors(ScalarField(grid, Q_m), ScalarField(grid, Q_th),
-                    ScalarField(grid, Q_cp), Q_1, Q_2)

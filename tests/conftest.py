@@ -57,6 +57,20 @@ def random_band_limited(grid, bases, kind="neumann_z", seed=0, max_mode=None):
     return to_phys_values(modal, basis)
 
 
+def clipped_rates(T, q_v, q_c, q_r, q_vs, constants) -> dict:
+    """The clipped rates, formed as assemble_rhs forms them: source_values
+    of the nonnegative parts of T, q_v, q_c and q_r, with the raw q_v and
+    q_c for the nucleation and auto-conversion terms."""
+    clipped = map(mf.positive_values, (T, q_v, q_c, q_r))
+    return mf.source_values(*clipped, q_vs, constants, q_v, q_c)
+
+
+def clipped_q_factors(q_v, q_c, q_r, constants) -> tuple:
+    """The Q-factors of the nonnegative parts of the mixing ratios, as
+    assemble_rhs forms them."""
+    return mf.q_factor_values(*map(mf.positive_values, (q_v, q_c, q_r)), constants)
+
+
 def kernel_outputs(mp, sim, hold=lambda a: a) -> dict:
     """Record, through the MonkeyPatch ``mp``, what the kernels of
     ``sim.assemble_rhs`` return from here on: the pressure as "p", q_vs as

@@ -223,8 +223,8 @@ class TestHomogenize:
                                   - fac.dz_log_b * (G + psi))
         wall_dz_frak = (fac.b_profile * (dzF + fac.dz_log_b * F.values)
                         - fac.psi.dz_values())
-        h1 = np.sqrt(mf.spectral_ops.modal_sobolev_sq(
-            to_modal_values(frak.values, bases16.neumann), bases16.neumann, 1))
+        h1 = np.sqrt(mf.spectral_ops.modal_sobolev_sqs(
+            to_modal_values(frak.values, bases16.neumann), bases16.neumann, 1)[1])
         assert np.max(np.abs(wall_dz_frak[:, :, 0])) <= 1e-9 * h1
         assert np.max(np.abs(wall_dz_frak[:, :, -1])) <= 1e-9 * h1
 

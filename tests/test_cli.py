@@ -14,6 +14,8 @@ from moistflow.cli import SCHEMA, build_simulation, main, parse_config
 from moistflow.presets import discrete_hydrostatic_rho
 from moistflow.spectral_ops import to_modal_values
 
+from conftest import clipped_rates
+
 
 def write_config(path, text):
     path.write_text(text, encoding="utf-8")
@@ -193,13 +195,13 @@ class TestPresets:
         qc = mf.dehomogenize(state.frak_q_c, factors["c"])
         qr = mf.dehomogenize(state.frak_q_r, factors["r"])
         rho = mf.rho_d(state)
-        p = mf.pressure(rho, qv, T, nondim)
-        qvs = mf.saturation_q_vs(p, T, closure)
-        bundle = mf.sources(T, qv, qc, qr, qvs, nondim, clipped=True)
-        assert np.max(bundle.S_cd.values) > 0.0
-        assert np.max(bundle.S_ev.values) > 0.0
-        assert np.max(bundle.S_ac.values) > 0.0
-        assert np.max(bundle.S_cr.values) > 0.0
+        p = mf.pressure_values(rho.values, qv.values, T.values, nondim)
+        qvs = closure(p, T.values)
+        rates = clipped_rates(T.values, qv.values, qc.values, qr.values, qvs, nondim)
+        assert np.max(rates["S_cd"]) > 0.0
+        assert np.max(rates["S_ev"]) > 0.0
+        assert np.max(rates["S_ac"]) > 0.0
+        assert np.max(rates["S_cr"]) > 0.0
 
     def test_unknown_preset_rejected(self, grid8, nondim):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -625,6 +627,8 @@ class TestLibraryRejectionsExit2:
         ("ic.sat_ratio = -0.5", "sat_ratio must be nonnegative"),
         ("ic.amplitude = -2", "amplitude -2.0 makes the initial temperature not positive"),
         ("constants.T_ref = 1e300", "T_ref must have a finite square"),
+        ("constants.T_ref = 1e154", "T_ref must have a finite square, twice over"),
+        ("ic.T0 = 1e300", "must have a finite square, twice over (2 T^2)"),
         ("ic.preset = vortex", "unknown preset 'vortex'")])
     def test_check_and_run_exit_2_and_write_nothing(self, tmp_path, capsys, line,
                                                     message):
@@ -649,6 +653,22 @@ class TestLibraryRejectionsExit2:
         not a runtime failure."""
         cfg = BASE.replace("ic.preset = thermal_bubble", f"ic.preset = {preset}")
         assert main(["check", write_config(tmp_path / "c.cfg", cfg + line + "\n")]) == 2
+
+    @pytest.mark.parametrize("preset", ["equilibrium", "thermal_bubble",
+                                        "saturated_layer", "manufactured"])
+    @pytest.mark.parametrize("line", ["ic.T0 = 1e300", "ic.T0 = 1e154"])
+    def test_overflowing_closure_square_exit_2(self, tmp_path, preset, line):
+        """The saturation closure forms 2 T^2 and T^2 + T_ref^2: an initial
+        temperature whose 2 T^2 overflows (1e154 has a finite square) is a
+        config error in every preset, not a non-finite right-hand side at
+        the first step.  A T_ref that does the same is rejected with the
+        constants, above."""
+        cfg = BASE.replace("ic.preset = thermal_bubble", f"ic.preset = {preset}")
+        path = write_config(tmp_path / "c.cfg", cfg + line + "\n")
+        assert main(["check", path]) == 2
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["qc_seed", "qr_seed"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, key):

@@ -103,17 +103,21 @@ def _state_with_log_rho(grid, vals):
 
 
 class TestPhysConstants:
-    @pytest.mark.parametrize("T_ref", [1e300, 1.4e154, float("inf")])
+    @pytest.mark.parametrize("T_ref", [1e300, 1.4e154, 1e154, float("inf")])
     def test_T_ref_without_finite_square_rejected(self, T_ref):
-        """The default saturation closure squares T_ref: a value whose square
-        overflows is a ValueError naming the constant, not an
-        OverflowError at the first step."""
+        """The default saturation closure forms 2 T_ref^2: a value for which
+        that overflows is a ValueError naming the constant, not an
+        OverflowError or a non-finite right-hand side at the first step."""
         with pytest.raises(ValueError, match="T_ref"):
             mf.PhysConstants(T_ref=T_ref)
 
     def test_largest_T_ref_with_finite_square_accepted(self):
-        T_ref = float(np.sqrt(np.finfo(float).max))
-        assert np.isfinite(mf.PhysConstants(T_ref=T_ref).T_ref ** 2)
+        """The largest T_ref whose 2 T_ref^2 is finite is accepted, and the
+        next float up is not."""
+        T_ref = float(np.sqrt(np.finfo(float).max / 2.0))
+        assert np.isfinite(2.0 * mf.PhysConstants(T_ref=T_ref).T_ref ** 2)
+        with pytest.raises(ValueError, match="T_ref"):
+            mf.PhysConstants(T_ref=float(np.nextafter(T_ref, np.inf)))
 
 
 class TestRhoD:

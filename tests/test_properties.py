@@ -13,7 +13,7 @@ import moistflow as mf
 from moistflow import spectral_ops as sp
 from moistflow.diagnostics import with_coefficients
 
-from conftest import kernel_outputs
+from conftest import clipped_q_factors, clipped_rates, kernel_outputs
 
 C = mf.PhysConstants.nondimensional()
 GRID = mf.make_grid(4, 4, 4)
@@ -39,23 +39,19 @@ def values(lo, hi, shape=GRID.shape):
     return arrays(np.float64, shape, elements=st.floats(lo, hi))
 
 
-def fields(*arrays):
-    return [mf.ScalarField(GRID, a) for a in arrays]
-
-
 @kernel_settings
 @given(T=values(-3.0, 3.0), qv=values(-1.0, 1.0), qc=values(-1.0, 1.0),
        qr=values(-1.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_clipped_rates_nonnegative(T, qv, qc, qr, qvs):
-    S = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
+    S = clipped_rates(T, qv, qc, qr, qvs, C)
     for name in ("S_ev", "S_ac", "S_cr"):
-        assert np.all(getattr(S, name).values >= 0.0), name
+        assert np.all(S[name] >= 0.0), name
 
 
 @kernel_settings
 @given(qv=values(-1e6, 1e6), qc=values(-1e6, 1e6), qr=values(-1e6, 1e6))
 def test_clipped_mass_factor_at_least_one(qv, qc, qr):
-    Q_m = mf.q_factors(*fields(qv, qc, qr), C, clipped=True).Q_m.values
+    Q_m = clipped_q_factors(qv, qc, qr, C)[0]
     assert np.all(Q_m >= 1.0)
 
 
@@ -63,9 +59,9 @@ def test_clipped_mass_factor_at_least_one(qv, qc, qr):
 @given(T=values(-3.0, 3.0), qv=values(-1.0, 1.0), qc=values(-1.0, 1.0),
        qr=values(-1.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_water_exchange_residual_within_four_ulp(T, qv, qc, qr, qvs):
-    b = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
-    res = np.abs(mf.water_exchange_residual(b).values)
-    scale = np.maximum.reduce([np.abs(getattr(b, n).values) for n in RATES]
+    b = clipped_rates(T, qv, qc, qr, qvs, C)
+    res = np.abs(mf.water_exchange_residual(b))
+    scale = np.maximum.reduce([np.abs(b[n]) for n in RATES]
                               + [np.full(GRID.shape, 1e-300)])
     assert np.all(res <= 4.0 * np.finfo(float).eps * scale)
 
@@ -74,16 +70,15 @@ def test_water_exchange_residual_within_four_ulp(T, qv, qc, qr, qvs):
 @given(T=values(0.0, 3.0), qv=values(0.0, 1.0), qc=values(0.0, 1.0),
        qr=values(0.0, 1.0), qvs=values(0.0, C.q_vs_star))
 def test_raw_equals_clipped_on_nonnegative_inputs(T, qv, qc, qr, qvs):
-    raw = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=False)
-    clipped = mf.sources(*fields(T, qv, qc, qr, qvs), C, clipped=True)
+    raw = mf.source_values(T, qv, qc, qr, qvs, C, qv, qc)
+    clipped = clipped_rates(T, qv, qc, qr, qvs, C)
     for name in RATES:
-        assert np.array_equal(getattr(raw, name).values,
-                              getattr(clipped, name).values), name
-    raw, clipped = (mf.q_factors(*fields(qv, qc, qr), C, clipped=flag)
-                    for flag in (False, True))
-    for name in ("Q_m", "Q_th", "Q_cp"):
-        assert np.array_equal(getattr(raw, name).values, getattr(clipped, name).values)
-    assert (raw.Q_1, raw.Q_2) == (clipped.Q_1, clipped.Q_2)
+        assert np.array_equal(raw[name], clipped[name]), name
+    raw = mf.q_factor_values(qv, qc, qr, C)
+    clipped = clipped_q_factors(qv, qc, qr, C)
+    for a, b in zip(raw[:3], clipped[:3]):
+        assert np.array_equal(a, b)
+    assert raw[3:] == clipped[3:]
 
 
 @kernel_settings

@@ -13,7 +13,8 @@ from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
 from moistflow.spectral_ops import (derivs, div_modal, to_modal_values, to_phys_values,
                                     dz_modal)
 
-from conftest import kernel_outputs, random_band_limited
+from conftest import (clipped_q_factors, clipped_rates, kernel_outputs,
+                      random_band_limited)
 from mms import run_mms
 
 
@@ -230,9 +231,8 @@ class TestAssembleRhs:
         for name in ("advection", "sedimentation_drag"):
             for comp in terms["momentum"][name]:
                 assert np.max(np.abs(comp)) == 0.0
-        p = mf.pressure(ScalarField(grid16, rho), ScalarField.zeros(grid16),
-                        ScalarField(grid16, state.frak_T.values), nondim)
-        gp = mf.grad(p, bases16)
+        p = mf.pressure_values(rho, np.zeros(grid16.shape), state.frak_T.values, nondim)
+        gp = mf.grad(ScalarField(grid16, p), bases16)
         tot = rhs.momentum
         assert np.allclose(tot[0], -gp.v1.values, atol=1e-12)
         assert np.allclose(tot[1], -gp.v2.values, atol=1e-12)
@@ -298,24 +298,24 @@ class TestAssembleRhs:
         built = kernel_outputs(monkeypatch, sim)
         rhs = assemble_rhs(sim, state, factors)
 
-        T, qv, qc, qr = (mf.dehomogenize(f, factors[var]) for f, var in (
+        T, qv, qc, qr = (mf.dehomogenize(f, factors[var]).values for f, var in (
             (state.frak_T, "T"), (state.frak_q_v, "v"),
             (state.frak_q_c, "c"), (state.frak_q_r, "r")))
-        p = mf.pressure(rho, qv, T, nondim)
-        q_vs = mf.saturation_q_vs(p, T, sim.closure)
-        qf = mf.q_factors(qv, qc, qr, nondim, clipped=True)
-        rates = mf.sources(T, qv, qc, qr, q_vs, nondim, clipped=True)
+        p = mf.pressure_values(rho.values, qv, T, nondim)
+        q_vs = sim.closure(p, T)
+        Q_m, Q_th, Q_cp, Q_1, Q_2 = clipped_q_factors(qv, qc, qr, nondim)
+        rates = clipped_rates(T, qv, qc, qr, q_vs, nondim)
 
-        assert np.array_equal(built["p"], p.values)
-        assert np.array_equal(rhs.Q_m, qf.Q_m.values)
-        assert np.array_equal(rhs.Q_th, qf.Q_th.values)
+        assert np.array_equal(built["p"], p)
+        assert np.array_equal(rhs.Q_m, Q_m)
+        assert np.array_equal(rhs.Q_th, Q_th)
         assert rhs.Q_m is built["Q_m"] and rhs.Q_th is built["Q_th"]
-        assert np.array_equal(built["Q_cp"], qf.Q_cp.values)
-        assert (built["Q_1"], built["Q_2"]) == (qf.Q_1, qf.Q_2)
-        assert np.array_equal(built["q_vs"], q_vs.values)
+        assert np.array_equal(built["Q_cp"], Q_cp)
+        assert (built["Q_1"], built["Q_2"]) == (Q_1, Q_2)
+        assert np.array_equal(built["q_vs"], q_vs)
         for name in ("S_ev", "S_cd", "S_ac", "S_cr"):
-            assert np.array_equal(built[name], getattr(rates, name).values), name
-        assert np.any(rates.S_cd.values) and np.any(rates.S_cr.values)
+            assert np.array_equal(built[name], rates[name]), name
+        assert np.any(rates["S_cd"]) and np.any(rates["S_cr"])
 
     def test_bundle_keeps_no_pressure_or_rates(self, grid8, nondim, monkeypatch):
         """Once assemble_rhs returns, its pressure, q_vs and four rates are
@@ -832,14 +832,17 @@ class TestSolverConfig:
 
 class TestRun:
     def test_non_finite_rhs_goes_through_retry_ladder(self, grid8, nondim):
-        """At dt = 0.5 the tenth step of the saturated layer produces a
-        non-finite right-hand side; it must be retried at half dt before
-        the run gives up, and the cause must survive in the message."""
+        """At dt = 0.5 the tenth step of the saturated layer blows up: its
+        density step takes log rho_d past both ends of exp's range, and the
+        pressure kernel rejects the underflowed rho_d = 0 before the
+        right-hand side is found non-finite.  The step must be retried at
+        half dt before the run gives up, and the cause must survive in the
+        message."""
         state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
         sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=0.5, t_end=5.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(RuntimeError, match="non-finite RHS term") as info:
+            with pytest.raises(RuntimeError, match="positive dry-air density") as info:
                 sim.run(state)
         assert isinstance(info.value.__cause__, mf.StepRejected)
         assert sim._rejections >= 1

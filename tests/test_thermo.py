@@ -4,7 +4,7 @@ import pytest
 import moistflow as mf
 from moistflow.fields import ScalarField
 
-from conftest import random_band_limited
+from conftest import clipped_q_factors, random_band_limited
 
 # arbitrary test constants with easy arithmetic
 TEST_CONSTANTS = mf.PhysConstants(c_pd=1000.0, c_pv=2000.0, c_l=4000.0)
@@ -12,6 +12,10 @@ TEST_CONSTANTS = mf.PhysConstants(c_pd=1000.0, c_pv=2000.0, c_l=4000.0)
 
 def const_field(grid, v):
     return ScalarField.full(grid, v)
+
+
+def const_values(grid, v):
+    return np.full(grid.shape, v)
 
 
 def random_q(grid, bases, seed, scale=0.02):
@@ -82,28 +86,28 @@ class TestLatentHeat:
 
 class TestPressure:
     def test_unit_normalization(self, grid8):
-        out = mf.pressure(const_field(grid8, 1.0), const_field(grid8, 0.0),
-                          const_field(grid8, 1.0), TEST_CONSTANTS)
-        assert out.values == pytest.approx(TEST_CONSTANTS.R_d)
+        out = mf.pressure_values(const_values(grid8, 1.0), const_values(grid8, 0.0),
+                                 const_values(grid8, 1.0), TEST_CONSTANTS)
+        assert out == pytest.approx(TEST_CONSTANTS.R_d)
 
     def test_bilinearity(self, grid8):
-        out = mf.pressure(const_field(grid8, 2.0), const_field(grid8, 0.0),
-                          const_field(grid8, 3.0), TEST_CONSTANTS)
-        assert out.values == pytest.approx(6.0 * TEST_CONSTANTS.R_d)
+        out = mf.pressure_values(const_values(grid8, 2.0), const_values(grid8, 0.0),
+                                 const_values(grid8, 3.0), TEST_CONSTANTS)
+        assert out == pytest.approx(6.0 * TEST_CONSTANTS.R_d)
 
     def test_random_oracle(self, grid8, bases8):
-        rho = ScalarField(grid8, 1.0 + 0.2 * random_band_limited(grid8, bases8, seed=10))
-        qv = random_q(grid8, bases8, 11)
-        T = ScalarField(grid8, 270.0 + 10.0 * random_band_limited(grid8, bases8, seed=12))
-        out = mf.pressure(rho, qv, T, TEST_CONSTANTS).values
+        rho = 1.0 + 0.2 * random_band_limited(grid8, bases8, seed=10)
+        qv = random_q(grid8, bases8, 11).values
+        T = 270.0 + 10.0 * random_band_limited(grid8, bases8, seed=12)
+        out = mf.pressure_values(rho, qv, T, TEST_CONSTANTS)
         c = TEST_CONSTANTS
-        expected = rho.values * (c.R_d + c.R_v * qv.values) * T.values
+        expected = rho * (c.R_d + c.R_v * qv) * T
         assert np.allclose(out, expected, rtol=1e-15)
 
     def test_nonpositive_density_rejected(self, grid8):
         with pytest.raises(ValueError, match="positive"):
-            mf.pressure(const_field(grid8, 0.0), const_field(grid8, 0.0),
-                        const_field(grid8, 1.0), TEST_CONSTANTS)
+            mf.pressure_values(const_values(grid8, 0.0), const_values(grid8, 0.0),
+                               const_values(grid8, 1.0), TEST_CONSTANTS)
 
 
 class TestPotentialTemperature:
@@ -150,38 +154,37 @@ class TestMoistDensity:
 
 class TestQFactors:
     def test_dry_limit_clipped(self, grid8):
-        z = const_field(grid8, 0.0)
+        z = const_values(grid8, 0.0)
         c = TEST_CONSTANTS
-        qf = mf.q_factors(z, z, z, c, clipped=True)
-        assert np.all(qf.Q_m.values == 1.0)
-        assert qf.Q_th.values == pytest.approx(c.c_pd / c.gamma)
-        assert qf.Q_cp.values == pytest.approx(-c.R_d)
-        assert qf.Q_1 == pytest.approx(c.c_pv - c.c_l - c.R_v)
-        assert qf.Q_2 == pytest.approx(c.L_ref - (c.c_pv - c.c_l) * c.T_ref)
+        Q_m, Q_th, Q_cp, Q_1, Q_2 = clipped_q_factors(z, z, z, c)
+        assert np.all(Q_m == 1.0)
+        assert Q_th == pytest.approx(c.c_pd / c.gamma)
+        assert Q_cp == pytest.approx(-c.R_d)
+        assert Q_1 == pytest.approx(c.c_pv - c.c_l - c.R_v)
+        assert Q_2 == pytest.approx(c.L_ref - (c.c_pv - c.c_l) * c.T_ref)
 
     def test_clip_active_on_negative_input(self, grid8):
-        qv = const_field(grid8, -0.5)
-        z = const_field(grid8, 0.0)
-        qf = mf.q_factors(qv, z, z, TEST_CONSTANTS, clipped=True)
-        assert np.all(qf.Q_m.values == 1.0)
+        qv = const_values(grid8, -0.5)
+        z = const_values(grid8, 0.0)
+        Q_m = clipped_q_factors(qv, z, z, TEST_CONSTANTS)[0]
+        assert np.all(Q_m == 1.0)
 
     def test_clipped_q_cp_uses_clipped_vapor(self, grid8):
-        qv = const_field(grid8, -0.5)
-        z = const_field(grid8, 0.0)
-        qf = mf.q_factors(qv, z, z, TEST_CONSTANTS, clipped=True)
-        assert np.all(qf.Q_cp.values == -TEST_CONSTANTS.R_d)
+        qv = const_values(grid8, -0.5)
+        z = const_values(grid8, 0.0)
+        Q_cp = clipped_q_factors(qv, z, z, TEST_CONSTANTS)[2]
+        assert np.all(Q_cp == -TEST_CONSTANTS.R_d)
 
     def test_raw_keeps_negative_input(self, grid8):
-        qv = const_field(grid8, -0.5)
-        z = const_field(grid8, 0.0)
-        qf = mf.q_factors(qv, z, z, TEST_CONSTANTS, clipped=False)
-        assert qf.Q_m.values == pytest.approx(0.5)
+        qv = const_values(grid8, -0.5)
+        z = const_values(grid8, 0.0)
+        Q_m = mf.q_factor_values(qv, z, z, TEST_CONSTANTS)[0]
+        assert Q_m == pytest.approx(0.5)
 
     def test_clipped_q_m_at_least_one(self, grid8, bases8):
-        fields = [ScalarField(grid8, 0.5 * random_band_limited(grid8, bases8, seed=s))
-                  for s in (20, 21, 22)]
-        qf = mf.q_factors(*fields, TEST_CONSTANTS, clipped=True)
-        assert np.all(qf.Q_m.values >= 1.0)
+        values = [0.5 * random_band_limited(grid8, bases8, seed=s) for s in (20, 21, 22)]
+        Q_m = clipped_q_factors(*values, TEST_CONSTANTS)[0]
+        assert np.all(Q_m >= 1.0)
 
 
 class TestAlgebraicIdentities:
@@ -197,19 +200,19 @@ class TestAlgebraicIdentities:
     def test_q_cp_identity(self, grid8, bases8):
         c = TEST_CONSTANTS
         for qv, qc, qr in self._random_inputs(grid8, bases8):
-            qf = mf.q_factors(qv, qc, qr, c, clipped=False)
+            Q_cp = mf.q_factor_values(qv.values, qc.values, qr.values, c)[2]
             sigma = mf.mixed_gas_constant(qv, qc, qr, c).values
             c_nu = mf.mixed_heat_capacity(qv, qc, qr, c).values
             expected = sigma - (c.R_d / c.c_pd) * c_nu
-            assert np.allclose(qf.Q_cp.values, expected, rtol=1e-12)
+            assert np.allclose(Q_cp, expected, rtol=1e-12)
 
     def test_q_th_identity(self, grid8, bases8):
         c = TEST_CONSTANTS
         for qv, qc, qr in self._random_inputs(grid8, bases8):
-            qf = mf.q_factors(qv, qc, qr, c, clipped=False)
+            Q_th = mf.q_factor_values(qv.values, qc.values, qr.values, c)[1]
             sigma = mf.mixed_gas_constant(qv, qc, qr, c).values
             c_nu = mf.mixed_heat_capacity(qv, qc, qr, c).values
-            assert np.allclose(qf.Q_th.values, c_nu / c.gamma + sigma, rtol=1e-12)
+            assert np.allclose(Q_th, c_nu / c.gamma + sigma, rtol=1e-12)
 
     def test_q_1_collapse(self, grid8, bases8):
         c = TEST_CONSTANTS
