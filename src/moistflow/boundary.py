@@ -121,11 +121,11 @@ def robin_profile(alpha_bottom: float, alpha_top: float,
     """Build the lifting profile; validates the wall sign condition
     (alpha <= 0 at z=0, alpha >= 0 at z=1)."""
     label = f" for variable {var!r}" if var else ""
-    if alpha_bottom > 0.0:
+    if not alpha_bottom <= 0.0:
         raise ValueError(
             f"sign condition violated{label}: alpha_bottom must be <= 0 "
             f"at z=0, got {alpha_bottom}")
-    if alpha_top < 0.0:
+    if not alpha_top >= 0.0:
         raise ValueError(
             f"sign condition violated{label}: alpha_top must be >= 0 "
             f"at z=1, got {alpha_top}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral_ops as sp
 from .boundary import dehomogenize
-from .fields import MODAL_NAMES, ScalarField, State
+from .fields import MODAL_NAMES, State
 
 # the CSV's variable groups, in column order: Sobolev norms, minima and
 # L2 norms of negative parts
@@ -60,16 +60,6 @@ class DiagnosticsRow:
         return vals
 
 
-def sobolev_norm(f: ScalarField, order: int, bases: sp.BasisPair) -> float:
-    """H^k norm, k in {0, 1, 2}, of a field in the cosine basis: one term per
-    distinct multi-index, spectral derivatives, exact quadrature of the
-    modal representation."""
-    if order not in (0, 1, 2):
-        raise ValueError("sobolev_norm supports orders 0, 1, 2 only")
-    modal = sp.to_modal_values(f.values, bases.neumann)
-    return float(np.sqrt(sp.modal_sobolev_sqs(modal, bases.neumann, order)[order]))
-
-
 def _norm_triplet(modal: np.ndarray, basis) -> tuple:
     return tuple(float(np.sqrt(x)) for x in sp.modal_sobolev_sqs(modal, basis))
 
@@ -86,13 +76,6 @@ def physical_values(state: State, factors: dict) -> dict:
     return {name: dehomogenize(getattr(state, attr), factors[var]).values
             for attr, var, name in (("frak_T", "T", "T"), ("frak_q_v", "v", "qv"),
                                     ("frak_q_c", "c", "qc"), ("frak_q_r", "r", "qr"))}
-
-
-def negativity_monitor(state: State, factors: dict, bases: sp.BasisPair) -> tuple:
-    """L2 norms of the negative parts of the physical T, q_v, q_c, q_r
-    (the sign statements concern the dehomogenized variables)."""
-    w = state.grid.quad_weights()
-    return tuple(_negative_l2(vals, w) for vals in physical_values(state, factors).values())
 
 
 def compute_row(state: State, factors: dict, bases: sp.BasisPair, step: int,

@@ -70,9 +70,9 @@ class PhysConstants:
             raise ValueError("bulk viscosity condition 2*mu + 3*lambda > 0 violated")
         if not self.kappa > 0.0:
             raise ValueError("heat conductivity kappa must be positive")
-        if self.q_vs_star < 0.0:
+        if not self.q_vs_star >= 0.0:
             raise ValueError("q_vs_star must be nonnegative")
-        if self.g < 0.0:
+        if not self.g >= 0.0:
             raise ValueError("gravity g must be nonnegative")
         with np.errstate(over="ignore"):   # the default closure forms 2 T_ref^2
             if not np.isfinite(2.0 * np.square(self.T_ref)):
@@ -233,16 +233,6 @@ def positive_values(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
-def positive_part(f: ScalarField) -> ScalarField:
-    """Pointwise f+ (see positive_values)."""
-    return ScalarField(f.grid, positive_values(f.values))
-
-
-def negative_part(f: ScalarField) -> ScalarField:
-    """Pointwise f- = (-f)+, so f+ - f- = f and f+ * f- = 0."""
-    return ScalarField(f.grid, positive_values(-f.values))
-
-
 @dataclass
 class State:
     """Prognostic fields at one time level.
@@ -293,14 +283,6 @@ class State:
         return State(self.log_rho_d.copy(), self.u.copy(), self.frak_T.copy(),
                      self.frak_q_v.copy(), self.frak_q_c.copy(),
                      self.frak_q_r.copy(), self.time)
-
-
-def rho_d(state: State) -> ScalarField:
-    """Dry-air density exp(log rho_d); strictly positive by construction."""
-    vals = state.log_rho_d.values
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("log_rho_d contains non-finite values")
-    return ScalarField(state.grid, np.exp(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +363,35 @@ def _load_modal(path, time: float, grid: Grid) -> dict:
             if name not in npz.files:
                 raise ValueError(f"{path}: no coefficients {name!r}")
             a = modal[name] = npz[name]
-            if a.shape not in (whole, kept) or not np.iscomplexobj(a):
+            # the density step's order-2 set reads all of log rho_d
+            extents = (whole,) if name == "log_rho_d" else (whole, kept)
+            if a.shape not in extents or not np.iscomplexobj(a):
                 raise ValueError(f"{path}: coefficients {name!r} are {a.dtype} of "
-                                 f"shape {a.shape}, not complex of shape {whole} "
-                                 f"or {kept}")
+                                 f"shape {a.shape}, not complex of shape "
+                                 + " or ".join(map(str, extents)))
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{path}: coefficients {name!r} hold a "
+                                 f"non-finite value")
         return modal
 
 
 def load_state(dirpath) -> State:
-    """Read the fields that save_state wrote; all eight must carry the same
-    time and grid, so that a directory mixing two states is rejected.  The
+    """Read the fields that save_state wrote; all eight must be finite and
+    carry the same time and grid, so that a directory mixing two states is
+    rejected.  The
     coefficients that save_modal wrote are restored when present; their
-    time and grid must be the fields', and each array must be complex, of
-    the whole (nx, ny//2+1, nz) extent or of the kept block of the 2/3
-    rule (``Grid.kept_extent``)."""
+    time and grid must be the fields', and each array must be finite and
+    complex, of the whole (nx, ny//2+1, nz) extent or, for every array but
+    ``log_rho_d``, of the kept block of the 2/3 rule (``Grid.kept_extent``)."""
     loaded = {}
     time = grid = None
     for name in STATE_FIELD_NAMES:
-        f, fname, t = load_field(os.path.join(dirpath, name + ".dat"), grid)
+        path = os.path.join(dirpath, name + ".dat")
+        f, fname, t = load_field(path, grid)
         if fname != name:
             raise ValueError(f"checkpoint field name mismatch: {fname} != {name}")
+        if not np.all(np.isfinite(f.values)):
+            raise ValueError(f"{path}: field {name} holds a non-finite value")
         if time is None:
             time = t
         elif t != time:

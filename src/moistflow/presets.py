@@ -105,7 +105,7 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     for keyword, value in (("T0", T0), ("rho0", rho0), ("sat_ratio", sat_ratio),
                            ("qc_seed", qc_seed), ("qr_seed", qr_seed)):
-        if value < 0.0:
+        if not value >= 0.0:
             raise ValueError(f"{keyword} must be nonnegative, got {value}")
     alphas = alphas if alphas is not None else _default_alphas(name)
 

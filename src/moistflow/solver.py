@@ -70,24 +70,24 @@ class SolverConfig:
     strict_positivity: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
+        if not self.t_end >= 0.0:
             raise ValueError("t_end must be nonnegative")
         _whole_steps(self.t_end, self.dt, "t_end")
         if self.mode not in ("picard", "direct"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.picard_tol <= 0.0:
+        if not self.picard_tol > 0.0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iters < 1:
+        if not self.picard_max_iters >= 1:
             raise ValueError("picard_max_iters must be >= 1")
         if self.v_r_profile not in V_R_PROFILES:
             raise ValueError(f"unknown V_r profile {self.v_r_profile!r}")
-        if self.v_r_scale < 0.0:
+        if not self.v_r_scale >= 0.0:
             raise ValueError("v_r_scale must be nonnegative: rain falls downward")
         for name in ("checkpoint_every", "snapshot_every", "record_states_every",
                      "max_dt_halvings"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

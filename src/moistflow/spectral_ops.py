@@ -8,6 +8,12 @@ no-penetration vertical velocity.  A modal array is the whole
 (nx, ny//2+1, nz) array or a leading extent of it, such as the kept block
 of the 2/3 rule; the sine array keeps rows m = 0 and m = nz-1 identically
 zero (the Nyquist sine mode vanishes on the collocation grid).
+
+Every operator takes arrays and returns arrays, and is the one the solver
+runs: a physical-to-physical operator is ``to_modal_values``, a modal
+multiplier (``dz_modal``, ``laplacian_modal``, ``div_modal``) or a solve
+(``helmholtz_modal``, ``vector_helmholtz_modal``), then
+``to_phys_values``; a gradient is ``derivs`` of the coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid
 
 NEUMANN = "neumann_z"
 DIRICHLET = "dirichlet_z"
@@ -397,7 +403,8 @@ def derivs(modal: np.ndarray, basis: Basis, order: int = 1,
 def div_modal(m1: np.ndarray, m2: np.ndarray, mw: np.ndarray,
               bases: BasisPair) -> np.ndarray:
     """Divergence of the (Neumann, Neumann, Dirichlet) vector field with
-    modal coefficients (m1, m2, mw); a cosine series."""
+    modal coefficients (m1, m2, mw); a cosine series whose (0, 0, 0) mode
+    is exactly zero, so that its volume integral vanishes identically."""
     neu, diri = bases.neumann, bases.dirichlet
     return dx_modal(m1, neu) + dy_modal(m2, neu) + dz_modal(mw, diri)
 
@@ -405,41 +412,6 @@ def div_modal(m1: np.ndarray, m2: np.ndarray, mw: np.ndarray,
 def laplacian_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
     """Laplacian by modal multiplication; the result stays in ``basis``."""
     return -_eigenvalues(basis, modal) * modal
-
-
-# ---------------------------------------------------------------------------
-# Field-level operators (physical in, physical out).
-# ---------------------------------------------------------------------------
-
-def grad(f: ScalarField, bases: BasisPair) -> VectorField:
-    """Spectral gradient of a Neumann-basis scalar; the vertical component
-    is a sine series, matching the VectorField wall convention."""
-    basis = bases.neumann
-    d = derivs(to_modal_values(f.values, basis), basis)
-    g = f.grid
-    return VectorField(ScalarField(g, d["x"]), ScalarField(g, d["y"]),
-                       ScalarField(g, d["z"]))
-
-
-def div(u: VectorField, bases: BasisPair) -> ScalarField:
-    """Divergence of a (Neumann, Neumann, Dirichlet) vector field; the result
-    is a cosine series whose (0,0,0) mode is exactly zero, so its volume
-    integral vanishes identically."""
-    neu, diri = bases.neumann, bases.dirichlet
-    m1 = to_modal_values(u.v1.values, neu)
-    m2 = to_modal_values(u.v2.values, neu)
-    mw = to_modal_values(u.w.values, diri)
-    return ScalarField(u.grid, to_phys_values(div_modal(m1, m2, mw, bases), neu))
-
-
-def dz(f: ScalarField, basis: Basis) -> ScalarField:
-    modal = to_modal_values(f.values, basis)
-    return ScalarField(f.grid, to_phys_values(dz_modal(modal, basis), basis.other))
-
-
-def laplacian(f: ScalarField, basis: Basis) -> ScalarField:
-    modal = to_modal_values(f.values, basis)
-    return ScalarField(f.grid, to_phys_values(laplacian_modal(modal, basis), basis))
 
 
 def modal_sobolev_sqs(modal: np.ndarray, basis: Basis, max_order: int = 2) -> tuple:
@@ -550,20 +522,3 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     return (_solved(m1 + a_mulam * dx_modal(d, neu), denom_n, neu),
             _solved(m2 + a_mulam * dy_modal(d, neu), denom_n, neu),
             _solved(m3 + a_mulam * dz_modal(d, neu), 1.0 + a_mu * eig_d, diri))
-
-
-def helmholtz_solve(g: ScalarField, a: float, basis: Basis) -> ScalarField:
-    """Solve (I - a * Laplacian) f = g by modal division; exact inverse of
-    the forward operator on resolved modes, uniformly invertible for a >= 0."""
-    return ScalarField(g.grid, to_phys_values(helmholtz_modal(g.values, a, basis), basis))
-
-
-def vector_helmholtz_solve(G: VectorField, a_mu: float, a_mulam: float,
-                           bases: BasisPair) -> VectorField:
-    """Solve (I - a_mu * Lap - a_mulam * grad div) u = G (see
-    vector_helmholtz_modal)."""
-    u = vector_helmholtz_modal(G.v1.values, G.v2.values, G.w.values,
-                               a_mu, a_mulam, bases)
-    neu, diri = bases.neumann, bases.dirichlet
-    return VectorField(*(ScalarField(G.grid, to_phys_values(m, b))
-                         for m, b in zip(u, (neu, neu, diri))))

@@ -43,6 +43,13 @@ class TestRobinProfile:
         with pytest.raises(ValueError, match="alpha_top"):
             robin_profile(-0.5, -1.0)
 
+    @pytest.mark.parametrize("alphas, match", [
+        ((float("nan"), 0.0), "alpha_bottom must be <= 0"),
+        ((0.0, float("nan")), "alpha_top must be >= 0")])
+    def test_nan_coefficient_rejected(self, alphas, match):
+        with pytest.raises(ValueError, match=match):
+            robin_profile(*alphas)
+
     def test_b_positive_and_derived_profiles(self, grid8):
         prof = robin_profile(-1.0, 1.0)
         z = grid8.z

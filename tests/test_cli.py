@@ -12,7 +12,7 @@ import moistflow as mf
 from moistflow import diagnostics as dg
 from moistflow.cli import SCHEMA, build_simulation, main, parse_config
 from moistflow.presets import discrete_hydrostatic_rho
-from moistflow.spectral_ops import to_modal_values
+from moistflow.spectral_ops import dz_modal, to_modal_values, to_phys_values
 
 from conftest import clipped_rates
 
@@ -168,7 +168,8 @@ class TestPresets:
         T0 = nondim.T_ref
         rho = discrete_hydrostatic_rho(grid, nondim, T0, nondim.p_ref / (nondim.R_d * T0))
         p = np.broadcast_to(nondim.R_d * T0 * rho, grid.shape).copy()
-        dz_p = mf.dz(mf.ScalarField(grid, p), bases.neumann).values
+        neu = bases.neumann
+        dz_p = to_phys_values(dz_modal(to_modal_values(p, neu), neu), neu.other)
         coeffs = to_modal_values(dz_p + nondim.g * rho, bases.dirichlet)
         assert np.max(np.abs(coeffs)) <= 1e-13 * nondim.g * np.max(rho)
 
@@ -194,8 +195,8 @@ class TestPresets:
         qv = mf.dehomogenize(state.frak_q_v, factors["v"])
         qc = mf.dehomogenize(state.frak_q_c, factors["c"])
         qr = mf.dehomogenize(state.frak_q_r, factors["r"])
-        rho = mf.rho_d(state)
-        p = mf.pressure_values(rho.values, qv.values, T.values, nondim)
+        rho = np.exp(state.log_rho_d.values)
+        p = mf.pressure_values(rho, qv.values, T.values, nondim)
         qvs = closure(p, T.values)
         rates = clipped_rates(T.values, qv.values, qc.values, qr.values, qvs, nondim)
         assert np.max(rates["S_cd"]) > 0.0
@@ -226,6 +227,13 @@ class TestPresets:
     def test_negative_input_rejected_by_name(self, grid8, nondim, keyword):
         with pytest.raises(ValueError, match=f"^{keyword} must be nonnegative"):
             mf.preset_initial("saturated_layer", grid8, nondim, **{keyword: -1.0})
+
+    @pytest.mark.parametrize("keyword", ["T0", "rho0", "sat_ratio", "qc_seed", "qr_seed"])
+    def test_nan_input_rejected_by_name(self, grid8, nondim, keyword):
+        """A NaN fails the range check of its keyword, as a ValueError that
+        names it."""
+        with pytest.raises(ValueError, match=f"^{keyword} must be nonnegative, got nan$"):
+            mf.preset_initial("saturated_layer", grid8, nondim, **{keyword: float("nan")})
 
     def test_nonpositive_hydrostatic_density_is_a_value_error(self, grid8, nondim):
         with pytest.raises(ValueError, match="density is not positive"):
@@ -485,6 +493,30 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         assert got.time == ref.time
         for fa, fb in ((ref.u.v1, got.u.v1), (ref.frak_T, got.frak_T)):
             assert np.max(np.abs(fa.values - fb.values)) <= 1e-12 * np.max(np.abs(fa.values))
+
+    @pytest.mark.parametrize("key, change", [
+        ("log_rho_d", lambda a: a[:, :3, :6].copy()),
+        ("qv", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a))],
+        ids=["kept-log-rho", "nan"])
+    def test_resume_rejects_bad_coefficients_before_writing(self, tmp_path, capsys,
+                                                            key, change):
+        """A checkpoint whose modal.npz holds log rho_d on the kept block, or
+        a NaN, exits 1 with a message naming the file and the array, and
+        makes no output directory."""
+        path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
+        assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
+        ckpt = tmp_path / "full" / "checkpoints" / "step_000002"
+        with np.load(ckpt / "modal.npz") as npz:
+            arrays = dict(npz)
+        arrays[key] = change(arrays[key])
+        with open(ckpt / "modal.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert main(["resume", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt / "modal.npz") in err and repr(key) in err
+        assert not out.exists()
 
     def test_rerun_replaces_state_directories_whole(self, tmp_path):
         """Files an earlier run left in a checkpoint or final_state/ are

@@ -5,22 +5,25 @@ import pytest
 
 import moistflow as mf
 from moistflow.diagnostics import COLUMNS, _negative_l2, compute_row, with_coefficients
-from moistflow.fields import ScalarField
+from moistflow.fields import ScalarField, positive_values
+from moistflow.spectral_ops import modal_sobolev_sqs, to_modal_values
 
 from conftest import random_band_limited
 
 
 class TestSobolevNorm:
     def test_constant_is_sqrt_volume(self, grid8, bases8):
-        f = ScalarField.full(grid8, 1.0)
-        assert mf.sobolev_norm(f, 0, bases8) == pytest.approx(2.0)
+        neu = bases8.neumann
+        modal = to_modal_values(np.full(grid8.shape, 1.0), neu)
+        assert np.sqrt(modal_sobolev_sqs(modal, neu, 0)[0]) == pytest.approx(2.0)
 
     def test_single_mode_h1_identity(self, grid16, bases16):
         vals = np.broadcast_to(np.sin(np.pi * grid16.x)[:, None, None],
                                grid16.shape).copy()
-        f = ScalarField(grid16, vals)
-        l2 = mf.sobolev_norm(f, 0, bases16)
-        h1 = mf.sobolev_norm(f, 1, bases16)
+        neu = bases16.neumann
+        modal = to_modal_values(vals, neu)
+        l2 = np.sqrt(modal_sobolev_sqs(modal, neu, 0)[0])
+        h1 = np.sqrt(modal_sobolev_sqs(modal, neu, 1)[1])
         assert h1**2 == pytest.approx(l2**2 * (1.0 + np.pi**2), rel=1e-12)
 
     def test_matches_fd_quadrature_oracle(self):
@@ -35,8 +38,8 @@ class TestSobolevNorm:
 
         X, Y, Z = (grid.x[:, None, None], grid.y[None, :, None],
                    grid.z[None, None, :])
-        field = ScalarField(grid, f(X, Y, Z) * np.ones(grid.shape))
-        got = mf.sobolev_norm(field, 1, bases)
+        modal = to_modal_values(f(X, Y, Z) * np.ones(grid.shape), bases.neumann)
+        got = np.sqrt(modal_sobolev_sqs(modal, bases.neumann, 1)[1])
 
         h = 1e-3
 
@@ -56,7 +59,8 @@ class TestSobolevNorm:
 
     def test_unsupported_order_rejected(self, grid8, bases8):
         with pytest.raises(ValueError):
-            mf.sobolev_norm(ScalarField.zeros(grid8), 3, bases8)
+            modal_sobolev_sqs(to_modal_values(np.zeros(grid8.shape), bases8.neumann),
+                              bases8.neumann, 3)
 
 
 class TestNegativityMonitor:
@@ -72,21 +76,21 @@ class TestNegativityMonitor:
     def test_nonnegative_fields_give_zero(self, grid8, bases8, nondim):
         state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
         factors = mf.build_factors(bspec, grid8)
-        out = mf.negativity_monitor(state, factors, bases8)
-        assert all(v == 0.0 for v in out)
+        out = compute_row(state, factors, bases8, step=0).negative_norms
+        assert all(v == 0.0 for v in out.values())
 
     def test_constant_negative_temperature(self, grid8, bases8):
         state = self._state(grid8, np.full(grid8.shape, -1.0))
-        out = mf.negativity_monitor(state, self._factors(grid8), bases8)
-        assert out[0] == pytest.approx(2.0)  # sqrt(volume 4)
+        out = compute_row(state, self._factors(grid8), bases8, step=0).negative_norms
+        assert out["T"] == pytest.approx(2.0)  # sqrt(volume 4)
 
     def test_mixed_sign_matches_decomposition_oracle(self, grid8, bases8):
         vals = random_band_limited(grid8, bases8, seed=12)
         state = self._state(grid8, vals)
-        out = mf.negativity_monitor(state, self._factors(grid8), bases8)
-        neg = mf.negative_part(ScalarField(grid8, vals)).values
+        out = compute_row(state, self._factors(grid8), bases8, step=0).negative_norms
+        neg = positive_values(-vals)
         expected = np.sqrt(np.sum(neg**2 * grid8.quad_weights()))
-        assert out[0] == pytest.approx(expected, rel=1e-12)
+        assert out["T"] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_negative_l2_nonfinite(self, grid8, bases8):
@@ -103,15 +107,6 @@ class TestNegativityMonitor:
             assert np.isfinite(_negative_l2(vals, w)) == finite, bad
             row = compute_row(self._state(grid8, vals), self._factors(grid8), bases8, step=0)
             assert not all(np.isfinite(row.norms["T"])), bad
-
-    def test_row_reports_the_monitor(self, grid8, bases8):
-        """The neg_* values of a diagnostics row are the monitor's, bitwise."""
-        state = self._state(grid8, random_band_limited(grid8, bases8, seed=12))
-        factors = self._factors(grid8)
-        row = compute_row(state, factors, bases8, step=0)
-        assert tuple(row.negative_norms[n] for n in ("T", "qv", "qc", "qr")) \
-            == mf.negativity_monitor(state, factors, bases8)
-        assert row.negative_norms["T"] > 0.0
 
 
 class TestComputeRow:

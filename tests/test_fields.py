@@ -43,19 +43,18 @@ class TestMakeGrid:
 
 class TestSignParts:
     def test_constant_negative(self, grid8):
-        f = ScalarField.full(grid8, -3.0)
-        assert np.all(mf.positive_part(f).values == 0.0)
-        assert np.all(mf.negative_part(f).values == 3.0)
+        a = np.full(grid8.shape, -3.0)
+        assert np.all(positive_values(a) == 0.0)
+        assert np.all(positive_values(-a) == 3.0)
 
     def test_zero(self, grid8):
-        f = ScalarField.zeros(grid8)
-        assert np.all(mf.positive_part(f).values == 0.0)
-        assert np.all(mf.negative_part(f).values == 0.0)
+        a = np.zeros(grid8.shape)
+        assert np.all(positive_values(a) == 0.0)
+        assert np.all(positive_values(-a) == 0.0)
 
     def test_complementarity_sine(self, grid8):
         vals = np.sin(np.pi * grid8.x)[:, None, None] * np.ones(grid8.shape)
-        f = ScalarField(grid8, vals)
-        prod = mf.positive_part(f).values * mf.negative_part(f).values
+        prod = positive_values(vals) * positive_values(-vals)
         assert np.all(prod == 0.0)
 
     def test_positive_values_nonfinite_and_signed_zero(self):
@@ -72,27 +71,26 @@ class TestSignParts:
         assert got[:-3].tobytes() == ((np.abs(a[:-3]) + a[:-3]) * 0.5).tobytes()
 
     def test_negative_part_nonfinite_and_overflow(self, grid8):
-        """negative_part is (-f)+: bitwise (|f| - f)/2 on finite values below
+        """The negative part (-f)+: bitwise (|f| - f)/2 on finite values below
         half the largest double, +inf maps to 0 and NaN stays NaN, and a
         negative value beyond half the largest double maps to its magnitude
         where (|f| - f)/2 overflowed to inf."""
         rng = np.random.default_rng(6)
         a = rng.standard_normal(grid8.shape) * 10.0 ** rng.integers(-320, 300, grid8.shape)
-        got = mf.negative_part(ScalarField(grid8, a)).values
+        got = positive_values(-a)
         assert not np.any(np.signbit(got))
         assert got.tobytes() == ((np.abs(a) - a) * 0.5).tobytes()
         big = np.finfo(float).max
         special = [np.inf, -np.inf, np.nan, -big, big, -0.0, 0.0]
         a.flat[:7] = special
-        got = mf.negative_part(ScalarField(grid8, a)).values.flat[:7]
+        got = positive_values(-a).flat[:7]
         assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
         assert got[3] == big and got[4] == 0.0
         assert got[5] == 0.0 and got[6] == 0.0 and not np.any(np.signbit(got[5:]))
 
     def test_decomposition_exact(self, grid8, bases8):
         vals = random_band_limited(grid8, bases8, seed=3)
-        f = ScalarField(grid8, vals)
-        recomposed = mf.positive_part(f).values - mf.negative_part(f).values
+        recomposed = positive_values(vals) - positive_values(-vals)
         assert np.array_equal(recomposed, vals)
 
 
@@ -120,31 +118,42 @@ class TestPhysConstants:
             mf.PhysConstants(T_ref=float(np.nextafter(T_ref, np.inf)))
 
 
+    @pytest.mark.parametrize("name, match", [
+        ("q_vs_star", "^q_vs_star must be nonnegative$"),
+        ("g", "^gravity g must be nonnegative$")])
+    def test_nan_constant_rejected(self, name, match):
+        """A NaN fails the range check of its constant, with its message."""
+        with pytest.raises(ValueError, match=match):
+            mf.PhysConstants(**{name: float("nan")})
+
+
 class TestRhoD:
     def test_zero_log_gives_unit_density(self, grid8):
         s = _state_with_log_rho(grid8, np.zeros(grid8.shape))
-        assert np.all(mf.rho_d(s).values == 1.0)
+        assert np.all(np.exp(s.log_rho_d.values) == 1.0)
 
     def test_log_two(self, grid8):
         s = _state_with_log_rho(grid8, np.full(grid8.shape, math.log(2.0)))
-        assert mf.rho_d(s).values == pytest.approx(2.0)
+        assert np.exp(s.log_rho_d.values) == pytest.approx(2.0)
 
     def test_random_against_scalar_exponential(self, grid8, bases8):
         vals = 0.3 * random_band_limited(grid8, bases8, seed=7)
         s = _state_with_log_rho(grid8, vals)
-        got = mf.rho_d(s).values
+        got = np.exp(s.log_rho_d.values)
         # independent elementwise oracle via math.exp
         flat = vals.ravel()
         expected = np.array([math.exp(v) for v in flat]).reshape(vals.shape)
         assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
         assert np.all(got > 0.0)
 
-    def test_non_finite_rejected(self, grid8):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_state(self, grid8, bad):
+        """A State is not built on a non-finite log rho_d, so exp of it is
+        finite and positive wherever it does not overflow."""
         vals = np.zeros(grid8.shape)
-        s = _state_with_log_rho(grid8, vals)
-        s.log_rho_d.values[0, 0, 0] = np.nan
-        with pytest.raises(FloatingPointError):
-            mf.rho_d(s)
+        vals[0, 0, 0] = bad
+        with pytest.raises(FloatingPointError, match="log_rho_d"):
+            _state_with_log_rho(grid8, vals)
 
 
 class TestRoundTrip:
@@ -192,6 +201,19 @@ class TestSnapshotIO:
         assert np.array_equal(loaded.log_rho_d.values, state.log_rho_d.values)
         assert np.array_equal(loaded.u.w.values, state.u.w.values)
         assert np.array_equal(loaded.frak_q_r.values, state.frak_q_r.values)
+
+    @pytest.mark.parametrize("name", ["log_rho_d", "frak_q_v"])
+    def test_non_finite_field_rejected(self, tmp_path, grid8, nondim, name):
+        """A NaN in any field file is a ValueError naming that file, so that
+        a resume stops before it writes anything."""
+        state, _ = mf.preset_initial("manufactured", grid8, nondim)
+        mf.save_state(tmp_path / "ckpt", state)
+        path = tmp_path / "ckpt" / f"{name}.dat"
+        f, _, t = mf.load_field(path)
+        f.values[1, 2, 3] = np.nan
+        mf.save_field(path, f, name, t)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + f": field {name} "):
+            mf.load_state(tmp_path / "ckpt")
 
     def test_mixed_state_times_rejected(self, tmp_path, grid8, nondim):
         """A checkpoint directory holding fields of two different states
@@ -246,12 +268,20 @@ class TestCoefficientFile:
         ("T", lambda a: np.zeros((8, 5, 6), complex), r"'T' are complex128 of shape \(8, 5, 6\)"),
         ("qv", lambda a: a[:4], r"'qv' are complex128 of shape \(4, 3, 6\)"),
         ("w", lambda a: a.real.copy(), "'w' are float64"),
-        ("T", None, "no coefficients 'T'")],
-        ids=["shape", "mixed-extent", "x-cut", "real", "missing"])
+        ("T", None, "no coefficients 'T'"),
+        ("log_rho_d", lambda a: a[:, :3, :6].copy(),
+         r"'log_rho_d' are complex128 of shape \(8, 3, 6\), not complex of shape "
+         r"\(8, 5, 9\)$"),
+        ("qv", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a),
+         "'qv' hold a non-finite value")],
+        ids=["shape", "mixed-extent", "x-cut", "real", "missing", "kept-log-rho",
+             "nan"])
     def test_malformed_coefficient_array_rejected(self, ckpt, key, change, match):
-        """Each coefficient array must be present, complex and of one of the
-        extents the grid's transforms give: the whole (nx, ny//2+1, nz)
-        array or the kept (nx, ky_keep, mz_keep) block of the 2/3 rule."""
+        """Each coefficient array must be present, finite, complex and of
+        one of the extents the grid's transforms give: the whole
+        (nx, ny//2+1, nz) array or the kept (nx, ky_keep, mz_keep) block of
+        the 2/3 rule, which log rho_d may not be, since the density step
+        reads all of it."""
         path, state = ckpt
         with np.load(path / MODAL_FILE) as npz:
             arrays = dict(npz)

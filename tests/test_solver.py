@@ -232,11 +232,11 @@ class TestAssembleRhs:
             for comp in terms["momentum"][name]:
                 assert np.max(np.abs(comp)) == 0.0
         p = mf.pressure_values(rho, np.zeros(grid16.shape), state.frak_T.values, nondim)
-        gp = mf.grad(ScalarField(grid16, p), bases16)
+        gp = derivs(to_modal_values(p, bases16.neumann), bases16.neumann)
         tot = rhs.momentum
-        assert np.allclose(tot[0], -gp.v1.values, atol=1e-12)
-        assert np.allclose(tot[1], -gp.v2.values, atol=1e-12)
-        assert np.allclose(tot[2], -gp.w.values - rho * nondim.g, atol=1e-12)
+        assert np.allclose(tot[0], -gp["x"], atol=1e-12)
+        assert np.allclose(tot[1], -gp["y"], atol=1e-12)
+        assert np.allclose(tot[2], -gp["z"] - rho * nondim.g, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("attr", ["frak_T", "frak_q_r"])
@@ -294,14 +294,14 @@ class TestAssembleRhs:
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
         state = sim.direct_step(state, 1e-3)
         factors = sim.factors_at(state.time, 1e-3)
-        rho = mf.rho_d(state)
+        rho = np.exp(state.log_rho_d.values)
         built = kernel_outputs(monkeypatch, sim)
         rhs = assemble_rhs(sim, state, factors)
 
         T, qv, qc, qr = (mf.dehomogenize(f, factors[var]).values for f, var in (
             (state.frak_T, "T"), (state.frak_q_v, "v"),
             (state.frak_q_c, "c"), (state.frak_q_r, "r")))
-        p = mf.pressure_values(rho.values, qv, T, nondim)
+        p = mf.pressure_values(rho, qv, T, nondim)
         q_vs = sim.closure(p, T)
         Q_m, Q_th, Q_cp, Q_1, Q_2 = clipped_q_factors(qv, qc, qr, nondim)
         rates = clipped_rates(T, qv, qc, qr, q_vs, nondim)
@@ -828,6 +828,16 @@ class TestSolverConfig:
         mf.SolverConfig(v_r_scale=0.0)
         with pytest.raises(ValueError, match="v_r_scale must be nonnegative"):
             mf.SolverConfig(v_r_scale=-1.0)
+
+    @pytest.mark.parametrize("name, match", [
+        ("dt", "^dt must be positive$"), ("t_end", "^t_end must be nonnegative$"),
+        ("picard_tol", "^picard_tol must be positive$"),
+        ("picard_max_iters", "^picard_max_iters must be >= 1$"),
+        ("v_r_scale", "^v_r_scale must be nonnegative")])
+    def test_nan_rejected_by_name(self, name, match):
+        """A NaN fails the range check of its field, with its message."""
+        with pytest.raises(ValueError, match=match):
+            mf.SolverConfig(**{name: float("nan")})
 
 
 class TestRun:

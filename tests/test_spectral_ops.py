@@ -5,16 +5,14 @@ import pytest
 from scipy.fft import irfft2, rfft2
 
 import moistflow as mf
-from moistflow.fields import Grid, ScalarField, VectorField
-from moistflow.spectral_ops import (NEUMANN, DIRICHLET, _z_product,
-                                    modal_sobolev_sqs, to_modal_values,
-                                    to_phys_values)
+from moistflow.fields import Grid
+from moistflow.spectral_ops import (NEUMANN, DIRICHLET, _z_product, derivs,
+                                    div_modal, dz_modal, helmholtz_modal,
+                                    laplacian_modal, modal_sobolev_sqs,
+                                    to_modal_values, to_phys_values,
+                                    vector_helmholtz_modal)
 
 from conftest import dealias_mask, random_band_limited
-
-
-def field(grid, vals):
-    return ScalarField(grid, vals)
 
 
 def trig_field(grid):
@@ -91,24 +89,29 @@ class TestBasis:
 
 class TestDerivatives:
     def test_laplacian_of_neumann_eigenfunction(self, grid8, bases8):
+        neu = bases8.neumann
         vals = np.broadcast_to(np.cos(np.pi * grid8.z), grid8.shape).copy()
-        lap = mf.laplacian(field(grid8, vals), bases8.neumann)
-        assert np.allclose(lap.values, -np.pi**2 * vals, atol=1e-12)
+        lap = to_phys_values(laplacian_modal(to_modal_values(vals, neu), neu), neu)
+        assert np.allclose(lap, -np.pi**2 * vals, atol=1e-12)
 
     def test_laplacian_of_constant_exact_zero(self, grid8, bases8):
-        lap = mf.laplacian(ScalarField.full(grid8, 3.7), bases8.neumann)
-        assert np.max(np.abs(lap.values)) < 1e-13
+        neu = bases8.neumann
+        modal = to_modal_values(np.full(grid8.shape, 3.7), neu)
+        lap = to_phys_values(laplacian_modal(modal, neu), neu)
+        assert np.max(np.abs(lap)) < 1e-13
 
     def test_div_of_constant_velocity(self, grid8, bases8):
-        u = VectorField(ScalarField.full(grid8, 2.0), ScalarField.full(grid8, -1.0),
-                        ScalarField.zeros(grid8))
-        d = mf.div(u, bases8)
-        assert np.max(np.abs(d.values)) < 1e-13
+        neu, diri = bases8.neumann, bases8.dirichlet
+        m1 = to_modal_values(np.full(grid8.shape, 2.0), neu)
+        m2 = to_modal_values(np.full(grid8.shape, -1.0), neu)
+        mw = to_modal_values(np.zeros(grid8.shape), diri)
+        d = to_phys_values(div_modal(m1, m2, mw, bases8), neu)
+        assert np.max(np.abs(d)) < 1e-13
 
     def test_grad_matches_fourth_order_fd(self, grid16, bases16):
         """FD oracle on a refined sampling of the closed-form field."""
         f, vals = trig_field(grid16)
-        g = mf.grad(field(grid16, vals), bases16)
+        g = derivs(to_modal_values(vals, bases16.neumann), bases16.neumann)
         h = 1e-2
         X = grid16.x[:, None, None]
         Y = grid16.y[None, :, None]
@@ -127,107 +130,111 @@ class TestDerivatives:
         # largest fifth derivative here is (2 pi)^5 from the k=2 modes
         scale = np.max(np.abs(vals))
         tol = 400.0 * h**4 * scale
-        assert np.max(np.abs(g.v1.values - fd(f, 0))) < tol
-        assert np.max(np.abs(g.v2.values - fd(f, 1))) < tol
-        assert np.max(np.abs(g.w.values - fd(f, 2))) < tol
+        assert np.max(np.abs(g["x"] - fd(f, 0))) < tol
+        assert np.max(np.abs(g["y"] - fd(f, 1))) < tol
+        assert np.max(np.abs(g["z"] - fd(f, 2))) < tol
 
     def test_dz_maps_between_bases(self, grid8, bases8):
+        neu = bases8.neumann
         vals = np.broadcast_to(np.cos(2 * np.pi * grid8.z), grid8.shape).copy()
-        out = mf.dz(field(grid8, vals), bases8.neumann)
+        out = to_phys_values(dz_modal(to_modal_values(vals, neu), neu), neu.other)
         expected = -2 * np.pi * np.sin(2 * np.pi * grid8.z)
-        assert np.allclose(out.values, np.broadcast_to(expected, grid8.shape),
+        assert np.allclose(out, np.broadcast_to(expected, grid8.shape),
                            atol=1e-12)
         # walls exactly zero (sine series)
-        assert np.all(out.values[:, :, 0] == 0.0)
+        assert np.all(out[:, :, 0] == 0.0)
 
 
 class TestHelmholtz:
     def test_identity_at_zero_coefficient(self, grid8, bases8):
+        neu = bases8.neumann
         vals = random_band_limited(grid8, bases8, seed=1)
-        out = mf.helmholtz_solve(field(grid8, vals), 0.0, bases8.neumann)
-        assert np.allclose(out.values, vals, atol=1e-13)
+        out = to_phys_values(helmholtz_modal(vals, 0.0, neu), neu)
+        assert np.allclose(out, vals, atol=1e-13)
 
     def test_eigenfunction_division(self, grid8, bases8):
+        neu = bases8.neumann
         vals = np.broadcast_to(np.cos(np.pi * grid8.z), grid8.shape).copy()
-        out = mf.helmholtz_solve(field(grid8, vals), 1.0, bases8.neumann)
-        assert np.allclose(out.values, vals / (1.0 + np.pi**2), atol=1e-13)
+        out = to_phys_values(helmholtz_modal(vals, 1.0, neu), neu)
+        assert np.allclose(out, vals / (1.0 + np.pi**2), atol=1e-13)
 
     def test_residual_via_forward_operator(self, grid8, bases8):
+        neu = bases8.neumann
         vals = random_band_limited(grid8, bases8, seed=2)
         a = 0.37
-        sol = mf.helmholtz_solve(field(grid8, vals), a, bases8.neumann)
-        residual = (sol.values - a * mf.laplacian(sol, bases8.neumann).values
-                    - vals)
+        sol = to_phys_values(helmholtz_modal(vals, a, neu), neu)
+        lap = to_phys_values(laplacian_modal(to_modal_values(sol, neu), neu), neu)
+        residual = sol - a * lap - vals
         assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(vals)
 
     def test_negative_coefficient_rejected(self, grid8, bases8):
         with pytest.raises(ValueError):
-            mf.helmholtz_solve(ScalarField.zeros(grid8), -1.0, bases8.neumann)
+            helmholtz_modal(np.zeros(grid8.shape), -1.0, bases8.neumann)
 
 
 class TestVectorHelmholtz:
     def _random_vec(self, grid, bases, seed):
-        return VectorField(
-            field(grid, random_band_limited(grid, bases, seed=seed)),
-            field(grid, random_band_limited(grid, bases, seed=seed + 1)),
-            field(grid, random_band_limited(grid, bases, kind=DIRICHLET,
-                                            seed=seed + 2)))
+        return (random_band_limited(grid, bases, seed=seed),
+                random_band_limited(grid, bases, seed=seed + 1),
+                random_band_limited(grid, bases, kind=DIRICHLET, seed=seed + 2))
 
     def test_identity_at_zero(self, grid8, bases8):
+        neu, diri = bases8.neumann, bases8.dirichlet
         G = self._random_vec(grid8, bases8, 10)
-        u = mf.vector_helmholtz_solve(G, 0.0, 0.0, bases8)
-        for a, b in zip(u.components(), G.components()):
-            assert np.allclose(a.values, b.values, atol=1e-13)
+        u = vector_helmholtz_modal(*G, 0.0, 0.0, bases8)
+        for m, b, g in zip(u, (neu, neu, diri), G):
+            assert np.allclose(to_phys_values(m, b), g, atol=1e-13)
 
     def test_divergence_free_mode_reduces_to_scalar(self, grid8, bases8):
         # u = (-dy psi, dx psi, 0) is divergence free
+        neu = bases8.neumann
         psi = random_band_limited(grid8, bases8, seed=20)
-        gpsi = mf.grad(field(grid8, psi), bases8)
-        G = VectorField(field(grid8, -gpsi.v2.values), field(grid8, gpsi.v1.values),
-                        ScalarField.zeros(grid8))
+        gpsi = derivs(to_modal_values(psi, neu), neu)
+        G = (-gpsi["y"], gpsi["x"], np.zeros(grid8.shape))
         a_mu = 0.25
-        u = mf.vector_helmholtz_solve(G, a_mu, 0.4, bases8)
-        expected1 = mf.helmholtz_solve(G.v1, a_mu, bases8.neumann)
-        expected2 = mf.helmholtz_solve(G.v2, a_mu, bases8.neumann)
-        assert np.allclose(u.v1.values, expected1.values, atol=1e-12)
-        assert np.allclose(u.v2.values, expected2.values, atol=1e-12)
+        u1, u2, _ = vector_helmholtz_modal(*G, a_mu, 0.4, bases8)
+        expected1 = to_phys_values(helmholtz_modal(G[0], a_mu, neu), neu)
+        expected2 = to_phys_values(helmholtz_modal(G[1], a_mu, neu), neu)
+        assert np.allclose(to_phys_values(u1, neu), expected1, atol=1e-12)
+        assert np.allclose(to_phys_values(u2, neu), expected2, atol=1e-12)
 
     def test_residual_via_forward_operator(self, grid8, bases8):
+        neu, diri = bases8.neumann, bases8.dirichlet
         G = self._random_vec(grid8, bases8, 30)
         a_mu, a_ml = 0.2, 0.15
-        u = mf.vector_helmholtz_solve(G, a_mu, a_ml, bases8)
-        gd = mf.grad(mf.div(u, bases8), bases8)
-        laps = (mf.laplacian(u.v1, bases8.neumann).values,
-                mf.laplacian(u.v2, bases8.neumann).values,
-                mf.laplacian(u.w, bases8.dirichlet).values)
-        scale = max(np.linalg.norm(c.values) for c in G.components())
-        for i, (uc, gc, gdc) in enumerate(zip(u.components(), G.components(),
-                                              gd.components())):
-            res = uc.values - a_mu * laps[i] - a_ml * gdc.values - gc.values
+        u = [to_phys_values(m, b) for m, b in
+             zip(vector_helmholtz_modal(*G, a_mu, a_ml, bases8), (neu, neu, diri))]
+        m = [to_modal_values(uc, b) for uc, b in zip(u, (neu, neu, diri))]
+        div_u = to_phys_values(div_modal(*m, bases8), neu)
+        gd = derivs(to_modal_values(div_u, neu), neu)
+        laps = [to_phys_values(laplacian_modal(mc, b), b)
+                for mc, b in zip(m, (neu, neu, diri))]
+        scale = max(np.linalg.norm(c) for c in G)
+        for uc, gc, lap, gdc in zip(u, G, laps, (gd["x"], gd["y"], gd["z"])):
+            res = uc - a_mu * lap - a_ml * gdc - gc
             assert np.linalg.norm(res) <= 1e-10 * scale
 
     def test_ill_posed_coefficients_rejected(self, grid8, bases8):
-        G = VectorField.zeros(grid8)
+        G = (np.zeros(grid8.shape),) * 3
         with pytest.raises(ValueError, match="ill-posed"):
-            mf.vector_helmholtz_solve(G, 0.1, -0.5, bases8)
+            vector_helmholtz_modal(*G, 0.1, -0.5, bases8)
 
 
 class TestAdjointness:
     def test_grad_div_duality(self, grid16, bases16):
         """Discrete integration by parts: <grad f, u> = -<f, div u> for
         no-penetration u and periodic horizontals."""
+        neu, diri = bases16.neumann, bases16.dirichlet
         f_vals = random_band_limited(grid16, bases16, seed=40, max_mode=4)
-        u = VectorField(
-            field(grid16, random_band_limited(grid16, bases16, seed=41, max_mode=4)),
-            field(grid16, random_band_limited(grid16, bases16, seed=42, max_mode=4)),
-            field(grid16, random_band_limited(grid16, bases16, kind=DIRICHLET,
-                                              seed=43, max_mode=4)))
-        gf = mf.grad(field(grid16, f_vals), bases16)
-        dv = mf.div(u, bases16)
+        u = (random_band_limited(grid16, bases16, seed=41, max_mode=4),
+             random_band_limited(grid16, bases16, seed=42, max_mode=4),
+             random_band_limited(grid16, bases16, kind=DIRICHLET, seed=43, max_mode=4))
+        gf = derivs(to_modal_values(f_vals, neu), neu)
+        m = [to_modal_values(uc, b) for uc, b in zip(u, (neu, neu, diri))]
+        dv = to_phys_values(div_modal(*m, bases16), neu)
         w = grid16.quad_weights()
-        lhs = float(np.sum((gf.v1.values * u.v1.values + gf.v2.values * u.v2.values
-                            + gf.w.values * u.w.values) * w))
-        rhs = -float(np.sum(f_vals * dv.values * w))
+        lhs = float(np.sum((gf["x"] * u[0] + gf["y"] * u[1] + gf["z"] * u[2]) * w))
+        rhs = -float(np.sum(f_vals * dv * w))
         scale = abs(lhs) + abs(rhs) + 1e-300
         assert abs(lhs - rhs) / scale < 1e-11
 
