@@ -52,6 +52,5 @@ Q_m, Q_th, _, Q_1, Q_2 = mf.q_factor_values(qv_c, qc_c, qr_c, const)
 print(f"Q_m in [{Q_m.min():.4f}, {Q_m.max():.4f}] (>= 1)")
 print(f"Q_th in [{Q_th.min():.4f}, {Q_th.max():.4f}]")
 print(f"Q_1 = {Q_1:.3f}, Q_2 = {Q_2:.3f} (scalars by the algebraic collapse)")
-theta = mf.potential_temperature(mf.ScalarField(grid, T), mf.ScalarField(grid, p), const)
-print(f"potential temperature range: [{theta.values.min():.4f}, "
-      f"{theta.values.max():.4f}]")
+theta = mf.potential_temperature(T, p, const)
+print(f"potential temperature range: [{theta.min():.4f}, {theta.max():.4f}]")

@@ -39,5 +39,5 @@ print("\n== direct mode is one application of the same map ==")
 a = sim.direct_step(state, 1e-3)
 b, _ = sim.picard_solve(state, 1e-3, max_iters=1)
 same = all(np.array_equal(x.values, y.values) for x, y in
-           ((a.frak_T, b.frak_T), (a.u.w, b.u.w), (a.frak_q_v, b.frak_q_v)))
+           ((a.frak_T, b.frak_T), (a.w, b.w), (a.frak_q_v, b.frak_q_v)))
 print(f"bitwise identical: {same}")

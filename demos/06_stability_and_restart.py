@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory(prefix="moistflow_demo_") as tmp:
     ref = mf.load_state(os.path.join(tmp, "full", "final_state"))
     got = mf.load_state(os.path.join(tmp, "resumed", "final_state"))
     identical = all(np.array_equal(a.values, b.values) for a, b in
-                    ((ref.frak_T, got.frak_T), (ref.u.w, got.u.w),
+                    ((ref.frak_T, got.frak_T), (ref.w, got.w),
                      (ref.log_rho_d, got.log_rho_d)))
     print(f"resumed final state identical to uninterrupted run: {identical}")
     main(["export-plot", os.path.join(tmp, "full")])

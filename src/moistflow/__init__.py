@@ -2,9 +2,9 @@
 flow with warm-rain microphysics, Robin-wall homogenization, and a
 contraction-mapping (Picard) time stepper."""
 
-from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
-                     load_field, load_state, make_grid, positive_values,
-                     save_field, save_state)
+from .fields import (Grid, PhysConstants, ScalarField, State, load_field,
+                     load_state, make_grid, positive_values, save_field,
+                     save_state)
 from .thermo import (latent_heat, mixed_gas_constant, mixed_heat_capacity,
                      moist_density, potential_temperature, pressure_values,
                      q_factor_values)

@@ -330,8 +330,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    state, report, echo = read_checkpoint(args.checkpoint)
+    state, report, echo, config_hash = read_checkpoint(args.checkpoint)
     rc = parse_config(echo)
+    echo_hash = rc.config_hash()
+    if echo_hash != config_hash:    # an echo edited after the run: other physics
+        raise ValueError(f"{echo}: configuration hash {echo_hash} is not the "
+                         f"checkpoint's config_hash {config_hash or '(none)'}")
     out = _resolve_out(rc, args.out)
     sim, _ = build_simulation(rc)
     traj = sim.run(state, out_dir=out, initial_report=report)

@@ -151,9 +151,7 @@ ITERATED = MODAL_NAMES[:-1]    # all carried variables but log rho_d
 
 def iterated_values(s: State) -> dict:
     """Values of the variables the Picard map iterates, keyed as ITERATED."""
-    return dict(zip(ITERATED, (s.u.v1.values, s.u.v2.values, s.u.w.values,
-                               s.frak_T.values, s.frak_q_v.values,
-                               s.frak_q_c.values, s.frak_q_r.values)))
+    return dict(zip(ITERATED, (f.values for f in s.fields()[1:])))
 
 
 def iterated_basis(name: str, bases: sp.BasisPair) -> sp.Basis:

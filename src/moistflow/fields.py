@@ -191,42 +191,6 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
 
-@dataclass
-class VectorField:
-    """Velocity-like field: horizontal components v1, v2 and vertical w."""
-
-    v1: ScalarField
-    v2: ScalarField
-    w: ScalarField
-
-    def __post_init__(self):
-        if not (self.v1.grid is self.v2.grid is self.w.grid or
-                self.v1.grid == self.v2.grid == self.w.grid):
-            raise ValueError("vector components must share one grid")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    @property
-    def grid(self) -> Grid:
-        return self.v1.grid
-
-    def components(self):
-        return (self.v1, self.v2, self.w)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.v1.copy(), self.v2.copy(), self.w.copy())
-
-
-def check_same_grid(*fields) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not grid and f.grid != grid:
-            raise ValueError("fields are not on the same grid")
-    return grid
-
-
 def positive_values(a: np.ndarray) -> np.ndarray:
     """Pointwise a+ = max(a, 0), in one pass: exact, +0.0 for -0.0, NaN for
     NaN and +inf for +inf."""
@@ -238,9 +202,11 @@ class State:
     """Prognostic fields at one time level.
 
     Density is stored as log rho_d so positivity of rho_d is structural.
-    Temperature and mixing ratios are stored in homogenized form (frak_*),
-    i.e. after the B*F - psi change of variables that turns the Robin wall
-    conditions into homogeneous Neumann ones.
+    The velocity is its horizontal components u1, u2 (cosine series in z)
+    and its vertical component w (a sine series).  Temperature and mixing
+    ratios are stored in homogenized form (frak_*), i.e. after the
+    B*F - psi change of variables that turns the Robin wall conditions into
+    homogeneous Neumann ones.
 
     ``modal`` is None, or the modal coefficients of the fields keyed as
     ``MODAL_NAMES``, equal to their forward transforms up to rounding.
@@ -254,7 +220,9 @@ class State:
     """
 
     log_rho_d: ScalarField
-    u: VectorField
+    u1: ScalarField
+    u2: ScalarField
+    w: ScalarField
     frak_T: ScalarField
     frak_q_v: ScalarField
     frak_q_c: ScalarField
@@ -268,8 +236,9 @@ class State:
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        check_same_grid(self.log_rho_d, self.u.v1, self.u.v2, self.u.w,
-                        self.frak_T, self.frak_q_v, self.frak_q_c, self.frak_q_r)
+        grid = self.grid
+        if any(f.grid is not grid and f.grid != grid for f in self.fields()):
+            raise ValueError("fields are not on the same grid")
         if not np.all(np.isfinite(self.log_rho_d.values)):
             raise FloatingPointError("log_rho_d contains non-finite values")
         if self.time < 0.0:
@@ -279,10 +248,13 @@ class State:
     def grid(self) -> Grid:
         return self.log_rho_d.grid
 
+    def fields(self) -> tuple:
+        """The eight fields, in the order of ``STATE_FIELD_NAMES``."""
+        return (self.log_rho_d, self.u1, self.u2, self.w, self.frak_T,
+                self.frak_q_v, self.frak_q_c, self.frak_q_r)
+
     def copy(self) -> "State":
-        return State(self.log_rho_d.copy(), self.u.copy(), self.frak_T.copy(),
-                     self.frak_q_v.copy(), self.frak_q_c.copy(),
-                     self.frak_q_r.copy(), self.time)
+        return State(*(f.copy() for f in self.fields()), self.time)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +304,7 @@ def load_field(path, grid: Grid | None = None):
 def save_state(dirpath, state: State) -> None:
     """Write all prognostic fields of a state into a directory."""
     os.makedirs(dirpath, exist_ok=True)
-    fields = (state.log_rho_d, state.u.v1, state.u.v2, state.u.w,
-              state.frak_T, state.frak_q_v, state.frak_q_c, state.frak_q_r)
-    for name, f in zip(STATE_FIELD_NAMES, fields):
+    for name, f in zip(STATE_FIELD_NAMES, state.fields()):
         save_field(os.path.join(dirpath, name + ".dat"), f, name, state.time)
 
 
@@ -383,7 +353,7 @@ def load_state(dirpath) -> State:
     time and grid must be the fields', and each array must be finite and
     complex, of the whole (nx, ny//2+1, nz) extent or, for every array but
     ``log_rho_d``, of the kept block of the 2/3 rule (``Grid.kept_extent``)."""
-    loaded = {}
+    loaded = []
     time = grid = None
     for name in STATE_FIELD_NAMES:
         path = os.path.join(dirpath, name + ".dat")
@@ -398,10 +368,8 @@ def load_state(dirpath) -> State:
             raise ValueError(f"{dirpath}: field {name} has time {t!r}, but "
                              f"{STATE_FIELD_NAMES[0]} has time {time!r}")
         grid = f.grid
-        loaded[name] = f
-    u = VectorField(loaded["u_x"], loaded["u_y"], loaded["u_z"])
-    state = State(loaded["log_rho_d"], u, loaded["frak_T"],
-                  loaded["frak_q_v"], loaded["frak_q_c"], loaded["frak_q_r"], time)
+        loaded.append(f)
+    state = State(*loaded, time)
     path = os.path.join(dirpath, MODAL_FILE)
     if os.path.exists(path):
         state.modal = _load_modal(path, time, grid)

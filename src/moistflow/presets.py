@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import BoundarySpec, VariableBoundary, build_factors, homogenize
-from .fields import Grid, PhysConstants, ScalarField, State, VectorField
+from .fields import Grid, PhysConstants, ScalarField, State
 from .microphysics import SaturationClosure
 from . import spectral_ops as sp
 
@@ -120,7 +120,7 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
 
     rho_col = discrete_hydrostatic_rho(grid, constants, T0, rho0)
     log_rho = ScalarField(grid, np.broadcast_to(np.log(rho_col), shape).copy())
-    u = VectorField.zeros(grid)
+    u1, u2, w = (ScalarField.zeros(grid) for _ in range(3))
 
     T_vals = np.full(shape, T0)
     qv = np.zeros(shape)
@@ -148,13 +148,12 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
         a_r, a_u, a_T, a_q = 0.05, 0.1, 0.02, 1.0e-3
         log_rho = ScalarField(grid, log_rho.values
                               + a_r * np.cos(np.pi * X) * np.cos(np.pi * Z))
-        u = VectorField(
-            ScalarField(grid, a_u * np.sin(np.pi * X) * np.cos(np.pi * Z)
-                        * np.ones_like(Y)),
-            ScalarField(grid, a_u * np.cos(np.pi * Y) * np.cos(2 * np.pi * Z)
-                        * np.ones_like(X)),
-            ScalarField(grid, a_u * np.cos(np.pi * X) * np.sin(np.pi * Z)
-                        * np.ones_like(Y)))
+        u1 = ScalarField(grid, a_u * np.sin(np.pi * X) * np.cos(np.pi * Z)
+                         * np.ones_like(Y))
+        u2 = ScalarField(grid, a_u * np.cos(np.pi * Y) * np.cos(2 * np.pi * Z)
+                         * np.ones_like(X))
+        w = ScalarField(grid, a_u * np.cos(np.pi * X) * np.sin(np.pi * Z)
+                        * np.ones_like(Y))
         T_vals = T0 * (1.0 + a_T * np.cos(np.pi * Y) * np.cos(np.pi * Z)
                        * np.ones_like(X))
         qv = a_q * (1.0 + np.cos(np.pi * X) * np.cos(2 * np.pi * Z)
@@ -179,7 +178,9 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
 
     state = State(
         log_rho_d=log_rho,
-        u=u,
+        u1=u1,
+        u2=u2,
+        w=w,
         frak_T=homogenize(ScalarField(grid, T_vals), factors["T"]),
         frak_q_v=homogenize(ScalarField(grid, qv), factors["v"]),
         frak_q_c=homogenize(ScalarField(grid, qc), factors["c"]),

@@ -26,8 +26,8 @@ import numpy as np
 from . import diagnostics as dg
 from . import spectral_ops as sp
 from .boundary import BoundarySpec, build_factors, dehomogenize, homogenize
-from .fields import (Grid, PhysConstants, ScalarField, State, VectorField,
-                     load_state, positive_values, save_modal, save_state)
+from .fields import (Grid, PhysConstants, ScalarField, State, load_state,
+                     positive_values, save_modal, save_state)
 from .microphysics import SaturationClosure, exchange_terms, source_values
 from .thermo import pressure_values, q_factor_values
 
@@ -208,7 +208,7 @@ class Simulation:
         m1, m2, mw = (s.modal[name] for name in ("u1", "u2", "w"))
         div_m = sp.div_modal(sp.kept_block(m1, neu), sp.kept_block(m2, neu),
                              sp.kept_block(mw, diri), self.bases)
-        values = tuple(comp.values for comp in s.u.components())
+        values = (s.u1.values, s.u2.values, s.w.values)
         u1, u2, w = values
         advection, dz = [], []
         for m, basis in ((m1, neu), (m2, neu), (mw, diri)):
@@ -559,7 +559,7 @@ class Simulation:
         nul = (c.mu + c.lam) / M
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
-        cur_u = (current.u.v1.values, current.u.v2.values, current.u.w.values)
+        cur_u = (current.u1.values, current.u2.values, current.w.values)
         grad_div = velocity.grad_div(self.bases)
         velocity.div_modal = None
         gu = [cur_u[i] + dt * (I[i] / M
@@ -578,11 +578,8 @@ class Simulation:
             if not np.all(np.isfinite(arr)):
                 raise StepRejected("non-finite fields after linear step")
 
-        u_new = VectorField(ScalarField(g, vals["u1"]), ScalarField(g, vals["u2"]),
-                            ScalarField(g, vals["w"]))
-        out = State(frozen.log_rho_d, u_new, ScalarField(g, vals["T"]),
-                    ScalarField(g, vals["qv"]), ScalarField(g, vals["qc"]),
-                    ScalarField(g, vals["qr"]), current.time + dt)
+        out = State(frozen.log_rho_d, *(ScalarField(g, vals[name]) for name in dg.ITERATED),
+                    current.time + dt)
         out.modal = {**new, "log_rho_d": frozen.modal["log_rho_d"]}
         return out
 
@@ -608,8 +605,7 @@ class Simulation:
         convergence test); RMS times the domain-volume factor."""
         vol = np.sqrt(self.grid.volume)
         total = 0.0
-        for f in (s.u.v1, s.u.v2, s.u.w, s.frak_T,
-                  s.frak_q_v, s.frak_q_c, s.frak_q_r):
+        for f in s.fields()[1:]:        # the iterated fields, log rho_d aside
             total += float(np.mean(f.values ** 2))
         return vol * np.sqrt(total)
 
@@ -625,7 +621,7 @@ class Simulation:
         the report records no increments.  Warns when the step's advective
         CFL number exceeds 1."""
         cfg = self.config
-        umax = max(float(np.max(np.abs(c.values))) for c in state.u.components())
+        umax = max(float(np.max(np.abs(f.values))) for f in (state.u1, state.u2, state.w))
         h = min(self.grid.dx, self.grid.dy, self.grid.dz_spacing)
         if umax * dt / h > 1.0:
             warnings.warn(f"advective CFL {umax * dt / h:.2f} exceeds 1")
@@ -749,9 +745,13 @@ class Simulation:
         size.  ``initial_report`` is the report of the step that made
         ``initial``, for the initial row: a resumed run passes its
         checkpoint's (``read_checkpoint``).  ``initial.time`` must be a
-        whole number of steps and not past t_end: a ValueError otherwise."""
+        whole number of steps and not past t_end, and ``initial`` must be on
+        the simulation's grid: a ValueError otherwise."""
         cfg = self.config
         t0 = _time.perf_counter()
+        if initial.grid != self.grid:
+            raise ValueError(f"the initial state's grid {initial.grid.shape} is not "
+                             f"the simulation's grid {self.grid.shape}")
         # a run resumed from a checkpoint keeps the step numbers of the
         # uninterrupted run
         step = _whole_steps(initial.time, cfg.dt, "initial time")
@@ -889,16 +889,27 @@ class RunRecorder:
 
 
 def read_checkpoint(path) -> tuple:
-    """(state, Picard report, config echo path) of the checkpoint directory
-    ``path`` that ``RunRecorder`` wrote.  The report is the one the meta
-    file kept, its iteration count and final ratio: 0 and 0.0 for a
-    checkpoint written without them.  The echo path is where the echo
-    would be; a run without a config writes none."""
-    with open(os.path.join(path, META_FILE), encoding="utf-8") as fh:
+    """(state, Picard report, config echo path, config hash) of the
+    checkpoint directory ``path`` that ``RunRecorder`` wrote.  The report is
+    the one the meta file kept, its iteration count and final ratio: 0 and
+    0.0 for a checkpoint written without them; a value that is not a number
+    is a ValueError naming the meta file and the key.  The echo path is
+    where the echo would be (a run without a config writes none), and the
+    hash is the meta file's ``config_hash`` ("" when it has none)."""
+    meta_path = os.path.join(path, META_FILE)
+    with open(meta_path, encoding="utf-8") as fh:
         meta = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-    report = PicardReport(ratios=[float(meta.get("picard_final_ratio", "0.0"))],
-                          iterations=int(meta.get("picard_iterations", "0")))
-    return load_state(path), report, os.path.join(path, ECHO_FILE)
+
+    def number(kind, key, default):
+        try:
+            return kind(meta.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: {key}: {exc}") from None
+
+    report = PicardReport(ratios=[number(float, "picard_final_ratio", "0.0")],
+                          iterations=number(int, "picard_iterations", "0"))
+    return (load_state(path), report, os.path.join(path, ECHO_FILE),
+            meta.get("config_hash", ""))
 
 
 def export_long(run_dir) -> str:

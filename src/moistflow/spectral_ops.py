@@ -37,7 +37,7 @@ def set_workers(n: int) -> None:
 
 
 # (x, y, z) derivative orders of each key ``derivs`` returns
-_DERIV_ORDERS = {"value": (0, 0, 0), "x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1),
+_DERIV_ORDERS = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1),
                  "xx": (2, 0, 0), "yy": (0, 2, 0), "zz": (0, 0, 2),
                  "xy": (1, 1, 0), "xz": (1, 0, 1), "yz": (0, 1, 1)}
 _DERIV_KEYS = {1: ("x", "y", "z"),
@@ -382,20 +382,18 @@ def dz_modal(modal: np.ndarray, basis: Basis) -> np.ndarray:
 
 
 def derivs(modal: np.ndarray, basis: Basis, order: int = 1,
-           dealias: bool = False, value: bool = False) -> dict:
+           dealias: bool = False) -> dict:
     """Spectral derivatives, as physical arrays keyed x, y, z (and xx, yy,
     zz, xy, xz, yz for order 2), of the field with modal coefficients
     ``modal`` in ``basis``, truncated by the 2/3 rule with ``dealias`` (the
     multipliers are diagonal, so the rule commutes with them).
-    z-derivatives of odd order live in the complementary basis.  With
-    ``value`` the set also holds the field's values, keyed ``value``, first.
+    z-derivatives of odd order live in the complementary basis.
 
     The set is one pass (``_inverse_set``): 2 x-FFTs for order 1, 3 for
-    order 2, and no multiplier product on the whole array.  The values have
-    the bits of ``to_phys_values``; the derivatives equal each multiplier
-    (dx_modal, dy_modal, dz_modal) followed by ``to_phys_values`` to
-    rounding, not bitwise."""
-    keys = (("value",) if value else ()) + _DERIV_KEYS[order]
+    order 2, and no multiplier product on the whole array.  The derivatives
+    equal each multiplier (dx_modal, dy_modal, dz_modal) followed by
+    ``to_phys_values`` to rounding, not bitwise."""
+    keys = _DERIV_KEYS[order]
     return dict(zip(keys, _inverse_set(modal, basis, [_DERIV_ORDERS[k] for k in keys],
                                        dealias)))
 
@@ -488,7 +486,7 @@ def helmholtz_modal(g: np.ndarray, a: float, basis: Basis,
     transform of g gives: the whole (nx, ny//2+1, nz) array, or with
     ``dealias`` the kept (nx, ky_keep, mz_keep) block of the 2/3 rule,
     outside which f is 0 and which is all the result holds."""
-    if a < 0.0:
+    if not a >= 0.0:        # NaN fails too
         raise ValueError("helmholtz coefficient a must be nonnegative")
     block = to_modal_values(g, basis, dealias)
     return _solved(block, 1.0 + a * _eigenvalues(basis, block), basis)
@@ -508,7 +506,7 @@ def vector_helmholtz_modal(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
     which each component is a diagonal division.  Horizontal components are
     cosine series in z, the vertical one a sine series.
     """
-    if a_mu < 0.0 or a_mu + a_mulam < 0.0:
+    if not (a_mu >= 0.0 and a_mu + a_mulam >= 0.0):        # NaN fails too
         raise ValueError("ill-posed coefficient combination in vector Helmholtz solve")
     neu, diri = bases.neumann, bases.dirichlet
     m1 = to_modal_values(g1, neu, dealias)

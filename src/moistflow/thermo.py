@@ -1,42 +1,39 @@
 """Constitutive and thermodynamic closures for moist air.
 
-All operations are pure, pointwise, and thread-safe.  The Q-factors are the
-coefficient fields multiplying time derivatives, compression, and phase-heat
-terms in the temperature and momentum equations; in clipped form every
-mixing-ratio argument passes through its nonnegative part, which makes the
-momentum mass factor bounded below by one.
+All operations are pure, pointwise, and thread-safe, and take and return
+plain arrays.  The Q-factors are the coefficient fields multiplying time
+derivatives, compression, and phase-heat terms in the temperature and
+momentum equations; in clipped form every mixing-ratio argument passes
+through its nonnegative part, which makes the momentum mass factor bounded
+below by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import PhysConstants, ScalarField, check_same_grid
+from .fields import PhysConstants
 
 
-def mixed_heat_capacity(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-                        constants: PhysConstants) -> ScalarField:
-    """c_nu = c_pd + c_pv q_v + c_l (q_c + q_r)."""
-    grid = check_same_grid(q_v, q_c, q_r)
-    vals = (constants.c_pd + constants.c_pv * q_v.values
-            + constants.c_l * (q_c.values + q_r.values))
-    return ScalarField(grid, vals)
+def mixed_heat_capacity(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
+                        constants: PhysConstants) -> np.ndarray:
+    """c_nu = c_pd + c_pv q_v + c_l (q_c + q_r) on plain arrays."""
+    return constants.c_pd + constants.c_pv * q_v + constants.c_l * (q_c + q_r)
 
 
-def mixed_gas_constant(q_v: ScalarField, q_c: ScalarField, q_r: ScalarField,
-                       constants: PhysConstants) -> ScalarField:
-    """sigma = ((c_pv/c_pd) R_d - R_v) q_v + (c_l/c_pd) R_d (q_c + q_r)."""
-    grid = check_same_grid(q_v, q_c, q_r)
+def mixed_gas_constant(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,
+                       constants: PhysConstants) -> np.ndarray:
+    """sigma = ((c_pv/c_pd) R_d - R_v) q_v + (c_l/c_pd) R_d (q_c + q_r) on
+    plain arrays."""
     c = constants
-    vals = ((c.c_pv / c.c_pd * c.R_d - c.R_v) * q_v.values
-            + (c.c_l / c.c_pd) * c.R_d * (q_c.values + q_r.values))
-    return ScalarField(grid, vals)
+    return ((c.c_pv / c.c_pd * c.R_d - c.R_v) * q_v
+            + (c.c_l / c.c_pd) * c.R_d * (q_c + q_r))
 
 
-def latent_heat(T: ScalarField, constants: PhysConstants) -> ScalarField:
-    """L(T) = L_ref + (c_pv - c_l)(T - T_ref)."""
+def latent_heat(T: np.ndarray, constants: PhysConstants) -> np.ndarray:
+    """L(T) = L_ref + (c_pv - c_l)(T - T_ref) on plain arrays."""
     c = constants
-    return ScalarField(T.grid, c.L_ref + (c.c_pv - c.c_l) * (T.values - c.T_ref))
+    return c.L_ref + (c.c_pv - c.c_l) * (T - c.T_ref)
 
 
 def pressure_values(rho_d: np.ndarray, q_v: np.ndarray, T: np.ndarray,
@@ -48,21 +45,20 @@ def pressure_values(rho_d: np.ndarray, q_v: np.ndarray, T: np.ndarray,
     return rho_d * (constants.R_d + constants.R_v * q_v) * T
 
 
-def potential_temperature(T: ScalarField, p: ScalarField,
-                          constants: PhysConstants) -> ScalarField:
-    """theta = T (p_ref / p)^((gamma-1)/gamma)."""
-    grid = check_same_grid(T, p)
-    if np.any(p.values <= 0.0):
+def potential_temperature(T: np.ndarray, p: np.ndarray,
+                          constants: PhysConstants) -> np.ndarray:
+    """theta = T (p_ref / p)^((gamma-1)/gamma) on plain arrays; a pressure
+    that is not positive everywhere raises ValueError."""
+    if np.any(p <= 0.0):
         raise ValueError("potential temperature requires positive pressure")
     expo = (constants.gamma - 1.0) / constants.gamma
-    return ScalarField(grid, T.values * (constants.p_ref / p.values) ** expo)
+    return T * (constants.p_ref / p) ** expo
 
 
-def moist_density(rho_d: ScalarField, q_v: ScalarField, q_c: ScalarField,
-                  q_r: ScalarField) -> ScalarField:
-    """rho = rho_d (1 + q_v + q_c + q_r)."""
-    grid = check_same_grid(rho_d, q_v, q_c, q_r)
-    return ScalarField(grid, rho_d.values * (1.0 + q_v.values + q_c.values + q_r.values))
+def moist_density(rho_d: np.ndarray, q_v: np.ndarray, q_c: np.ndarray,
+                  q_r: np.ndarray) -> np.ndarray:
+    """rho = rho_d (1 + q_v + q_c + q_r) on plain arrays."""
+    return rho_d * (1.0 + q_v + q_c + q_r)
 
 
 def q_factor_values(q_v: np.ndarray, q_c: np.ndarray, q_r: np.ndarray,

@@ -169,15 +169,14 @@ def test_criterion_07_thermodynamic_identities(nondim):
     c = nondim
     worst = 0.0
     for seed in (5, 6):
-        qv = ScalarField(grid, 0.05 * np.abs(random_band_limited(grid, bases, seed=seed)))
-        qc = ScalarField(grid, 0.05 * np.abs(random_band_limited(grid, bases, seed=seed + 1)))
-        qr = ScalarField(grid, 0.05 * np.abs(random_band_limited(grid, bases, seed=seed + 2)))
-        _, Q_th, Q_cp, Q_1, _ = mf.q_factor_values(qv.values, qc.values, qr.values, c)
-        sigma = mf.mixed_gas_constant(qv, qc, qr, c).values
-        c_nu = mf.mixed_heat_capacity(qv, qc, qr, c).values
+        qv, qc, qr = (0.05 * np.abs(random_band_limited(grid, bases, seed=seed + k))
+                      for k in range(3))
+        _, Q_th, Q_cp, Q_1, _ = mf.q_factor_values(qv, qc, qr, c)
+        sigma = mf.mixed_gas_constant(qv, qc, qr, c)
+        c_nu = mf.mixed_heat_capacity(qv, qc, qr, c)
         e1 = np.max(np.abs(Q_cp - (sigma - c.R_d / c.c_pd * c_nu)) / np.abs(Q_cp))
         e2 = np.max(np.abs(Q_th - (c_nu / c.gamma + sigma)) / np.abs(Q_th))
-        q1_long = (c.R_v / (c.R_d + c.R_v * qv.values)
+        q1_long = (c.R_v / (c.R_d + c.R_v * qv)
                    * (sigma - c.R_d / c.c_pd * c_nu) + c.c_pv - c.c_l)
         e3 = np.max(np.abs(q1_long - Q_1) / abs(Q_1))
         worst = max(worst, e1, e2, e3)

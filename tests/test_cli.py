@@ -34,6 +34,16 @@ ic.preset = thermal_bubble
 """
 
 
+def _sub(pattern, repl):
+    """An edit that replaces the lines of a text file matching ``pattern``."""
+    def edit(path):
+        text = path.read_text(encoding="utf-8")
+        new = re.sub(pattern, repl, text, flags=re.M)
+        assert new != text
+        path.write_text(new, encoding="utf-8")
+    return edit
+
+
 def sample_config():
     """The text of demos/sample_config.cfg."""
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "sample_config.cfg")
@@ -385,7 +395,7 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         ref = mf.load_state(os.path.join(out_full, "final_state"))
         got = mf.load_state(os.path.join(out_res, "final_state"))
         assert got.time == ref.time
-        for fa, fb in ((ref.log_rho_d, got.log_rho_d), (ref.u.w, got.u.w),
+        for fa, fb in ((ref.log_rho_d, got.log_rho_d), (ref.w, got.w),
                        (ref.frak_T, got.frak_T), (ref.frak_q_r, got.frak_q_r)):
             assert np.array_equal(fa.values, fb.values)
 
@@ -437,9 +447,11 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         out, res = tmp_path / "out", tmp_path / "resumed"
         assert main(["run", path, "--out", str(out)]) == 0
         ckpt = out / "checkpoints" / "step_000003"
-        (ckpt / "meta.txt").write_text("time=0.003\nstep=3\nconfig_hash=abc\n",
+        hash_line = next(line for line in (ckpt / "meta.txt").read_text().splitlines()
+                         if line.startswith("config_hash="))
+        (ckpt / "meta.txt").write_text(f"time=0.003\nstep=3\n{hash_line}\n",
                                        encoding="utf-8")
-        _, report, _ = mf.solver.read_checkpoint(str(ckpt))
+        _, report, _, _ = mf.solver.read_checkpoint(str(ckpt))
         assert (report.iterations, report.final_ratio) == (0, 0.0)
         assert main(["resume", str(ckpt), "--out", str(res)]) == 0
 
@@ -491,7 +503,7 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         ref = mf.load_state(os.path.join(out_full, "final_state"))
         got = mf.load_state(os.path.join(out_res, "final_state"))
         assert got.time == ref.time
-        for fa, fb in ((ref.u.v1, got.u.v1), (ref.frak_T, got.frak_T)):
+        for fa, fb in ((ref.u1, got.u1), (ref.frak_T, got.frak_T)):
             assert np.max(np.abs(fa.values - fb.values)) <= 1e-12 * np.max(np.abs(fa.values))
 
     @pytest.mark.parametrize("key, change", [
@@ -516,6 +528,36 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         assert main(["resume", str(ckpt), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert str(ckpt / "modal.npz") in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit, key", [
+        ("config.echo", _sub(r"^constants\.mu = .*$", "constants.mu = 0.5"), "config_hash"),
+        ("config.echo", _sub(r"^grid\.nx = .*$", "grid.nx = 32"), "config_hash"),
+        ("meta.txt", _sub(r"^picard_iterations=.*$", "picard_iterations=x"),
+         "picard_iterations"),
+        ("u_z.dat", lambda path: path.write_bytes(path.read_bytes()[:-8]), "truncated")],
+        ids=["echo-mu", "echo-grid", "meta-iterations", "truncated-field"])
+    def test_resume_rejects_bad_checkpoint_before_writing(self, tmp_path, capsys,
+                                                          name, edit, key):
+        """A checkpoint whose config.echo was edited after the run (other
+        physics, or another grid), whose meta.txt holds a Picard iteration
+        count that is not a number, or whose field file is truncated exits
+        1 with a message naming the file and ``key``, and makes no output
+        directory.  An edited echo's message names both hashes."""
+        path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
+        assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
+        ckpt = tmp_path / "full" / "checkpoints" / "step_000002"
+        meta_hash = re.search(r"^config_hash=(.*)$", (ckpt / "meta.txt").read_text(),
+                              re.M).group(1)
+        edit(ckpt / name)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert main(["resume", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt / name) in err and key in err
+        if name == "config.echo":
+            assert meta_hash in err
+            assert parse_config(ckpt / name).config_hash() in err
         assert not out.exists()
 
     def test_rerun_replaces_state_directories_whole(self, tmp_path):

@@ -65,10 +65,8 @@ def run_alone(n, mode, preset, constants, start=None):
     if start is not None:
         start.wait()
     traj = sim.run(state)
-    s = traj.final_state
-    fields = (s.log_rho_d, *s.u.components(), s.frak_T, s.frak_q_v, s.frak_q_c, s.frak_q_r)
     return ([row.csv_values() for row in traj.rows],
-            [f.values.tobytes() for f in fields])
+            [f.values.tobytes() for f in traj.final_state.fields()])
 
 
 def test_simulations_in_threads_give_the_rows_run_alone(nondim):

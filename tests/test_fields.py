@@ -7,7 +7,7 @@ import pytest
 
 import moistflow as mf
 from moistflow.fields import (MODAL_FILE, MODAL_NAMES, ScalarField, State,
-                              VectorField, positive_values, save_field)
+                              positive_values, save_field)
 from moistflow.spectral_ops import to_modal_values, to_phys_values
 
 from conftest import random_band_limited
@@ -95,9 +95,7 @@ class TestSignParts:
 
 
 def _state_with_log_rho(grid, vals):
-    return State(ScalarField(grid, vals), VectorField.zeros(grid),
-                 ScalarField.zeros(grid), ScalarField.zeros(grid),
-                 ScalarField.zeros(grid), ScalarField.zeros(grid))
+    return State(ScalarField(grid, vals), *(ScalarField.zeros(grid) for _ in range(7)))
 
 
 class TestPhysConstants:
@@ -199,7 +197,7 @@ class TestSnapshotIO:
         loaded = mf.load_state(tmp_path / "ckpt")
         assert loaded.time == state.time
         assert np.array_equal(loaded.log_rho_d.values, state.log_rho_d.values)
-        assert np.array_equal(loaded.u.w.values, state.u.w.values)
+        assert np.array_equal(loaded.w.values, state.w.values)
         assert np.array_equal(loaded.frak_q_r.values, state.frak_q_r.values)
 
     @pytest.mark.parametrize("name", ["log_rho_d", "frak_q_v"])
@@ -322,7 +320,7 @@ class TestCoefficientFile:
         resumed = mf.Simulation(grid8, nondim, bspec, cfg).run(loaded)
         a, b = full.final_state, resumed.final_state
         for name, (va, vb) in zip(MODAL_NAMES[:-1], (
-                (a.u.v1, b.u.v1), (a.u.v2, b.u.v2), (a.u.w, b.u.w), (a.frak_T, b.frak_T),
+                (a.u1, b.u1), (a.u2, b.u2), (a.w, b.w), (a.frak_T, b.frak_T),
                 (a.frak_q_v, b.frak_q_v), (a.frak_q_c, b.frak_q_c), (a.frak_q_r, b.frak_q_r))):
             assert va.values.tobytes() == vb.values.tobytes(), name
         assert a.log_rho_d.values.tobytes() == b.log_rho_d.values.tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 import moistflow as mf
 from moistflow import diagnostics as dg
-from moistflow.fields import MODAL_NAMES, ScalarField, VectorField, State
+from moistflow.fields import MODAL_NAMES, ScalarField, State
 from moistflow.spectral_ops import (derivs, div_modal, to_modal_values, to_phys_values,
                                     dz_modal)
 
@@ -26,12 +26,13 @@ def make_sim(grid, constants, preset="equilibrium", mode="picard", dt=1e-3,
 
 
 def density_step(sim, state, u, dt):
-    """density_step from ``state`` under the frozen velocity ``u``, with
-    the inputs built as picard_solve builds them: the frozen velocity and
-    the order-2 derivative set of ``state.log_rho_d``."""
+    """density_step from ``state`` under the frozen velocity ``u``, the
+    fields (u1, u2, w), with the inputs built as picard_solve builds them:
+    the frozen velocity and the order-2 derivative set of
+    ``state.log_rho_d``."""
     state = dg.with_coefficients(state, sim.bases)
     dlog = derivs(state.modal["log_rho_d"], sim.bases.neumann, order=2)
-    frozen = dg.with_coefficients(replace(state, u=u), sim.bases)
+    frozen = dg.with_coefficients(replace(state, u1=u[0], u2=u[1], w=u[2]), sim.bases)
     return sim.density_step(state, sim._frozen_velocity(frozen), dt, dlog)
 
 
@@ -91,7 +92,7 @@ def count_transforms(monkeypatch, sets: list | None = None) -> dict:
 class TestDensityStep:
     def test_no_flow_leaves_density_alone(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim)
-        out = density_step(sim, state, VectorField.zeros(grid16), 1e-3)
+        out = density_step(sim, state, (ScalarField.zeros(grid16),) * 3, 1e-3)
         assert np.array_equal(out.values, state.log_rho_d.values)
 
     def test_constant_flow_translates(self, grid16, nondim, bases16):
@@ -100,8 +101,8 @@ class TestDensityStep:
         f = lambda x: amp * np.sin(np.pi * x) + 0.1 * np.cos(2 * np.pi * x)
         vals = np.broadcast_to(f(grid16.x)[:, None, None], grid16.shape).copy()
         state.log_rho_d = ScalarField(grid16, vals)
-        u = VectorField(ScalarField.full(grid16, 1.0), ScalarField.zeros(grid16),
-                        ScalarField.zeros(grid16))
+        u = (ScalarField.full(grid16, 1.0), ScalarField.zeros(grid16),
+             ScalarField.zeros(grid16))
         out = density_step(sim, state, u, dt)
         expected = np.broadcast_to(f(grid16.x - dt)[:, None, None], grid16.shape)
         # div u = 0 so this is pure advection; departure-point Taylor
@@ -112,11 +113,10 @@ class TestDensityStep:
         """Step-halving oracle: one-step dry-mass drift shrinks by at least
         the second-order factor."""
         sim, state = make_sim(grid16, nondim)
-        u = VectorField(
-            ScalarField(grid16, 0.5 * random_band_limited(grid16, bases16, seed=1, max_mode=3)),
-            ScalarField(grid16, 0.5 * random_band_limited(grid16, bases16, seed=2, max_mode=3)),
-            ScalarField(grid16, 0.5 * random_band_limited(
-                grid16, bases16, kind="dirichlet_z", seed=3, max_mode=3)))
+        u = (ScalarField(grid16, 0.5 * random_band_limited(grid16, bases16, seed=1, max_mode=3)),
+             ScalarField(grid16, 0.5 * random_band_limited(grid16, bases16, seed=2, max_mode=3)),
+             ScalarField(grid16, 0.5 * random_band_limited(
+                 grid16, bases16, kind="dirichlet_z", seed=3, max_mode=3)))
         w = grid16.quad_weights()
         m0 = float(np.sum(np.exp(state.log_rho_d.values) * w))
 
@@ -140,28 +140,29 @@ class TestDensityStep:
         sim, state = make_sim(grid16, nondim, preset="saturated_layer")
         state.log_rho_d = ScalarField(grid16, state.log_rho_d.values + 0.3 * random_band_limited(
             grid16, bases16, seed=4, max_mode=3))
-        u = VectorField(*(ScalarField(grid16, 0.5 * random_band_limited(
+        u = tuple(ScalarField(grid16, 0.5 * random_band_limited(
             grid16, bases16, kind=kind, seed=seed, max_mode=3)) for kind, seed in (
-                ("neumann_z", 1), ("neumann_z", 2), ("dirichlet_z", 3))))
+                ("neumann_z", 1), ("neumann_z", 2), ("dirichlet_z", 3)))
         dt = 1e-2
         got = density_step(sim, state, u, dt).values
 
         state = dg.with_coefficients(state, sim.bases)
-        frozen = dg.with_coefficients(replace(state, u=u), sim.bases)
+        frozen = dg.with_coefficients(replace(state, u1=u[0], u2=u[1], w=u[2]), sim.bases)
         velocity = sim._frozen_velocity(frozen)
         neu, diri = sim.bases.neumann, sim.bases.dirichlet
         # the velocity keeps div u and its kept-block coefficients, from
         # which grad div u is formed where it is read
         assert velocity.div_modal.shape == (grid16.nx, *grid16.kept_extent)
         grad_div = velocity.grad_div(sim.bases)
-        ref = derivs(div_modal(frozen.modal["u1"], frozen.modal["u2"], frozen.modal["w"],
-                               sim.bases), neu, dealias=True, value=True)
-        assert velocity.div.tobytes() == ref.pop("value").tobytes()
+        div_m = div_modal(frozen.modal["u1"], frozen.modal["u2"], frozen.modal["w"],
+                          sim.bases)
+        ref = derivs(div_m, neu, dealias=True)
+        assert velocity.div.tobytes() == to_phys_values(div_m, neu, True).tobytes()
         for k in "xyz":
             assert grad_div[k].tobytes() == ref[k].tobytes(), k
         d = [derivs(frozen.modal[name], basis, dealias=True)
              for name, basis in (("u1", neu), ("u2", neu), ("w", diri))]
-        u1, u2, w = (comp.values for comp in u.components())
+        u1, u2, w = (f.values for f in u)
         z = grid16.z[None, None, :]
 
         def log_rho_new(um1, um2, umw):
@@ -206,8 +207,8 @@ class TestDensityStep:
     def test_no_penetration_enforced(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim)
         bad_w = np.ones(grid16.shape)
-        u = VectorField(ScalarField.zeros(grid16), ScalarField.zeros(grid16),
-                        ScalarField(grid16, bad_w))
+        u = (ScalarField.zeros(grid16), ScalarField.zeros(grid16),
+             ScalarField(grid16, bad_w))
         with pytest.raises(ValueError, match="no-penetration"):
             density_step(sim, state, u, 1e-3)
 
@@ -337,12 +338,10 @@ class TestLinearStep:
         const = mf.PhysConstants.nondimensional(g=0.0)
         state, bspec = mf.preset_initial("equilibrium", grid8, const,
                                          T0=1.0, rho0=1.0)
-        zero = State(ScalarField.zeros(grid8), VectorField.zeros(grid8),
-                     ScalarField.zeros(grid8), ScalarField.zeros(grid8),
-                     ScalarField.zeros(grid8), ScalarField.zeros(grid8))
+        zero = State(*(ScalarField.zeros(grid8) for _ in range(8)))
         sim = mf.Simulation(grid8, const, bspec, mf.SolverConfig(dt=1e-3, t_end=1e-3))
         out = linear_step(sim, zero, zero, 1e-3)
-        for f in (out.u.v1, out.u.v2, out.u.w, out.frak_T,
+        for f in (out.u1, out.u2, out.w, out.frak_T,
                   out.frak_q_v, out.frak_q_c, out.frak_q_r):
             assert np.max(np.abs(f.values)) < 1e-14
 
@@ -383,7 +382,7 @@ class TestPicard:
         assert rep.converged and rep.iterations == 1
         assert rep.increments[0]["total"] < 1e-12
         assert np.max(np.abs(out.frak_T.values - state.frak_T.values)) < 1e-12
-        assert max(np.max(np.abs(c.values)) for c in out.u.components()) < 1e-12
+        assert max(np.max(np.abs(c.values)) for c in (out.u1, out.u2, out.w)) < 1e-12
 
     def test_ratios_small_and_roughly_dt_proportional(self, grid16, nondim):
         sim, state = make_sim(grid16, nondim, preset="thermal_bubble")
@@ -409,12 +408,10 @@ class TestPicard:
                               picard_tol=1e-10, picard_max_iters=30)
         out, rep = sim.picard_solve(state, dt)
         assert rep.converged
-        log_rho = density_step(sim, state, out.u, dt)
+        log_rho = density_step(sim, state, (out.u1, out.u2, out.w), dt)
         mx = linear_step(sim, replace(out, log_rho_d=log_rho), state, dt)
         delta = m_norm_parts(sim, mx, out, dt)["total"]
-        zero = State(out.log_rho_d, VectorField.zeros(grid16),
-                     ScalarField.zeros(grid16), ScalarField.zeros(grid16),
-                     ScalarField.zeros(grid16), ScalarField.zeros(grid16),
+        zero = State(out.log_rho_d, *(ScalarField.zeros(grid16) for _ in range(7)),
                      out.time)
         x_norm = m_norm_parts(sim, out, zero, dt)["total"]
         assert delta <= 2.0 * 1e-10 * x_norm
@@ -443,8 +440,8 @@ class TestDirectStep:
         sim, state = make_sim(grid16, nondim, preset="saturated_layer", mode="direct")
         a = sim.direct_step(state, 1e-3)
         b, _ = sim.picard_solve(state, 1e-3, max_iters=1)
-        for fa, fb in ((a.log_rho_d, b.log_rho_d), (a.u.v1, b.u.v1),
-                       (a.u.w, b.u.w), (a.frak_T, b.frak_T),
+        for fa, fb in ((a.log_rho_d, b.log_rho_d), (a.u1, b.u1),
+                       (a.w, b.w), (a.frak_T, b.frak_T),
                        (a.frak_q_v, b.frak_q_v), (a.frak_q_r, b.frak_q_r)):
             assert np.array_equal(fa.values, fb.values)
 
@@ -452,8 +449,8 @@ class TestDirectStep:
     def test_cfl_warning(self, grid16, nondim, mode):
         sim, state = make_sim(grid16, nondim, mode=mode, t_end=1e-3,
                               max_dt_halvings=0)
-        state.u = VectorField(ScalarField.full(grid16, 150.0),
-                              ScalarField.zeros(grid16), ScalarField.zeros(grid16))
+        state.u1, state.u2, state.w = (ScalarField.full(grid16, 150.0),
+                                       ScalarField.zeros(grid16), ScalarField.zeros(grid16))
         with pytest.warns(UserWarning, match="CFL"):
             try:
                 sim.run(state)
@@ -468,7 +465,7 @@ class TestDirectStep:
         that a repeated transform shows."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="picard")
         state = sim.direct_step(state, 1e-3)
-        assert np.any(state.u.w.values)
+        assert np.any(state.w.values)
         sets = []
         count = count_transforms(monkeypatch, sets)
         sim.direct_step(state, 1e-3)
@@ -701,7 +698,7 @@ class TestCarriedCoefficients:
         assert list(out.modal) == list(MODAL_NAMES)
         assert out.time == bare.time
         assert all(getattr(out, f) is getattr(bare, f) for f in (
-            "log_rho_d", "u", "frak_T", "frak_q_v", "frak_q_c", "frak_q_r"))
+            "log_rho_d", "u1", "u2", "w", "frak_T", "frak_q_v", "frak_q_c", "frak_q_r"))
         values = dict(dg.iterated_values(bare), log_rho_d=bare.log_rho_d.values)
         for name in MODAL_NAMES:
             assert np.array_equal(out.modal[name], to_modal_values(
@@ -712,9 +709,10 @@ class TestCarriedCoefficients:
         assert replace(state, time=state.time).modal is None
         assert state.copy().modal is None
         assert mf.perturb_state(state, sim.bases, amplitude=1e-6).modal is None
-        reassigned = sim.direct_step(state, 1e-3)
-        reassigned.frak_T = reassigned.frak_T.copy()
-        assert reassigned.modal is None
+        for name in ("frak_T", "u1", "u2", "w"):
+            reassigned = sim.direct_step(state, 1e-3)
+            setattr(reassigned, name, getattr(reassigned, name).copy())
+            assert reassigned.modal is None, name
 
     def test_fixer_keeps_the_coefficients_it_does_not_touch(self, moving, grid8):
         """The positivity fixer hands on the carried coefficients of every
@@ -857,6 +855,16 @@ class TestRun:
         assert isinstance(info.value.__cause__, mf.StepRejected)
         assert sim._rejections >= 1
 
+    def test_initial_state_on_another_grid_rejected(self, tmp_path, grid8, nondim):
+        """A state on another grid than the simulation's is a ValueError
+        naming both grids, raised before the run directory is made."""
+        _, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
+        state, _ = mf.preset_initial("saturated_layer", mf.make_grid(16, 8, 9), nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=1e-3, t_end=2e-3))
+        with pytest.raises(ValueError, match=r"\(16, 8, 9\).*\(8, 8, 9\)"):
+            sim.run(state, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_leaves_both_csv_files_complete(self, tmp_path, grid8,
                                                        nondim):
         """The run above fails at t = 4.5; both CSV files must hold their
@@ -959,7 +967,7 @@ class TestRun:
         assert sorted(os.listdir(full / "checkpoints")) == names
         for name in names:
             assert (full / "checkpoints" / name / "modal.npz").exists(), name
-        resumed, report, _ = mf.solver.read_checkpoint(full / "checkpoints" / names[1])
+        resumed, report, _, _ = mf.solver.read_checkpoint(full / "checkpoints" / names[1])
         assert resumed.modal is not None
         with pytest.warns(UserWarning, match="positivity fixer active"):
             res = mf.Simulation(grid8, nondim, bspec, cfg).run(

@@ -220,6 +220,18 @@ class TestVectorHelmholtz:
             vector_helmholtz_modal(*G, 0.1, -0.5, bases8)
 
 
+@pytest.mark.parametrize("solve, match", [
+    (lambda g, b: helmholtz_modal(g, np.nan, b.neumann), "nonnegative"),
+    (lambda g, b: vector_helmholtz_modal(g, g, g, np.nan, 0.0, b), "ill-posed"),
+    (lambda g, b: vector_helmholtz_modal(g, g, g, 0.1, np.nan, b), "ill-posed")],
+    ids=["a", "a_mu", "a_mulam"])
+def test_nan_coefficient_rejected(grid8, bases8, solve, match):
+    """A NaN coefficient is rejected as a negative one is, not solved into
+    all-NaN coefficients."""
+    with pytest.raises(ValueError, match=match):
+        solve(np.ones(grid8.shape), bases8)
+
+
 class TestAdjointness:
     def test_grad_div_duality(self, grid16, bases16):
         """Discrete integration by parts: <grad f, u> = -<f, div u> for
