@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -92,6 +93,12 @@ _RETIRED_KEYS = {"solver.psi_dt_mode": None, "run.seed": None, "run.threads": No
                  "microphysics.q_vs.kind": (
                      "str", "default", "only the 'default' saturation closure is "
                      "file-configurable; plug closures in via the API")}
+
+# keys that say how long a run goes on and where and how often it writes;
+# a resume may change them in the echo, to extend a finished run, say
+_RUN_LENGTH_KEYS = frozenset({"solver.t_end", "solver.checkpoint_every",
+                              "solver.snapshot_every", "solver.record_states_every",
+                              "output.dir"})
 
 
 def _finite(text: str) -> float:
@@ -184,6 +191,7 @@ class RunConfig:
     values: dict
     explicit: set = dc_field(default_factory=set)
     path: str = ""
+    retired: set = dc_field(default_factory=set)    # retired keys the file lists
 
     def __getitem__(self, key):
         return self.values[key]
@@ -217,11 +225,23 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """SHA-256 of the echo lines of the keys whose values differ from the
-        schema defaults, in schema order, so that adding or retiring a key
-        leaves the hash of an unchanged configuration alone."""
+        schema defaults, in schema order, so that adding a key, or retiring
+        one at its default, leaves the hash of an unchanged configuration
+        alone."""
         changed = [_echo_line(key, v) for key, v in self._effective().items()
                    if v != SCHEMA[key][1]]
         return hashlib.sha256("\n".join(changed).encode()).hexdigest()
+
+
+def echo_hash(text: str) -> str:
+    """SHA-256 of the lines of the echo text ``text``, less comments, blank
+    lines and the run-length and output keys: what a resume must run as the
+    checkpoint's run did.  It is taken from the text, not from the parsed
+    values, so retiring a key or changing a default leaves it alone."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    kept = [line for line in lines
+            if line and line.partition("=")[0].strip() not in _RUN_LENGTH_KEYS]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
 
 
 def _echo_line(key: str, v) -> str:
@@ -244,7 +264,7 @@ def parse_config(path) -> RunConfig:
     settings, wall sign conditions, initial data) is for the library to
     decide, in ``build_simulation``."""
     values = {k: v for k, (_, v) in SCHEMA.items()}
-    explicit = set()
+    explicit, retired = set(), set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -264,6 +284,7 @@ def parse_config(path) -> RunConfig:
             if fixed is not None and _coerce(key, text, where, fixed[0]) != fixed[1]:
                 raise ConfigError(f"{where}: {key} = {text}: {fixed[2]}")
             warnings.warn(f"{where}: {key} is retired and ignored")
+            retired.add(key)
             continue
         if key not in SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -274,7 +295,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{where}: unknown constants.set {values[key]!r}")
         explicit.add(key)
 
-    return RunConfig(values=values, explicit=explicit, path=str(path))
+    return RunConfig(values=values, explicit=explicit, path=str(path), retired=retired)
 
 
 def build_simulation(rc: RunConfig):
@@ -302,6 +323,7 @@ def build_simulation(rc: RunConfig):
         raise ConfigError(f"{rc.path}: {exc}") from exc
     sim.config_hash = rc.config_hash()
     sim.config_echo = rc.echo_text()
+    sim.echo_hash = echo_hash(sim.config_echo)
     return sim, state
 
 
@@ -329,13 +351,33 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _check_echo(path: str, rc: RunConfig, meta: dict) -> None:
+    """Raise a ValueError naming both hashes and the echo ``path`` (parsed
+    as ``rc``) unless it is the echo that the checkpoint with the meta
+    lines ``meta`` was written with, up to the run-length and output keys.
+    A checkpoint written before ``meta.txt`` kept an ``echo_hash`` is
+    checked by its ``config_hash``; the hash of an echo that lists keys
+    retired since covered their values then, so it cannot be checked
+    now, and a warning says so."""
+    if "echo_hash" in meta:
+        key, found = "echo_hash", echo_hash(Path(path).read_text(encoding="utf-8"))
+    else:
+        key, found = "config_hash", rc.config_hash()
+    stored = meta.get(key, "")
+    if found == stored:
+        return
+    if key == "config_hash" and rc.retired:
+        warnings.warn(f"{path}: lists keys retired since the checkpoint was "
+                      f"written, so its config_hash cannot be checked")
+        return
+    raise ValueError(f"{path}: {key} {found} is not the checkpoint's "
+                     f"{key} {stored or '(none)'}")
+
+
 def _cmd_resume(args) -> int:
-    state, report, echo, config_hash = read_checkpoint(args.checkpoint)
+    state, report, echo, meta = read_checkpoint(args.checkpoint)
     rc = parse_config(echo)
-    echo_hash = rc.config_hash()
-    if echo_hash != config_hash:    # an echo edited after the run: other physics
-        raise ValueError(f"{echo}: configuration hash {echo_hash} is not the "
-                         f"checkpoint's config_hash {config_hash or '(none)'}")
+    _check_echo(echo, rc, meta)    # an echo edited after the run: other physics
     out = _resolve_out(rc, args.out)
     sim, _ = build_simulation(rc)
     traj = sim.run(state, out_dir=out, initial_report=report)

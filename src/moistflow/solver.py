@@ -186,6 +186,7 @@ class Simulation:
         self._rejections = 0
         self.config_echo = ""         # provenance, set by cli.build_simulation
         self.config_hash = ""
+        self.echo_hash = ""
 
     # -- helpers ----------------------------------------------------------
 
@@ -874,6 +875,7 @@ class RunRecorder:
             save_modal(tmp, state)
             Path(tmp, META_FILE).write_text(
                 f"time={state.time!r}\nstep={row.step}\nconfig_hash={sim.config_hash}\n"
+                f"echo_hash={sim.echo_hash}\n"
                 f"picard_iterations={row.picard_iterations!r}\n"
                 f"picard_final_ratio={row.picard_final_ratio!r}\n", encoding="utf-8")
             if sim.config_echo:
@@ -889,13 +891,14 @@ class RunRecorder:
 
 
 def read_checkpoint(path) -> tuple:
-    """(state, Picard report, config echo path, config hash) of the
+    """(state, Picard report, config echo path, meta lines) of the
     checkpoint directory ``path`` that ``RunRecorder`` wrote.  The report is
     the one the meta file kept, its iteration count and final ratio: 0 and
     0.0 for a checkpoint written without them; a value that is not a number
     is a ValueError naming the meta file and the key.  The echo path is
     where the echo would be (a run without a config writes none), and the
-    hash is the meta file's ``config_hash`` ("" when it has none)."""
+    meta lines are the meta file's ``key=value`` lines as a dict (its
+    ``config_hash`` and ``echo_hash``, when it has them)."""
     meta_path = os.path.join(path, META_FILE)
     with open(meta_path, encoding="utf-8") as fh:
         meta = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
@@ -908,8 +911,7 @@ def read_checkpoint(path) -> tuple:
 
     report = PicardReport(ratios=[number(float, "picard_final_ratio", "0.0")],
                           iterations=number(int, "picard_iterations", "0"))
-    return (load_state(path), report, os.path.join(path, ECHO_FILE),
-            meta.get("config_hash", ""))
+    return load_state(path), report, os.path.join(path, ECHO_FILE), meta
 
 
 def export_long(run_dir) -> str:

@@ -52,6 +52,15 @@ def sample_config():
 
 
 # the retired keys, each with a value an old echo file may list
+def _without_echo_hash(edit):
+    """``edit``, applied to a checkpoint file after the checkpoint's
+    meta.txt loses its echo_hash line, as earlier versions wrote it."""
+    def older(path):
+        _sub(r"^echo_hash=.*\n", "")(path.parent / "meta.txt")
+        edit(path)
+    return older
+
+
 RETIRED = {"solver.psi_dt_mode": "fd", "run.seed": "0", "solver.dealias": "true",
            "microphysics.q_vs.kind": "default", "run.threads": "1"}
 OLD_ECHO = BASE + "".join(f"{key} = {value}\n" for key, value in RETIRED.items())
@@ -531,24 +540,28 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         assert not out.exists()
 
     @pytest.mark.parametrize("name, edit, key", [
-        ("config.echo", _sub(r"^constants\.mu = .*$", "constants.mu = 0.5"), "config_hash"),
-        ("config.echo", _sub(r"^grid\.nx = .*$", "grid.nx = 32"), "config_hash"),
+        ("config.echo", _sub(r"^constants\.mu = .*$", "constants.mu = 0.5"), "echo_hash"),
+        ("config.echo", _sub(r"^grid\.nx = .*$", "grid.nx = 32"), "echo_hash"),
+        ("config.echo", _without_echo_hash(
+            _sub(r"^constants\.mu = .*$", "constants.mu = 0.5")), "config_hash"),
         ("meta.txt", _sub(r"^picard_iterations=.*$", "picard_iterations=x"),
          "picard_iterations"),
         ("u_z.dat", lambda path: path.write_bytes(path.read_bytes()[:-8]), "truncated")],
-        ids=["echo-mu", "echo-grid", "meta-iterations", "truncated-field"])
+        ids=["echo-mu", "echo-grid", "older-echo-mu", "meta-iterations",
+             "truncated-field"])
     def test_resume_rejects_bad_checkpoint_before_writing(self, tmp_path, capsys,
                                                           name, edit, key):
         """A checkpoint whose config.echo was edited after the run (other
-        physics, or another grid), whose meta.txt holds a Picard iteration
-        count that is not a number, or whose field file is truncated exits
-        1 with a message naming the file and ``key``, and makes no output
-        directory.  An edited echo's message names both hashes."""
+        physics, or another grid; also in a checkpoint of a version whose
+        meta.txt kept only the config_hash), whose meta.txt holds a Picard
+        iteration count that is not a number, or whose field file is
+        truncated exits 1 with a message naming the file and ``key``, and
+        makes no output directory.  An edited echo's message names both
+        hashes, the checkpoint's first."""
         path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
         assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
         ckpt = tmp_path / "full" / "checkpoints" / "step_000002"
-        meta_hash = re.search(r"^config_hash=(.*)$", (ckpt / "meta.txt").read_text(),
-                              re.M).group(1)
+        meta = (ckpt / "meta.txt").read_text()
         edit(ckpt / name)
         capsys.readouterr()
         out = tmp_path / "resumed"
@@ -556,9 +569,53 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         err = capsys.readouterr().err
         assert str(ckpt / name) in err and key in err
         if name == "config.echo":
-            assert meta_hash in err
-            assert parse_config(ckpt / name).config_hash() in err
+            stored = re.search(rf"^{key}=(.*)$", meta, re.M).group(1)
+            found = re.search(rf"{key} ([0-9a-f]{{64}}) is not", err).group(1)
+            assert err.rstrip().endswith(stored) and found != stored
         assert not out.exists()
+
+    def test_resume_may_extend_a_run(self, tmp_path):
+        """The run-length and output keys of a checkpoint's echo may be
+        edited: a finished 3-step run resumes from its last checkpoint to
+        6 steps, with another checkpoint cadence."""
+        path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 3\n")
+        assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
+        ckpt = tmp_path / "full" / "checkpoints" / "step_000003"
+        _sub(r"^solver\.t_end = .*$", "solver.t_end = 0.006")(ckpt / "config.echo")
+        _sub(r"^solver\.checkpoint_every = .*$",
+             "solver.checkpoint_every = 2")(ckpt / "config.echo")
+        out = tmp_path / "resumed"
+        assert main(["resume", str(ckpt), "--out", str(out)]) == 0
+        assert mf.load_state(str(out / "final_state")).time == pytest.approx(0.006)
+        assert sorted(os.listdir(out / "checkpoints")) == ["step_000004", "step_000006"]
+
+    @pytest.mark.parametrize("threads", [None, 2], ids=["unedited", "retired-key"])
+    def test_resume_of_older_checkpoint_by_config_hash(self, tmp_path, monkeypatch,
+                                                       threads):
+        """A checkpoint whose meta.txt kept only the config_hash (earlier
+        versions wrote no echo_hash) resumes when its echo is unedited.  One
+        written while ``run.threads`` was live, with ``run.threads = 2``,
+        has a config_hash over that line, which this version's parse drops:
+        it resumes too, with a warning that the hash cannot be checked."""
+        path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
+        assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
+        ckpt = tmp_path / "full" / "checkpoints" / "step_000002"
+        _without_echo_hash(lambda path: None)(ckpt / "config.echo")
+        if threads is not None:
+            with (ckpt / "config.echo").open("a", encoding="utf-8") as fh:
+                fh.write(f"run.threads = {threads}\n")
+            with monkeypatch.context() as m:    # the schema of that version
+                m.setitem(SCHEMA, "run.threads", ("int", 1))
+                m.delitem(mf.cli._RETIRED_KEYS, "run.threads")
+                old_hash = parse_config(ckpt / "config.echo").config_hash()
+            _sub(r"^config_hash=.*$", f"config_hash={old_hash}")(ckpt / "meta.txt")
+        out = tmp_path / "resumed"
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert main(["resume", str(ckpt), "--out", str(out)]) == 0
+        unchecked = [w for w in rec if "cannot be checked" in str(w.message)]
+        assert len(unchecked) == (threads is not None)
+        assert (out / "final_state" / "meta.txt").exists()
 
     def test_rerun_replaces_state_directories_whole(self, tmp_path):
         """Files an earlier run left in a checkpoint or final_state/ are
