@@ -258,8 +258,8 @@ class BoundaryExtension:
 
 
 def _coefficients_from(data, grid: Grid) -> np.ndarray:
-    """Normalize boundary data (scalar, coefficient array, or mode table)
-    into an (nx, ny) coefficient grid."""
+    """Normalize boundary data (a scalar, a mode table, or a real (nx, ny)
+    array of wall values) into an (nx, ny) coefficient grid."""
     beta = np.zeros((grid.nx, grid.ny), dtype=complex)
     if data is None:
         return beta
@@ -277,14 +277,14 @@ def _coefficients_from(data, grid: Grid) -> np.ndarray:
     arr = np.asarray(data)
     if arr.shape != (grid.nx, grid.ny):
         raise ValueError("boundary data array must be (nx, ny)")
-    if np.isrealobj(arr):
-        return np.fft.fft2(arr, norm="forward").astype(complex)
-    return arr.astype(complex)
+    if np.iscomplexobj(arr):
+        raise ValueError("boundary data array must hold real wall values")
+    return np.fft.fft2(arr, norm="forward").astype(complex)
 
 
 def build_extension(h_bottom, h_top, grid: Grid) -> BoundaryExtension:
-    """Extension operator on coefficient/scalar/physical data; linear in
-    (h_bottom, h_top)."""
+    """Extension operator on scalar, mode-table or wall-value data; linear
+    in (h_bottom, h_top)."""
     return BoundaryExtension(grid, _coefficients_from(h_bottom, grid),
                              _coefficients_from(h_top, grid))
 
@@ -296,9 +296,9 @@ def build_extension(h_bottom, h_top, grid: Grid) -> BoundaryExtension:
 @dataclass
 class VariableBoundary:
     """Robin coefficients and data for one variable.  Data entries may be
-    scalars, coefficient arrays, mode tables, or callables of time; the
-    rate of callable data is the step's difference quotient (see
-    ``build_factors``)."""
+    scalars, mode tables, real (nx, ny) arrays of wall values, or callables
+    of time; the rate of callable data is the step's difference quotient
+    (see ``build_factors``)."""
 
     alpha_bottom: float = 0.0
     alpha_top: float = 0.0
@@ -319,10 +319,6 @@ class BoundarySpec:
 
     def __getitem__(self, var: str) -> VariableBoundary:
         return self.variables[var]
-
-    def validate(self):
-        for var, vb in self.variables.items():
-            robin_profile(vb.alpha_bottom, vb.alpha_top, var=var)
 
     @property
     def time_dependent(self) -> bool:

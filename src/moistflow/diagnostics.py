@@ -173,20 +173,13 @@ def with_coefficients(s: State, bases: sp.BasisPair) -> State:
     return out
 
 
-def modal_sqs(modal: dict, bases: sp.BasisPair) -> dict:
-    """Squared L2 and H1 norms of each iterated variable from its modal
-    coefficients (a dict keyed as ITERATED, in that order)."""
-    return {name: sp.modal_sobolev_sqs(m, iterated_basis(name, bases), 1)
-            for name, m in modal.items()}
-
-
 def difference_sqs(a: State, b: State, bases: sp.BasisPair) -> dict:
     """Squared L2 and H1 norms of a - b for each iterated variable, keyed
     u1, u2, w, T, qv, qc, qr in that order."""
     va, vb = iterated_values(a), iterated_values(b)
-    return modal_sqs({name: sp.to_modal_values(va[name] - vb[name],
-                                               iterated_basis(name, bases))
-                      for name in ITERATED}, bases)
+    return {name: sp.modal_sobolev_sqs(
+        sp.to_modal_values(va[name] - vb[name], iterated_basis(name, bases)),
+        iterated_basis(name, bases), 1) for name in ITERATED}
 
 
 def stability_probe(run_a, run_b, bases: sp.BasisPair) -> StabilityReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import BoundarySpec, VariableBoundary, build_factors, homogenize
+from .diagnostics import iterated_basis
 from .fields import Grid, PhysConstants, ScalarField, State
 from .microphysics import SaturationClosure
 from . import spectral_ops as sp
@@ -193,18 +194,19 @@ def preset_initial(name: str, grid: Grid, constants: PhysConstants,
 def perturb_state(state: State, bases: sp.BasisPair, field: str = "frak_T",
                   amplitude: float = 1.0e-6, seed: int = 0,
                   max_mode: int = 3) -> State:
-    """Add a deterministic band-limited random perturbation (Neumann
-    compatible) of the given L2 norm to one prognostic field."""
+    """Add a deterministic band-limited random perturbation of the given L2
+    norm to one prognostic field, in the field's own z-series (a sine series
+    for ``w``, which keeps it 0 at the walls, a cosine series otherwise)."""
     grid = state.grid
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(grid.shape)
-    neu = bases.neumann
-    modal = sp.to_modal_values(raw, neu)
-    keep = ((np.abs(neu.kappa_x) <= np.pi * max_mode)
-            & (np.abs(neu.kappa_y) <= np.pi * max_mode)
-            & (neu.kappa_z <= np.pi * max_mode))
-    vals = sp.to_phys_values(modal * keep, neu)
-    norm = np.sqrt(sp.modal_sobolev_sqs(sp.to_modal_values(vals, neu), neu, 0)[0])
+    basis = iterated_basis(field, bases)
+    modal = sp.to_modal_values(raw, basis)
+    keep = ((np.abs(basis.kappa_x) <= np.pi * max_mode)
+            & (np.abs(basis.kappa_y) <= np.pi * max_mode)
+            & (basis.kappa_z <= np.pi * max_mode))
+    vals = sp.to_phys_values(modal * keep, basis)
+    norm = np.sqrt(sp.modal_sobolev_sqs(sp.to_modal_values(vals, basis), basis, 0)[0])
     vals *= amplitude / norm
     out = state.copy()
     target = getattr(out, field)

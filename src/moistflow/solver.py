@@ -114,8 +114,7 @@ class FrozenVelocity:
     A_i = u1 dx u_i + u2 dy u_i + w dz u_i, its z-derivative, div u, and
     the coefficients of div u on the kept block of the 2/3 rule.  The
     other six first derivatives are freed once the A_i are formed, and
-    grad div u is formed from ``div_modal`` by each stage that reads it
-    (``grad_div``)."""
+    grad div u is formed from ``div_modal`` by each stage that reads it."""
 
     values: tuple            # values of v1, v2, w
     advection: tuple | None  # A_i of v1, v2, w; None once assemble_rhs has used them
@@ -123,24 +122,19 @@ class FrozenVelocity:
     div: np.ndarray | None   # div u; None once assemble_rhs has used it
     div_modal: np.ndarray | None    # its kept-block coefficients; None likewise
 
-    def grad_div(self, bases: sp.BasisPair) -> dict:
-        """grad div u, keyed x, y, z: the dealiased order-1 set of
-        ``div_modal``, formed anew on each call."""
-        return sp.derivs(self.div_modal, bases.neumann, dealias=True)
-
 
 @dataclass
 class RhsBundle:
     """Explicit right-hand sides: each equation's total (the momentum's a
-    3-tuple), with the mass factors Q_m and Q_th that ``linear_step``
-    divides by.  Named terms: ``assemble_rhs(terms=...)``."""
+    3-tuple), with the mass factors M = rho_d Q_m and Q_th that
+    ``linear_step`` divides by.  Named terms: ``assemble_rhs(terms=...)``."""
 
     momentum: tuple
     temperature: np.ndarray
     vapor: np.ndarray
     cloud: np.ndarray
     rain: np.ndarray
-    Q_m: np.ndarray
+    M: np.ndarray
     Q_th: np.ndarray
 
 
@@ -168,7 +162,6 @@ class Simulation:
                  boundary_spec: BoundarySpec, config: SolverConfig,
                  closure: SaturationClosure | None = None,
                  forcing: dict | None = None):
-        boundary_spec.validate()
         self.grid = grid
         self.constants = constants
         self.bspec = boundary_spec
@@ -180,12 +173,10 @@ class Simulation:
         self.v_r = (config.v_r_scale * vr_fn(grid.z))[None, None, :]
         self.dz_v_r = (config.v_r_scale * dvr_fn(grid.z))[None, None, :]
         self._factors = (None, None)          # (key, factors) of the last build
-        if not boundary_spec.time_dependent:
-            self.factors_at(0.0)              # static data are built once, here
+        self.factors_at(0.0, config.dt)       # the first step's: bad wall data fail here
         self._positivity_fixes = 0
         self._rejections = 0
         self.config_echo = ""         # provenance, set by cli.build_simulation
-        self.config_hash = ""
         self.echo_hash = ""
 
     # -- helpers ----------------------------------------------------------
@@ -302,8 +293,9 @@ class Simulation:
         # exact, so the foot's displacements come back bitwise
         for d in (dx_f, dy_f, dz_f):
             d *= 0.5
-        div_integral = self._taylor_eval(velocity.div, velocity.grad_div(self.bases),
-                                         dx_f, dy_f, dz_f, order=1)
+        div_integral = self._taylor_eval(
+            velocity.div, sp.derivs(velocity.div_modal, self.bases.neumann, dealias=True),
+            dx_f, dy_f, dz_f, order=1)
         div_integral *= dt
         for d in (dx_f, dy_f, dz_f):
             d *= 2.0
@@ -314,7 +306,7 @@ class Simulation:
 
     # -- explicit right-hand sides ------------------------------------------
 
-    def assemble_rhs(self, frozen: State, rho_vals: np.ndarray, factors: dict,
+    def assemble_rhs(self, frozen: State, factors: dict,
                      t_new: float, velocity: FrozenVelocity,
                      terms: dict | None = None) -> RhsBundle:
         """Evaluate the frozen-state right-hand sides of the homogenized
@@ -338,16 +330,17 @@ class Simulation:
         become the momentum advection and drag terms in place, and the
         velocity lets go of them (they are set to None); ``div`` and
         ``div_modal`` stay.  The scalars' and log rho_d's coefficients are
-        those ``frozen`` carries.  Each array is freed at its last use:
-        each scalar's derivative set after its equation, the pressure once
-        its forward transform is formed and that transform once its
-        gradient is, the raw q_r before the rates (it is formed again
-        where the drag and T's sedimentation read it), q_vs, the clipped
-        variables, T_o, q_v and q_c once the rates are, the rates once
-        their three combinations are, each combination and Q_cp after the
-        terms that read them.  A
-        term that is the number 0.0 is recorded but not added.  The bundle
-        holds what ``linear_step`` reads."""
+        those ``frozen`` carries; rho_d is formed here.  Each array is freed
+        at its last use: each scalar's derivative set after its equation,
+        the pressure once its forward transform is formed and that
+        transform once its gradient is, the raw q_r before the rates (it is
+        formed again where the drag and T's sedimentation read it), q_vs,
+        the clipped variables, T_o, q_v and q_c once the rates are, the
+        rates once their three combinations are, Q_m once -rho_d Q_m is,
+        rho_d after the drag, each combination and Q_cp after the terms
+        that read them; -rho_d Q_m becomes M in place.  A term that is the
+        number 0.0 is recorded but not added.  The bundle holds what
+        ``linear_step`` reads."""
         c = self.constants
         neu = self.bases.neumann
 
@@ -380,8 +373,9 @@ class Simulation:
         # both kernels compute with the clipped variables, each clipped once;
         # the nucleation and auto-conversion rates read the raw q_v and q_c.
         # The rates come first, so that the Q-factors are not alive with them.
+        rho = np.exp(frozen.log_rho_d.values)
         try:
-            p = pressure_values(rho_vals, q_v, T_o, c)
+            p = pressure_values(rho, q_v, T_o, c)
         except ValueError as exc:   # an underflowed rho_d: a failed step
             raise StepRejected(str(exc)) from exc
         q_vs = self.closure(p, T_o)
@@ -419,17 +413,20 @@ class Simulation:
         add("momentum", "pressure_gradient", *(np.negative(dp[k], out=dp[k]) for k in "xyz"))
         # nothing below reads the velocity's A_i and dz u_i: their arrays
         # become the advection and drag terms in place
-        minus_rQm = -(rho_vals * Q_m)
+        minus_rQm = -(rho * Q_m)
+        del Q_m
         for a in velocity.advection:
             a *= minus_rQm
         add("momentum", "advection", *velocity.advection)
-        drag = rho_vals * (fr.binv_profile * G["r"]) * self.v_r
+        drag = rho * (fr.binv_profile * G["r"]) * self.v_r
+        del rho
         for d in velocity.dz:
             d *= drag
         add("momentum", "sedimentation_drag", *velocity.dz)
         del drag
         velocity.advection = velocity.dz = None
         add("momentum", "gravity", 0.0, 0.0, minus_rQm * c.g)
+        M = np.negative(minus_rQm, out=minus_rQm)     # rho_d Q_m, bitwise
         del minus_rQm
         if any(k in forcing for k in ("u1", "u2", "w")):
             add("momentum", "forcing", *(forcing.get(k, 0.0) for k in ("u1", "u2", "w")))
@@ -485,8 +482,8 @@ class Simulation:
         if bad:
             if terms is None:   # assemble again by name; that call raises
                 terms = {}
-                self.assemble_rhs(frozen, rho_vals, factors, t_new,
-                                  self._frozen_velocity(frozen), terms)
+                self.assemble_rhs(frozen, factors, t_new, self._frozen_velocity(frozen),
+                                  terms)
             for eq in order:
                 for tname, value in terms[eq].items():
                     if not finite(value if eq == "momentum" else (value,)):
@@ -494,7 +491,7 @@ class Simulation:
             raise StepRejected(f"non-finite RHS total of {bad[0]} (finite terms overflowed)")
 
         return RhsBundle(tuple(totals["momentum"]), *(totals[eq][0] for eq in order[:4]),
-                         Q_m, Q_th)
+                         M, Q_th)
 
     # -- one frozen-coefficient update ---------------------------------------
 
@@ -521,11 +518,10 @@ class Simulation:
         c = self.constants
         g = self.grid
         neu = self.bases.neumann
-        rho_vals = np.exp(frozen.log_rho_d.values)
-        rhs = self.assemble_rhs(frozen, rho_vals, factors, current.time + dt, velocity)
+        rhs = self.assemble_rhs(frozen, factors, current.time + dt, velocity)
         velocity.div = None     # read by assemble_rhs alone
         totals = {"qv": rhs.vapor, "qc": rhs.cloud, "qr": rhs.rain, "T": rhs.temperature}
-        I, Q_m, Q_th = rhs.momentum, rhs.Q_m, rhs.Q_th
+        I, M, Q_th = rhs.momentum, rhs.M, rhs.Q_th
         del rhs
 
         def lagged_laplacian(name):
@@ -554,14 +550,12 @@ class Simulation:
         del gT
 
         # momentum: same mean-coefficient splitting for both viscous operators
-        M = rho_vals * Q_m
-        del rho_vals, Q_m
         nu = c.mu / M
         nul = (c.mu + c.lam) / M
         nu_bar = float(np.mean(nu))
         nul_bar = float(np.mean(nul))
         cur_u = (current.u1.values, current.u2.values, current.w.values)
-        grad_div = velocity.grad_div(self.bases)
+        grad_div = sp.derivs(velocity.div_modal, self.bases.neumann, dealias=True)
         velocity.div_modal = None
         gu = [cur_u[i] + dt * (I[i] / M
                                + (nu - nu_bar) * lagged_laplacian(name)
@@ -589,8 +583,8 @@ class Simulation:
     @staticmethod
     def _increment_parts(sqs: dict, dt: float) -> dict:
         """Increment size per variable in the sup-L2 + dt-weighted H1 metric
-        (the one-step discretization of L-inf(L2) intersect L2(H1)), from the
-        squared norms of ``diagnostics.modal_sqs``."""
+        (the one-step discretization of L-inf(L2) intersect L2(H1)), from
+        each variable's squared L2 and H1 norms, keyed as ITERATED."""
         entries = {}
         tot_l2 = tot_h1 = 0.0
         for name, (l2s, h1s) in sqs.items():
@@ -662,9 +656,9 @@ class Simulation:
                 return x_new, report
             # the iterates may carry different extents (the step's input the
             # whole array): the difference is taken on the larger one
-            parts = self._increment_parts(dg.modal_sqs(
-                {name: sp.extent_sum(x_new.modal[name], x_prev.modal[name], subtract=True)
-                 for name in dg.ITERATED}, self.bases), dt)
+            parts = self._increment_parts({name: sp.modal_sobolev_sqs(
+                sp.extent_sum(x_new.modal[name], x_prev.modal[name], subtract=True),
+                dg.iterated_basis(name, self.bases), 1) for name in dg.ITERATED}, dt)
             inc = parts["total"]
             report.increments.append(parts)
             if m >= 2:
@@ -709,7 +703,7 @@ class Simulation:
             if not np.any(neg):
                 continue
             self._positivity_fixes += 1
-            pos = np.maximum(q, 0.0)
+            pos = positive_values(q)
             deficit = -float(np.sum(rho * neg * w))
             total_pos = float(np.sum(rho * pos * w))
             scale = 1.0 - deficit / total_pos if total_pos > deficit else 0.0
@@ -874,8 +868,7 @@ class RunRecorder:
             save_state(tmp, state)
             save_modal(tmp, state)
             Path(tmp, META_FILE).write_text(
-                f"time={state.time!r}\nstep={row.step}\nconfig_hash={sim.config_hash}\n"
-                f"echo_hash={sim.echo_hash}\n"
+                f"time={state.time!r}\nstep={row.step}\necho_hash={sim.echo_hash}\n"
                 f"picard_iterations={row.picard_iterations!r}\n"
                 f"picard_final_ratio={row.picard_final_ratio!r}\n", encoding="utf-8")
             if sim.config_echo:
@@ -898,7 +891,7 @@ def read_checkpoint(path) -> tuple:
     is a ValueError naming the meta file and the key.  The echo path is
     where the echo would be (a run without a config writes none), and the
     meta lines are the meta file's ``key=value`` lines as a dict (its
-    ``config_hash`` and ``echo_hash``, when it has them)."""
+    ``echo_hash``, or an older checkpoint's ``config_hash``)."""
     meta_path = os.path.join(path, META_FILE)
     with open(meta_path, encoding="utf-8") as fh:
         meta = dict(line.rstrip("\n").partition("=")[::2] for line in fh)

@@ -79,6 +79,22 @@ class TestCutoff:
 
 
 class TestExtension:
+    @pytest.mark.parametrize("entry", ["build_extension", "build_factors",
+                                       "trace_norm_check"])
+    def test_complex_array_rejected(self, grid8, entry):
+        """An (nx, ny) array of wall data holds real wall values; a complex
+        one is a ValueError at every entry that reads wall data."""
+        data = np.ones((grid8.nx, grid8.ny), dtype=complex)
+        with pytest.raises(ValueError, match="real wall values"):
+            if entry == "build_extension":
+                build_extension(data, 0.0, grid8)
+            elif entry == "build_factors":
+                spec = BoundarySpec()
+                spec.variables["T"] = VariableBoundary(-1.0, 1.0, data, 0.0)
+                build_factors(spec, grid8)
+            else:
+                trace_norm_check(build_extension(0.0, 0.0, grid8), data, 0.0)
+
     def test_constant_bottom_data(self, grid8):
         c = 2.5
         ext = build_extension(c, 0.0, grid8)
@@ -283,11 +299,32 @@ class TestFactors:
         with pytest.raises(ValueError, match="dt"):
             build_factors(spec, grid8, t=0.0)
 
-    def test_spec_validation(self):
+    def test_time_dependent_spec_checked_by_the_first_build(self, grid8, nondim,
+                                                           monkeypatch):
+        """Wall data that vary in time are checked as static data are, by
+        the construction's build of the first step's factors, keyed
+        (0, dt): the first step reuses that build, and a wrong sign fails
+        in Simulation(...)."""
+        built = []
+        build = mf.solver.build_factors
+        monkeypatch.setattr(mf.solver, "build_factors", lambda spec, grid, t, dt=None:
+                            built.append((t, dt)) or build(spec, grid, t, dt))
+        state, spec = mf.preset_initial("equilibrium", grid8, nondim)
+        spec["c"].data_bottom = lambda t: 0.1 * t
+        cfg = mf.SolverConfig(dt=1e-3, t_end=1e-3)
+        sim = mf.Simulation(grid8, nondim, spec, cfg)
+        assert built == [(0.0, 1e-3)]
+        sim.direct_step(state, 1e-3)
+        assert built == [(0.0, 1e-3)]
+        spec["c"].alpha_bottom = 0.5
+        with pytest.raises(ValueError, match="sign condition violated for variable 'c'"):
+            mf.Simulation(grid8, nondim, spec, cfg)
+
+    def test_spec_validation(self, grid8):
         spec = BoundarySpec()
         spec.variables["c"] = VariableBoundary(0.5, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="'c'"):
-            spec.validate()
+            build_factors(spec, grid8)
 
 
 class TestTraceNorm:

@@ -51,12 +51,19 @@ def sample_config():
         return fh.read()
 
 
+def _older_config_hash(ckpt) -> str:
+    """The config_hash line that earlier versions wrote into the meta.txt
+    of the checkpoint directory ``ckpt``, from its echo."""
+    return f"config_hash={parse_config(ckpt / 'config.echo').config_hash()}"
+
+
 # the retired keys, each with a value an old echo file may list
 def _without_echo_hash(edit):
     """``edit``, applied to a checkpoint file after the checkpoint's
-    meta.txt loses its echo_hash line, as earlier versions wrote it."""
+    meta.txt trades its echo_hash line for the config_hash line, as earlier
+    versions wrote it."""
     def older(path):
-        _sub(r"^echo_hash=.*\n", "")(path.parent / "meta.txt")
+        _sub(r"^echo_hash=.*$", _older_config_hash(path.parent))(path.parent / "meta.txt")
         edit(path)
     return older
 
@@ -222,6 +229,20 @@ class TestPresets:
         assert np.max(rates["S_ev"]) > 0.0
         assert np.max(rates["S_ac"]) > 0.0
         assert np.max(rates["S_cr"]) > 0.0
+
+    def test_perturbed_w_keeps_no_penetration(self, grid8, nondim):
+        """perturb_state perturbs w in its sine series: its wall values stay
+        exactly 0, its L2 norm is the amplitude, and a 2-step run goes
+        through."""
+        state, bspec = mf.preset_initial("equilibrium", grid8, nondim)
+        sim = mf.Simulation(grid8, nondim, bspec, mf.SolverConfig(dt=1e-3, t_end=2e-3))
+        out = mf.perturb_state(state, sim.bases, field="w", amplitude=1e-3, seed=1)
+        w = out.w.values
+        assert not np.any(w[:, :, [0, -1]])
+        diri = sim.bases.dirichlet
+        l2 = np.sqrt(mf.spectral_ops.modal_sobolev_sqs(to_modal_values(w, diri), diri, 0)[0])
+        assert l2 == pytest.approx(1e-3, rel=1e-12)
+        assert sim.run(out).steps == 2
 
     def test_unknown_preset_rejected(self, grid8, nondim):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -456,9 +477,7 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         out, res = tmp_path / "out", tmp_path / "resumed"
         assert main(["run", path, "--out", str(out)]) == 0
         ckpt = out / "checkpoints" / "step_000003"
-        hash_line = next(line for line in (ckpt / "meta.txt").read_text().splitlines()
-                         if line.startswith("config_hash="))
-        (ckpt / "meta.txt").write_text(f"time=0.003\nstep=3\n{hash_line}\n",
+        (ckpt / "meta.txt").write_text(f"time=0.003\nstep=3\n{_older_config_hash(ckpt)}\n",
                                        encoding="utf-8")
         _, report, _, _ = mf.solver.read_checkpoint(str(ckpt))
         assert (report.iterations, report.final_ratio) == (0, 0.0)
@@ -561,8 +580,8 @@ print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mo
         path = write_config(tmp_path / "c.cfg", BASE + "solver.checkpoint_every = 2\n")
         assert main(["run", path, "--out", str(tmp_path / "full")]) == 0
         ckpt = tmp_path / "full" / "checkpoints" / "step_000002"
-        meta = (ckpt / "meta.txt").read_text()
         edit(ckpt / name)
+        meta = (ckpt / "meta.txt").read_text()
         capsys.readouterr()
         out = tmp_path / "resumed"
         assert main(["resume", str(ckpt), "--out", str(out)]) == 1
@@ -733,6 +752,23 @@ class TestBuildSimulation:
         sim, state = build_simulation(rc)
         assert sim.bspec["T"].alpha_bottom == -1.0
         assert sim.bspec["T"].data_bottom == 1.0
+
+    def test_boundary_override_leaves_the_initial_state_alone(self, tmp_path):
+        """Wall values from the config change the walls, not the preset's
+        interior: a 0-step run's row matches that of the same config
+        without the override to 1e-12 relative."""
+        cfg = ("grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\nconstants.set = nondimensional\n"
+               "ic.preset = saturated_layer\nsolver.t_end = 0\n"
+               "boundary.T.alpha_bottom = -1\nboundary.T.alpha_top = 1\n")
+
+        def row(text, name):
+            sim, state = build_simulation(parse_config(write_config(tmp_path / name, text)))
+            return sim.run(state).rows[0].csv_values()
+
+        ref = row(cfg, "ref.cfg")
+        got = row(cfg + "boundary.T.value_bottom = 2.0\n", "wall.cfg")
+        np.testing.assert_allclose([float(v) for v in got], [float(v) for v in ref],
+                                   rtol=1e-12, atol=0.0)
 
     def test_nondimensional_constants_with_override(self, tmp_path):
         cfg = "constants.set = nondimensional\nconstants.g = 0.5\n"

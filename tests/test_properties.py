@@ -123,8 +123,7 @@ def test_solver_water_exchange_within_four_ulp(name, amplitude, seed):
     terms = {}
     with pytest.MonkeyPatch.context() as mp:
         S = kernel_outputs(mp, LAYER_SIM)
-        LAYER_SIM.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
-                               state.time + LAYER_SIM.config.dt,
+        LAYER_SIM.assemble_rhs(state, factors, state.time + LAYER_SIM.config.dt,
                                LAYER_SIM._frozen_velocity(state), terms)
     exchange = {"vapor": S["S_ev"] - S["S_cd"],
                 "cloud": S["S_cd"] - S["S_ac"] - S["S_cr"],

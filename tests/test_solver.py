@@ -52,10 +52,10 @@ def m_norm_parts(sim, a, b, dt):
 
 def assemble_rhs(sim, state, factors, terms=None):
     """assemble_rhs on the frozen state ``state``, given its coefficients,
-    and its density, at t_new = state.time."""
+    at t_new = state.time."""
     state = dg.with_coefficients(state, sim.bases)
-    return sim.assemble_rhs(state, np.exp(state.log_rho_d.values), factors,
-                            state.time, sim._frozen_velocity(state), terms)
+    return sim.assemble_rhs(state, factors, state.time, sim._frozen_velocity(state),
+                            terms)
 
 
 def count_transforms(monkeypatch, sets: list | None = None) -> dict:
@@ -133,7 +133,8 @@ class TestDensityStep:
         serve both stages: density_step's midpoint velocity u_i - (dt/2) A_i
         gives log rho_d within 1e-14 relative of the order-1 Taylor value of
         u_i at x - (dt/2) u, formed from the nine derivatives, and the
-        momentum advection assemble_rhs records is -rho Q_m A_i bitwise.
+        momentum advection assemble_rhs records is -M A_i bitwise, with
+        the bundle's M = rho Q_m.
         The velocity holds div u and the kept block of its coefficients,
         and grad div u formed from them is bitwise the derivative set of
         the whole-array divergence."""
@@ -153,7 +154,7 @@ class TestDensityStep:
         # the velocity keeps div u and its kept-block coefficients, from
         # which grad div u is formed where it is read
         assert velocity.div_modal.shape == (grid16.nx, *grid16.kept_extent)
-        grad_div = velocity.grad_div(sim.bases)
+        grad_div = derivs(velocity.div_modal, neu, dealias=True)
         div_m = div_modal(frozen.modal["u1"], frozen.modal["u2"], frozen.modal["w"],
                           sim.bases)
         ref = derivs(div_m, neu, dealias=True)
@@ -183,7 +184,7 @@ class TestDensityStep:
 
         terms = {}
         rhs = assemble_rhs(sim, frozen, sim.factors_at(0.0, dt), terms)
-        rQm = np.exp(frozen.log_rho_d.values) * rhs.Q_m
+        rQm = rhs.M
         for term, a, di in zip(terms["momentum"]["advection"], velocity.advection, d):
             assert np.array_equal(a, u1 * di["x"] + u2 * di["y"] + w * di["z"])
             assert term.tobytes() == (-rQm * a).tobytes()
@@ -308,9 +309,10 @@ class TestAssembleRhs:
         rates = clipped_rates(T, qv, qc, qr, q_vs, nondim)
 
         assert np.array_equal(built["p"], p)
-        assert np.array_equal(rhs.Q_m, Q_m)
+        assert np.array_equal(rhs.M, rho * Q_m)
         assert np.array_equal(rhs.Q_th, Q_th)
-        assert rhs.Q_m is built["Q_m"] and rhs.Q_th is built["Q_th"]
+        assert rhs.M.tobytes() == (rho * built["Q_m"]).tobytes()
+        assert rhs.Q_th is built["Q_th"]
         assert np.array_equal(built["Q_cp"], Q_cp)
         assert (built["Q_1"], built["Q_2"]) == (Q_1, Q_2)
         assert np.array_equal(built["q_vs"], q_vs)
@@ -320,17 +322,17 @@ class TestAssembleRhs:
 
     def test_bundle_keeps_no_pressure_or_rates(self, grid8, nondim, monkeypatch):
         """Once assemble_rhs returns, its pressure, q_vs and four rates are
-        gone while the bundle is still alive; the bundle holds the totals,
-        Q_m and Q_th alone."""
+        gone while the bundle is still alive, and so is Q_m; the bundle
+        holds the totals, M = rho Q_m and Q_th alone."""
         sim, state = make_sim(grid8, nondim, preset="saturated_layer", mode="direct")
         state = sim.direct_step(state, 1e-3)
         refs = kernel_outputs(monkeypatch, sim, hold=weakref.ref)
         rhs = assemble_rhs(sim, state, sim.factors_at(state.time, 1e-3))
         assert [f.name for f in fields(rhs)] == [
-            "momentum", "temperature", "vapor", "cloud", "rain", "Q_m", "Q_th"]
-        for name in ("p", "q_vs", "S_ev", "S_cd", "S_ac", "S_cr"):
+            "momentum", "temperature", "vapor", "cloud", "rain", "M", "Q_th"]
+        for name in ("p", "q_vs", "S_ev", "S_cd", "S_ac", "S_cr", "Q_m"):
             assert refs[name]() is None, name
-        assert refs["Q_m"]() is rhs.Q_m and refs["Q_th"]() is rhs.Q_th
+        assert refs["Q_th"]() is rhs.Q_th
 
 
 class TestLinearStep:
@@ -987,7 +989,7 @@ class TestRun:
         """With wall data that vary in time, the row of a step and the step
         after it share the factors of one (t, dt): 5 steps build 6 sets, and
         the rows are those of a build on every call.  Static data are built
-        once, before the run."""
+        once, at construction."""
         def simulation(data_top):
             state, bspec = mf.preset_initial("saturated_layer", grid8, nondim)
             bspec["T"].data_top = data_top
@@ -1012,7 +1014,7 @@ class TestRun:
         built.clear()
         sim, state = simulation(1.0)
         sim.run(state)
-        assert built == [(0.0, None)]
+        assert built == [(0.0, 1e-3)]
 
     def test_outputs_written(self, tmp_path, grid8, nondim):
         state, bspec = mf.preset_initial("thermal_bubble", grid8, nondim)
