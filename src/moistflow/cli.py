@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import BOUNDARY_VARS, build_factors, dehomogenize, homogenize
+from .boundary import BOUNDARY_VARS
 from .fields import PhysConstants, make_grid
 from .presets import preset_initial
 from .solver import Simulation, SolverConfig, export_long, read_checkpoint
@@ -301,9 +301,7 @@ def parse_config(path) -> RunConfig:
 def build_simulation(rc: RunConfig):
     """Construct (Simulation, initial State) from a parsed config.  The
     library's constructors check the values; what they reject is raised as
-    a ConfigError naming the config file.  Wall values other than
-    ``preset`` leave the preset's physical fields alone: the state is
-    homogenized again with the simulation's factors."""
+    a ConfigError naming the config file."""
     try:
         grid = make_grid(rc["grid.nx"], rc["grid.ny"], rc["grid.nz"])
         constants = rc.constants()
@@ -315,20 +313,12 @@ def build_simulation(rc: RunConfig):
             amplitude=rc["ic.amplitude"] or None,
             sat_ratio=rc["ic.sat_ratio"], qc_seed=rc["ic.qc_seed"],
             qr_seed=rc["ic.qr_seed"])
-        overrides = {(var, attr): rc[f"boundary.{var}.value_{side}"]
-                     for var in BOUNDARY_VARS
-                     for side, attr in (("bottom", "data_bottom"), ("top", "data_top"))}
-        overrides = {key: value for key, value in overrides.items() if value != "preset"}
-        preset_factors = build_factors(bspec, grid) if overrides else None
-        for (var, attr), value in overrides.items():
-            setattr(bspec[var], attr, value)
+        for var in BOUNDARY_VARS:
+            for side, attr in (("bottom", "data_bottom"), ("top", "data_top")):
+                override = rc[f"boundary.{var}.value_{side}"]
+                if override != "preset":
+                    setattr(bspec[var], attr, override)
         sim = Simulation(grid, constants, bspec, rc.solver_config())
-        if overrides:
-            factors = sim.factors_at(0.0, sim.config.dt)
-            for attr, var in (("frak_T", "T"), ("frak_q_v", "v"), ("frak_q_c", "c"),
-                              ("frak_q_r", "r")):
-                setattr(state, attr, homogenize(
-                    dehomogenize(getattr(state, attr), preset_factors[var]), factors[var]))
     except ValueError as exc:
         raise ConfigError(f"{rc.path}: {exc}") from exc
     sim.config_echo = rc.echo_text()

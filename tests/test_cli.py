@@ -753,22 +753,24 @@ class TestBuildSimulation:
         assert sim.bspec["T"].alpha_bottom == -1.0
         assert sim.bspec["T"].data_bottom == 1.0
 
-    def test_boundary_override_leaves_the_initial_state_alone(self, tmp_path):
-        """Wall values from the config change the walls, not the preset's
-        interior: a 0-step run's row matches that of the same config
-        without the override to 1e-12 relative."""
-        cfg = ("grid.nx = 8\ngrid.ny = 8\ngrid.nz = 9\nconstants.set = nondimensional\n"
+    def test_boundary_override_moves_the_interior_through_the_lift(self, tmp_path):
+        """A config's wall value acts through the lift: the homogenized
+        fields are the preset's, bit for bit (so frak_T keeps the zero
+        wall-normal derivative its cosine series needs), and the physical T
+        meets the new Robin condition dz T = alpha (F_b - T) at the bottom
+        wall (second-order one-sided differences on 17 levels)."""
+        cfg = ("grid.nx = 8\ngrid.ny = 8\ngrid.nz = 17\nconstants.set = nondimensional\n"
                "ic.preset = saturated_layer\nsolver.t_end = 0\n"
                "boundary.T.alpha_bottom = -1\nboundary.T.alpha_top = 1\n")
-
-        def row(text, name):
-            sim, state = build_simulation(parse_config(write_config(tmp_path / name, text)))
-            return sim.run(state).rows[0].csv_values()
-
-        ref = row(cfg, "ref.cfg")
-        got = row(cfg + "boundary.T.value_bottom = 2.0\n", "wall.cfg")
-        np.testing.assert_allclose([float(v) for v in got], [float(v) for v in ref],
-                                   rtol=1e-12, atol=0.0)
+        _, ref = build_simulation(parse_config(write_config(tmp_path / "ref.cfg", cfg)))
+        sim, state = build_simulation(parse_config(write_config(
+            tmp_path / "wall.cfg", cfg + "boundary.T.value_bottom = 2.0\n")))
+        for a, b in zip(state.fields(), ref.fields()):
+            assert np.array_equal(a.values, b.values)
+        T = mf.dehomogenize(state.frak_T, sim.factors_at(0.0, sim.config.dt)["T"]).values
+        h = 1.0 / 16
+        dz_T = (-3.0 * T[..., 0] + 4.0 * T[..., 1] - T[..., 2]) / (2.0 * h)
+        assert np.max(np.abs(dz_T - (-1.0) * (2.0 - T[..., 0]))) <= 0.02
 
     def test_nondimensional_constants_with_override(self, tmp_path):
         cfg = "constants.set = nondimensional\nconstants.g = 0.5\n"
